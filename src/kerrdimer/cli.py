@@ -19,6 +19,7 @@ from .experiments import (
     critical_points,
     ep_agreement,
     resolve_delta,
+    sidecar_path,
     spectrum_map,
     sweep_loss,
     write_csv,
@@ -253,7 +254,7 @@ def _run_spectrum(rc: RunConfig, args) -> int:
     meta = {**asdict(rc.params), "experiment": "spectrum", "backend": backend}
     path = rc.output_dir / (rc.output_name or "s1_cuts.csv")
     write_csv(path, ["gamma_tip", "delta", "s1", "is_peak"], rows, meta=meta)
-    write_provenance(str(path)[:-4] + ".provenance.json",
+    write_provenance(sidecar_path(path),
                      {**_provenance_base(rc), "experiment": "spectrum"})
     print(f"spectrum: {'; '.join(peak_info)} -> {path}")
     return 0
@@ -280,7 +281,7 @@ def _run_eigen(rc: RunConfig, args) -> int:
     path = rc.output_dir / (rc.output_name or "figS3.csv")
     write_csv(path, ["gamma_tip", "branch", "re_lambda", "im_lambda",
                      "pop_01", "pop_10"], rows)
-    write_provenance(str(path)[:-4] + ".provenance.json",
+    write_provenance(sidecar_path(path),
                      {**_provenance_base(rc), "experiment": "eigen_branches"})
 
     loc_rows = []
@@ -299,7 +300,7 @@ def _run_eigen(rc: RunConfig, args) -> int:
     loc_path = rc.output_dir / "figS4.csv"
     write_csv(loc_path, ["gamma_tip", "n_excitation", "branch", "m", "n",
                          "population"], loc_rows)
-    write_provenance(str(loc_path)[:-4] + ".provenance.json",
+    write_provenance(sidecar_path(loc_path),
                      {**_provenance_base(rc), "experiment": "eigen_localization"})
     print(f"eigen: {len(gts)} grid points -> {path}, {loc_path}")
     return 0
@@ -315,7 +316,7 @@ def _run_lep(rc: RunConfig, args) -> int:
     path = rc.output_dir / (rc.output_name or "lep.csv")
     write_csv(path, ["gamma_tip", "branch", "re_Lambda", "im_Lambda",
                      "gap", "overlap"], res.grid_rows)
-    write_provenance(str(path)[:-4] + ".provenance.json",
+    write_provenance(sidecar_path(path),
                      {**_provenance_base(rc), "experiment": "lep",
                       "lep": res.gamma_tip, "gap": res.gap, "overlap": res.overlap})
     print(f"lep: gamma_tip={res.gamma_tip:.6f} gap={res.gap:.3e} "
@@ -334,7 +335,7 @@ def _run_ep_agreement(rc: RunConfig, args) -> int:
     rows = ep_agreement(rc.params, js)
     path = rc.output_dir / (rc.output_name or "fig1b_ep.csv")
     write_csv(path, ["J", "hep", "lep", "rel_discrepancy", "found"], rows)
-    write_provenance(str(path)[:-4] + ".provenance.json",
+    write_provenance(sidecar_path(path),
                      {**_provenance_base(rc), "experiment": "ep_agreement"})
     found = [r for r in rows if r["found"]]
     worst = max((r["rel_discrepancy"] for r in found), default=float("nan"))
@@ -369,7 +370,7 @@ def _run_distribution(rc: RunConfig, args) -> int:
     path = rc.output_dir / (rc.output_name or "fig3b.csv")
     write_csv(path, ["gamma_tip", "m", "p_m", "poisson_m", "deviation", "ratio"],
               rows, meta=meta)
-    write_provenance(str(path)[:-4] + ".provenance.json",
+    write_provenance(sidecar_path(path),
                      {**_provenance_base(rc), "experiment": "distribution",
                       "gamma_tips": list(map(float, points))})
     print(f"distribution: {len(points)} loss points -> {path}")
@@ -400,7 +401,13 @@ RUNNERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common_parser(backend: str) -> argparse.ArgumentParser:
+    """Options shared by every subcommand, with the given --backend default.
+
+    A parent parser shares its action objects with every child, so a child's
+    ``set_defaults`` would change the default of all of them; each backend
+    default therefore gets its own parent.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--preset", default="paper_fig2",
                         help="shipped preset name (default: paper_fig2)")
@@ -421,12 +428,17 @@ def _build_parser() -> argparse.ArgumentParser:
                              "default ./datasets)")
     common.add_argument("--output", default=None, help="dataset filename override")
     common.add_argument("--backend", choices=("both", "analytic", "lindblad"),
-                        default="both")
+                        default=backend)
     common.add_argument("--cutoff", default="5,5",
                         help="per-mode Fock cutoffs n1,n2 for master-equation solves")
     common.add_argument("--protocol", default=None,
                         help="detuning protocol: 'track' or 'fixed:VALUE'")
+    return common
 
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = _common_parser("both")
+    analytic = _common_parser("analytic")
     parser = argparse.ArgumentParser(
         prog="kerrdimer",
         description="Loss sweeps, spectra and exceptional points of a driven "
@@ -439,23 +451,20 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="observables vs nanotip loss")
     sp.add_argument("--gamma-tip-grid", default=None, metavar="START:STOP:NUM")
 
-    sp = sub.add_parser("critical-points", parents=[common],
+    sp = sub.add_parser("critical-points", parents=[analytic],
                         help="CP_c, CP_q and EP/LEP locations from a loss sweep")
     sp.add_argument("--gamma-tip-grid", default=None, metavar="START:STOP:NUM")
-    sp.set_defaults(backend="analytic")
 
-    sp = sub.add_parser("spectrum", parents=[common],
+    sp = sub.add_parser("spectrum", parents=[analytic],
                         help="excitation spectrum S1(delta) at fixed loss")
     sp.add_argument("--gamma-tip", type=float, action="append",
                     help="loss value for a cut (repeatable)")
     sp.add_argument("--delta-grid", default=None, metavar="START:STOP:NUM")
-    sp.set_defaults(backend="analytic")
 
-    sp = sub.add_parser("spectrum-map", parents=[common],
+    sp = sub.add_parser("spectrum-map", parents=[analytic],
                         help="S1 over the (gamma_tip, delta) plane")
     sp.add_argument("--gamma-tip-grid", default=None, metavar="START:STOP:NUM")
     sp.add_argument("--delta-grid", default=None, metavar="START:STOP:NUM")
-    sp.set_defaults(backend="analytic")
 
     sp = sub.add_parser("eigen", parents=[common],
                         help="non-Hermitian eigenvalue branches and localization")

@@ -21,10 +21,9 @@ from .analytic import (
     analytic_observables,
     steady_amplitudes,
 )
-from .hilbert import build_basis, mode_operator
+from .hilbert import build_basis
 from .liouvillian import (
     LepNotFoundError,
-    Superoperator,
     build_liouvillian,
     lep_locate,
     steady_state,
@@ -47,6 +46,7 @@ __all__ = [
     "ep_agreement",
     "write_csv",
     "write_provenance",
+    "sidecar_path",
 ]
 
 BACKENDS = ("analytic", "lindblad")
@@ -54,7 +54,8 @@ DEFAULT_CUTOFF = (5, 5)
 REFINE_TOL = 1e-3  # gamma_tip critical points resolved to 1e-3 * gamma_1'
 
 
-def _sidecar_path(path) -> str:
+def sidecar_path(path) -> str:
+    """Provenance sidecar next to a dataset: ``x.csv`` -> ``x.provenance.json``."""
     s = str(path)
     return (s[:-4] if s.endswith(".csv") else s) + ".provenance.json"
 
@@ -95,7 +96,7 @@ class SweepTable:
 
     def to_csv(self, path) -> None:
         write_csv(path, self.columns, self.rows)
-        write_provenance(_sidecar_path(path), self.provenance)
+        write_provenance(sidecar_path(path), self.provenance)
 
 
 @dataclass(frozen=True)
@@ -128,31 +129,6 @@ def _sweep_columns(backends) -> list[str]:
     return cols
 
 
-class _LindbladEvaluator:
-    """Steady-state observables with the gamma_tip/delta dependence of the
-    generator assembled once and updated by linear combination."""
-
-    def __init__(self, p: SystemParams, cutoff=DEFAULT_CUTOFF):
-        self.p = p
-        self.basis = build_basis(per_mode=cutoff)
-        base = p.with_(gamma_tip=0.0, delta=0.0)
-        self.l_base = build_liouvillian(base, self.basis, driven=True).data
-        eye = np.eye(self.basis.size)
-        a1 = mode_operator(self.basis, 1, "annihilate").data
-        a2 = mode_operator(self.basis, 2, "annihilate").data
-        n2 = a2.conj().T @ a2
-        ntot = a1.conj().T @ a1 + n2
-        self.l_tip = (np.kron(a2.conj(), a2) - 0.5 * np.kron(eye, n2)
-                      - 0.5 * np.kron(n2.T, eye))
-        self.l_delta = -1j * (np.kron(eye, ntot) - np.kron(ntot.T, eye))
-
-    def __call__(self, gamma_tip: float, delta: float):
-        data = self.l_base + gamma_tip * self.l_tip + delta * self.l_delta
-        sop = Superoperator(basis=self.basis, data=data, driven=True)
-        rho = steady_state(sop)
-        return photon_statistics(rho)
-
-
 def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
                backends=BACKENDS, cutoff=DEFAULT_CUTOFF,
                provenance_extra: dict | None = None) -> SweepTable:
@@ -168,7 +144,7 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
         if bk not in BACKENDS:
             raise ValueError(f"unknown backend {bk!r}")
 
-    lind = _LindbladEvaluator(p, cutoff) if "lindblad" in backends else None
+    basis = build_basis(per_mode=cutoff) if "lindblad" in backends else None
     rows = []
     for gt in gts:
         pg = p.with_(gamma_tip=float(gt))
@@ -199,8 +175,11 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
             except (SingularParameterError, ValueError):
                 row["analytic_failed"] = 1
         if "lindblad" in backends:
+            # built outside the try: a basis over the size cap fails the
+            # whole sweep instead of blanking every row
+            sop = build_liouvillian(pg, basis)
             try:
-                stats = lind(float(gt), delta)
+                stats = photon_statistics(steady_state(sop))
                 row.update(lindblad_n1=stats.n1, lindblad_n2=stats.n2,
                            lindblad_g2=stats.g2, lindblad_g3=stats.g3)
                 row.update({f"lindblad_p{m}{n}": stats.p_mn[(m, n)]
@@ -330,7 +309,7 @@ class SpectrumMap:
                 rows.append({"gamma_tip": float(gt), "delta": float(d),
                              "s1": float(self.s1[i, j])})
         write_csv(path, ["gamma_tip", "delta", "s1"], rows)
-        write_provenance(_sidecar_path(path), self.provenance)
+        write_provenance(sidecar_path(path), self.provenance)
 
 
 def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -142,12 +143,14 @@ def build_basis(
     return FockBasis(truncation=truncation, states=tuple(states))
 
 
+@functools.cache
 def mode_operator(basis: FockBasis, mode: int, kind: str) -> ComplexOperator:
     """Ladder or number operator for one mode on the truncated basis.
 
     Matrix elements follow <m-1, n| a_1 |m, n> = sqrt(m) (and the analogue
     for mode 2); transitions leaving the truncated basis are dropped, the
-    standard Fock-truncation convention.
+    standard Fock-truncation convention. Results are cached per (basis,
+    mode, kind) and shared between callers; their data is read-only.
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")

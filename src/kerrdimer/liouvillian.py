@@ -6,6 +6,7 @@ so rho[r, c] lives at vec index c*d + r.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -130,7 +131,6 @@ class LiouvillianSpectrum:
 
     eigenvalues: np.ndarray
     eigenmatrices: list[np.ndarray] | None = None
-    tracked_pair: tuple[int, int] | None = None
     gap: float | None = None
     overlap: float | None = None
 
@@ -144,6 +144,19 @@ class LepResult:
     overlap: float
     bracket: tuple[float, float]
     grid_rows: list[dict] = field(hash=False, compare=False, default=None)
+
+
+@functools.cache
+def _dissipators(basis: FockBasis) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """Unit-rate D[a_1] and D[a_2] on the basis, in sparse form."""
+    eye = sparse.identity(basis.size, dtype=complex, format="csr")
+    out = []
+    for mode in (1, 2):
+        a = sparse.csr_matrix(mode_operator(basis, mode, "annihilate").data)
+        n = (a.conj().T @ a).tocsr()
+        out.append((sparse.kron(a.conj(), a) - 0.5 * sparse.kron(eye, n)
+                    - 0.5 * sparse.kron(n.T, eye)).tocsr())
+    return tuple(out)
 
 
 def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True,
@@ -163,15 +176,9 @@ def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True,
     # diagonal), then densified once; the public type stays dense
     hs = sparse.csr_matrix(h)
     eye = sparse.identity(d, dtype=complex, format="csr")
-    lind = -1j * (sparse.kron(eye, hs) - sparse.kron(hs.T, eye))
-    for rate, mode in ((p.gamma1_prime, 1), (p.gamma2_prime, 2)):
-        a = sparse.csr_matrix(mode_operator(basis, mode, "annihilate").data)
-        n = (a.conj().T @ a).tocsr()
-        lind = lind + rate * (
-            sparse.kron(a.conj(), a)
-            - 0.5 * sparse.kron(eye, n)
-            - 0.5 * sparse.kron(n.T, eye)
-        )
+    d1, d2 = _dissipators(basis)
+    lind = (-1j * (sparse.kron(eye, hs) - sparse.kron(hs.T, eye))
+            + p.gamma1_prime * d1 + p.gamma2_prime * d2)
     return Superoperator(basis=basis, data=np.asarray(lind.todense()), driven=driven)
 
 
@@ -311,64 +318,46 @@ def liouvillian_spectrum(sop: Superoperator, count: int,
 
 
 def coherence_sector_pair(sop: Superoperator) -> LiouvillianSpectrum:
-    """Eigenvalue pair living on the one-excitation x vacuum coherence block.
+    """Eigenvalue pair of the one-excitation x vacuum coherence block.
 
-    For the undriven generator this sector is exactly invariant and its two
-    eigenvalues are -i times the one-photon eigenvalues of the non-Hermitian
-    Hamiltonian; their coalescence defines the tracked LEP.
-
-    Beyond the EP the sector eigenvalues are real and exactly degenerate
-    with their bra-sector mirrors, so the eigensolver may hand back
-    cross-sector mixtures; the pair is therefore chosen one per distinct
-    eigenvalue and the overlap diagnostic is evaluated on the sector
-    projection, which is itself an exact eigenvector.
+    For the undriven generator span{|1,0><0,0|, |0,1><0,0|} is exactly
+    invariant (the jump terms vanish on it), so the pair is read from the
+    2x2 block of L: its eigenvalues are -i times the one-photon eigenvalues
+    of the non-Hermitian Hamiltonian, and their coalescence defines the
+    tracked LEP. The eigenvalues come from the closed 2x2 formula, which
+    stays exact at the EP where a general eigensolver splits the pair by
+    about sqrt(machine eps).
     """
     d = sop.dim
     basis = sop.basis
     i00 = basis.index_of(0, 0)
-    k10 = i00 * d + basis.index_of(1, 0)
-    k01 = i00 * d + basis.index_of(0, 1)
-    vals, vecs = np.linalg.eig(sop.data)
-    weight = (np.abs(vecs[k10, :]) ** 2 + np.abs(vecs[k01, :]) ** 2) / np.sum(
-        np.abs(vecs) ** 2, axis=0
-    )
-    order = np.argsort(weight)[::-1]
-    if weight[order[1]] < 0.25:
+    k = [i00 * d + basis.index_of(1, 0), i00 * d + basis.index_of(0, 1)]
+    cols = sop.data[:, k]
+    (a, b), (c, dd) = cols[k]
+    cols[k] = 0.0
+    if np.any(cols != 0.0):
         raise NumericalFailureError(
-            "could not isolate the single-photon coherence sector "
-            f"(top weights {weight[order[:2]]})"
+            "the single-photon coherence block is not invariant under the "
+            "generator (is it driven?)"
         )
-    first = order[0]
-    deg_tol = 1e-10 * max(1.0, abs(vals[first]))
-    second = None
-    for idx in order[1:]:
-        if weight[idx] < 0.25:
-            break
-        if abs(vals[idx] - vals[first]) > deg_tol:
-            second = idx
-            break
-    if second is None:
-        second = order[1]  # genuine coalescence: all candidates share the value
+    mean = 0.5 * (a + dd)
+    root = np.sqrt((0.5 * (a - dd)) ** 2 + b * c)
+    vals = np.array([mean + root, mean - root])
 
-    def sector_vec(col: int) -> np.ndarray:
-        proj = np.zeros(2, dtype=complex)
-        proj[0] = vecs[k10, col]
-        proj[1] = vecs[k01, col]
-        nrm = np.linalg.norm(proj)
-        if nrm == 0.0:
-            raise NumericalFailureError("selected eigenvector has no sector support")
-        return proj / nrm
+    def eigvec(i: int) -> np.ndarray:
+        # null vector of [[a - lam, b], [c, dd - lam]], built from
+        # whichever row gives the longer one
+        lam = vals[i]
+        v = max((np.array([b, lam - a]), np.array([lam - dd, c])),
+                key=np.linalg.norm)
+        nrm = np.linalg.norm(v)
+        if nrm == 0.0:  # the block is a multiple of the identity
+            return np.eye(2, dtype=complex)[i]
+        return v / nrm
 
-    pa, pb = sector_vec(first), sector_vec(second)
-    overlap = abs(np.vdot(pa, pb))
-    gap = abs(vals[first] - vals[second])
-    mats = [unvec(vecs[:, first], d) / np.linalg.norm(vecs[:, first]),
-            unvec(vecs[:, second], d) / np.linalg.norm(vecs[:, second])]
-    return LiouvillianSpectrum(
-        eigenvalues=np.array([vals[first], vals[second]]), eigenmatrices=mats,
-        tracked_pair=(int(first), int(second)), gap=float(gap),
-        overlap=float(overlap),
-    )
+    overlap = abs(np.vdot(eigvec(0), eigvec(1)))
+    return LiouvillianSpectrum(eigenvalues=vals, gap=float(abs(2 * root)),
+                               overlap=float(overlap))
 
 
 def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],

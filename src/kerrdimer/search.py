@@ -43,13 +43,17 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-9,
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-9,
                 max_iter: int = 200) -> SearchResult:
-    """Root of f on a sign-changing bracket [lo, hi] by bisection."""
+    """Root of f on a sign-changing bracket [lo, hi] by bisection.
+
+    Sides are chosen by comparing signs, not by the sign of a product,
+    which underflows to zero for tiny |f|.
+    """
     fa, fb = f(lo), f(hi)
     if fa == 0.0:
         return SearchResult(x=lo, fx=0.0, bracket=(lo, lo), iterations=0)
     if fb == 0.0:
         return SearchResult(x=hi, fx=0.0, bracket=(hi, hi), iterations=0)
-    if fa * fb > 0:
+    if (fa > 0) == (fb > 0):
         raise ValueError("bracket does not change sign")
     a, b = lo, hi
     it = 0
@@ -58,7 +62,7 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-9,
         fm = f(m)
         if fm == 0.0:
             return SearchResult(x=m, fx=0.0, bracket=(m, m), iterations=it)
-        if fa * fm < 0:
+        if (fm > 0) != (fa > 0):
             b = m
         else:
             a, fa = m, fm

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from kerrdimer.cli import main
+import kerrdimer
+from kerrdimer.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -77,6 +82,12 @@ class TestDispatch:
         assert side["protocol"].startswith("fixed(")
 
 
+    def test_backend_default_per_subcommand(self):
+        parser = _build_parser()
+        assert parser.parse_args(["sweep-loss"]).backend == "both"
+        assert parser.parse_args(["spectrum-map"]).backend == "analytic"
+
+
 class TestExperimentCommands:
     def test_spectrum(self, tmp_path, capsys):
         code, out, _ = run(capsys, "spectrum", "--gamma-tip", "0.0",
@@ -105,6 +116,17 @@ class TestExperimentCommands:
         assert code == 0
         assert "gamma_tip=8.9" in out
         assert (tmp_path / "lep.csv").exists()
+
+    def test_lep_independent_of_blas_threads(self, tmp_path):
+        src = str(Path(kerrdimer.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run([sys.executable, "-m", "kerrdimer.cli", "lep",
+                            "--output-dir", str(tmp_path / threads)],
+                           env=env, check=True, capture_output=True, timeout=300)
+        for name in ("lep.csv", "lep.provenance.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_lep_not_found_is_numerical_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "lep", "--range", "0.5:3.0", "--grid", "9",

@@ -7,6 +7,7 @@ from kerrdimer.hilbert import build_basis, mode_operator
 from kerrdimer.liouvillian import (
     DegenerateSteadyStateError,
     DensityMatrix,
+    NumericalFailureError,
     ResourceLimitError,
     apply_superoperator,
     build_liouvillian,
@@ -71,18 +72,19 @@ class TestBuildLiouvillian:
         # column-stacking: L @ vec(rho) == vec(-i[H, rho] + dissipators)
         basis = build_basis(per_mode=(2, 2))
         p = params(gamma_tip=1.3, drive_phase=0.3)
-        sop = build_liouvillian(p, basis)
         from kerrdimer.model import build_hamiltonian
 
-        h = build_hamiltonian(p, basis, "rotating_driven").data
-        rho = random_density_matrix(basis, 7)
-        direct = -1j * (h @ rho - rho @ h)
-        for rate, mode in ((p.gamma1_prime, 1), (p.gamma2_prime, 2)):
-            a = mode_operator(basis, mode, "annihilate").data
-            n = a.conj().T @ a
-            direct += rate * (a @ rho @ a.conj().T - 0.5 * (n @ rho + rho @ n))
-        via_sop = unvec(sop.data @ vec(rho), basis.size)
-        assert np.max(np.abs(via_sop - direct)) < 1e-12 * np.max(np.abs(direct))
+        for driven, variant in ((True, "rotating_driven"), (False, "isolated")):
+            sop = build_liouvillian(p, basis, driven=driven)
+            h = build_hamiltonian(p, basis, variant).data
+            rho = random_density_matrix(basis, 7)
+            direct = -1j * (h @ rho - rho @ h)
+            for rate, mode in ((p.gamma1_prime, 1), (p.gamma2_prime, 2)):
+                a = mode_operator(basis, mode, "annihilate").data
+                n = a.conj().T @ a
+                direct += rate * (a @ rho @ a.conj().T - 0.5 * (n @ rho + rho @ n))
+            via_sop = unvec(sop.data @ vec(rho), basis.size)
+            assert np.max(np.abs(via_sop - direct)) < 1e-12 * np.max(np.abs(direct))
 
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -222,6 +224,40 @@ class TestSpectrum:
         sop = build_liouvillian(params(), basis)
         with pytest.raises(ValueError):
             liouvillian_spectrum(sop, count=17)
+
+
+
+class TestCoherenceBlock:
+    @staticmethod
+    def undriven(gt):
+        p = params(gamma_tip=gt, omega_drive_amp=0.0)
+        basis = build_basis(per_mode=(2, 2))
+        return build_liouvillian(p, basis, driven=False)
+
+    def test_block_columns_have_no_off_block_entries(self):
+        sop = self.undriven(4.0)
+        basis, d = sop.basis, sop.dim
+        i00 = basis.index_of(0, 0)
+        k = [i00 * d + basis.index_of(1, 0), i00 * d + basis.index_of(0, 1)]
+        cols = sop.data[:, k].copy()
+        assert np.all(cols[k] != 0.0)
+        cols[k] = 0.0
+        assert np.count_nonzero(cols) == 0
+
+    def test_pair_is_in_full_spectrum(self):
+        # away from the EP, where a general eigensolver resolves the pair
+        for gt in (0.0, 4.0, 10.0):
+            sop = self.undriven(gt)
+            pair = coherence_sector_pair(sop)
+            full = liouvillian_spectrum(sop, count=81, with_eigenmatrices=False)
+            for lam in pair.eigenvalues:
+                assert np.min(np.abs(full.eigenvalues - lam)) < 1e-10
+
+    def test_driven_generator_rejected(self):
+        basis = build_basis(per_mode=(2, 2))
+        sop = build_liouvillian(params(gamma_tip=4.0), basis, driven=True)
+        with pytest.raises(NumericalFailureError):
+            coherence_sector_pair(sop)
 
 
 class TestLepLocate:

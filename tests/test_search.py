@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kerrdimer.search import bisect_root, golden_section_minimize
 
@@ -25,6 +25,8 @@ def test_golden_invalid_bracket():
 
 
 @given(st.floats(min_value=-0.9, max_value=0.9))
+@example(5e-324)
+@example(-5e-324)
 def test_bisect_linear_root(root):
     res = bisect_root(lambda x: x - root, -1.0, 1.0, tol=1e-12)
     assert res.x == pytest.approx(root, abs=1e-10)
