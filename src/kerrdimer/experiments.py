@@ -23,6 +23,7 @@ from .analytic import (
 )
 from .hilbert import build_basis
 from .liouvillian import (
+    DegenerateSteadyStateError,
     LepNotFoundError,
     build_liouvillian,
     lep_locate,
@@ -185,7 +186,7 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
                 row.update({f"lindblad_p{m}{n}": stats.p_mn[(m, n)]
                             for m, n in AMPLITUDE_STATES})
                 row["lindblad_failed"] = 0
-            except (np.linalg.LinAlgError, ValueError, RuntimeError):
+            except (DegenerateSteadyStateError, ValueError):
                 row["lindblad_failed"] = 1
         rows.append(row)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
-from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import splu
 
 from .hilbert import FockBasis, build_basis, mode_operator
 from .model import SystemParams, build_hamiltonian
@@ -39,7 +39,10 @@ __all__ = [
     "lep_locate",
 ]
 
-MAX_HILBERT_DIM = 64  # superoperators stay at most 4096 x 4096
+# superoperators stay at most 4096 x 4096: the sparse LU of the bordered
+# system fills in to about 0.5 s per factor there, and liouvillian_spectrum
+# still diagonalises the generator densely
+MAX_HILBERT_DIM = 64
 
 
 class ResourceLimitError(RuntimeError):
@@ -68,10 +71,10 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense Liouvillian matrix acting on column-stacked density matrices."""
+    """Sparse (CSR) Liouvillian matrix acting on column-stacked density matrices."""
 
     basis: FockBasis
-    data: np.ndarray
+    data: sparse.csr_matrix
     driven: bool
 
     @property
@@ -169,17 +172,17 @@ def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True,
     d = basis.size
     if d > max_dim:
         raise ResourceLimitError(
-            f"basis size {d} exceeds the dense-superoperator cap {max_dim}"
+            f"basis size {d} exceeds the superoperator cap {max_dim}"
         )
     h = build_hamiltonian(p, basis, "rotating_driven" if driven else "isolated").data
     # assembled through sparse Kronecker products (the factors are nearly
-    # diagonal), then densified once; the public type stays dense
+    # diagonal) and kept in CSR form
     hs = sparse.csr_matrix(h)
     eye = sparse.identity(d, dtype=complex, format="csr")
     d1, d2 = _dissipators(basis)
     lind = (-1j * (sparse.kron(eye, hs) - sparse.kron(hs.T, eye))
             + p.gamma1_prime * d1 + p.gamma2_prime * d2)
-    return Superoperator(basis=basis, data=np.asarray(lind.todense()), driven=driven)
+    return Superoperator(basis=basis, data=lind.tocsr(), driven=driven)
 
 
 def apply_superoperator(sop: Superoperator, rho: np.ndarray) -> np.ndarray:
@@ -196,10 +199,11 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     """Trace-normalized null vector of the generator.
 
     Solved through a bordered linear system (one row replaced by the trace
-    constraint). A second bordered system with a different replaced row,
-    solved from the same LU factorization by a Woodbury update, guards
-    against a degenerate null space, which is reported rather than
-    silently resolved.
+    constraint), factored by sparse LU (SuperLU, COLAMD ordering) and
+    polished by one step of iterative refinement. A second bordered system
+    with a different replaced row, solved from the same factorization by a
+    Woodbury update, guards against a degenerate null space, which is
+    reported rather than silently resolved.
     """
     d = sop.dim
     n = d * d
@@ -210,18 +214,25 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     r2 = alt * d + alt
 
     trace = _trace_row(d)
-    m1 = lmat.copy()
-    m1[r1, :] = trace
+    keep = np.ones(n)
+    keep[r1] = 0.0
+    diag = np.arange(d) * (d + 1)
+    trace_at_r1 = sparse.csr_matrix(
+        (np.ones(d, dtype=complex), (np.full(d, r1), diag)), shape=(n, n))
+    m1 = (sparse.diags(keep) @ lmat + trace_at_r1).tocsc()
     b1 = np.zeros(n, dtype=complex)
     b1[r1] = 1.0
     try:
-        lu, piv = lu_factor(m1)
-        v1 = lu_solve((lu, piv), b1)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        lu = splu(m1)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(
             f"bordered steady-state solve is singular: {exc}"
         ) from exc
-    scale = float(np.max(np.abs(lmat)))
+    v1 = lu.solve(b1)
+    # one refinement step: the sparse factor alone leaves ~1e-25 absolute
+    # error, which is visible on three-photon populations of ~1e-15
+    v1 += lu.solve(b1 - m1 @ v1)
+    scale = float(abs(lmat).max())
     residual = float(np.max(np.abs(lmat @ v1)))
     if not np.all(np.isfinite(v1)) or residual > 1e-8 * max(scale, 1.0):
         raise DegenerateSteadyStateError(
@@ -235,9 +246,10 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     u = np.zeros((n, 2), dtype=complex)
     u[r1, 0] = 1.0
     u[r2, 1] = 1.0
-    vt = np.vstack([lmat[r1, :] - trace, trace - lmat[r2, :]])
-    y = lu_solve((lu, piv), b2)
-    z = lu_solve((lu, piv), u)
+    vt = np.vstack([lmat[r1, :].toarray()[0] - trace,
+                    trace - lmat[r2, :].toarray()[0]])
+    y = lu.solve(b2)
+    z = lu.solve(u)
     core = np.eye(2, dtype=complex) + vt @ z
     try:
         w = np.linalg.solve(core, vt @ y)
@@ -303,7 +315,7 @@ def liouvillian_spectrum(sop: Superoperator, count: int,
     if not 1 <= count <= n:
         raise ValueError(f"count must be in [1, {n}]")
     try:
-        vals, vecs = np.linalg.eig(sop.data)
+        vals, vecs = np.linalg.eig(sop.data.toarray())
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"dense eigensolve failed: {exc}") from exc
     order = np.lexsort((vals.imag, -vals.real))[:count]
@@ -332,7 +344,9 @@ def coherence_sector_pair(sop: Superoperator) -> LiouvillianSpectrum:
     basis = sop.basis
     i00 = basis.index_of(0, 0)
     k = [i00 * d + basis.index_of(1, 0), i00 * d + basis.index_of(0, 1)]
-    cols = sop.data[:, k]
+    unit = np.zeros((d * d, 2))
+    unit[k, [0, 1]] = 1.0
+    cols = sop.data @ unit  # exact: every other product is a zero
     (a, b), (c, dd) = cols[k]
     cols[k] = 0.0
     if np.any(cols != 0.0):

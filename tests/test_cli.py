@@ -44,16 +44,19 @@ class TestDispatch:
         assert code == 2
 
     def test_deterministic_output(self, tmp_path, capsys):
-        args = ("sweep-loss", "--gamma-tip-grid", "0:10:6", "--backend", "analytic",
-                "--output-dir")
-        assert run(capsys, *args, str(tmp_path / "r1"))[0] == 0
-        assert run(capsys, *args, str(tmp_path / "r2"))[0] == 0
-        a = (tmp_path / "r1" / "fig2ab.csv").read_bytes()
-        b = (tmp_path / "r2" / "fig2ab.csv").read_bytes()
-        assert a == b
-        pa = (tmp_path / "r1" / "fig2ab.provenance.json").read_bytes()
-        pb = (tmp_path / "r2" / "fig2ab.provenance.json").read_bytes()
-        assert pa == pb
+        for backend in ("analytic", "both"):
+            args = ("sweep-loss", "--gamma-tip-grid", "0:10:6", "--backend", backend,
+                    "--output-dir")
+            r1, r2 = tmp_path / backend / "r1", tmp_path / backend / "r2"
+            assert run(capsys, *args, str(r1))[0] == 0
+            assert run(capsys, *args, str(r2))[0] == 0
+            a = (r1 / "fig2ab.csv").read_bytes()
+            b = (r2 / "fig2ab.csv").read_bytes()
+            assert a == b
+            assert (b"lindblad_g3" in a) == (backend == "both")
+            pa = (r1 / "fig2ab.provenance.json").read_bytes()
+            pb = (r2 / "fig2ab.provenance.json").read_bytes()
+            assert pa == pb
 
     def test_env_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KERRDIMER_OUTPUT_DIR", str(tmp_path / "envout"))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kerrdimer import experiments
 from kerrdimer.experiments import (
     SweepTable,
     critical_points,
@@ -12,6 +13,7 @@ from kerrdimer.experiments import (
     sweep_loss,
     write_csv,
 )
+from kerrdimer.liouvillian import DegenerateSteadyStateError
 from kerrdimer.model import SystemParams
 from kerrdimer.spectral import hep_location
 
@@ -81,6 +83,26 @@ class TestSweepLoss:
     def test_grid_must_ascend(self):
         with pytest.raises(ValueError):
             sweep_loss(params(), [1.0, 0.5], backends=("analytic",))
+
+    def test_only_numerical_failures_blank_a_row(self, monkeypatch):
+        # a degenerate steady state is a failed point; any other
+        # RuntimeError is a fault and must propagate
+        grid = [0.0, 4.0]
+        cutoff = (1, 1)
+
+        def degenerate(sop):
+            raise DegenerateSteadyStateError("two null vectors")
+
+        monkeypatch.setattr(experiments, "steady_state", degenerate)
+        table = sweep_loss(params(), grid, backends=("lindblad",), cutoff=cutoff)
+        assert [r["lindblad_failed"] for r in table.rows] == [1, 1]
+
+        def broken(sop):
+            raise RuntimeError("not a numerical failure")
+
+        monkeypatch.setattr(experiments, "steady_state", broken)
+        with pytest.raises(RuntimeError, match="not a numerical failure"):
+            sweep_loss(params(), grid, backends=("lindblad",), cutoff=cutoff)
 
     def test_csv_roundtrip_deterministic(self, loss_sweep, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
