@@ -17,7 +17,8 @@ from scipy.interpolate import CubicSpline
 from . import __version__
 from .analytic import (
     AMPLITUDE_STATES,
-    SingularParameterError,
+    UNDEFINED_N1_FLOOR,
+    amplitude_arrays,
     analytic_observables,
     steady_amplitudes,
 )
@@ -162,19 +163,6 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
             "kappa_plus": float(eig.kappa[i_plus]),
             "kappa_minus": float(eig.kappa[i_minus]),
         }
-        if "analytic" in backends:
-            try:
-                amps = steady_amplitudes(pg)
-                obs = analytic_observables(amps)
-                pops = amps.populations()
-                row.update(analytic_n1=obs.n1, analytic_n2=obs.n2,
-                           analytic_g2=obs.g2, analytic_g3=obs.g3,
-                           analytic_g2_approx=obs.g2_approx)
-                row.update({f"analytic_p{m}{n}": pops[(m, n)]
-                            for m, n in AMPLITUDE_STATES})
-                row["analytic_failed"] = 0
-            except (SingularParameterError, ValueError):
-                row["analytic_failed"] = 1
         if "lindblad" in backends:
             # built outside the try: a basis over the size cap fails the
             # whole sweep instead of blanking every row
@@ -189,6 +177,8 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
             except (DegenerateSteadyStateError, ValueError):
                 row["lindblad_failed"] = 1
         rows.append(row)
+    if "analytic" in backends:
+        _fill_analytic(rows, p, gts)
 
     provenance = {
         "experiment": "sweep_loss",
@@ -205,6 +195,26 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
         provenance.update(provenance_extra)
     return SweepTable(columns=_sweep_columns(backends), rows=rows,
                       provenance=provenance)
+
+
+def _fill_analytic(rows: list[dict], p: SystemParams, gts: np.ndarray) -> None:
+    """Analytic columns of every sweep row from one closed-form evaluation.
+
+    A row whose closed form is singular or whose N1 vanishes gets
+    ``analytic_failed = 1`` and blank analytic cells.
+    """
+    deltas = np.array([row["delta_used"] for row in rows])
+    amps, singular = amplitude_arrays(p, deltas, p.gamma_2 + gts)
+    obs = analytic_observables(amps)
+    failed = singular | (obs.n1 < UNDEFINED_N1_FLOOR)
+    columns = {"analytic_n1": obs.n1, "analytic_n2": obs.n2, "analytic_g2": obs.g2,
+               "analytic_g3": obs.g3, "analytic_g2_approx": obs.g2_approx}
+    columns.update({f"analytic_p{m}{n}": pr for (m, n), pr in amps.populations().items()})
+    columns = {k: np.broadcast_to(v, gts.shape) for k, v in columns.items()}
+    for i, row in enumerate(rows):
+        if not failed[i]:
+            row.update({k: v[i] for k, v in columns.items()})
+        row["analytic_failed"] = int(failed[i])
 
 
 def _table_protocol(table: SweepTable):
@@ -304,11 +314,10 @@ class SpectrumMap:
     provenance: dict
 
     def to_csv(self, path) -> None:
-        rows = []
-        for i, gt in enumerate(self.gamma_tip):
-            for j, d in enumerate(self.delta):
-                rows.append({"gamma_tip": float(gt), "delta": float(d),
-                             "s1": float(self.s1[i, j])})
+        deltas = self.delta.tolist()
+        rows = ({"gamma_tip": gt, "delta": d, "s1": s1}
+                for gt, s1_row in zip(self.gamma_tip.tolist(), self.s1)
+                for d, s1 in zip(deltas, s1_row.tolist()))
         write_csv(path, ["gamma_tip", "delta", "s1"], rows)
         write_provenance(sidecar_path(path), self.provenance)
 

@@ -10,6 +10,8 @@ __all__ = ["format_value"]
 
 def format_value(v) -> str:
     """Shortest round-trip text for a cell; None becomes the empty string."""
+    if isinstance(v, float):  # np.float64 too; its repr would name the type
+        return repr(float(v))
     if v is None:
         return ""
     if isinstance(v, bool):

@@ -7,7 +7,7 @@ from math import factorial
 
 import numpy as np
 
-from .analytic import SingularParameterError, analytic_observables, steady_amplitudes
+from .analytic import UNDEFINED_N1_FLOOR, amplitude_arrays, analytic_observables
 from .hilbert import build_basis, mode_operator
 from .liouvillian import DensityMatrix, build_liouvillian, steady_state
 from .model import SystemParams
@@ -22,8 +22,6 @@ __all__ = [
     "detect_peaks",
     "n0_normalization",
 ]
-
-UNDEFINED_N1_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -138,13 +136,12 @@ def excitation_spectrum(p: SystemParams, delta_grid, backend: str = "analytic",
     s1 = np.full(deltas.shape, np.nan)
     skipped = []
     if backend == "analytic":
-        for i, d in enumerate(deltas):
-            try:
-                obs = analytic_observables(steady_amplitudes(p.with_(delta=float(d))))
-            except SingularParameterError:
-                skipped.append(i)
-                continue
-            s1[i] = obs.n1 / n0
+        amps, singular = amplitude_arrays(p, deltas, p.gamma2_prime)
+        n1 = analytic_observables(amps).n1
+        if np.any(~singular & (n1 < UNDEFINED_N1_FLOOR)):
+            raise ValueError("N1 vanishes: correlation functions are undefined")
+        s1[~singular] = n1[~singular] / n0
+        skipped = np.flatnonzero(singular).tolist()
     elif backend == "lindblad":
         basis = build_basis(per_mode=cutoff)
         a1 = mode_operator(basis, 1, "annihilate").data

@@ -4,6 +4,8 @@ import pytest
 from kerrdimer.analytic import (
     AMPLITUDE_STATES,
     SingularParameterError,
+    _cmul,
+    amplitude_arrays,
     analytic_observables,
     steady_amplitudes,
 )
@@ -127,3 +129,41 @@ class TestObservables:
         obs = analytic_observables(steady_amplitudes(params()))
         assert obs.n1 > 0 and obs.n2 > 0
         assert obs.n1 == pytest.approx(3.29e-4, rel=0.01)
+
+
+def same_bits(a, b):
+    """Bitwise equality of two float or complex arrays (signed zeros differ)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestArrayKernel:
+    def test_cmul_matches_python_complex_product(self):
+        rng = np.random.default_rng(11)
+        n = 4000
+
+        def draw():
+            mag = 10.0 ** rng.uniform(-150, 150, size=(2, n))
+            sign = rng.choice([-1.0, 1.0], size=(2, n))
+            return (sign * mag)[0] + 1j * (sign * mag)[1]
+
+        a, b = draw(), draw()
+        expected = np.array([complex(x) * complex(y) for x, y in zip(a, b)])
+        assert same_bits(_cmul(a, b), expected)
+        # a scalar operand broadcasts and rounds the same way
+        assert same_bits(_cmul(a[0], b), np.array([complex(a[0]) * complex(y) for y in b]))
+
+    def test_arrays_match_scalar_evaluation(self):
+        p = params(gamma_tip=2.3, drive_phase=0.7)
+        deltas = np.linspace(-4, 4, 41)
+        gts = np.linspace(0.0, 12.0, 41)
+        amps, singular = amplitude_arrays(p, deltas, p.gamma_2 + gts)
+        obs = analytic_observables(amps)
+        assert not singular.any()
+        for i, (d, gt) in enumerate(zip(deltas, gts)):
+            ref = steady_amplitudes(p.with_(delta=float(d), gamma_tip=float(gt)))
+            for m, n in AMPLITUDE_STATES[1:]:
+                assert same_bits(amps.amplitude(m, n)[i], ref.amplitude(m, n))
+            ref_obs = analytic_observables(ref)
+            for field in ("n1", "n2", "g2", "g2_approx", "g3"):
+                assert same_bits(getattr(obs, field)[i], getattr(ref_obs, field))

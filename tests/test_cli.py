@@ -131,6 +131,18 @@ class TestExperimentCommands:
         for name in ("lep.csv", "lep.provenance.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
+    def test_spectrum_map_independent_of_blas_threads(self, tmp_path):
+        src = str(Path(kerrdimer.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run([sys.executable, "-m", "kerrdimer.cli", "spectrum-map",
+                            "--gamma-tip-grid", "0:12:7", "--delta-grid=-4:4:41",
+                            "--output-dir", str(tmp_path / threads)],
+                           env=env, check=True, capture_output=True, timeout=300)
+        for name in ("fig2c_map.csv", "fig2c_map_peaks.csv", "fig2c_map.provenance.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_lep_not_found_is_numerical_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "lep", "--range", "0.5:3.0", "--grid", "9",
                            "--output-dir", str(tmp_path))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kerrdimer import experiments
+from kerrdimer.analytic import AMPLITUDE_STATES, analytic_observables, steady_amplitudes
 from kerrdimer.experiments import (
     SweepTable,
     critical_points,
@@ -103,6 +104,29 @@ class TestSweepLoss:
         monkeypatch.setattr(experiments, "steady_state", broken)
         with pytest.raises(RuntimeError, match="not a numerical failure"):
             sweep_loss(params(), grid, backends=("lindblad",), cutoff=cutoff)
+
+    def test_analytic_columns_match_scalar_path(self):
+        # eta1 = D1*D2 - J^2 vanishes at gamma_tip = 0: delta = J, nearly lossless modes
+        p = params(gamma_1=5e-15, gamma_ex=5e-15, gamma_2=0.0, J=1.0, chi=1.0)
+        with pytest.warns(UserWarning, match="perturbative"):
+            table = sweep_loss(p, [0.0, 1.0, 4.0], protocol=("fixed", 1.0),
+                               backends=("analytic",))
+        assert [row["analytic_failed"] for row in table.rows] == [1, 0, 0]
+        assert "analytic_n1" not in table.rows[0]
+        for row in table.rows[1:]:
+            amps = steady_amplitudes(p.with_(gamma_tip=row["gamma_tip"], delta=1.0),
+                                     warn_strong_drive=False)
+            obs = analytic_observables(amps)
+            pops = amps.populations()
+            for name in ("n1", "n2", "g2", "g3", "g2_approx"):
+                assert row[f"analytic_{name}"] == getattr(obs, name)
+            for m, n in AMPLITUDE_STATES:
+                assert row[f"analytic_p{m}{n}"] == pops[(m, n)]
+
+    def test_vanishing_n1_fails_row(self):
+        table = sweep_loss(params(omega_drive_amp=0.0), [0.0, 1.0],
+                           backends=("analytic",))
+        assert [row["analytic_failed"] for row in table.rows] == [1, 1]
 
     def test_csv_roundtrip_deterministic(self, loss_sweep, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kerrdimer.analytic import SingularParameterError, analytic_observables, steady_amplitudes
 from kerrdimer.hilbert import build_basis
 from kerrdimer.liouvillian import DensityMatrix, build_liouvillian, steady_state
-from kerrdimer.model import SystemParams
+from kerrdimer.model import SystemParams, preset
 from kerrdimer.observables import (
     detect_peaks,
     excitation_spectrum,
@@ -137,3 +139,53 @@ class TestExcitationSpectrum:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             excitation_spectrum(params(), np.linspace(-1, 1, 5), backend="exact")
+
+
+def scalar_s1(p, deltas):
+    """S1 point by point through the scalar closed form; NaN where singular."""
+    n0 = n0_normalization(p)
+    out = []
+    for d in deltas:
+        try:
+            out.append(analytic_observables(steady_amplitudes(p.with_(delta=float(d)))).n1 / n0)
+        except SingularParameterError:
+            out.append(np.nan)
+    return np.array(out)
+
+
+class TestAnalyticSpectrumKernel:
+    @pytest.mark.parametrize("gamma_tip", [0.0, 5.3, 8.9, 12.0])
+    def test_bit_identical_to_scalar_path(self, gamma_tip):
+        p = preset("paper_fig2")[0].with_(gamma_tip=gamma_tip)
+        deltas = np.linspace(-4, 4, 501)
+        spec = excitation_spectrum(p, deltas)
+        assert spec.skipped == ()
+        assert np.array_equal(spec.s1, scalar_s1(p, deltas))
+
+    @settings(max_examples=40, deadline=None)
+    @given(chi=st.floats(-4.0, 4.0), J=st.floats(0.0, 4.0), gamma_tip=st.floats(0.0, 12.0),
+           delta=st.floats(-4.0, 4.0))
+    def test_bit_identical_drawn(self, chi, J, gamma_tip, delta):
+        p = params(chi=chi, J=J, gamma_tip=gamma_tip)
+        deltas = delta + np.linspace(-1.0, 1.0, 21)
+        spec = excitation_spectrum(p, deltas)
+        expected = scalar_s1(p, deltas)
+        assert np.array_equal(spec.s1, expected, equal_nan=True)
+        assert spec.skipped == tuple(np.flatnonzero(np.isnan(expected)))
+
+    def test_singular_point_skipped(self):
+        # eta1 = D1*D2 - J^2 vanishes at delta = 1 for these nearly lossless modes
+        p = params(gamma_1=5e-15, gamma_ex=5e-15, gamma_2=1e-14, gamma_tip=0.0,
+                   J=1.0, chi=1.0)
+        deltas = np.linspace(0.5, 1.5, 101)
+        assert deltas[50] == 1.0
+        with pytest.warns(UserWarning, match="perturbative"):
+            spec = excitation_spectrum(p, deltas)
+        assert spec.skipped == (50,)
+        assert np.isnan(spec.s1[50])
+        assert np.isfinite(np.delete(spec.s1, 50)).all()
+        assert 50 not in spec.peak_indices
+
+    def test_zero_drive_undefined(self):
+        with pytest.raises(ValueError, match="undefined"):
+            excitation_spectrum(params(omega_drive_amp=0.0), np.linspace(-1, 1, 5))
