@@ -16,9 +16,11 @@ import numpy as np
 from . import __version__
 from .analytic import SingularParameterError
 from .experiments import (
+    companion_path,
     critical_points,
     ep_agreement,
-    resolve_delta,
+    loss_point,
+    parse_protocol,
     sidecar_path,
     spectrum_map,
     sweep_loss,
@@ -44,14 +46,20 @@ USAGE_ERROR = 2
 NUMERICAL_ERROR = 1
 
 _CONFIG_ERRORS = (KeyError, ValueError, TypeError, FileNotFoundError)
-_NUMERICAL_ERRORS = (
-    NumericalFailureError,
-    DegenerateSteadyStateError,
-    LepNotFoundError,
-    ResourceLimitError,
-    SingularParameterError,
-    np.linalg.LinAlgError,
-)
+# checked before _CONFIG_ERRORS: SingularParameterError and LinAlgError are ValueErrors
+_NUMERICAL_ERRORS = (NumericalFailureError, DegenerateSteadyStateError, LepNotFoundError,
+                     ResourceLimitError, SingularParameterError, np.linalg.LinAlgError)
+
+
+def _parse_grid(spec: str) -> np.ndarray:
+    try:
+        start, stop, num = spec.split(":")
+        grid = np.linspace(float(start), float(stop), int(num))
+    except ValueError:
+        grid = np.empty(0)
+    if grid.size == 0:
+        raise ValueError(f"grid must be start:stop:num with num >= 1, got {spec!r}")
+    return grid
 
 
 @dataclass
@@ -63,7 +71,6 @@ class RunConfig:
     mode, gamma_1' in rad/s under ``--units si``.
     """
 
-    experiment: str
     params: SystemParams
     preset_name: str
     preset_cfg: dict
@@ -75,21 +82,28 @@ class RunConfig:
     overrides: dict = field(default_factory=dict)
     rate_scale: float = 1.0
 
+    def grid(self, spec: str | None, key: str, fallback: str, parse=_parse_grid) -> np.ndarray:
+        """Grid from the option ``spec``, else the preset's ``key`` block
+        (start/stop/num), else ``fallback``; in the active units."""
+        block = self.preset_cfg.get(key)
+        if spec or not block:
+            grid = parse(spec or fallback)
+        else:
+            grid = np.linspace(block["start"], block["stop"], block["num"])
+        return grid * self.rate_scale
 
-def _parse_grid(spec: str) -> np.ndarray:
-    try:
-        start, stop, num = spec.split(":")
-        return np.linspace(float(start), float(stop), int(num))
-    except ValueError as exc:
-        raise ValueError(f"grid must be start:stop:num, got {spec!r}") from exc
+    def path(self, default: str) -> Path:
+        """Dataset path: ``--output`` if given, else ``default``, in the output dir."""
+        return self.output_dir / (self.output_name or default)
 
+    def provenance(self, **extra) -> dict:
+        return {"preset": self.preset_name, "params": asdict(self.params),
+                "overrides": self.overrides, "code_version": __version__, **extra}
 
-def _parse_protocol(spec: str):
-    if spec == "track":
-        return "track_upper_branch"
-    if spec.startswith("fixed:"):
-        return ("fixed", float(spec[6:]))
-    raise ValueError(f"protocol must be 'track' or 'fixed:VALUE', got {spec!r}")
+    def write(self, path, columns, rows, meta: dict | None = None, **extra) -> None:
+        """CSV dataset plus its provenance sidecar (run config and ``extra``)."""
+        write_csv(path, columns, rows, meta=meta)
+        write_provenance(sidecar_path(path), self.provenance(**extra))
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -141,92 +155,51 @@ def _build_config(args) -> RunConfig:
         params = apply_overrides(params, overrides)
         print("overrides applied:", ", ".join(f"{k}={v}" for k, v in sorted(overrides.items())))
 
-    out_dir = Path(
-        args.output_dir
-        or os.environ.get("KERRDIMER_OUTPUT_DIR", "datasets")
-    )
-    if getattr(args, "protocol", None):
-        protocol = _parse_protocol(args.protocol)
-    else:
-        protocol = cfg.get("protocol", "track_upper_branch")
-        if protocol != "track_upper_branch":
-            protocol = _parse_protocol(protocol)
-    backends = {"both": ("analytic", "lindblad"), "analytic": ("analytic",),
-                "lindblad": ("lindblad",)}[getattr(args, "backend", "both") or "both"]
-    cutoff = tuple(int(x) for x in (getattr(args, "cutoff", None) or "5,5").split(","))
     return RunConfig(
-        experiment=args.command, params=params, preset_name=args.preset,
-        preset_cfg=cfg, output_dir=out_dir, output_name=getattr(args, "output", None),
-        protocol=protocol, backends=backends, cutoff=cutoff, overrides=overrides,
-        rate_scale=rate_scale,
+        params=params, preset_name=args.preset, preset_cfg=cfg,
+        output_dir=Path(args.output_dir or os.environ.get("KERRDIMER_OUTPUT_DIR", "datasets")),
+        output_name=args.output,
+        protocol=parse_protocol(args.protocol or cfg.get("protocol", "track_upper_branch")),
+        backends=("analytic", "lindblad") if args.backend == "both" else (args.backend,),
+        cutoff=tuple(int(x) for x in args.cutoff.split(",")),
+        overrides=overrides, rate_scale=rate_scale,
     )
-
-
-def _grid_from(rc: RunConfig, args_value: str | None, cfg_block: dict | None,
-               fallback: str) -> np.ndarray:
-    if args_value:
-        grid = _parse_grid(args_value)
-    elif cfg_block:
-        grid = np.linspace(cfg_block["start"], cfg_block["stop"], cfg_block["num"])
-    else:
-        grid = _parse_grid(fallback)
-    return grid * rc.rate_scale
-
-
-def _provenance_base(rc: RunConfig) -> dict:
-    return {
-        "preset": rc.preset_name,
-        "params": asdict(rc.params),
-        "overrides": rc.overrides,
-        "code_version": __version__,
-    }
 
 
 # ---------------------------------------------------------------------------
 # experiment runners
 
 def _run_sweep_loss(rc: RunConfig, args) -> int:
-    grid = _grid_from(rc, args.gamma_tip_grid, rc.preset_cfg.get("gamma_tip_grid"), "0:12:121")
+    grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:121")
     table = sweep_loss(rc.params, grid, protocol=rc.protocol, backends=rc.backends,
-                       cutoff=rc.cutoff,
-                       provenance_extra={"preset": rc.preset_name, "overrides": rc.overrides})
-    name = rc.output_name or rc.preset_cfg.get("dataset", "sweep_loss.csv")
-    path = rc.output_dir / name
+                       cutoff=rc.cutoff, provenance_extra=rc.provenance())
+    path = rc.path(rc.preset_cfg.get("dataset", "sweep_loss.csv"))
     table.to_csv(path)
     written = [str(path)]
 
     if rc.preset_cfg.get("emit_fixed_delta_twin") and rc.protocol == "track_upper_branch":
         # same sweep under a frozen detuning (the tracked value at gamma_tip = 0)
-        p0 = rc.params.with_(gamma_tip=float(grid[0]))
-        fixed = ("fixed", resolve_delta(p0, "track_upper_branch"))
+        fixed = ("fixed", loss_point(rc.params, grid[0], rc.protocol).delta)
         twin = sweep_loss(rc.params, grid, protocol=fixed, backends=rc.backends,
                           cutoff=rc.cutoff,
-                          provenance_extra={"preset": rc.preset_name,
-                                            "overrides": rc.overrides,
-                                            "note": "fixed-detuning companion sweep"})
-        twin_path = rc.output_dir / name.replace(".csv", "_fixed_delta.csv")
+                          provenance_extra=rc.provenance(note="fixed-detuning companion sweep"))
+        twin_path = companion_path(path, "_fixed_delta.csv")
         twin.to_csv(twin_path)
-        written.append(str(twin_path))
+        written.append(twin_path)
 
     print(f"sweep-loss: {len(table.rows)} rows -> {', '.join(written)}")
     return 0
 
 
 def _run_critical_points(rc: RunConfig, args) -> int:
-    grid = _grid_from(rc, args.gamma_tip_grid, rc.preset_cfg.get("gamma_tip_grid"), "0:12:121")
+    grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:121")
     table = sweep_loss(rc.params, grid, protocol=rc.protocol, backends=rc.backends,
                        cutoff=rc.cutoff)
     cps = critical_points(table, rc.params)
-    payload = _provenance_base(rc)
-    payload["critical_points"] = {
-        "cp_c": None if cps.cp_c is None else cps.cp_c.value,
-        "cp_q_down": None if cps.cp_q_down is None else cps.cp_q_down.value,
-        "cp_q_up": None if cps.cp_q_up is None else cps.cp_q_up.value,
-        "ep": cps.ep,
-        "lep": None if cps.lep is None else cps.lep.value,
-    }
-    path = rc.output_dir / (rc.output_name or "critical_points.json")
-    write_provenance(path, payload)
+    path = rc.path("critical_points.json")
+    # each CriticalPoint by its value; ep is already a float
+    write_provenance(path, rc.provenance(critical_points={
+        name: getattr(cp, "value", cp) for name, cp in vars(cps).items()}))
 
     def show(cp):
         return "absent" if cp is None else f"{cp.value:.4f}"
@@ -239,7 +212,7 @@ def _run_critical_points(rc: RunConfig, args) -> int:
 
 
 def _run_spectrum(rc: RunConfig, args) -> int:
-    deltas = _grid_from(rc, args.delta_grid, rc.preset_cfg.get("delta_grid"), "-4:4:501")
+    deltas = rc.grid(args.delta_grid, "delta_grid", "-4:4:501")
     gamma_tips = [g * rc.rate_scale for g in (args.gamma_tip or [0.0])]
     backend = rc.backends[0]
     rows = []
@@ -252,21 +225,20 @@ def _run_spectrum(rc: RunConfig, args) -> int:
                          "is_peak": 1 if j in spec.peak_indices else 0})
         peak_info.append(f"gt={gt}: {spec.peak_count} peak(s)")
     meta = {**asdict(rc.params), "experiment": "spectrum", "backend": backend}
-    path = rc.output_dir / (rc.output_name or "s1_cuts.csv")
-    write_csv(path, ["gamma_tip", "delta", "s1", "is_peak"], rows, meta=meta)
-    write_provenance(sidecar_path(path),
-                     {**_provenance_base(rc), "experiment": "spectrum"})
+    path = rc.path("s1_cuts.csv")
+    rc.write(path, ["gamma_tip", "delta", "s1", "is_peak"], rows, meta=meta,
+             experiment="spectrum")
     print(f"spectrum: {'; '.join(peak_info)} -> {path}")
     return 0
 
 
 def _run_spectrum_map(rc: RunConfig, args) -> int:
-    gts = _grid_from(rc, args.gamma_tip_grid, rc.preset_cfg.get("gamma_tip_grid"), "0:12:61")
-    deltas = _grid_from(rc, args.delta_grid, rc.preset_cfg.get("delta_grid"), "-4:4:201")
+    gts = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:61")
+    deltas = rc.grid(args.delta_grid, "delta_grid", "-4:4:201")
     smap = spectrum_map(rc.params, gts, deltas, backend=rc.backends[0])
-    path = rc.output_dir / (rc.output_name or "fig2c_map.csv")
+    path = rc.path("fig2c_map.csv")
     smap.to_csv(path)
-    peaks_path = rc.output_dir / str(path.name).replace(".csv", "_peaks.csv")
+    peaks_path = companion_path(path, "_peaks.csv")
     write_csv(peaks_path,
               ["gamma_tip", "n_peaks", "peak_delta_1", "peak_delta_2",
                "omega_plus", "omega_minus"],
@@ -276,13 +248,11 @@ def _run_spectrum_map(rc: RunConfig, args) -> int:
 
 
 def _run_eigen(rc: RunConfig, args) -> int:
-    gts = _grid_from(rc, args.gamma_tip_grid, rc.preset_cfg.get("gamma_tip_grid"), "0:12:121")
+    gts = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:121")
     rows = branch_sweep(rc.params, gts, n_excitation=1)
-    path = rc.output_dir / (rc.output_name or "figS3.csv")
-    write_csv(path, ["gamma_tip", "branch", "re_lambda", "im_lambda",
-                     "pop_01", "pop_10"], rows)
-    write_provenance(sidecar_path(path),
-                     {**_provenance_base(rc), "experiment": "eigen_branches"})
+    path = rc.path("figS3.csv")
+    rc.write(path, ["gamma_tip", "branch", "re_lambda", "im_lambda", "pop_01", "pop_10"],
+             rows, experiment="eigen_branches")
 
     loc_rows = []
     for gt in gts:
@@ -298,10 +268,8 @@ def _run_eigen(rc: RunConfig, args) -> int:
                         "population": float(pops[k, s]),
                     })
     loc_path = rc.output_dir / "figS4.csv"
-    write_csv(loc_path, ["gamma_tip", "n_excitation", "branch", "m", "n",
-                         "population"], loc_rows)
-    write_provenance(sidecar_path(loc_path),
-                     {**_provenance_base(rc), "experiment": "eigen_localization"})
+    rc.write(loc_path, ["gamma_tip", "n_excitation", "branch", "m", "n", "population"],
+             loc_rows, experiment="eigen_localization")
     print(f"eigen: {len(gts)} grid points -> {path}, {loc_path}")
     return 0
 
@@ -313,30 +281,22 @@ def _run_lep(rc: RunConfig, args) -> int:
         ep = hep_location(rc.params.J, rc.params.gamma1_prime, rc.params.gamma_2)
         lo, hi = ep - 1.0, ep + 1.0
     res = lep_locate(rc.params, (lo, hi), grid=args.grid)
-    path = rc.output_dir / (rc.output_name or "lep.csv")
-    write_csv(path, ["gamma_tip", "branch", "re_Lambda", "im_Lambda",
-                     "gap", "overlap"], res.grid_rows)
-    write_provenance(sidecar_path(path),
-                     {**_provenance_base(rc), "experiment": "lep",
-                      "lep": res.gamma_tip, "gap": res.gap, "overlap": res.overlap})
+    path = rc.path("lep.csv")
+    rc.write(path, ["gamma_tip", "branch", "re_Lambda", "im_Lambda", "gap", "overlap"],
+             res.grid_rows, experiment="lep", lep=res.gamma_tip, gap=res.gap,
+             overlap=res.overlap)
     print(f"lep: gamma_tip={res.gamma_tip:.6f} gap={res.gap:.3e} "
           f"overlap={res.overlap:.6f} -> {path}")
     return 0
 
 
 def _run_ep_agreement(rc: RunConfig, args) -> int:
-    if args.j_grid:
-        js = np.array([float(x) for x in args.j_grid.split(",")]) * rc.rate_scale
-    elif "j_grid" in rc.preset_cfg:
-        blk = rc.preset_cfg["j_grid"]
-        js = np.linspace(blk["start"], blk["stop"], blk["num"]) * rc.rate_scale
-    else:
-        js = np.array([1.0, 1.5, 2.0, 3.0]) * rc.rate_scale
+    js = rc.grid(args.j_grid, "j_grid", "1.0,1.5,2.0,3.0",
+                 parse=lambda s: np.array([float(x) for x in s.split(",")]))
     rows = ep_agreement(rc.params, js)
-    path = rc.output_dir / (rc.output_name or "fig1b_ep.csv")
-    write_csv(path, ["J", "hep", "lep", "rel_discrepancy", "found"], rows)
-    write_provenance(sidecar_path(path),
-                     {**_provenance_base(rc), "experiment": "ep_agreement"})
+    path = rc.path("fig1b_ep.csv")
+    rc.write(path, ["J", "hep", "lep", "rel_discrepancy", "found"], rows,
+             experiment="ep_agreement")
     found = [r for r in rows if r["found"]]
     worst = max((r["rel_discrepancy"] for r in found), default=float("nan"))
     print(f"ep-agreement: {len(found)}/{len(rows)} LEPs located, "
@@ -350,9 +310,7 @@ def _run_distribution(rc: RunConfig, args) -> int:
     basis = build_basis(per_mode=rc.cutoff)
     rows = []
     for gt in points:
-        pg = rc.params.with_(gamma_tip=float(gt))
-        pg = pg.with_(delta=resolve_delta(pg, rc.protocol))
-        rho = steady_state(build_liouvillian(pg, basis, driven=True))
+        rho = steady_state(build_liouvillian(loss_point(rc.params, gt, rc.protocol), basis))
         if args.save_states:
             state_path = rc.output_dir / f"steady_state_gt_{gt:g}.json"
             state_path.write_text(rho.to_json(), encoding="utf-8")
@@ -367,12 +325,9 @@ def _run_distribution(rc: RunConfig, args) -> int:
             })
     meta = {**asdict(rc.params), "experiment": "distribution",
             "gamma_tips": ",".join(str(g) for g in points)}
-    path = rc.output_dir / (rc.output_name or "fig3b.csv")
-    write_csv(path, ["gamma_tip", "m", "p_m", "poisson_m", "deviation", "ratio"],
-              rows, meta=meta)
-    write_provenance(sidecar_path(path),
-                     {**_provenance_base(rc), "experiment": "distribution",
-                      "gamma_tips": list(map(float, points))})
+    path = rc.path("fig3b.csv")
+    rc.write(path, ["gamma_tip", "m", "p_m", "poisson_m", "deviation", "ratio"], rows,
+             meta=meta, experiment="distribution", gamma_tips=list(map(float, points)))
     print(f"distribution: {len(points)} loss points -> {path}")
     return 0
 
@@ -388,16 +343,32 @@ def _run_validate(rc: RunConfig, args) -> int:
     return 0 if n_pass == len(results) else 1
 
 
-RUNNERS = {
-    "sweep-loss": _run_sweep_loss,
-    "spectrum": _run_spectrum,
-    "spectrum-map": _run_spectrum_map,
-    "eigen": _run_eigen,
-    "lep": _run_lep,
-    "ep-agreement": _run_ep_agreement,
-    "critical-points": _run_critical_points,
-    "distribution": _run_distribution,
-    "validate": _run_validate,
+_GAMMA_TIP_GRID = {"--gamma-tip-grid": {"metavar": "START:STOP:NUM"}}
+_DELTA_GRID = {"--delta-grid": {"metavar": "START:STOP:NUM"}}
+
+# name: (runner, --backend default, help, subcommand-only options)
+SUBCOMMANDS = {
+    "sweep-loss": (_run_sweep_loss, "both", "observables vs nanotip loss", _GAMMA_TIP_GRID),
+    "critical-points": (_run_critical_points, "analytic",
+                        "CP_c, CP_q and EP/LEP locations from a loss sweep", _GAMMA_TIP_GRID),
+    "spectrum": (_run_spectrum, "analytic", "excitation spectrum S1(delta) at fixed loss", {
+        "--gamma-tip": {"type": float, "action": "append",
+                        "help": "loss value for a cut (repeatable)"},
+        **_DELTA_GRID}),
+    "spectrum-map": (_run_spectrum_map, "analytic", "S1 over the (gamma_tip, delta) plane",
+                     {**_GAMMA_TIP_GRID, **_DELTA_GRID}),
+    "eigen": (_run_eigen, "both", "non-Hermitian eigenvalue branches and localization",
+              _GAMMA_TIP_GRID),
+    "lep": (_run_lep, "both", "locate the Liouvillian exceptional point", {
+        "--range": {"metavar": "LO:HI"}, "--grid": {"type": int, "default": 41}}),
+    "ep-agreement": (_run_ep_agreement, "both", "HEP vs LEP location over a coupling grid",
+                     {"--j-grid": {"metavar": "J1,J2,..."}}),
+    "distribution": (_run_distribution, "both", "photon distribution vs Poisson reference", {
+        "--gamma-tip": {"type": float, "action": "append"},
+        "--save-states": {"action": "store_true", "help": "also dump each steady state "
+                          "as JSON (basis labels + entries)"}}),
+    "validate": (_run_validate, "both",
+                 "run the analytic-vs-numeric cross-check suite", {}),
 }
 
 
@@ -437,8 +408,7 @@ def _common_parser(backend: str) -> argparse.ArgumentParser:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = _common_parser("both")
-    analytic = _common_parser("analytic")
+    parents = {b: _common_parser(b) for b in ("both", "analytic")}
     parser = argparse.ArgumentParser(
         prog="kerrdimer",
         description="Loss sweeps, spectra and exceptional points of a driven "
@@ -446,47 +416,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("sweep-loss", parents=[common],
-                        help="observables vs nanotip loss")
-    sp.add_argument("--gamma-tip-grid", default=None, metavar="START:STOP:NUM")
-
-    sp = sub.add_parser("critical-points", parents=[analytic],
-                        help="CP_c, CP_q and EP/LEP locations from a loss sweep")
-    sp.add_argument("--gamma-tip-grid", default=None, metavar="START:STOP:NUM")
-
-    sp = sub.add_parser("spectrum", parents=[analytic],
-                        help="excitation spectrum S1(delta) at fixed loss")
-    sp.add_argument("--gamma-tip", type=float, action="append",
-                    help="loss value for a cut (repeatable)")
-    sp.add_argument("--delta-grid", default=None, metavar="START:STOP:NUM")
-
-    sp = sub.add_parser("spectrum-map", parents=[analytic],
-                        help="S1 over the (gamma_tip, delta) plane")
-    sp.add_argument("--gamma-tip-grid", default=None, metavar="START:STOP:NUM")
-    sp.add_argument("--delta-grid", default=None, metavar="START:STOP:NUM")
-
-    sp = sub.add_parser("eigen", parents=[common],
-                        help="non-Hermitian eigenvalue branches and localization")
-    sp.add_argument("--gamma-tip-grid", default=None, metavar="START:STOP:NUM")
-
-    sp = sub.add_parser("lep", parents=[common],
-                        help="locate the Liouvillian exceptional point")
-    sp.add_argument("--range", default=None, metavar="LO:HI")
-    sp.add_argument("--grid", type=int, default=41)
-
-    sp = sub.add_parser("ep-agreement", parents=[common],
-                        help="HEP vs LEP location over a coupling grid")
-    sp.add_argument("--j-grid", default=None, metavar="J1,J2,...")
-
-    sp = sub.add_parser("distribution", parents=[common],
-                        help="photon distribution vs Poisson reference")
-    sp.add_argument("--gamma-tip", type=float, action="append")
-    sp.add_argument("--save-states", action="store_true",
-                    help="also dump each steady state as JSON (basis labels + entries)")
-
-    sub.add_parser("validate", parents=[common],
-                   help="run the analytic-vs-numeric cross-check suite")
+    for name, (_, backend, help_, options) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, parents=[parents[backend]], help=help_)
+        for flag, kwargs in options.items():
+            sp.add_argument(flag, **kwargs)
     return parser
 
 
@@ -500,13 +433,13 @@ def main(argv=None) -> int:
     try:
         rc = _build_config(args)
         rc.output_dir.mkdir(parents=True, exist_ok=True)
-        return RUNNERS[args.command](rc, args)
-    except _CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return SUBCOMMANDS[args.command][0](rc, args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
+    except _CONFIG_ERRORS as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

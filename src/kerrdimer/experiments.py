@@ -41,7 +41,9 @@ __all__ = [
     "CriticalPoint",
     "CriticalPoints",
     "SpectrumMap",
+    "parse_protocol",
     "resolve_delta",
+    "loss_point",
     "sweep_loss",
     "critical_points",
     "spectrum_map",
@@ -49,6 +51,7 @@ __all__ = [
     "write_csv",
     "write_provenance",
     "sidecar_path",
+    "companion_path",
 ]
 
 BACKENDS = ("analytic", "lindblad")
@@ -56,10 +59,34 @@ DEFAULT_CUTOFF = (5, 5)
 REFINE_TOL = 1e-3  # gamma_tip critical points resolved to 1e-3 * gamma_1'
 
 
+def companion_path(path, suffix: str) -> str:
+    """File next to a dataset: ``x.csv`` -> ``x<suffix>``; only a trailing
+    ``.csv`` is dropped, so a companion never lands on the dataset itself."""
+    s = str(path)
+    return (s[:-4] if s.endswith(".csv") else s) + suffix
+
+
 def sidecar_path(path) -> str:
     """Provenance sidecar next to a dataset: ``x.csv`` -> ``x.provenance.json``."""
-    s = str(path)
-    return (s[:-4] if s.endswith(".csv") else s) + ".provenance.json"
+    return companion_path(path, ".provenance.json")
+
+
+def parse_protocol(spec: str):
+    """Protocol from ``track``, ``track_upper_branch``, ``fixed:V`` or the
+    provenance tag ``fixed(V)``: ``"track_upper_branch"`` or ``("fixed", V)``."""
+    if spec in ("track", "track_upper_branch"):
+        return "track_upper_branch"
+    if spec.startswith("fixed:"):
+        return ("fixed", float(spec[6:]))
+    if spec.startswith("fixed(") and spec.endswith(")"):
+        return ("fixed", float(spec[6:-1]))
+    raise ValueError(f"protocol must be 'track' or 'fixed:VALUE', got {spec!r}")
+
+
+def _protocol_tag(protocol) -> str:
+    if protocol == "track_upper_branch":
+        return "track_upper_branch"
+    return f"fixed({protocol[1]!r})"
 
 
 def resolve_delta(p: SystemParams, protocol) -> float:
@@ -71,18 +98,17 @@ def resolve_delta(p: SystemParams, protocol) -> float:
     ``("fixed", value)`` protocol returns the value unchanged.
     """
     if protocol == "track_upper_branch":
-        eig = one_photon_eigensystem_closed(p)
-        lam_plus = eig.eigenvalues[list(eig.labels).index("+")]
+        lam_plus = one_photon_eigensystem_closed(p).eigenvalues[0]
         return float(p.omega_c - lam_plus.real)
     if isinstance(protocol, (tuple, list)) and len(protocol) == 2 and protocol[0] == "fixed":
         return float(protocol[1])
     raise ValueError(f"unknown detuning protocol {protocol!r}")
 
 
-def _protocol_tag(protocol) -> str:
-    if protocol == "track_upper_branch":
-        return "track_upper_branch"
-    return f"fixed({protocol[1]!r})"
+def loss_point(p: SystemParams, gamma_tip: float, protocol="track_upper_branch") -> SystemParams:
+    """Parameters at added loss ``gamma_tip``, detuned by the protocol."""
+    pg = p.with_(gamma_tip=float(gamma_tip))
+    return pg.with_(delta=resolve_delta(pg, protocol))
 
 
 @dataclass
@@ -149,19 +175,15 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
     basis = build_basis(per_mode=cutoff) if "lindblad" in backends else None
     rows = []
     for gt in gts:
-        pg = p.with_(gamma_tip=float(gt))
-        delta = resolve_delta(pg, protocol)
-        pg = pg.with_(delta=delta)
+        pg = loss_point(p, gt, protocol)
         eig = one_photon_eigensystem_closed(pg)
-        i_plus = list(eig.labels).index("+")
-        i_minus = 1 - i_plus
         row = {
             "gamma_tip": float(gt),
-            "delta_used": delta,
-            "omega_plus": float(eig.omega[i_plus]),
-            "omega_minus": float(eig.omega[i_minus]),
-            "kappa_plus": float(eig.kappa[i_plus]),
-            "kappa_minus": float(eig.kappa[i_minus]),
+            "delta_used": pg.delta,
+            "omega_plus": float(eig.omega[0]),
+            "omega_minus": float(eig.omega[1]),
+            "kappa_plus": float(eig.kappa[0]),
+            "kappa_minus": float(eig.kappa[1]),
         }
         if "lindblad" in backends:
             # built outside the try: a basis over the size cap fails the
@@ -217,23 +239,6 @@ def _fill_analytic(rows: list[dict], p: SystemParams, gts: np.ndarray) -> None:
         row["analytic_failed"] = int(failed[i])
 
 
-def _table_protocol(table: SweepTable):
-    tag = table.provenance.get("protocol", "track_upper_branch")
-    if tag == "track_upper_branch":
-        return tag
-    if tag.startswith("fixed(") and tag.endswith(")"):
-        return ("fixed", float(tag[6:-1]))
-    raise ValueError(f"cannot parse protocol tag {tag!r}")
-
-
-def _analytic_evaluator(p: SystemParams, protocol):
-    def eval_obs(gt: float):
-        pg = p.with_(gamma_tip=float(gt))
-        pg = pg.with_(delta=resolve_delta(pg, protocol))
-        return analytic_observables(steady_amplitudes(pg))
-    return eval_obs
-
-
 def critical_points(table: SweepTable, p: SystemParams | None = None) -> CriticalPoints:
     """Extract CP_c, CP_q(down/up), the Eq.-(3) EP and the located LEP.
 
@@ -252,8 +257,8 @@ def critical_points(table: SweepTable, p: SystemParams | None = None) -> Critica
     g2 = np.array([r.get(f"{backend}_g2", np.nan) for r in rows])
 
     if p is not None:
-        protocol = _table_protocol(table)
-        obs = _analytic_evaluator(p, protocol)
+        protocol = parse_protocol(table.provenance.get("protocol", "track_upper_branch"))
+        obs = lambda gt: analytic_observables(steady_amplitudes(loss_point(p, gt, protocol)))
         n1_of = lambda gt: obs(gt).n1
         g2_of = lambda gt: obs(gt).g2
     else:
@@ -337,16 +342,14 @@ def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
         spec = excitation_spectrum(pg, deltas, backend=backend)
         s1[i] = spec.s1
         eig = one_photon_eigensystem_closed(pg)
-        i_plus = list(eig.labels).index("+")
-        row = {
+        peak_rows.append({
             "gamma_tip": float(gt),
             "n_peaks": spec.peak_count,
             "peak_delta_1": spec.peak_deltas[0] if spec.peak_count > 0 else None,
             "peak_delta_2": spec.peak_deltas[1] if spec.peak_count > 1 else None,
-            "omega_plus": float(eig.omega[i_plus]),
-            "omega_minus": float(eig.omega[1 - i_plus]),
-        }
-        peak_rows.append(row)
+            "omega_plus": float(eig.omega[0]),
+            "omega_minus": float(eig.omega[1]),
+        })
 
     provenance = {
         "experiment": "spectrum_map",

@@ -79,30 +79,6 @@ class ComplexOperator:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
-    def _check_same_basis(self, other: "ComplexOperator") -> None:
-        if self.basis != other.basis:
-            raise ValueError("operators act on different bases")
-
-    def dag(self) -> "ComplexOperator":
-        return ComplexOperator(self.basis, self.data.conj().T)
-
-    def __add__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_same_basis(other)
-        return ComplexOperator(self.basis, self.data + other.data)
-
-    def __sub__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_same_basis(other)
-        return ComplexOperator(self.basis, self.data - other.data)
-
-    def __matmul__(self, other: "ComplexOperator") -> "ComplexOperator":
-        self._check_same_basis(other)
-        return ComplexOperator(self.basis, self.data @ other.data)
-
-    def __mul__(self, scalar: complex) -> "ComplexOperator":
-        return ComplexOperator(self.basis, self.data * scalar)
-
-    __rmul__ = __mul__
-
 
 def build_basis(
     truncation: TotalTruncation | PerModeTruncation | None = None,

@@ -156,7 +156,7 @@ def _dissipators(basis: FockBasis) -> tuple[sparse.csr_matrix, sparse.csr_matrix
     out = []
     for mode in (1, 2):
         a = sparse.csr_matrix(mode_operator(basis, mode, "annihilate").data)
-        n = (a.conj().T @ a).tocsr()
+        n = sparse.csr_matrix(mode_operator(basis, mode, "number").data)
         out.append((sparse.kron(a.conj(), a) - 0.5 * sparse.kron(eye, n)
                     - 0.5 * sparse.kron(n.T, eye)).tocsr())
     return tuple(out)

@@ -147,8 +147,8 @@ def build_hamiltonian(p: SystemParams, basis: FockBasis, variant: str) -> Comple
 
     a1 = mode_operator(basis, 1, "annihilate").data
     a2 = mode_operator(basis, 2, "annihilate").data
-    n1 = a1.conj().T @ a1
-    n2 = a2.conj().T @ a2
+    n1 = mode_operator(basis, 1, "number").data
+    n2 = mode_operator(basis, 2, "number").data
     kerr = a1.conj().T @ a1.conj().T @ a1 @ a1
     hop = a1.conj().T @ a2 + a2.conj().T @ a1
 

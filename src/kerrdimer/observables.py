@@ -70,10 +70,9 @@ def photon_statistics(rho: DensityMatrix) -> PhotonStatistics:
     """
     basis = rho.basis
     a1 = mode_operator(basis, 1, "annihilate").data
-    a2 = mode_operator(basis, 2, "annihilate").data
-    a1d, a2d = a1.conj().T, a2.conj().T
-    n1 = rho.expectation(a1d @ a1).real
-    n2 = rho.expectation(a2d @ a2).real
+    a1d = a1.conj().T
+    n1 = rho.expectation(mode_operator(basis, 1, "number").data).real
+    n2 = rho.expectation(mode_operator(basis, 2, "number").data).real
     if n1 < UNDEFINED_N1_FLOOR:
         raise ValueError("N1 vanishes: correlation functions are undefined")
     m2 = rho.expectation(a1d @ a1d @ a1 @ a1).real
@@ -126,26 +125,26 @@ def excitation_spectrum(p: SystemParams, delta_grid, backend: str = "analytic",
     """S1(delta) = N1(delta) / n0 over a detuning grid, with peak detection.
 
     backend 'analytic' evaluates the closed-form amplitudes (singular grid
-    points are skipped and marked); 'lindblad' solves the master equation
-    steady state per point.
+    points and points where N1 vanishes are NaN and listed in ``skipped``);
+    'lindblad' solves the master equation steady state per point.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
         raise ValueError("delta grid must be nonempty")
     n0 = n0_normalization(p)
+    if n0 == 0.0:
+        raise ValueError("no drive: S1 = N1 / n0 is undefined")
     s1 = np.full(deltas.shape, np.nan)
     skipped = []
     if backend == "analytic":
         amps, singular = amplitude_arrays(p, deltas, p.gamma2_prime)
         n1 = analytic_observables(amps).n1
-        if np.any(~singular & (n1 < UNDEFINED_N1_FLOOR)):
-            raise ValueError("N1 vanishes: correlation functions are undefined")
-        s1[~singular] = n1[~singular] / n0
-        skipped = np.flatnonzero(singular).tolist()
+        defined = ~singular & (n1 >= UNDEFINED_N1_FLOOR)
+        s1[defined] = n1[defined] / n0
+        skipped = np.flatnonzero(~defined).tolist()
     elif backend == "lindblad":
         basis = build_basis(per_mode=cutoff)
-        a1 = mode_operator(basis, 1, "annihilate").data
-        num1 = a1.conj().T @ a1
+        num1 = mode_operator(basis, 1, "number").data
         for i, d in enumerate(deltas):
             sop = build_liouvillian(p.with_(delta=float(d)), basis, driven=True)
             rho = steady_state(sop)

@@ -16,7 +16,7 @@ from .hilbert import build_basis
 from .liouvillian import build_liouvillian, steady_state
 from .model import SystemParams
 from .observables import excitation_spectrum, photon_statistics
-from .experiments import resolve_delta
+from .experiments import loss_point
 
 __all__ = ["CheckResult", "run_validation", "CHECK_NAMES"]
 
@@ -42,14 +42,9 @@ class CheckResult:
     value: float | None = None
 
 
-def _tracked(p: SystemParams, gamma_tip: float) -> SystemParams:
-    pg = p.with_(gamma_tip=gamma_tip)
-    return pg.with_(delta=resolve_delta(pg, "track_upper_branch"))
-
-
 def _check_amplitude_scaling(p: SystemParams) -> CheckResult:
     # halving Omega multiplies each order-N amplitude by 2^-N
-    pg = _tracked(p, 1.0)
+    pg = loss_point(p, 1.0)
     a_full = steady_amplitudes(pg)
     a_half = steady_amplitudes(pg.with_(omega_drive_amp=pg.omega_drive_amp / 2))
     worst = 0.0
@@ -62,7 +57,7 @@ def _check_amplitude_scaling(p: SystemParams) -> CheckResult:
 
 
 def _check_g2_approx_limit(p: SystemParams) -> CheckResult:
-    pg = _tracked(p, 1.0).with_(omega_drive_amp=1e-3 * p.gamma1_prime)
+    pg = loss_point(p, 1.0).with_(omega_drive_amp=1e-3 * p.gamma1_prime)
     obs = analytic_observables(steady_amplitudes(pg))
     dev = abs(obs.g2_approx / obs.g2 - 1.0)
     return CheckResult("analytic_g2_approx_limit", dev < 1e-3,
@@ -70,7 +65,7 @@ def _check_g2_approx_limit(p: SystemParams) -> CheckResult:
 
 
 def _check_intermediates(p: SystemParams) -> CheckResult:
-    t = steady_amplitudes(_tracked(p, 2.0)).intermediates
+    t = steady_amplitudes(loss_point(p, 2.0)).intermediates
     J2 = p.J**2
     residues = [
         abs(t.d3 - (t.d1 + p.chi)),
@@ -109,7 +104,7 @@ def _check_populations(p: SystemParams, gamma_tips=(0.0, 4.0, 8.9)) -> CheckResu
     basis = build_basis(per_mode=(5, 5))
     worst = 0.0
     for gt in gamma_tips:
-        pg = _tracked(p, gt)
+        pg = loss_point(p, gt)
         rho = steady_state(build_liouvillian(pg, basis, driven=True))
         num = rho.populations()
         ana = steady_amplitudes(pg).populations()
@@ -121,7 +116,7 @@ def _check_populations(p: SystemParams, gamma_tips=(0.0, 4.0, 8.9)) -> CheckResu
 
 
 def _check_cutoff(p: SystemParams) -> CheckResult:
-    pg = _tracked(p, 0.0)
+    pg = loss_point(p, 0.0)
     vals = {}
     for c in (5, 7):
         rho = steady_state(build_liouvillian(pg, build_basis(per_mode=(c, c))))
@@ -135,7 +130,7 @@ def _check_cutoff(p: SystemParams) -> CheckResult:
 
 def _check_phase_invariance(p: SystemParams) -> CheckResult:
     basis = build_basis(per_mode=(4, 4))
-    pg = _tracked(p, 2.0)
+    pg = loss_point(p, 2.0)
     base = photon_statistics(steady_state(build_liouvillian(pg, basis)))
     rot = photon_statistics(steady_state(
         build_liouvillian(pg.with_(drive_phase=0.9), basis)))
@@ -148,7 +143,7 @@ def _check_phase_invariance(p: SystemParams) -> CheckResult:
 
 def _check_g2_diagonal(p: SystemParams) -> CheckResult:
     basis = build_basis(per_mode=(4, 4))
-    rho = steady_state(build_liouvillian(_tracked(p, 1.0), basis))
+    rho = steady_state(build_liouvillian(loss_point(p, 1.0), basis))
     stats = photon_statistics(rho)
     pops = rho.populations()
     n1 = sum(m * pr for (m, n), pr in pops.items())

@@ -42,6 +42,43 @@ class TestDispatch:
         code, _, err = run(capsys, "sweep-loss", "--set", "chi", "--output-dir",
                            str(tmp_path))
         assert code == 2
+        # an empty grid is rejected before any dataset is written
+        for command in ("sweep-loss", "eigen"):
+            code, _, err = run(capsys, command, "--gamma-tip-grid", "0:12:0",
+                               "--output-dir", str(tmp_path / command))
+            assert code == 2
+            assert "configuration error" in err
+            assert not any((tmp_path / command).iterdir())
+
+    def test_singular_point_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        from kerrdimer import cli
+        from kerrdimer.analytic import SingularParameterError
+
+        def singular(p):
+            raise SingularParameterError("eta1", 0j)
+
+        monkeypatch.setattr(cli, "run_validation", singular)
+        code, _, err = run(capsys, "validate", "--output-dir", str(tmp_path))
+        assert code == 1
+        assert "numerical failure" in err
+
+    def test_companion_files_keep_their_own_names(self, tmp_path, capsys):
+        # an --output name without .csv must not make companions overwrite it
+        code, _, _ = run(capsys, "spectrum-map", "--gamma-tip-grid", "0:12:4",
+                         "--delta-grid=-4:4:21", "--output", "map",
+                         "--output-dir", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "map").read_text().startswith("gamma_tip,delta,s1\n")
+        assert (tmp_path / "map_peaks.csv").read_text().startswith("gamma_tip,n_peaks")
+        code, _, _ = run(capsys, "sweep-loss", "--preset", "paper_fig3",
+                         "--gamma-tip-grid", "0:12:7", "--backend", "analytic",
+                         "--output", "fig3", "--output-dir", str(tmp_path))
+        assert code == 0
+        tracked = json.loads((tmp_path / "fig3.provenance.json").read_text())
+        twin = json.loads((tmp_path / "fig3_fixed_delta.provenance.json").read_text())
+        assert tracked["protocol"] == "track_upper_branch"
+        assert twin["protocol"].startswith("fixed(")
+        assert (tmp_path / "fig3").read_bytes() != (tmp_path / "fig3_fixed_delta.csv").read_bytes()
 
     def test_deterministic_output(self, tmp_path, capsys):
         for backend in ("analytic", "both"):
@@ -99,6 +136,21 @@ class TestExperimentCommands:
         assert "2 peak(s)" in out
         lines = (tmp_path / "s1_cuts.csv").read_text().splitlines()
         assert lines[0].startswith("# ")  # metadata header rows
+
+    @pytest.mark.filterwarnings("ignore:drive exceeds")
+    def test_spectrum_vanishing_n1_points_skipped(self, tmp_path, capsys):
+        # far off the ultranarrow resonances N1 drops below the floor: those
+        # cells are NaN, as singular points are, and the run succeeds
+        code, _, _ = run(capsys, "spectrum", "--set", "gamma_1=5e-15",
+                         "--set", "gamma_ex=5e-15", "--set", "gamma_2=1e-14",
+                         "--set", "J=1.0", "--set", "chi=1.0", "--delta-grid=-2:2:401",
+                         "--output-dir", str(tmp_path))
+        assert code == 0
+        rows = [l.split(",") for l in (tmp_path / "s1_cuts.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert len(rows) == 401
+        assert any(r[2] == "nan" for r in rows)
+        assert any(r[2] != "nan" for r in rows)
 
     def test_spectrum_map(self, tmp_path, capsys):
         code, out, _ = run(capsys, "spectrum-map", "--gamma-tip-grid", "0:12:4",

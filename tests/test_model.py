@@ -122,7 +122,7 @@ class TestBuildHamiltonian:
         basis = build_basis(per_mode=(4, 4))
         p = params(omega_c=1.3, chi=1.7)
         h = build_hamiltonian(p, basis, "isolated").data
-        ntot = (mode_operator(basis, 1, "number") + mode_operator(basis, 2, "number")).data
+        ntot = mode_operator(basis, 1, "number").data + mode_operator(basis, 2, "number").data
         comm = h @ ntot - ntot @ h
         assert np.max(np.abs(comm)) < 1e-12 * np.max(np.abs(h))
 
