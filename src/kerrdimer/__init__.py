@@ -32,8 +32,6 @@ from .liouvillian import (
     DensityMatrix,
     build_liouvillian,
     steady_state,
-    time_evolve,
-    liouvillian_spectrum,
     lep_locate,
 )
 from .observables import (
@@ -53,7 +51,7 @@ __all__ = [
     "hep_location", "localization",
     "AmplitudeSet", "steady_amplitudes", "analytic_observables",
     "Superoperator", "DensityMatrix", "build_liouvillian", "steady_state",
-    "time_evolve", "liouvillian_spectrum", "lep_locate",
+    "lep_locate",
     "PhotonStatistics", "photon_statistics", "poisson_comparison",
     "excitation_spectrum",
     "sweep_loss", "critical_points", "spectrum_map", "ep_agreement",

@@ -249,7 +249,7 @@ def _run_spectrum_map(rc: RunConfig, args) -> int:
 
 def _run_eigen(rc: RunConfig, args) -> int:
     gts = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:121")
-    rows = branch_sweep(rc.params, gts, n_excitation=1)
+    rows = branch_sweep(rc.params, gts)
     path = rc.path("figS3.csv")
     rc.write(path, ["gamma_tip", "branch", "re_lambda", "im_lambda", "pop_01", "pop_10"],
              rows, experiment="eigen_branches")
@@ -267,7 +267,9 @@ def _run_eigen(rc: RunConfig, args) -> int:
                         "branch": label, "m": m, "n": n,
                         "population": float(pops[k, s]),
                     })
-    loc_path = rc.output_dir / "figS4.csv"
+    # the localization table follows an --output name, else it is figS4.csv
+    loc_path = (companion_path(path, "_figS4.csv") if rc.output_name
+                else rc.output_dir / "figS4.csv")
     rc.write(loc_path, ["gamma_tip", "n_excitation", "branch", "m", "n", "population"],
              loc_rows, experiment="eigen_localization")
     print(f"eigen: {len(gts)} grid points -> {path}, {loc_path}")
@@ -312,7 +314,7 @@ def _run_distribution(rc: RunConfig, args) -> int:
     for gt in points:
         rho = steady_state(build_liouvillian(loss_point(rc.params, gt, rc.protocol), basis))
         if args.save_states:
-            state_path = rc.output_dir / f"steady_state_gt_{gt:g}.json"
+            state_path = rc.output_dir / f"steady_state_gt_{gt!r}.json"
             state_path.write_text(rho.to_json(), encoding="utf-8")
         stats = photon_statistics(rho)
         cmp = poisson_comparison(stats.p_m)

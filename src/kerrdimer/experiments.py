@@ -12,7 +12,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import __version__
 from .analytic import (
@@ -262,6 +261,8 @@ def critical_points(table: SweepTable, p: SystemParams | None = None) -> Critica
         n1_of = lambda gt: obs(gt).n1
         g2_of = lambda gt: obs(gt).g2
     else:
+        from scipy.interpolate import CubicSpline  # only this branch needs it
+
         n1_spline = CubicSpline(gts, n1)
         g2_spline = CubicSpline(gts, g2)
         n1_of = lambda gt: float(n1_spline(gt))

@@ -1,4 +1,4 @@
-"""Lindblad superoperator, steady state, time evolution, and Liouvillian EPs.
+"""Lindblad superoperator, steady state, and Liouvillian EPs.
 
 Vectorization is column-stacking throughout: vec(A X B) = (B^T kron A) vec(X),
 so rho[r, c] lives at vec index c*d + r.
@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import splu
 
 from .hilbert import FockBasis, build_basis, mode_operator
 from .model import SystemParams, build_hamiltonian
 from .search import golden_section_minimize
+from .spectral import match_branches
 
 __all__ = [
     "Superoperator",
@@ -31,17 +31,13 @@ __all__ = [
     "vec",
     "unvec",
     "build_liouvillian",
-    "apply_superoperator",
     "steady_state",
-    "time_evolve",
-    "liouvillian_spectrum",
     "coherence_sector_pair",
     "lep_locate",
 ]
 
 # superoperators stay at most 4096 x 4096: the sparse LU of the bordered
-# system fills in to about 0.5 s per factor there, and liouvillian_spectrum
-# still diagonalises the generator densely
+# system fills in to about 0.5 s per factor there
 MAX_HILBERT_DIM = 64
 
 
@@ -130,12 +126,11 @@ class DensityMatrix:
 
 @dataclass
 class LiouvillianSpectrum:
-    """Leading Liouvillian eigenvalues with optional eigenmatrices."""
+    """Tracked Liouvillian eigenvalue pair with its coalescence diagnostics."""
 
     eigenvalues: np.ndarray
-    eigenmatrices: list[np.ndarray] | None = None
-    gap: float | None = None
-    overlap: float | None = None
+    gap: float
+    overlap: float
 
 
 @dataclass(frozen=True)
@@ -183,10 +178,6 @@ def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True,
     lind = (-1j * (sparse.kron(eye, hs) - sparse.kron(hs.T, eye))
             + p.gamma1_prime * d1 + p.gamma2_prime * d2)
     return Superoperator(basis=basis, data=lind.tocsr(), driven=driven)
-
-
-def apply_superoperator(sop: Superoperator, rho: np.ndarray) -> np.ndarray:
-    return unvec(sop.data @ vec(rho), sop.dim)
 
 
 def _trace_row(d: int) -> np.ndarray:
@@ -269,66 +260,6 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     return rho.validate()
 
 
-def time_evolve(sop: Superoperator, rho0: DensityMatrix, t_grid,
-                rtol: float = 1e-8, atol: float = 1e-12) -> list[DensityMatrix]:
-    """Integrate d rho/dt = L rho through the ascending time grid.
-
-    Adaptive high-order Runge-Kutta stepping on the real/imaginary split of
-    the vectorized state; snapshots are validated within the integration
-    tolerance.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or len(t) < 1 or np.any(np.diff(t) <= 0) or t[0] < 0:
-        raise ValueError("t_grid must be ascending with t0 >= 0")
-    if rho0.basis != sop.basis:
-        raise ValueError("state and generator act on different bases")
-
-    d = sop.dim
-    n = d * d
-    lmat = sop.data
-
-    def rhs(_t, y):
-        z = lmat @ (y[:n] + 1j * y[n:])
-        return np.concatenate((z.real, z.imag))
-
-    z0 = vec(rho0.data)
-    y0 = np.concatenate((z0.real, z0.imag))
-    sol = solve_ivp(rhs, (t[0], t[-1]), y0, t_eval=t, method="DOP853",
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise NumericalFailureError(f"time integration failed: {sol.message}")
-
-    snap_tol = max(1e-8, 100 * rtol)
-    out = []
-    for k in range(len(t)):
-        z = sol.y[:n, k] + 1j * sol.y[n:, k]
-        rho = DensityMatrix(basis=sop.basis, data=unvec(z, d))
-        out.append(rho.validate(hermiticity_tol=snap_tol, trace_tol=snap_tol,
-                                psd_floor=-snap_tol))
-    return out
-
-
-def liouvillian_spectrum(sop: Superoperator, count: int,
-                         with_eigenmatrices: bool = True) -> LiouvillianSpectrum:
-    """The ``count`` eigenvalues of largest real part, with eigenmatrices."""
-    n = sop.dim**2
-    if not 1 <= count <= n:
-        raise ValueError(f"count must be in [1, {n}]")
-    try:
-        vals, vecs = np.linalg.eig(sop.data.toarray())
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"dense eigensolve failed: {exc}") from exc
-    order = np.lexsort((vals.imag, -vals.real))[:count]
-    vals = vals[order]
-    mats = None
-    if with_eigenmatrices:
-        mats = []
-        for k in range(count):
-            m = unvec(vecs[:, order[k]], sop.dim)
-            mats.append(m / np.linalg.norm(m))
-    return LiouvillianSpectrum(eigenvalues=vals, eigenmatrices=mats)
-
-
 def coherence_sector_pair(sop: Superoperator) -> LiouvillianSpectrum:
     """Eigenvalue pair of the one-excitation x vacuum coherence block.
 
@@ -402,9 +333,8 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
         sp = pair_at(float(gt))
         gaps[i] = sp.gap
         pair = sp.eigenvalues
-        if prev is not None and abs(pair[0] - prev[1]) + abs(pair[1] - prev[0]) < \
-                abs(pair[0] - prev[0]) + abs(pair[1] - prev[1]):
-            pair = pair[::-1]  # nearest-neighbor continuation of branch tags
+        if prev is not None:  # nearest-neighbor continuation of branch tags
+            pair = pair[match_branches(prev, pair)]
         prev = pair
         for tag, lam in zip(("a", "b"), pair):
             rows.append({

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
-from scipy import constants as _const
 
 from .hilbert import ComplexOperator, FockBasis, mode_operator
 
@@ -39,6 +38,11 @@ HAMILTONIAN_VARIANTS = (
     "effective_nonhermitian",
     "excitation_conserving_nonhermitian",
 )
+
+# SI constants (CODATA 2022, the values of scipy.constants), m/s, J s, F/m
+SPEED_OF_LIGHT = 299792458.0
+HBAR = 1.0545718176461565e-34
+EPSILON_0 = 8.8541878188e-12
 
 # chi for lambda = 1550 nm, chi^(3)/eps_r^2 = 2e-17 m^2/V^2, V_eff = 100 um^3,
 # evaluated directly from kerr_coefficient with CODATA constants.
@@ -106,8 +110,8 @@ def kerr_coefficient(wavelength: float, chi3_over_eps_r2: float, v_eff: float) -
         raise ValueError("wavelength and v_eff must be > 0")
     if chi3_over_eps_r2 < 0:
         raise ValueError("chi3_over_eps_r2 must be >= 0")
-    omega_c = 2 * np.pi * _const.c / wavelength
-    return 3 * _const.hbar * omega_c**2 * chi3_over_eps_r2 / (4 * _const.epsilon_0 * v_eff)
+    omega_c = 2 * np.pi * SPEED_OF_LIGHT / wavelength
+    return 3 * HBAR * omega_c**2 * chi3_over_eps_r2 / (4 * EPSILON_0 * v_eff)
 
 
 def drive_amplitude(p_in: float, gamma_ex: float, wavelength: float) -> float:
@@ -116,8 +120,8 @@ def drive_amplitude(p_in: float, gamma_ex: float, wavelength: float) -> float:
         raise ValueError("p_in and gamma_ex must be >= 0")
     if wavelength <= 0:
         raise ValueError("wavelength must be > 0")
-    omega_l = 2 * np.pi * _const.c / wavelength
-    return float(np.sqrt(gamma_ex * p_in / (_const.hbar * omega_l)))
+    omega_l = 2 * np.pi * SPEED_OF_LIGHT / wavelength
+    return float(np.sqrt(gamma_ex * p_in / (HBAR * omega_l)))
 
 
 def derived_rates(p: SystemParams) -> DerivedRates:
@@ -220,7 +224,7 @@ def si_reference_rates(
     (critical coupling), so gamma_1' = 2*omega_c/Q. Returns the rates in
     rad/s together with their values in units of gamma_1'.
     """
-    omega_c = 2 * np.pi * _const.c / wavelength
+    omega_c = 2 * np.pi * SPEED_OF_LIGHT / wavelength
     gamma_1 = omega_c / q_intrinsic
     gamma_ex = gamma_1
     g1p = gamma_1 + gamma_ex

@@ -101,7 +101,9 @@ def n0_normalization(p: SystemParams) -> float:
 def detect_peaks(y, saddle_ratio: float = 1.05, min_separation: int = 2) -> list[int]:
     """Indices of resolved local maxima.
 
-    Strict interior maxima are merged when closer than ``min_separation``
+    A NaN cell (a skipped point) is never a maximum, and neither is its
+    neighbour: a maximum needs both neighbours defined and lower. Strict
+    interior maxima are merged when closer than ``min_separation``
     grid points or when the lower of an adjacent pair does not rise above
     ``saddle_ratio`` times the saddle between them; the taller survives.
     """
@@ -152,8 +154,7 @@ def excitation_spectrum(p: SystemParams, delta_grid, backend: str = "analytic",
     else:
         raise ValueError("backend must be 'analytic' or 'lindblad'")
 
-    finite = np.where(np.isnan(s1), -np.inf, s1)
-    peaks = detect_peaks(finite)
+    peaks = detect_peaks(s1)
     return SpectrumResult(
         delta=deltas, s1=s1, peak_indices=tuple(peaks),
         peak_deltas=tuple(float(deltas[i]) for i in peaks),

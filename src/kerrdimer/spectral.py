@@ -7,11 +7,11 @@ and eigenstate localization diagnostics.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .hilbert import build_basis
 from .model import SystemParams, build_hamiltonian, derived_rates
@@ -25,7 +25,6 @@ __all__ = [
     "hep_location",
     "hep_locate_numeric",
     "localization",
-    "eigenvector_condition",
     "match_branches",
     "branch_sweep",
 ]
@@ -277,24 +276,29 @@ def localization(eig: SubspaceEigensystem) -> np.ndarray:
     return (np.abs(eig.eigenvectors) ** 2).T
 
 
-def eigenvector_condition(eig: SubspaceEigensystem) -> float:
-    """Conditioning diagnostic 1/|det V|; diverges as eigenvectors coalesce."""
-    return 1.0 / abs(np.linalg.det(eig.eigenvectors))
-
-
 def match_branches(reference: np.ndarray, candidates: np.ndarray) -> np.ndarray:
     """Permutation aligning ``candidates`` with ``reference`` eigenvalues.
 
     Minimum-total-distance assignment in the complex plane; used for
-    nearest-neighbor branch continuation across parameter sweeps.
+    nearest-neighbor branch continuation across parameter sweeps. Callers
+    match at most 3 branches, so every permutation is tried. An exact tie
+    in the total goes to the smaller tuple of per-row distances (in row
+    order). That reproduces scipy's ``linear_sum_assignment`` on tied
+    2-branch inputs (the closed-form pair at the EP is one) but not on
+    every tied 3-branch input: about 4 % of tied integer 3x3 cost matrices
+    get another optimal assignment.
     """
     cost = np.abs(reference[:, None] - candidates[None, :])
-    _, cols = linear_sum_assignment(cost)
-    return cols
+
+    def key(cols):
+        per_row = tuple(cost[i, j] for i, j in enumerate(cols))
+        return sum(per_row), per_row
+
+    return np.array(min(itertools.permutations(range(len(candidates))), key=key))
 
 
-def branch_sweep(p: SystemParams, gamma_tip_grid, n_excitation: int = 1) -> list[dict]:
-    """Eigen-branch rows (continuation-labeled) over a gamma_tip grid.
+def branch_sweep(p: SystemParams, gamma_tip_grid) -> list[dict]:
+    """One-photon eigen-branch rows (continuation-labeled) over a gamma_tip grid.
 
     Each row carries gamma_tip, branch label, Re/Im of the eigenvalue and
     the per-state populations, in basis-state order.
@@ -303,7 +307,7 @@ def branch_sweep(p: SystemParams, gamma_tip_grid, n_excitation: int = 1) -> list
     prev = None
     labels = None
     for gt in gamma_tip_grid:
-        eig = subspace_eigensystem_numeric(p.with_(gamma_tip=gt), n_excitation)
+        eig = subspace_eigensystem_numeric(p.with_(gamma_tip=gt), 1)
         lam, vecs = eig.eigenvalues, eig.eigenvectors
         if prev is None:
             labels = eig.labels

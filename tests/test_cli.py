@@ -141,16 +141,24 @@ class TestExperimentCommands:
     def test_spectrum_vanishing_n1_points_skipped(self, tmp_path, capsys):
         # far off the ultranarrow resonances N1 drops below the floor: those
         # cells are NaN, as singular points are, and the run succeeds
-        code, _, _ = run(capsys, "spectrum", "--set", "gamma_1=5e-15",
-                         "--set", "gamma_ex=5e-15", "--set", "gamma_2=1e-14",
-                         "--set", "J=1.0", "--set", "chi=1.0", "--delta-grid=-2:2:401",
-                         "--output-dir", str(tmp_path))
+        code, out, _ = run(capsys, "spectrum", "--set", "gamma_1=5e-15",
+                           "--set", "gamma_ex=5e-15", "--set", "gamma_2=1e-14",
+                           "--set", "J=1.0", "--set", "chi=1.0", "--delta-grid=-2:2:401",
+                           "--output-dir", str(tmp_path))
         assert code == 0
         rows = [l.split(",") for l in (tmp_path / "s1_cuts.csv").read_text().splitlines()
                 if not l.startswith("#")][1:]
         assert len(rows) == 401
         assert any(r[2] == "nan" for r in rows)
         assert any(r[2] != "nan" for r in rows)
+        # the singular resonances at delta = +-1 are skipped; no skipped
+        # cell is a peak or makes its neighbour (+-0.99, +-1.01) one
+        skipped = [r[2] == "nan" for r in rows]
+        peaks = [i for i, r in enumerate(rows) if r[3] == "1"]
+        assert skipped[100] and skipped[300]
+        assert peaks and f"{len(peaks)} peak(s)" in out
+        for i in peaks:
+            assert not (skipped[i] or skipped[i - 1] or skipped[i + 1]), rows[i]
 
     def test_spectrum_map(self, tmp_path, capsys):
         code, out, _ = run(capsys, "spectrum-map", "--gamma-tip-grid", "0:12:4",
@@ -165,6 +173,21 @@ class TestExperimentCommands:
         assert code == 0
         assert (tmp_path / "figS3.csv").exists()
         assert (tmp_path / "figS4.csv").exists()
+
+    def test_eigen_tables_follow_output(self, tmp_path, capsys):
+        grid = ("eigen", "--gamma-tip-grid", "0:12:4")
+        assert run(capsys, *grid, "--output-dir", str(tmp_path / "default"))[0] == 0
+        out = tmp_path / "named"
+        assert run(capsys, *grid, "--output", "a.csv", "--output-dir", str(out))[0] == 0
+        assert run(capsys, *grid, "--set", "J=1.0", "--output", "b.csv",
+                   "--output-dir", str(out))[0] == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "a.csv", "a.provenance.json", "a_figS4.csv", "a_figS4.provenance.json",
+            "b.csv", "b.provenance.json", "b_figS4.csv", "b_figS4.provenance.json"]
+        assert (out / "a_figS4.csv").read_bytes() != (out / "b_figS4.csv").read_bytes()
+        for suffix in (".csv", ".provenance.json"):
+            assert (out / f"a_figS4{suffix}").read_bytes() == \
+                (tmp_path / "default" / f"figS4{suffix}").read_bytes()
 
     def test_lep(self, tmp_path, capsys):
         code, out, _ = run(capsys, "lep", "--grid", "15", "--output-dir", str(tmp_path))
@@ -194,6 +217,22 @@ class TestExperimentCommands:
                            env=env, check=True, capture_output=True, timeout=300)
         for name in ("fig2c_map.csv", "fig2c_map_peaks.csv", "fig2c_map.provenance.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_import_loads_only_the_needed_scipy(self):
+        # the CLI needs scipy.sparse (eagerly, via the Liouvillian) but no
+        # assignment solver, integrator, interpolator or constants table
+        src = str(Path(kerrdimer.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = ("import json, sys, kerrdimer.cli; print(json.dumps(sorted(m for m in "
+                 "sys.modules if m.startswith(('scipy.', 'kerrdimer.')))))")
+        res = subprocess.run([sys.executable, "-c", probe],
+                             env=dict(os.environ, PYTHONPATH=path),
+                             check=True, capture_output=True, text=True, timeout=300)
+        loaded = set(json.loads(res.stdout))
+        for name in ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
+                     "scipy.constants"):
+            assert name not in loaded
+        assert {"kerrdimer.liouvillian", "scipy.sparse.linalg"} <= loaded
 
     def test_lep_not_found_is_numerical_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "lep", "--range", "0.5:3.0", "--grid", "9",
@@ -301,9 +340,17 @@ class TestStateSerialization:
                          "--cutoff", "3,3", "--save-states",
                          "--output-dir", str(tmp_path))
         assert code == 0
-        payload = json.loads((tmp_path / "steady_state_gt_6.json").read_text())
+        payload = json.loads((tmp_path / "steady_state_gt_6.0.json").read_text())
         assert payload["basis"][0] == [0, 0]
         assert payload["residual"] < 1e-10
+
+    def test_nearby_loss_points_keep_separate_state_files(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "distribution", "--gamma-tip", "6.0",
+                         "--gamma-tip", "6.0000001", "--cutoff", "3,3", "--save-states",
+                         "--output-dir", str(tmp_path))
+        assert code == 0
+        names = sorted(p.name for p in tmp_path.glob("steady_state_gt_*.json"))
+        assert names == ["steady_state_gt_6.0.json", "steady_state_gt_6.0000001.json"]
 
 
 class TestSiLindblad:

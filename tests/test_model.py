@@ -202,3 +202,14 @@ def test_load_params_flat_file(tmp_path):
     p, _ = load_params(path)
     assert p.J == 1.5
     assert p.gamma1_prime == pytest.approx(1.0)
+
+
+class TestSiConstants:
+    def test_literals_equal_scipy_constants(self):
+        from scipy import constants
+
+        from kerrdimer.model import EPSILON_0, HBAR, SPEED_OF_LIGHT
+
+        assert SPEED_OF_LIGHT == constants.c
+        assert HBAR == constants.hbar
+        assert EPSILON_0 == constants.epsilon_0

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from kerrdimer.model import SystemParams
 from kerrdimer.spectral import (
     branch_sweep,
-    eigenvector_condition,
     hep_locate_numeric,
     hep_location,
     localization,
@@ -246,11 +246,13 @@ class TestLocalization:
 
 class TestConditioning:
     def test_condition_grows_toward_ep(self):
-        ep = 8.9
-        left = [eigenvector_condition(one_photon_eigensystem_closed(params(gamma_tip=g)))
-                for g in (7.0, 7.5, 8.0, 8.5, 8.8)]
-        right = [eigenvector_condition(one_photon_eigensystem_closed(params(gamma_tip=g)))
-                 for g in (10.8, 10.3, 9.8, 9.3, 9.0)]
+        # 1/|det V| diverges as the eigenvectors coalesce
+        def condition(g):
+            v = one_photon_eigensystem_closed(params(gamma_tip=g)).eigenvectors
+            return 1.0 / abs(np.linalg.det(v))
+
+        left = [condition(g) for g in (7.0, 7.5, 8.0, 8.5, 8.8)]
+        right = [condition(g) for g in (10.8, 10.3, 9.8, 9.3, 9.0)]
         assert all(np.diff(left) > 0)
         assert all(np.diff(right) > 0)
         assert left[-1] > 3 * left[0]
@@ -265,7 +267,7 @@ class TestContinuation:
             np.max(np.abs((ref[perm] + 1e-6)[got] - ref)) < 1e-5
 
     def test_branch_sweep_continuity(self):
-        rows = branch_sweep(params(), np.linspace(0, 12, 49), n_excitation=1)
+        rows = branch_sweep(params(), np.linspace(0, 12, 49))
         assert len(rows) == 49 * 2
         by_branch = {}
         for r in rows:
@@ -273,3 +275,29 @@ class TestContinuation:
         for lam in by_branch.values():
             steps = np.abs(np.diff(np.array(lam)))
             assert np.max(steps) < 1.0  # no branch jumps on a 0.25-spaced grid
+
+    def test_match_branches_agrees_with_assignment_solver(self):
+        rng = np.random.default_rng(11)
+
+        def check(ref, cand):
+            cost = np.abs(ref[:, None] - cand[None, :])
+            assert np.array_equal(match_branches(ref, cand), linear_sum_assignment(cost)[1])
+
+        for n in (2, 3):
+            for _ in range(500):
+                check(rng.normal(size=n) + 1j * rng.normal(size=n),
+                      rng.normal(size=n) + 1j * rng.normal(size=n))
+        # exact ties in the total cost: real integer points, many coincident
+        for _ in range(2000):
+            check(*rng.integers(0, 4, size=(2, 2)).astype(complex))
+        # cost [[a, b], [a, b]] with b < a: the first row takes its cheaper
+        # candidate
+        check(np.zeros(2, dtype=complex), np.array([3.0 + 0j, 1.0 + 0j]))
+        # at the EP (gamma_tip = 8.9) the closed-form pair is exactly
+        # degenerate, so both assignments of the numeric pair cost the same
+        p = params(gamma_tip=8.9)
+        ref = one_photon_eigensystem_closed(p).eigenvalues
+        lam = np.linalg.eigvals(one_photon_matrix(p))
+        cost = np.abs(ref[:, None] - lam[None, :])
+        assert cost[0, 0] + cost[1, 1] == cost[0, 1] + cost[1, 0]
+        check(ref, lam)
