@@ -176,6 +176,7 @@ def _run_sweep_loss(rc: RunConfig, args) -> int:
     path = rc.path(rc.preset_cfg.get("dataset", "sweep_loss.csv"))
     table.to_csv(path)
     written = [str(path)]
+    failures = list(table.failures)
 
     if rc.preset_cfg.get("emit_fixed_delta_twin") and rc.protocol == "track_upper_branch":
         # same sweep under a frozen detuning (the tracked value at gamma_tip = 0)
@@ -186,7 +187,11 @@ def _run_sweep_loss(rc: RunConfig, args) -> int:
         twin_path = companion_path(path, "_fixed_delta.csv")
         twin.to_csv(twin_path)
         written.append(twin_path)
+        failures += twin.failures
 
+    for gt, error, message in failures:
+        print(f"sweep-loss: lindblad point gamma_tip={gt!r} failed: {error}: {message}",
+              file=sys.stderr)
     print(f"sweep-loss: {len(table.rows)} rows -> {', '.join(written)}")
     return 0
 

@@ -7,9 +7,12 @@ configuration reproduces byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
-from dataclasses import asdict, dataclass
+import os
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .liouvillian import (
     DegenerateSteadyStateError,
     LepNotFoundError,
     build_liouvillian,
+    check_size,
     lep_locate,
     steady_state,
 )
@@ -56,6 +60,9 @@ __all__ = [
 BACKENDS = ("analytic", "lindblad")
 DEFAULT_CUTOFF = (5, 5)
 REFINE_TOL = 1e-3  # gamma_tip critical points resolved to 1e-3 * gamma_1'
+# the sweep's Lindblad columns hold populations up to three photons per mode
+MIN_SWEEP_CUTOFF = 3
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def companion_path(path, suffix: str) -> str:
@@ -112,11 +119,16 @@ def loss_point(p: SystemParams, gamma_tip: float, protocol="track_upper_branch")
 
 @dataclass
 class SweepTable:
-    """One row per sweep point plus a provenance block."""
+    """One row per sweep point plus a provenance block.
+
+    ``failures`` holds (gamma_tip, exception class, message) for each
+    Lindblad point whose row was blanked; it is not written to the dataset.
+    """
 
     columns: list[str]
     rows: list[dict]
     provenance: dict
+    failures: list[tuple[float, str, str]] = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([row[name] for row in self.rows], dtype=float)
@@ -158,46 +170,65 @@ def _sweep_columns(backends) -> list[str]:
 
 def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
                backends=BACKENDS, cutoff=DEFAULT_CUTOFF,
-               provenance_extra: dict | None = None) -> SweepTable:
+               provenance_extra: dict | None = None, *,
+               workers: int | None = None) -> SweepTable:
     """Evaluate all observables over an ascending gamma_tip grid.
 
-    The detuning is resolved per point by the protocol; a backend failure
-    at a point marks the row and the sweep continues.
+    The detuning is resolved per point by the protocol. Lindblad points are
+    solved in ``workers`` spawned processes (default: the CPUs this process
+    may run on, at most one per point) whose BLAS is pinned to one thread,
+    and gathered in grid order, so the rows do not depend on the worker or
+    the caller's thread count. A script that calls this with the Lindblad
+    backend therefore needs an ``if __name__ == "__main__":`` guard.
+
+    A degenerate or invalid steady state blanks its row, is listed in
+    ``failures`` and the sweep continues; any other exception in a worker
+    propagates with its type and message. A cutoff below
+    ``MIN_SWEEP_CUTOFF`` or a basis over the size cap fails the whole sweep
+    before any point is solved.
     """
     gts = np.asarray(gamma_tip_grid, dtype=float)
+    if gts.size == 0:
+        raise ValueError("gamma_tip grid must be nonempty")
     if np.any(np.diff(gts) <= 0):
         raise ValueError("gamma_tip grid must be strictly ascending")
     for bk in backends:
         if bk not in BACKENDS:
             raise ValueError(f"unknown backend {bk!r}")
 
-    basis = build_basis(per_mode=cutoff) if "lindblad" in backends else None
+    points = [loss_point(p, gt, protocol) for gt in gts]
     rows = []
-    for gt in gts:
-        pg = loss_point(p, gt, protocol)
+    for gt, pg in zip(gts, points):
         eig = one_photon_eigensystem_closed(pg)
-        row = {
+        rows.append({
             "gamma_tip": float(gt),
             "delta_used": pg.delta,
             "omega_plus": float(eig.omega[0]),
             "omega_minus": float(eig.omega[1]),
             "kappa_plus": float(eig.kappa[0]),
             "kappa_minus": float(eig.kappa[1]),
-        }
-        if "lindblad" in backends:
-            # built outside the try: a basis over the size cap fails the
-            # whole sweep instead of blanking every row
-            sop = build_liouvillian(pg, basis)
-            try:
-                stats = photon_statistics(steady_state(sop))
-                row.update(lindblad_n1=stats.n1, lindblad_n2=stats.n2,
-                           lindblad_g2=stats.g2, lindblad_g3=stats.g3)
-                row.update({f"lindblad_p{m}{n}": stats.p_mn[(m, n)]
-                            for m, n in AMPLITUDE_STATES})
-                row["lindblad_failed"] = 0
-            except (DegenerateSteadyStateError, ValueError):
-                row["lindblad_failed"] = 1
-        rows.append(row)
+        })
+    failures = []
+    if "lindblad" in backends:
+        if min(cutoff) < MIN_SWEEP_CUTOFF:
+            raise ValueError(
+                f"a Lindblad sweep needs a cutoff of at least {MIN_SWEEP_CUTOFF} "
+                f"per mode (its columns hold three-photon populations), got "
+                f"{tuple(cutoff)}")
+        check_size(build_basis(per_mode=cutoff))
+        # imported here: the analytic subcommands never start a pool
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        if workers is None:
+            workers = min(len(os.sched_getaffinity(0)), len(points))
+        with _one_blas_thread(), ProcessPoolExecutor(
+                workers, mp_context=get_context("spawn")) as pool:
+            solved = list(pool.map(_lindblad_point, points, itertools.repeat(tuple(cutoff))))
+        for row, (columns, failure) in zip(rows, solved):
+            row.update(columns)
+            if failure:
+                failures.append((row["gamma_tip"], *failure))
     if "analytic" in backends:
         _fill_analytic(rows, p, gts)
 
@@ -215,7 +246,45 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
     if provenance_extra:
         provenance.update(provenance_extra)
     return SweepTable(columns=_sweep_columns(backends), rows=rows,
-                      provenance=provenance)
+                      provenance=provenance, failures=failures)
+
+
+def _lindblad_point(pg: SystemParams, cutoff) -> tuple[dict, tuple[str, str] | None]:
+    """Lindblad columns of one sweep row, and (class, message) if it failed.
+
+    Only a degenerate or invalid steady state blanks the row; the generator
+    is built outside the ``try``, and any other exception propagates.
+    """
+    sop = build_liouvillian(pg, build_basis(per_mode=cutoff))
+    try:
+        stats = photon_statistics(steady_state(sop))
+    except (DegenerateSteadyStateError, ValueError) as exc:
+        return {"lindblad_failed": 1}, (type(exc).__name__, str(exc))
+    columns = {"lindblad_n1": stats.n1, "lindblad_n2": stats.n2,
+               "lindblad_g2": stats.g2, "lindblad_g3": stats.g3}
+    columns.update({f"lindblad_p{m}{n}": stats.p_mn[(m, n)] for m, n in AMPLITUDE_STATES})
+    columns["lindblad_failed"] = 0
+    return columns, None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin the BLAS thread variables to 1 in ``os.environ`` for the block.
+
+    Processes started inside it load their BLAS single-threaded. On exit
+    every variable gets its previous value back, or is removed again if it
+    was unset.
+    """
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def _fill_analytic(rows: list[dict], p: SystemParams, gts: np.ndarray) -> None:

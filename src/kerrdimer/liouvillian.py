@@ -30,6 +30,7 @@ __all__ = [
     "LepNotFoundError",
     "vec",
     "unvec",
+    "check_size",
     "build_liouvillian",
     "steady_state",
     "coherence_sector_pair",
@@ -157,6 +158,14 @@ def _dissipators(basis: FockBasis) -> tuple[sparse.csr_matrix, sparse.csr_matrix
     return tuple(out)
 
 
+def check_size(basis: FockBasis, max_dim: int = MAX_HILBERT_DIM) -> None:
+    """Raise ResourceLimitError when the basis is over the superoperator cap."""
+    if basis.size > max_dim:
+        raise ResourceLimitError(
+            f"basis size {basis.size} exceeds the superoperator cap {max_dim}"
+        )
+
+
 def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True,
                       max_dim: int = MAX_HILBERT_DIM) -> Superoperator:
     """Lindblad generator L rho = -i[H, rho] + sum_j gamma_j' D[a_j] rho.
@@ -164,11 +173,8 @@ def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True,
     driven=True uses the rotating-frame driven Hamiltonian; driven=False the
     lab-frame isolated one (the generator used for the LEP analysis).
     """
+    check_size(basis, max_dim)
     d = basis.size
-    if d > max_dim:
-        raise ResourceLimitError(
-            f"basis size {d} exceeds the superoperator cap {max_dim}"
-        )
     h = build_hamiltonian(p, basis, "rotating_driven" if driven else "isolated").data
     # assembled through sparse Kronecker products (the factors are nearly
     # diagonal) and kept in CSR form

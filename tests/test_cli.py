@@ -50,6 +50,31 @@ class TestDispatch:
             assert "configuration error" in err
             assert not any((tmp_path / command).iterdir())
 
+    def test_lindblad_cutoff_below_three_config_error(self, tmp_path, capsys):
+        for cutoff in ("2,2", "1,1", "3,2"):
+            code, _, err = run(capsys, "sweep-loss", "--backend", "both",
+                               "--cutoff", cutoff, "--gamma-tip-grid", "0:12:5",
+                               "--output-dir", str(tmp_path))
+            assert code == 2
+            assert "configuration error" in err
+            assert "cutoff of at least 3 per mode" in err
+            assert not any(tmp_path.iterdir())
+
+    def test_failed_lindblad_points_reported(self, tmp_path, capsys):
+        # no loss at gamma_tip = 0: a degenerate steady state, one stderr line
+        code, out, err = run(capsys, "sweep-loss", "--backend", "lindblad",
+                             "--set", "gamma_1=0", "--set", "gamma_ex=0",
+                             "--set", "gamma_2=0", "--protocol", "fixed:0",
+                             "--gamma-tip-grid", "0:2:3", "--cutoff", "3,3",
+                             "--output-dir", str(tmp_path))
+        assert code == 0
+        assert err.splitlines() == [
+            "sweep-loss: lindblad point gamma_tip=0.0 failed: DegenerateSteadyStateError: "
+            "steady state is not unique: two trace-normalized null vectors differ"]
+        assert "DegenerateSteadyStateError" not in out
+        rows = (tmp_path / "fig2ab.csv").read_text().splitlines()
+        assert [r.split(",")[-1] for r in rows] == ["lindblad_failed", "1", "0", "0"]
+
     def test_singular_point_is_numerical_error(self, tmp_path, capsys, monkeypatch):
         from kerrdimer import cli
         from kerrdimer.analytic import SingularParameterError
@@ -204,6 +229,20 @@ class TestExperimentCommands:
                             "--output-dir", str(tmp_path / threads)],
                            env=env, check=True, capture_output=True, timeout=300)
         for name in ("lep.csv", "lep.provenance.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_sweep_independent_of_blas_threads(self, tmp_path):
+        # the Lindblad points are solved in one-BLAS-thread workers, so the
+        # caller's thread count cannot reach the lindblad_* columns
+        src = str(Path(kerrdimer.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run([sys.executable, "-m", "kerrdimer.cli", "sweep-loss",
+                            "--backend", "both", "--gamma-tip-grid", "0:12:9",
+                            "--output-dir", str(tmp_path / threads)],
+                           env=env, check=True, capture_output=True, timeout=300)
+        for name in ("fig2ab.csv", "fig2ab.provenance.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_spectrum_map_independent_of_blas_threads(self, tmp_path):

@@ -1,4 +1,7 @@
 import json
+import multiprocessing
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -24,6 +27,17 @@ def params(**kw):
                     gamma_2=0.1, gamma_tip=0.0, omega_drive_amp=0.01)
     defaults.update(kw)
     return SystemParams(**defaults)
+
+
+@dataclass(frozen=True)
+class FaultyInWorker(SystemParams):
+    """Parameters whose generator cannot be built in a spawned worker."""
+
+    @property
+    def gamma2_prime(self) -> float:
+        if multiprocessing.parent_process() is not None:
+            raise LookupError("no generator in a worker")
+        return self.gamma_2 + self.gamma_tip
 
 
 def synthetic_table(gts, n1, g2):
@@ -86,24 +100,66 @@ class TestSweepLoss:
             sweep_loss(params(), [1.0, 0.5], backends=("analytic",))
 
     def test_only_numerical_failures_blank_a_row(self, monkeypatch):
-        # a degenerate steady state is a failed point; any other
-        # RuntimeError is a fault and must propagate
-        grid = [0.0, 4.0]
-        cutoff = (1, 1)
+        # a degenerate steady state is a failed point that carries its
+        # reason; any other RuntimeError is a fault and must propagate. A
+        # monkeypatch does not reach the spawned workers, so this drives the
+        # per-point function they run.
+        pg = params(gamma_tip=4.0)
+        cutoff = (3, 3)
 
         def degenerate(sop):
             raise DegenerateSteadyStateError("two null vectors")
 
         monkeypatch.setattr(experiments, "steady_state", degenerate)
-        table = sweep_loss(params(), grid, backends=("lindblad",), cutoff=cutoff)
-        assert [r["lindblad_failed"] for r in table.rows] == [1, 1]
+        assert experiments._lindblad_point(pg, cutoff) == (
+            {"lindblad_failed": 1}, ("DegenerateSteadyStateError", "two null vectors"))
 
         def broken(sop):
             raise RuntimeError("not a numerical failure")
 
         monkeypatch.setattr(experiments, "steady_state", broken)
         with pytest.raises(RuntimeError, match="not a numerical failure"):
-            sweep_loss(params(), grid, backends=("lindblad",), cutoff=cutoff)
+            experiments._lindblad_point(pg, cutoff)
+
+    def test_worker_exception_propagates(self):
+        p = FaultyInWorker(**vars(params()))
+        with pytest.raises(LookupError, match="no generator in a worker"):
+            sweep_loss(p, [0.0, 4.0], backends=("lindblad",), cutoff=(3, 3), workers=2)
+
+    def test_degenerate_point_is_listed(self):
+        # no loss anywhere at gamma_tip = 0: the null space is not unique
+        p = params(gamma_1=0.0, gamma_ex=0.0, gamma_2=0.0)
+        table = sweep_loss(p, [0.0, 1.0], protocol=("fixed", 0.0),
+                           backends=("lindblad",), cutoff=(3, 3))
+        assert [r["lindblad_failed"] for r in table.rows] == [1, 0]
+        assert table.failures == [(0.0, "DegenerateSteadyStateError", "steady state is "
+                                   "not unique: two trace-normalized null vectors differ")]
+
+    @pytest.mark.parametrize("cutoff", [(2, 2), (1, 1), (3, 2), (2, 5)])
+    def test_lindblad_cutoff_below_three_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff of at least 3 per mode"):
+            sweep_loss(params(), [0.0, 4.0], backends=("lindblad",), cutoff=cutoff)
+        # the analytic backend has no basis and takes any cutoff
+        sweep_loss(params(), [0.0, 4.0], backends=("analytic",), cutoff=cutoff)
+
+    def test_rows_independent_of_worker_count(self):
+        grid = np.linspace(0.0, 12.0, 7)
+        one = sweep_loss(params(), grid, cutoff=(3, 3), workers=1)
+        two = sweep_loss(params(), grid, cutoff=(3, 3), workers=2)
+        assert one.rows == two.rows
+        assert one.provenance == two.provenance
+
+    def test_environment_restored_after_sweep(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("MKL_NUM_THREADS", "")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        with experiments._one_blas_thread():
+            assert all(os.environ[name] == "1" for name in experiments.BLAS_THREAD_VARS)
+        assert dict(os.environ) == before
+        sweep_loss(params(), [0.0, 4.0], backends=("lindblad",), cutoff=(3, 3))
+        assert dict(os.environ) == before
+        assert "OMP_NUM_THREADS" not in os.environ
 
     def test_analytic_columns_match_scalar_path(self):
         # eta1 = D1*D2 - J^2 vanishes at gamma_tip = 0: delta = J, nearly lossless modes
