@@ -24,7 +24,7 @@ from .analytic import (
     analytic_observables,
     steady_amplitudes,
 )
-from .hilbert import build_basis
+from .hilbert import FockBasis, build_basis
 from .liouvillian import (
     DegenerateSteadyStateError,
     LepNotFoundError,
@@ -60,8 +60,6 @@ __all__ = [
 BACKENDS = ("analytic", "lindblad")
 DEFAULT_CUTOFF = (5, 5)
 REFINE_TOL = 1e-3  # gamma_tip critical points resolved to 1e-3 * gamma_1'
-# the sweep's Lindblad columns hold populations up to three photons per mode
-MIN_SWEEP_CUTOFF = 3
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -170,22 +168,22 @@ def _sweep_columns(backends) -> list[str]:
 
 def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
                backends=BACKENDS, cutoff=DEFAULT_CUTOFF,
-               provenance_extra: dict | None = None, *,
-               workers: int | None = None) -> SweepTable:
+               provenance_extra: dict | None = None) -> SweepTable:
     """Evaluate all observables over an ascending gamma_tip grid.
 
     The detuning is resolved per point by the protocol. Lindblad points are
-    solved in ``workers`` spawned processes (default: the CPUs this process
-    may run on, at most one per point) whose BLAS is pinned to one thread,
-    and gathered in grid order, so the rows do not depend on the worker or
-    the caller's thread count. A script that calls this with the Lindblad
-    backend therefore needs an ``if __name__ == "__main__":`` guard.
+    solved in spawned processes (one per CPU this process may run on, at
+    most one per point) whose BLAS is pinned to one thread, and gathered in
+    grid order, so the rows do not depend on the worker count or, for a BLAS
+    that reads the pinned variables, on the caller's thread count. A script
+    that calls this with the Lindblad backend therefore needs an
+    ``if __name__ == "__main__":`` guard.
 
     A degenerate or invalid steady state blanks its row, is listed in
     ``failures`` and the sweep continues; any other exception in a worker
-    propagates with its type and message. A cutoff below
-    ``MIN_SWEEP_CUTOFF`` or a basis over the size cap fails the whole sweep
-    before any point is solved.
+    propagates with its type and message. A basis that lacks one of the
+    reported populations (``AMPLITUDE_STATES``) or is over the size cap
+    fails the whole sweep before any point is solved.
     """
     gts = np.asarray(gamma_tip_grid, dtype=float)
     if gts.size == 0:
@@ -210,21 +208,22 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
         })
     failures = []
     if "lindblad" in backends:
-        if min(cutoff) < MIN_SWEEP_CUTOFF:
+        basis = build_basis(per_mode=cutoff)
+        missing = [state for state in AMPLITUDE_STATES if state not in basis]
+        if missing:
             raise ValueError(
-                f"a Lindblad sweep needs a cutoff of at least {MIN_SWEEP_CUTOFF} "
-                f"per mode (its columns hold three-photon populations), got "
-                f"{tuple(cutoff)}")
-        check_size(build_basis(per_mode=cutoff))
+                f"a Lindblad sweep needs a cutoff of at least "
+                f"{max(map(max, AMPLITUDE_STATES))} per mode: cutoff {tuple(cutoff)} "
+                f"lacks the reported populations {missing}")
+        check_size(basis)
         # imported here: the analytic subcommands never start a pool
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        if workers is None:
-            workers = min(len(os.sched_getaffinity(0)), len(points))
+        workers = min(len(os.sched_getaffinity(0)), len(points))
         with _one_blas_thread(), ProcessPoolExecutor(
                 workers, mp_context=get_context("spawn")) as pool:
-            solved = list(pool.map(_lindblad_point, points, itertools.repeat(tuple(cutoff))))
+            solved = list(pool.map(_lindblad_point, points, itertools.repeat(basis)))
         for row, (columns, failure) in zip(rows, solved):
             row.update(columns)
             if failure:
@@ -249,13 +248,13 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
                       provenance=provenance, failures=failures)
 
 
-def _lindblad_point(pg: SystemParams, cutoff) -> tuple[dict, tuple[str, str] | None]:
+def _lindblad_point(pg: SystemParams, basis: FockBasis) -> tuple[dict, tuple[str, str] | None]:
     """Lindblad columns of one sweep row, and (class, message) if it failed.
 
     Only a degenerate or invalid steady state blanks the row; the generator
     is built outside the ``try``, and any other exception propagates.
     """
-    sop = build_liouvillian(pg, build_basis(per_mode=cutoff))
+    sop = build_liouvillian(pg, basis)
     try:
         stats = photon_statistics(steady_state(sop))
     except (DegenerateSteadyStateError, ValueError) as exc:

@@ -17,6 +17,7 @@ from kerrdimer.experiments import (
     sweep_loss,
     write_csv,
 )
+from kerrdimer.hilbert import build_basis
 from kerrdimer.liouvillian import DegenerateSteadyStateError
 from kerrdimer.model import SystemParams
 from kerrdimer.spectral import hep_location
@@ -105,13 +106,13 @@ class TestSweepLoss:
         # monkeypatch does not reach the spawned workers, so this drives the
         # per-point function they run.
         pg = params(gamma_tip=4.0)
-        cutoff = (3, 3)
+        basis = build_basis(per_mode=(3, 3))
 
         def degenerate(sop):
             raise DegenerateSteadyStateError("two null vectors")
 
         monkeypatch.setattr(experiments, "steady_state", degenerate)
-        assert experiments._lindblad_point(pg, cutoff) == (
+        assert experiments._lindblad_point(pg, basis) == (
             {"lindblad_failed": 1}, ("DegenerateSteadyStateError", "two null vectors"))
 
         def broken(sop):
@@ -119,12 +120,12 @@ class TestSweepLoss:
 
         monkeypatch.setattr(experiments, "steady_state", broken)
         with pytest.raises(RuntimeError, match="not a numerical failure"):
-            experiments._lindblad_point(pg, cutoff)
+            experiments._lindblad_point(pg, basis)
 
     def test_worker_exception_propagates(self):
         p = FaultyInWorker(**vars(params()))
         with pytest.raises(LookupError, match="no generator in a worker"):
-            sweep_loss(p, [0.0, 4.0], backends=("lindblad",), cutoff=(3, 3), workers=2)
+            sweep_loss(p, [0.0, 4.0], backends=("lindblad",), cutoff=(3, 3))
 
     def test_degenerate_point_is_listed(self):
         # no loss anywhere at gamma_tip = 0: the null space is not unique
@@ -142,10 +143,14 @@ class TestSweepLoss:
         # the analytic backend has no basis and takes any cutoff
         sweep_loss(params(), [0.0, 4.0], backends=("analytic",), cutoff=cutoff)
 
-    def test_rows_independent_of_worker_count(self):
+    def test_rows_independent_of_worker_count(self, monkeypatch):
+        # the worker count is one per CPU the parent may run on
         grid = np.linspace(0.0, 12.0, 7)
-        one = sweep_loss(params(), grid, cutoff=(3, 3), workers=1)
-        two = sweep_loss(params(), grid, cutoff=(3, 3), workers=2)
+        tables = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            tables.append(sweep_loss(params(), grid, cutoff=(3, 3)))
+        one, two = tables
         assert one.rows == two.rows
         assert one.provenance == two.provenance
 
