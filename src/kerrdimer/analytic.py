@@ -208,15 +208,14 @@ def _warn_strong_drive(p: SystemParams) -> None:
         )
 
 
-def steady_amplitudes(p: SystemParams, *, warn_strong_drive: bool = True) -> AmplitudeSet:
+def steady_amplitudes(p: SystemParams) -> AmplitudeSet:
     """Closed-form steady amplitudes for the weak-drive regime.
 
     Raises SingularParameterError naming the vanishing denominator (eta1,
     eta2 or mu) instead of regularizing; warns when Omega exceeds a tenth
     of gamma_1', where the perturbative ladder starts to degrade.
     """
-    if warn_strong_drive:
-        _warn_strong_drive(p)
+    _warn_strong_drive(p)
     t = _intermediates(p, p.delta, p.gamma2_prime)
     for name, value, singular in _singular_factors(p, t, p.delta, p.gamma2_prime):
         if singular:

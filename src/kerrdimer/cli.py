@@ -29,6 +29,7 @@ from .experiments import (
 )
 from .hilbert import build_basis
 from .liouvillian import (
+    DEFAULT_CUTOFF,
     DegenerateSteadyStateError,
     LepNotFoundError,
     NumericalFailureError,
@@ -37,7 +38,7 @@ from .liouvillian import (
     lep_locate,
     steady_state,
 )
-from .model import SystemParams, apply_overrides, preset, si_reference_rates
+from .model import SystemParams, preset, si_reference_rates
 from .observables import excitation_spectrum, photon_statistics, poisson_comparison
 from .spectral import branch_sweep, hep_location, localization, subspace_eigensystem_numeric
 from .validation import run_validation
@@ -60,6 +61,16 @@ def _parse_grid(spec: str) -> np.ndarray:
     if grid.size == 0:
         raise ValueError(f"grid must be start:stop:num with num >= 1, got {spec!r}")
     return grid
+
+
+def _parse_cutoff(spec: str) -> tuple[int, int]:
+    try:
+        cutoff = tuple(int(x) for x in spec.split(","))
+    except ValueError:
+        cutoff = ()
+    if len(cutoff) != 2 or min(cutoff) < 0:
+        raise ValueError(f"cutoff must be N1,N2 with integers N1, N2 >= 0, got {spec!r}")
+    return cutoff
 
 
 @dataclass
@@ -152,7 +163,7 @@ def _build_config(args) -> RunConfig:
         params = _si_params(params, args)
         rate_scale = params.gamma1_prime
     if overrides:
-        params = apply_overrides(params, overrides)
+        params = params.with_(**overrides)
         print("overrides applied:", ", ".join(f"{k}={v}" for k, v in sorted(overrides.items())))
 
     return RunConfig(
@@ -161,7 +172,7 @@ def _build_config(args) -> RunConfig:
         output_name=args.output,
         protocol=parse_protocol(args.protocol or cfg.get("protocol", "track_upper_branch")),
         backends=("analytic", "lindblad") if args.backend == "both" else (args.backend,),
-        cutoff=tuple(int(x) for x in args.cutoff.split(",")),
+        cutoff=_parse_cutoff(args.cutoff),
         overrides=overrides, rate_scale=rate_scale,
     )
 
@@ -240,7 +251,8 @@ def _run_spectrum(rc: RunConfig, args) -> int:
 def _run_spectrum_map(rc: RunConfig, args) -> int:
     gts = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:61")
     deltas = rc.grid(args.delta_grid, "delta_grid", "-4:4:201")
-    smap = spectrum_map(rc.params, gts, deltas, backend=rc.backends[0])
+    smap = spectrum_map(rc.params, gts, deltas, backend=rc.backends[0], cutoff=rc.cutoff)
+    smap.provenance.update(rc.provenance())
     path = rc.path("fig2c_map.csv")
     smap.to_csv(path)
     peaks_path = companion_path(path, "_peaks.csv")
@@ -407,7 +419,7 @@ def _common_parser(backend: str) -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="dataset filename override")
     common.add_argument("--backend", choices=("both", "analytic", "lindblad"),
                         default=backend)
-    common.add_argument("--cutoff", default="5,5",
+    common.add_argument("--cutoff", default=",".join(map(str, DEFAULT_CUTOFF)),
                         help="per-mode Fock cutoffs n1,n2 for master-equation solves")
     common.add_argument("--protocol", default=None,
                         help="detuning protocol: 'track' or 'fixed:VALUE'")

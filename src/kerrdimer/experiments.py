@@ -26,6 +26,7 @@ from .analytic import (
 )
 from .hilbert import FockBasis, build_basis
 from .liouvillian import (
+    DEFAULT_CUTOFF,
     DegenerateSteadyStateError,
     LepNotFoundError,
     build_liouvillian,
@@ -58,9 +59,11 @@ __all__ = [
 ]
 
 BACKENDS = ("analytic", "lindblad")
-DEFAULT_CUTOFF = (5, 5)
 REFINE_TOL = 1e-3  # gamma_tip critical points resolved to 1e-3 * gamma_1'
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# ep_agreement searches each LEP on LEP_GRID points within LEP_HALFWIDTH of the HEP
+LEP_HALFWIDTH = 1.0
+LEP_GRID = 21
 
 
 def companion_path(path, suffix: str) -> str:
@@ -397,8 +400,11 @@ class SpectrumMap:
 
 
 def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
-                 backend: str = "analytic") -> SpectrumMap:
-    """Excitation-spectrum map with peak positions and branch overlay."""
+                 backend: str = "analytic", cutoff=DEFAULT_CUTOFF) -> SpectrumMap:
+    """Excitation-spectrum map with peak positions and branch overlay.
+
+    ``cutoff`` is the per-mode Fock cutoff of the 'lindblad' backend.
+    """
     gts = np.asarray(gamma_tip_grid, dtype=float)
     deltas = np.asarray(delta_grid, dtype=float)
     if gts.size == 0 or deltas.size == 0:
@@ -408,7 +414,7 @@ def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
     peak_rows = []
     for i, gt in enumerate(gts):
         pg = p.with_(gamma_tip=float(gt))
-        spec = excitation_spectrum(pg, deltas, backend=backend)
+        spec = excitation_spectrum(pg, deltas, backend=backend, cutoff=cutoff)
         s1[i] = spec.s1
         eig = one_photon_eigensystem_closed(pg)
         peak_rows.append({
@@ -424,6 +430,7 @@ def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
         "experiment": "spectrum_map",
         "params": asdict(p),
         "backend": backend,
+        "cutoff": list(cutoff),
         "gamma_tip_grid": {"start": float(gts[0]), "stop": float(gts[-1]),
                            "num": int(len(gts))},
         "delta_grid": {"start": float(deltas[0]), "stop": float(deltas[-1]),
@@ -434,8 +441,7 @@ def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
                        peak_rows=peak_rows, provenance=provenance)
 
 
-def ep_agreement(p: SystemParams, j_grid, *, lep_halfwidth: float = 1.0,
-                 lep_grid: int = 21) -> list[dict]:
+def ep_agreement(p: SystemParams, j_grid) -> list[dict]:
     """Hamiltonian vs Liouvillian EP location per coupling strength.
 
     Rows carry the closed-form HEP, the located LEP and their relative
@@ -451,8 +457,8 @@ def ep_agreement(p: SystemParams, j_grid, *, lep_halfwidth: float = 1.0,
         row = {"J": float(j), "hep": hep, "lep": None, "rel_discrepancy": None,
                "found": 0}
         try:
-            res = lep_locate(pj, (max(hep - lep_halfwidth, 0.0), hep + lep_halfwidth),
-                             grid=lep_grid)
+            res = lep_locate(pj, (max(hep - LEP_HALFWIDTH, 0.0), hep + LEP_HALFWIDTH),
+                             grid=LEP_GRID)
             row.update(lep=res.gamma_tip,
                        rel_discrepancy=abs(res.gamma_tip - hep) / hep, found=1)
         except LepNotFoundError:

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "TotalTruncation",
-    "PerModeTruncation",
     "FockBasis",
     "ComplexOperator",
     "build_basis",
@@ -19,29 +16,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TotalTruncation:
-    """Keep every state with m + n <= n_max."""
-
-    n_max: int
-
-
-@dataclass(frozen=True)
-class PerModeTruncation:
-    """Keep every state with m <= n1_max and n <= n2_max."""
-
-    n1_max: int
-    n2_max: int
-
-
-@dataclass(frozen=True)
 class FockBasis:
-    """Ordered two-mode Fock basis |m, n> under a truncation rule.
+    """Ordered two-mode Fock basis |m, n>.
 
     States are sorted by ascending total excitation N = m + n, ties broken
     by ascending m, so serialized indices are stable across runs.
     """
 
-    truncation: TotalTruncation | PerModeTruncation
     states: tuple[tuple[int, int], ...]
     _index: dict[tuple[int, int], int] = field(repr=False, compare=False, hash=False, default=None)
 
@@ -57,10 +38,6 @@ class FockBasis:
 
     def __contains__(self, state: tuple[int, int]) -> bool:
         return state in self._index
-
-    def to_json(self) -> str:
-        """Canonical serialization: JSON array of [m, n] pairs in basis order."""
-        return json.dumps([[m, n] for m, n in self.states])
 
 
 @dataclass(frozen=True)
@@ -80,48 +57,40 @@ class ComplexOperator:
         object.__setattr__(self, "data", data)
 
 
-def build_basis(
-    truncation: TotalTruncation | PerModeTruncation | None = None,
-    *,
-    total: int | None = None,
-    per_mode: tuple[int, int] | None = None,
-) -> FockBasis:
+def build_basis(*, total: int | None = None,
+                per_mode: tuple[int, int] | None = None) -> FockBasis:
     """Enumerate the truncated two-mode Fock basis.
 
-    Either pass a truncation rule object, or use the ``total=N_max`` /
-    ``per_mode=(n1_max, n2_max)`` shorthands.
+    ``total=N_max`` keeps every state with m + n <= N_max;
+    ``per_mode=(n1_max, n2_max)`` keeps every state with m <= n1_max and
+    n <= n2_max. Exactly one of the two must be given.
     """
-    if truncation is None:
-        if (total is None) == (per_mode is None):
-            raise ValueError("specify exactly one of total= or per_mode=")
-        truncation = TotalTruncation(total) if total is not None else PerModeTruncation(*per_mode)
-
-    if isinstance(truncation, TotalTruncation):
-        if truncation.n_max < 0:
+    if (total is None) == (per_mode is None):
+        raise ValueError("specify exactly one of total= or per_mode=")
+    if total is not None:
+        if total < 0:
             raise ValueError("total truncation must be >= 0")
         states = [
             (m, n_tot - m)
-            for n_tot in range(truncation.n_max + 1)
+            for n_tot in range(total + 1)
             for m in range(n_tot + 1)
         ]
-    elif isinstance(truncation, PerModeTruncation):
-        if truncation.n1_max < 0 or truncation.n2_max < 0:
+    else:
+        n1_max, n2_max = per_mode
+        if n1_max < 0 or n2_max < 0:
             raise ValueError("per-mode truncation must be >= 0")
         states = [
             (m, n)
-            for m in range(truncation.n1_max + 1)
-            for n in range(truncation.n2_max + 1)
+            for m in range(n1_max + 1)
+            for n in range(n2_max + 1)
         ]
         states.sort(key=lambda mn: (mn[0] + mn[1], mn[0]))
-    else:
-        raise TypeError(f"unknown truncation rule: {truncation!r}")
-
-    return FockBasis(truncation=truncation, states=tuple(states))
+    return FockBasis(states=tuple(states))
 
 
 @functools.cache
 def mode_operator(basis: FockBasis, mode: int, kind: str) -> ComplexOperator:
-    """Ladder or number operator for one mode on the truncated basis.
+    """Annihilation or number operator for one mode on the truncated basis.
 
     Matrix elements follow <m-1, n| a_1 |m, n> = sqrt(m) (and the analogue
     for mode 2); transitions leaving the truncated basis are dropped, the
@@ -130,8 +99,8 @@ def mode_operator(basis: FockBasis, mode: int, kind: str) -> ComplexOperator:
     """
     if mode not in (1, 2):
         raise ValueError("mode must be 1 or 2")
-    if kind not in ("annihilate", "create", "number"):
-        raise ValueError("kind must be 'annihilate', 'create' or 'number'")
+    if kind not in ("annihilate", "number"):
+        raise ValueError("kind must be 'annihilate' or 'number'")
 
     d = basis.size
     a = np.zeros((d, d), dtype=complex)
@@ -141,10 +110,5 @@ def mode_operator(basis: FockBasis, mode: int, kind: str) -> ComplexOperator:
         if target in basis:
             a[basis.index_of(*target), j] = np.sqrt(amp)
 
-    if kind == "annihilate":
-        data = a
-    elif kind == "create":
-        data = a.conj().T
-    else:
-        data = a.conj().T @ a
+    data = a if kind == "annihilate" else a.conj().T @ a
     return ComplexOperator(basis, data)

@@ -40,6 +40,15 @@ __all__ = [
 # superoperators stay at most 4096 x 4096: the sparse LU of the bordered
 # system fills in to about 0.5 s per factor there
 MAX_HILBERT_DIM = 64
+# per-mode Fock cutoffs of the driven master-equation solves
+DEFAULT_CUTOFF = (5, 5)
+
+# LEP search: per-mode cutoff of the undriven generator, and the coalescence
+# criteria of the refined minimum (gap in units of gamma_1', eigenmatrix overlap)
+LEP_CUTOFF = (2, 2)
+LEP_GAP_THRESHOLD = 1e-3
+LEP_OVERLAP_THRESHOLD = 0.99
+LEP_TOL = 1e-9  # golden-section tolerance on gamma_tip
 
 
 class ResourceLimitError(RuntimeError):
@@ -72,7 +81,6 @@ class Superoperator:
 
     basis: FockBasis
     data: sparse.csr_matrix
-    driven: bool
 
     @property
     def dim(self) -> int:
@@ -158,22 +166,21 @@ def _dissipators(basis: FockBasis) -> tuple[sparse.csr_matrix, sparse.csr_matrix
     return tuple(out)
 
 
-def check_size(basis: FockBasis, max_dim: int = MAX_HILBERT_DIM) -> None:
+def check_size(basis: FockBasis) -> None:
     """Raise ResourceLimitError when the basis is over the superoperator cap."""
-    if basis.size > max_dim:
+    if basis.size > MAX_HILBERT_DIM:
         raise ResourceLimitError(
-            f"basis size {basis.size} exceeds the superoperator cap {max_dim}"
+            f"basis size {basis.size} exceeds the superoperator cap {MAX_HILBERT_DIM}"
         )
 
 
-def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True,
-                      max_dim: int = MAX_HILBERT_DIM) -> Superoperator:
+def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True) -> Superoperator:
     """Lindblad generator L rho = -i[H, rho] + sum_j gamma_j' D[a_j] rho.
 
     driven=True uses the rotating-frame driven Hamiltonian; driven=False the
     lab-frame isolated one (the generator used for the LEP analysis).
     """
-    check_size(basis, max_dim)
+    check_size(basis)
     d = basis.size
     h = build_hamiltonian(p, basis, "rotating_driven" if driven else "isolated").data
     # assembled through sparse Kronecker products (the factors are nearly
@@ -183,7 +190,7 @@ def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True,
     d1, d2 = _dissipators(basis)
     lind = (-1j * (sparse.kron(eye, hs) - sparse.kron(hs.T, eye))
             + p.gamma1_prime * d1 + p.gamma2_prime * d2)
-    return Superoperator(basis=basis, data=lind.tocsr(), driven=driven)
+    return Superoperator(basis=basis, data=lind.tocsr())
 
 
 def _trace_row(d: int) -> np.ndarray:
@@ -312,20 +319,18 @@ def coherence_sector_pair(sop: Superoperator) -> LiouvillianSpectrum:
 
 
 def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
-               grid: int = 41, *, cutoff: tuple[int, int] = (2, 2),
-               gap_threshold: float = 1e-3, overlap_threshold: float = 0.99,
-               tol: float = 1e-9) -> LepResult:
+               grid: int = 41) -> LepResult:
     """Locate the Liouvillian EP as the gap minimum of the tracked pair.
 
     Scans the undriven lab-frame generator over gamma_tip, requires an
     interior gap minimum, refines it by golden-section search, and checks
-    the coalescence diagnostics (gap below ``gap_threshold`` in units of
-    gamma_1', eigenmatrix overlap above ``overlap_threshold``).
+    the coalescence diagnostics (gap below ``LEP_GAP_THRESHOLD`` in units of
+    gamma_1', eigenmatrix overlap above ``LEP_OVERLAP_THRESHOLD``).
     """
     lo, hi = gamma_tip_range
     if not lo < hi:
         raise ValueError("gamma_tip_range must be increasing")
-    basis = build_basis(per_mode=cutoff)
+    basis = build_basis(per_mode=LEP_CUTOFF)
 
     def pair_at(gt: float) -> LiouvillianSpectrum:
         sop = build_liouvillian(p.with_(gamma_tip=gt), basis, driven=False)
@@ -355,10 +360,10 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
             f"no interior gap minimum in gamma_tip range [{lo}, {hi}]"
         )
     res = golden_section_minimize(
-        lambda gt: pair_at(gt).gap, float(gts[imin - 1]), float(gts[imin + 1]), tol=tol
+        lambda gt: pair_at(gt).gap, float(gts[imin - 1]), float(gts[imin + 1]), tol=LEP_TOL
     )
     best = pair_at(res.x)
-    if best.gap > gap_threshold * p.gamma1_prime or best.overlap < overlap_threshold:
+    if best.gap > LEP_GAP_THRESHOLD * p.gamma1_prime or best.overlap < LEP_OVERLAP_THRESHOLD:
         raise LepNotFoundError(
             f"gap minimum at gamma_tip = {res.x:.6f} fails the coalescence "
             f"criteria (gap {best.gap:.3e}, overlap {best.overlap:.6f})"

@@ -26,8 +26,6 @@ __all__ = [
     "build_hamiltonian",
     "preset",
     "preset_names",
-    "load_params",
-    "apply_overrides",
     "si_reference_rates",
     "CHI_SI_REFERENCE",
 ]
@@ -35,7 +33,6 @@ __all__ = [
 HAMILTONIAN_VARIANTS = (
     "isolated",
     "rotating_driven",
-    "effective_nonhermitian",
     "excitation_conserving_nonhermitian",
 )
 
@@ -135,14 +132,12 @@ def derived_rates(p: SystemParams) -> DerivedRates:
 
 
 def build_hamiltonian(p: SystemParams, basis: FockBasis, variant: str) -> ComplexOperator:
-    """Assemble one of the four Hamiltonian variants on the given basis.
+    """Assemble one of the three Hamiltonian variants on the given basis.
 
     isolated:
         omega_c*(n1+n2) + chi*a1'a1'a1 a1 + J*(a1'a2 + a2'a1), Hermitian.
     rotating_driven:
         same with delta replacing omega_c, plus the drive Omega*(a1' + a1).
-    effective_nonhermitian:
-        rotating_driven - i*sum_j (gamma_j'/2)*n_j.
     excitation_conserving_nonhermitian:
         isolated - i*sum_j (gamma_j'/2)*n_j (lab frame, undriven).
     """
@@ -156,21 +151,21 @@ def build_hamiltonian(p: SystemParams, basis: FockBasis, variant: str) -> Comple
     kerr = a1.conj().T @ a1.conj().T @ a1 @ a1
     hop = a1.conj().T @ a2 + a2.conj().T @ a1
 
-    freq = p.omega_c if variant in ("isolated", "excitation_conserving_nonhermitian") else p.delta
+    freq = p.delta if variant == "rotating_driven" else p.omega_c
     h = freq * (n1 + n2) + p.chi * kerr + p.J * hop
 
-    if variant == "rotating_driven" or variant == "effective_nonhermitian":
+    if variant == "rotating_driven":
         drive = p.omega_drive_amp * np.exp(1j * p.drive_phase)
         h = h + drive * a1.conj().T + np.conj(drive) * a1
 
-    if variant in ("effective_nonhermitian", "excitation_conserving_nonhermitian"):
+    if variant == "excitation_conserving_nonhermitian":
         h = h - 0.5j * (p.gamma1_prime * n1 + p.gamma2_prime * n2)
 
     return ComplexOperator(basis, h)
 
 
 # ---------------------------------------------------------------------------
-# presets and parameter files
+# presets
 
 def _params_from_dict(cfg: dict) -> SystemParams:
     fields = {
@@ -182,13 +177,6 @@ def _params_from_dict(cfg: dict) -> SystemParams:
         if k in cfg
     }
     return SystemParams(unit_system=cfg.get("unit_system", "normalized"), **fields)
-
-
-def load_params(path) -> tuple[SystemParams, dict]:
-    """Read a flat JSON parameter file; returns (params, full config dict)."""
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    return _params_from_dict(cfg.get("params", cfg)), cfg
 
 
 def preset(name: str) -> tuple[SystemParams, dict]:
@@ -204,11 +192,6 @@ def preset(name: str) -> tuple[SystemParams, dict]:
 def preset_names() -> list[str]:
     root = resources.files("kerrdimer").joinpath("presets")
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
-
-
-def apply_overrides(p: SystemParams, overrides: dict[str, float]) -> SystemParams:
-    """Apply key=value overrides (applied after preset load)."""
-    return p.with_(**overrides)
 
 
 def si_reference_rates(

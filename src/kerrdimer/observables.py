@@ -9,7 +9,7 @@ import numpy as np
 
 from .analytic import UNDEFINED_N1_FLOOR, amplitude_arrays, analytic_observables
 from .hilbert import build_basis, mode_operator
-from .liouvillian import DensityMatrix, build_liouvillian, steady_state
+from .liouvillian import DEFAULT_CUTOFF, DensityMatrix, build_liouvillian, steady_state
 from .model import SystemParams
 
 __all__ = [
@@ -22,6 +22,9 @@ __all__ = [
     "detect_peaks",
     "n0_normalization",
 ]
+
+PEAK_SADDLE_RATIO = 1.05
+PEAK_MIN_SEPARATION = 2
 
 
 @dataclass(frozen=True)
@@ -98,14 +101,14 @@ def n0_normalization(p: SystemParams) -> float:
     return p.omega_drive_amp**2 / (p.gamma1_prime + p.gamma2_prime) ** 2
 
 
-def detect_peaks(y, saddle_ratio: float = 1.05, min_separation: int = 2) -> list[int]:
+def detect_peaks(y) -> list[int]:
     """Indices of resolved local maxima.
 
     A NaN cell (a skipped point) is never a maximum, and neither is its
     neighbour: a maximum needs both neighbours defined and lower. Strict
-    interior maxima are merged when closer than ``min_separation``
+    interior maxima are merged when closer than ``PEAK_MIN_SEPARATION``
     grid points or when the lower of an adjacent pair does not rise above
-    ``saddle_ratio`` times the saddle between them; the taller survives.
+    ``PEAK_SADDLE_RATIO`` times the saddle between them; the taller survives.
     """
     y = np.asarray(y, dtype=float)
     idx = [i for i in range(1, len(y) - 1) if y[i] > y[i - 1] and y[i] > y[i + 1]]
@@ -115,7 +118,7 @@ def detect_peaks(y, saddle_ratio: float = 1.05, min_separation: int = 2) -> list
         for k in range(len(idx) - 1):
             i, j = idx[k], idx[k + 1]
             saddle = y[i:j + 1].min()
-            if (j - i) < min_separation or min(y[i], y[j]) < saddle_ratio * saddle:
+            if (j - i) < PEAK_MIN_SEPARATION or min(y[i], y[j]) < PEAK_SADDLE_RATIO * saddle:
                 idx.pop(k if y[i] < y[j] else k + 1)
                 changed = True
                 break
@@ -123,7 +126,7 @@ def detect_peaks(y, saddle_ratio: float = 1.05, min_separation: int = 2) -> list
 
 
 def excitation_spectrum(p: SystemParams, delta_grid, backend: str = "analytic",
-                        *, cutoff: tuple[int, int] = (5, 5)) -> SpectrumResult:
+                        *, cutoff: tuple[int, int] = DEFAULT_CUTOFF) -> SpectrumResult:
     """S1(delta) = N1(delta) / n0 over a detuning grid, with peak detection.
 
     backend 'analytic' evaluates the closed-form amplitudes (singular grid

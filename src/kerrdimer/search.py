@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _INV_PHI = 0.6180339887498949  # (sqrt(5) - 1) / 2
+MAX_ITER = 200  # iteration cap of both searches, far above what tol needs
 
 __all__ = ["SearchResult", "golden_section_minimize", "bisect_root"]
 
@@ -17,8 +18,7 @@ class SearchResult:
     iterations: int
 
 
-def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-9,
-                            max_iter: int = 200) -> SearchResult:
+def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-9) -> SearchResult:
     """Minimize a unimodal function on [lo, hi] by golden-section search."""
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -27,7 +27,7 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-9,
     x2 = a + _INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
     it = 0
-    while (b - a) > tol and it < max_iter:
+    while (b - a) > tol and it < MAX_ITER:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_PHI * (b - a)
@@ -41,8 +41,7 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-9,
     return SearchResult(x=x, fx=f(x), bracket=(a, b), iterations=it)
 
 
-def bisect_root(f, lo: float, hi: float, tol: float = 1e-9,
-                max_iter: int = 200) -> SearchResult:
+def bisect_root(f, lo: float, hi: float, tol: float = 1e-9) -> SearchResult:
     """Root of f on a sign-changing bracket [lo, hi] by bisection.
 
     Sides are chosen by comparing signs, not by the sign of a product,
@@ -57,7 +56,7 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-9,
         raise ValueError("bracket does not change sign")
     a, b = lo, hi
     it = 0
-    while (b - a) > tol and it < max_iter:
+    while (b - a) > tol and it < MAX_ITER:
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0:

@@ -209,15 +209,6 @@ def subspace_eigensystem_numeric(p: SystemParams, n: int) -> SubspaceEigensystem
     excitation-conserving non-Hermitian Hamiltonian."""
     if n < 0:
         raise ValueError("excitation number must be >= 0")
-    if n == 0:
-        return SubspaceEigensystem(
-            n_excitation=0,
-            eigenvalues=np.array([0.0 + 0.0j]),
-            eigenvectors=np.array([[1.0 + 0.0j]]),
-            labels=("0",),
-            basis_states=_n_block_states(0),
-        )
-
     lam, vecs, states = _dense_block_eig(p, n)
 
     reference = None

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kerrdimer
-from kerrdimer.cli import _build_parser, main
+from kerrdimer.cli import _build_config, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -59,6 +60,15 @@ class TestDispatch:
             assert "configuration error" in err
             assert "cutoff of at least 3 per mode" in err
             assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("backend", ["analytic", "lindblad", "both"])
+    @pytest.mark.parametrize("cutoff", ["5", "5,5,5", "a,5", "5,", "-1,5", "2.5,3", ""])
+    def test_malformed_cutoff_config_error(self, tmp_path, capsys, backend, cutoff):
+        code, _, err = run(capsys, "spectrum", "--backend", backend, f"--cutoff={cutoff}",
+                           "--delta-grid=-1:1:3", "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("configuration error: cutoff must be N1,N2")
+        assert not (tmp_path / "out").exists()
 
     def test_failed_lindblad_points_reported(self, tmp_path, capsys):
         # no loss at gamma_tip = 0: a degenerate steady state, one stderr line
@@ -191,6 +201,20 @@ class TestExperimentCommands:
         assert code == 0
         assert (tmp_path / "fig2c_map.csv").exists()
         assert (tmp_path / "fig2c_map_peaks.csv").exists()
+
+    def test_spectrum_map_lindblad_honours_cutoff(self, tmp_path, capsys):
+        for cutoff in ("3,3", "4,4"):
+            code, _, _ = run(capsys, "spectrum-map", "--backend", "lindblad",
+                             "--cutoff", cutoff, "--gamma-tip-grid", "0:4:2",
+                             "--delta-grid=-1:1:3", "--set", "J=1.5",
+                             "--output-dir", str(tmp_path / cutoff))
+            assert code == 0
+            side = json.loads((tmp_path / cutoff / "fig2c_map.provenance.json").read_text())
+            assert side["cutoff"] == [int(c) for c in cutoff.split(",")]
+            assert side["preset"] == "paper_fig2"
+            assert side["overrides"] == {"J": 1.5}
+        assert (tmp_path / "3,3" / "fig2c_map.csv").read_bytes() != \
+            (tmp_path / "4,4" / "fig2c_map.csv").read_bytes()
 
     def test_eigen(self, tmp_path, capsys):
         code, _, _ = run(capsys, "eigen", "--gamma-tip-grid", "0:12:5",
@@ -343,24 +367,6 @@ class TestSiUnits:
         assert "requires" in err
 
 
-class TestParamFiles:
-    def test_load_params_roundtrip(self, tmp_path):
-        import json as _json
-
-        from kerrdimer.model import load_params
-
-        cfg = {"params": {"chi": 1.5, "J": 2.5, "gamma_1": 0.5, "gamma_ex": 0.5,
-                          "gamma_2": 0.2, "gamma_tip": 1.0, "omega_drive_amp": 0.02,
-                          "unit_system": "normalized"}}
-        path = tmp_path / "params.json"
-        path.write_text(_json.dumps(cfg))
-        p, raw = load_params(path)
-        assert p.chi == 1.5
-        assert p.J == 2.5
-        assert p.gamma2_prime == pytest.approx(1.2)
-        assert raw == cfg
-
-
 class TestStateSerialization:
     def test_density_matrix_json(self):
         import numpy as np
@@ -432,3 +438,33 @@ class TestEigenDatasets:
         assert groups
         for total in groups.values():
             assert total == pytest.approx(1.0, abs=1e-10)
+
+
+class TestBenchmarkContract:
+    """Every benchmark workload command is accepted by the CLI as it stands."""
+
+    @staticmethod
+    def workloads():
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_workload_commands_parse(self, tmp_path):
+        workloads = self.workloads()
+        parser = _build_parser()
+        checked = 0
+        for name in workloads.NAMES:
+            for seed in (0, 1):
+                for smoke in (True, False):
+                    spec = workloads.build(name, seed, str(tmp_path), smoke)
+                    for argv in spec["commands"]:
+                        try:
+                            args = parser.parse_args(argv)
+                        except SystemExit as exc:
+                            pytest.fail(f"{name} seed {seed} smoke {smoke}: {argv} "
+                                        f"exits with {exc.code}")
+                        _build_config(args)
+                        checked += 1
+        assert checked >= len(workloads.NAMES) * 4

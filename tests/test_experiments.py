@@ -175,8 +175,8 @@ class TestSweepLoss:
         assert [row["analytic_failed"] for row in table.rows] == [1, 0, 0]
         assert "analytic_n1" not in table.rows[0]
         for row in table.rows[1:]:
-            amps = steady_amplitudes(p.with_(gamma_tip=row["gamma_tip"], delta=1.0),
-                                     warn_strong_drive=False)
+            with pytest.warns(UserWarning, match="perturbative"):
+                amps = steady_amplitudes(p.with_(gamma_tip=row["gamma_tip"], delta=1.0))
             obs = analytic_observables(amps)
             pops = amps.populations()
             for name in ("n1", "n2", "g2", "g3", "g2_approx"):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -54,14 +52,6 @@ def test_annihilation_matrix_elements():
     assert np.count_nonzero(a) == 2
 
 
-def test_create_is_conjugate_transpose():
-    basis = build_basis(total=4)
-    for mode in (1, 2):
-        a = mode_operator(basis, mode, "annihilate").data
-        adag = mode_operator(basis, mode, "create").data
-        assert np.array_equal(adag, a.conj().T)
-
-
 def test_number_operator_diagonal():
     basis = build_basis(per_mode=(3, 2))
     for mode in (1, 2):
@@ -101,16 +91,7 @@ def test_operator_data_is_readonly():
         op.data[0, 0] = 1.0
 
 
-def test_json_serialization_canonical():
-    text = build_basis(total=1).to_json()
-    assert json.loads(text) == [[0, 0], [0, 1], [1, 0]]
-
-
 def test_truncation_rule_objects():
-    from kerrdimer.hilbert import PerModeTruncation, TotalTruncation
-
-    assert build_basis(TotalTruncation(2)) == build_basis(total=2)
-    assert build_basis(PerModeTruncation(2, 3)) == build_basis(per_mode=(2, 3))
     with pytest.raises(ValueError):
         build_basis(total=2, per_mode=(2, 2))
     with pytest.raises(ValueError):

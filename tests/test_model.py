@@ -132,16 +132,6 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(p, basis, "rotating_driven").data
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
-    def test_effective_equals_rotating_minus_loss_term(self):
-        basis = build_basis(total=3)
-        p = params(delta=0.3, gamma_tip=4.0)
-        h_eff = build_hamiltonian(p, basis, "effective_nonhermitian").data
-        h_rot = build_hamiltonian(p, basis, "rotating_driven").data
-        n1 = mode_operator(basis, 1, "number").data
-        n2 = mode_operator(basis, 2, "number").data
-        expected = -0.5j * (p.gamma1_prime * n1 + p.gamma2_prime * n2)
-        assert np.array_equal(h_eff - h_rot, expected)
-
     def test_kerr_term_diagonal_m_m_minus_1(self):
         basis = build_basis(total=3)
         p0 = params(chi=0.0, J=1.1, delta=0.2)
@@ -188,20 +178,6 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
             preset("paper_fig9")
-
-
-def test_load_params_flat_file(tmp_path):
-    import json
-
-    from kerrdimer.model import load_params
-
-    flat = dict(chi=1.0, J=1.5, gamma_1=0.4, gamma_ex=0.6, gamma_2=0.3,
-                gamma_tip=0.0, omega_drive_amp=0.01, unit_system="normalized")
-    path = tmp_path / "flat.json"
-    path.write_text(json.dumps(flat))
-    p, _ = load_params(path)
-    assert p.J == 1.5
-    assert p.gamma1_prime == pytest.approx(1.0)
 
 
 class TestSiConstants:
