@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .experiments import (
     ep_agreement,
     loss_point,
     parse_protocol,
-    sidecar_path,
+    protocol_tag,
     spectrum_map,
     sweep_loss,
     write_csv,
@@ -63,6 +63,28 @@ def _parse_grid(spec: str) -> np.ndarray:
     return grid
 
 
+def _parse_values(spec: str) -> np.ndarray:
+    try:
+        return np.array([float(x) for x in spec.split(",")])
+    except ValueError:
+        raise ValueError(f"grid must be V1,V2,... with at least one number, got {spec!r}") from None
+
+
+def _parse_range(spec: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(x) for x in spec.split(":"))
+    except ValueError:
+        lo = hi = np.nan
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"range must be LO:HI with numbers LO < HI, got {spec!r}")
+    return lo, hi
+
+
+def _grid_record(grid) -> dict:
+    """A linspace grid as the sidecar records it."""
+    return {"start": float(grid[0]), "stop": float(grid[-1]), "num": len(grid)}
+
+
 def _parse_cutoff(spec: str) -> tuple[int, int]:
     try:
         cutoff = tuple(int(x) for x in spec.split(","))
@@ -97,8 +119,8 @@ class RunConfig:
         """Grid from the option ``spec``, else the preset's ``key`` block
         (start/stop/num), else ``fallback``; in the active units."""
         block = self.preset_cfg.get(key)
-        if spec or not block:
-            grid = parse(spec or fallback)
+        if spec is not None or not block:
+            grid = parse(fallback if spec is None else spec)
         else:
             grid = np.linspace(block["start"], block["stop"], block["num"])
         return grid * self.rate_scale
@@ -108,13 +130,17 @@ class RunConfig:
         return self.output_dir / (self.output_name or default)
 
     def provenance(self, **extra) -> dict:
+        """Sidecar content, the same keys for every subcommand: the run
+        configuration, then the runner's ``extra`` (experiment, grids, results)."""
         return {"preset": self.preset_name, "params": asdict(self.params),
-                "overrides": self.overrides, "code_version": __version__, **extra}
+                "overrides": self.overrides, "backends": list(self.backends),
+                "cutoff": list(self.cutoff), "protocol": protocol_tag(self.protocol),
+                "code_version": __version__, **extra}
 
     def write(self, path, columns, rows, meta: dict | None = None, **extra) -> None:
         """CSV dataset plus its provenance sidecar (run config and ``extra``)."""
         write_csv(path, columns, rows, meta=meta)
-        write_provenance(sidecar_path(path), self.provenance(**extra))
+        write_provenance(companion_path(path, ".provenance.json"), self.provenance(**extra))
 
 
 def _parse_overrides(pairs: list[str]) -> dict:
@@ -182,28 +208,30 @@ def _build_config(args) -> RunConfig:
 
 def _run_sweep_loss(rc: RunConfig, args) -> int:
     grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:121")
-    table = sweep_loss(rc.params, grid, protocol=rc.protocol, backends=rc.backends,
-                       cutoff=rc.cutoff, provenance_extra=rc.provenance())
+
+    def sweep(run: RunConfig, path, **extra) -> list:
+        table = sweep_loss(run.params, grid, protocol=run.protocol, backends=run.backends,
+                           cutoff=run.cutoff)
+        run.write(path, table.columns, table.rows, experiment="sweep_loss",
+                  gamma_tip_grid=_grid_record(grid), **extra)
+        return table.failures
+
     path = rc.path(rc.preset_cfg.get("dataset", "sweep_loss.csv"))
-    table.to_csv(path)
+    failures = sweep(rc, path)
     written = [str(path)]
-    failures = list(table.failures)
 
     if rc.preset_cfg.get("emit_fixed_delta_twin") and rc.protocol == "track_upper_branch":
         # same sweep under a frozen detuning (the tracked value at gamma_tip = 0)
         fixed = ("fixed", loss_point(rc.params, grid[0], rc.protocol).delta)
-        twin = sweep_loss(rc.params, grid, protocol=fixed, backends=rc.backends,
-                          cutoff=rc.cutoff,
-                          provenance_extra=rc.provenance(note="fixed-detuning companion sweep"))
         twin_path = companion_path(path, "_fixed_delta.csv")
-        twin.to_csv(twin_path)
+        failures += sweep(replace(rc, protocol=fixed), twin_path,
+                          note="fixed-detuning companion sweep")
         written.append(twin_path)
-        failures += twin.failures
 
     for gt, error, message in failures:
         print(f"sweep-loss: lindblad point gamma_tip={gt!r} failed: {error}: {message}",
               file=sys.stderr)
-    print(f"sweep-loss: {len(table.rows)} rows -> {', '.join(written)}")
+    print(f"sweep-loss: {len(grid)} rows -> {', '.join(written)}")
     return 0
 
 
@@ -214,8 +242,9 @@ def _run_critical_points(rc: RunConfig, args) -> int:
     cps = critical_points(table, rc.params)
     path = rc.path("critical_points.json")
     # each CriticalPoint by its value; ep is already a float
-    write_provenance(path, rc.provenance(critical_points={
-        name: getattr(cp, "value", cp) for name, cp in vars(cps).items()}))
+    write_provenance(path, rc.provenance(
+        experiment="critical_points", gamma_tip_grid=_grid_record(grid),
+        critical_points={name: getattr(cp, "value", cp) for name, cp in vars(cps).items()}))
 
     def show(cp):
         return "absent" if cp is None else f"{cp.value:.4f}"
@@ -243,7 +272,7 @@ def _run_spectrum(rc: RunConfig, args) -> int:
     meta = {**asdict(rc.params), "experiment": "spectrum", "backend": backend}
     path = rc.path("s1_cuts.csv")
     rc.write(path, ["gamma_tip", "delta", "s1", "is_peak"], rows, meta=meta,
-             experiment="spectrum")
+             experiment="spectrum", gamma_tips=gamma_tips, delta_grid=_grid_record(deltas))
     print(f"spectrum: {'; '.join(peak_info)} -> {path}")
     return 0
 
@@ -252,9 +281,12 @@ def _run_spectrum_map(rc: RunConfig, args) -> int:
     gts = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:61")
     deltas = rc.grid(args.delta_grid, "delta_grid", "-4:4:201")
     smap = spectrum_map(rc.params, gts, deltas, backend=rc.backends[0], cutoff=rc.cutoff)
-    smap.provenance.update(rc.provenance())
     path = rc.path("fig2c_map.csv")
-    smap.to_csv(path)
+    cells = ({"gamma_tip": gt, "delta": d, "s1": s1}
+             for gt, s1_row in zip(smap.gamma_tip.tolist(), smap.s1)
+             for d, s1 in zip(smap.delta.tolist(), s1_row.tolist()))
+    rc.write(path, ["gamma_tip", "delta", "s1"], cells, experiment="spectrum_map",
+             gamma_tip_grid=_grid_record(gts), delta_grid=_grid_record(deltas))
     peaks_path = companion_path(path, "_peaks.csv")
     write_csv(peaks_path,
               ["gamma_tip", "n_peaks", "peak_delta_1", "peak_delta_2",
@@ -269,7 +301,7 @@ def _run_eigen(rc: RunConfig, args) -> int:
     rows = branch_sweep(rc.params, gts)
     path = rc.path("figS3.csv")
     rc.write(path, ["gamma_tip", "branch", "re_lambda", "im_lambda", "pop_01", "pop_10"],
-             rows, experiment="eigen_branches")
+             rows, experiment="eigen_branches", gamma_tip_grid=_grid_record(gts))
 
     loc_rows = []
     for gt in gts:
@@ -288,34 +320,34 @@ def _run_eigen(rc: RunConfig, args) -> int:
     loc_path = (companion_path(path, "_figS4.csv") if rc.output_name
                 else rc.output_dir / "figS4.csv")
     rc.write(loc_path, ["gamma_tip", "n_excitation", "branch", "m", "n", "population"],
-             loc_rows, experiment="eigen_localization")
+             loc_rows, experiment="eigen_localization", gamma_tip_grid=_grid_record(gts))
     print(f"eigen: {len(gts)} grid points -> {path}, {loc_path}")
     return 0
 
 
 def _run_lep(rc: RunConfig, args) -> int:
-    if args.range:
-        lo, hi = (float(x) * rc.rate_scale for x in args.range.split(":"))
+    if args.range is not None:
+        lo, hi = (x * rc.rate_scale for x in _parse_range(args.range))
     else:
         ep = hep_location(rc.params.J, rc.params.gamma1_prime, rc.params.gamma_2)
         lo, hi = ep - 1.0, ep + 1.0
     res = lep_locate(rc.params, (lo, hi), grid=args.grid)
     path = rc.path("lep.csv")
     rc.write(path, ["gamma_tip", "branch", "re_Lambda", "im_Lambda", "gap", "overlap"],
-             res.grid_rows, experiment="lep", lep=res.gamma_tip, gap=res.gap,
-             overlap=res.overlap)
+             res.grid_rows, experiment="lep",
+             gamma_tip_grid={"start": lo, "stop": hi, "num": args.grid},
+             lep=res.gamma_tip, gap=res.gap, overlap=res.overlap)
     print(f"lep: gamma_tip={res.gamma_tip:.6f} gap={res.gap:.3e} "
           f"overlap={res.overlap:.6f} -> {path}")
     return 0
 
 
 def _run_ep_agreement(rc: RunConfig, args) -> int:
-    js = rc.grid(args.j_grid, "j_grid", "1.0,1.5,2.0,3.0",
-                 parse=lambda s: np.array([float(x) for x in s.split(",")]))
+    js = rc.grid(args.j_grid, "j_grid", "1.0,1.5,2.0,3.0", parse=_parse_values)
     rows = ep_agreement(rc.params, js)
     path = rc.path("fig1b_ep.csv")
     rc.write(path, ["J", "hep", "lep", "rel_discrepancy", "found"], rows,
-             experiment="ep_agreement")
+             experiment="ep_agreement", j_grid=js.tolist())
     found = [r for r in rows if r["found"]]
     worst = max((r["rel_discrepancy"] for r in found), default=float("nan"))
     print(f"ep-agreement: {len(found)}/{len(rows)} LEPs located, "

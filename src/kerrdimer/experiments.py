@@ -1,8 +1,9 @@
 """Parameter sweeps, critical-point extraction, and figure-level datasets.
 
-Every experiment produces a tidy row set that serializes to CSV with full
-double precision plus a JSON provenance sidecar; re-running with the same
-configuration reproduces byte-identical files.
+Every experiment produces a tidy row set; ``write_csv`` serializes it with
+full double precision and ``write_provenance`` writes the JSON sidecar that
+the caller assembles. Re-running with the same configuration reproduces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import csv
 import itertools
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
 from .analytic import (
     AMPLITUDE_STATES,
     UNDEFINED_N1_FLOOR,
@@ -46,6 +46,7 @@ __all__ = [
     "CriticalPoints",
     "SpectrumMap",
     "parse_protocol",
+    "protocol_tag",
     "resolve_delta",
     "loss_point",
     "sweep_loss",
@@ -54,7 +55,6 @@ __all__ = [
     "ep_agreement",
     "write_csv",
     "write_provenance",
-    "sidecar_path",
     "companion_path",
 ]
 
@@ -73,11 +73,6 @@ def companion_path(path, suffix: str) -> str:
     return (s[:-4] if s.endswith(".csv") else s) + suffix
 
 
-def sidecar_path(path) -> str:
-    """Provenance sidecar next to a dataset: ``x.csv`` -> ``x.provenance.json``."""
-    return companion_path(path, ".provenance.json")
-
-
 def parse_protocol(spec: str):
     """Protocol from ``track``, ``track_upper_branch``, ``fixed:V`` or the
     provenance tag ``fixed(V)``: ``"track_upper_branch"`` or ``("fixed", V)``."""
@@ -90,7 +85,8 @@ def parse_protocol(spec: str):
     raise ValueError(f"protocol must be 'track' or 'fixed:VALUE', got {spec!r}")
 
 
-def _protocol_tag(protocol) -> str:
+def protocol_tag(protocol) -> str:
+    """Provenance tag of a protocol; ``parse_protocol`` reads it back."""
     if protocol == "track_upper_branch":
         return "track_upper_branch"
     return f"fixed({protocol[1]!r})"
@@ -120,7 +116,7 @@ def loss_point(p: SystemParams, gamma_tip: float, protocol="track_upper_branch")
 
 @dataclass
 class SweepTable:
-    """One row per sweep point plus a provenance block.
+    """One row per sweep point under the detuning ``protocol``.
 
     ``failures`` holds (gamma_tip, exception class, message) for each
     Lindblad point whose row was blanked; it is not written to the dataset.
@@ -128,15 +124,11 @@ class SweepTable:
 
     columns: list[str]
     rows: list[dict]
-    provenance: dict
+    protocol: object
     failures: list[tuple[float, str, str]] = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([row[name] for row in self.rows], dtype=float)
-
-    def to_csv(self, path) -> None:
-        write_csv(path, self.columns, self.rows)
-        write_provenance(sidecar_path(path), self.provenance)
 
 
 @dataclass(frozen=True)
@@ -170,8 +162,7 @@ def _sweep_columns(backends) -> list[str]:
 
 
 def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
-               backends=BACKENDS, cutoff=DEFAULT_CUTOFF,
-               provenance_extra: dict | None = None) -> SweepTable:
+               backends=BACKENDS, cutoff=DEFAULT_CUTOFF) -> SweepTable:
     """Evaluate all observables over an ascending gamma_tip grid.
 
     The detuning is resolved per point by the protocol. Lindblad points are
@@ -233,22 +224,8 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
                 failures.append((row["gamma_tip"], *failure))
     if "analytic" in backends:
         _fill_analytic(rows, p, gts)
-
-    provenance = {
-        "experiment": "sweep_loss",
-        "params": asdict(p),
-        "protocol": _protocol_tag(protocol),
-        "backends": list(backends),
-        "cutoff": list(cutoff),
-        "gamma_tip_grid": {"start": float(gts[0]), "stop": float(gts[-1]),
-                           "num": int(len(gts))},
-        "tolerances": {"critical_point_refine": REFINE_TOL},
-        "code_version": __version__,
-    }
-    if provenance_extra:
-        provenance.update(provenance_extra)
     return SweepTable(columns=_sweep_columns(backends), rows=rows,
-                      provenance=provenance, failures=failures)
+                      protocol=protocol, failures=failures)
 
 
 def _lindblad_point(pg: SystemParams, basis: FockBasis) -> tuple[dict, tuple[str, str] | None]:
@@ -312,23 +289,24 @@ def _fill_analytic(rows: list[dict], p: SystemParams, gts: np.ndarray) -> None:
 def critical_points(table: SweepTable, p: SystemParams | None = None) -> CriticalPoints:
     """Extract CP_c, CP_q(down/up), the Eq.-(3) EP and the located LEP.
 
-    Brackets come from the (sorted) table; refinement runs on the analytic
-    evaluator when ``p`` is given, otherwise on a cubic interpolant of the
-    table columns. Missing sign changes leave the corresponding fields
-    unset rather than fabricated.
+    Brackets come from the (sorted) table's Lindblad columns if it has them,
+    else its analytic ones; a row with a blank N1 or g2 cell (a failed
+    point) is skipped. Refinement runs on the analytic evaluator when ``p``
+    is given, otherwise on a cubic interpolant of the table columns. Missing
+    sign changes leave the corresponding fields unset rather than fabricated.
     """
-    if len(table.rows) < 5:
-        raise ValueError("need at least 5 sweep rows")
+    backend = "lindblad" if "lindblad_n1" in table.columns else "analytic"
     rows = sorted(table.rows, key=lambda r: r["gamma_tip"])
     gts = np.array([r["gamma_tip"] for r in rows])
-
-    backend = "lindblad" if "lindblad_n1" in rows[0] else "analytic"
-    n1 = np.array([r.get(f"{backend}_n1", np.nan) for r in rows])
-    g2 = np.array([r.get(f"{backend}_g2", np.nan) for r in rows])
+    n1 = np.array([r.get(f"{backend}_n1", np.nan) for r in rows], dtype=float)
+    g2 = np.array([r.get(f"{backend}_g2", np.nan) for r in rows], dtype=float)
+    finite = np.isfinite(n1) & np.isfinite(g2)
+    gts, n1, g2 = gts[finite], n1[finite], g2[finite]
+    if len(gts) < 5:
+        raise ValueError("need at least 5 sweep rows with finite N1 and g2")
 
     if p is not None:
-        protocol = parse_protocol(table.provenance.get("protocol", "track_upper_branch"))
-        obs = lambda gt: analytic_observables(steady_amplitudes(loss_point(p, gt, protocol)))
+        obs = lambda gt: analytic_observables(steady_amplitudes(loss_point(p, gt, table.protocol)))
         n1_of = lambda gt: obs(gt).n1
         g2_of = lambda gt: obs(gt).g2
     else:
@@ -388,15 +366,6 @@ class SpectrumMap:
     delta: np.ndarray
     s1: np.ndarray  # shape (len(gamma_tip), len(delta))
     peak_rows: list[dict]
-    provenance: dict
-
-    def to_csv(self, path) -> None:
-        deltas = self.delta.tolist()
-        rows = ({"gamma_tip": gt, "delta": d, "s1": s1}
-                for gt, s1_row in zip(self.gamma_tip.tolist(), self.s1)
-                for d, s1 in zip(deltas, s1_row.tolist()))
-        write_csv(path, ["gamma_tip", "delta", "s1"], rows)
-        write_provenance(sidecar_path(path), self.provenance)
 
 
 def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
@@ -425,20 +394,7 @@ def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
             "omega_plus": float(eig.omega[0]),
             "omega_minus": float(eig.omega[1]),
         })
-
-    provenance = {
-        "experiment": "spectrum_map",
-        "params": asdict(p),
-        "backend": backend,
-        "cutoff": list(cutoff),
-        "gamma_tip_grid": {"start": float(gts[0]), "stop": float(gts[-1]),
-                           "num": int(len(gts))},
-        "delta_grid": {"start": float(deltas[0]), "stop": float(deltas[-1]),
-                       "num": int(len(deltas))},
-        "code_version": __version__,
-    }
-    return SpectrumMap(gamma_tip=gts, delta=deltas, s1=s1,
-                       peak_rows=peak_rows, provenance=provenance)
+    return SpectrumMap(gamma_tip=gts, delta=deltas, s1=s1, peak_rows=peak_rows)
 
 
 def ep_agreement(p: SystemParams, j_grid) -> list[dict]:

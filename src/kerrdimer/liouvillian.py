@@ -322,14 +322,18 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
                grid: int = 41) -> LepResult:
     """Locate the Liouvillian EP as the gap minimum of the tracked pair.
 
-    Scans the undriven lab-frame generator over gamma_tip, requires an
-    interior gap minimum, refines it by golden-section search, and checks
-    the coalescence diagnostics (gap below ``LEP_GAP_THRESHOLD`` in units of
-    gamma_1', eigenmatrix overlap above ``LEP_OVERLAP_THRESHOLD``).
+    Scans the undriven lab-frame generator on ``grid`` (at least 3) points
+    over gamma_tip, requires an interior gap minimum, refines it by
+    golden-section search, and checks the coalescence diagnostics (gap
+    below ``LEP_GAP_THRESHOLD`` in units of gamma_1', eigenmatrix overlap
+    above ``LEP_OVERLAP_THRESHOLD``).
     """
     lo, hi = gamma_tip_range
     if not lo < hi:
         raise ValueError("gamma_tip_range must be increasing")
+    if grid < 3:
+        raise ValueError(f"grid must be an integer >= 3 to hold an interior gap "
+                         f"minimum, got {grid}")
     basis = build_basis(per_mode=LEP_CUTOFF)
 
     def pair_at(gt: float) -> LiouvillianSpectrum:

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import kerrdimer
 from kerrdimer.cli import _build_config, _build_parser, main
+from kerrdimer.model import preset
 
 
 def run(capsys, *argv):
@@ -43,13 +45,31 @@ class TestDispatch:
         code, _, err = run(capsys, "sweep-loss", "--set", "chi", "--output-dir",
                            str(tmp_path))
         assert code == 2
-        # an empty grid is rejected before any dataset is written
-        for command in ("sweep-loss", "eigen"):
-            code, _, err = run(capsys, command, "--gamma-tip-grid", "0:12:0",
-                               "--output-dir", str(tmp_path / command))
-            assert code == 2
+        # an empty grid is rejected before any dataset is written; so is an
+        # empty grid option, which must not fall back to the preset's grid
+        cases = [("sweep-loss", "--gamma-tip-grid", "0:12:0"),
+                 ("eigen", "--gamma-tip-grid", "0:12:0"),
+                 ("sweep-loss", "--gamma-tip-grid", ""),
+                 ("spectrum", "--delta-grid", ""),
+                 ("ep-agreement", "--j-grid", "")]
+        for i, (command, option, spec) in enumerate(cases):
+            out = tmp_path / str(i)
+            code, _, err = run(capsys, command, option, spec, "--output-dir", str(out))
+            assert code == 2, (command, option, spec)
             assert "configuration error" in err
-            assert not any((tmp_path / command).iterdir())
+            assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("option, value, form", [
+        ("--range", "1:2:3", "LO:HI"), ("--range", "9", "LO:HI"),
+        ("--range", "9:8", "LO:HI"), ("--range", "a:9", "LO:HI"), ("--range", "", "LO:HI"),
+        ("--grid", "0", "integer >= 3"), ("--grid", "1", "integer >= 3"),
+        ("--grid", "2", "integer >= 3"), ("--grid", "-1", "integer >= 3")])
+    def test_malformed_lep_scan_config_error(self, tmp_path, capsys, option, value, form):
+        code, _, err = run(capsys, "lep", f"{option}={value}", "--output-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("configuration error: ")
+        assert form in err
+        assert not any(tmp_path.iterdir())
 
     def test_lindblad_cutoff_below_three_config_error(self, tmp_path, capsys):
         for cutoff in ("2,2", "1,1", "3,2"):
@@ -367,6 +387,71 @@ class TestSiUnits:
         assert "requires" in err
 
 
+class TestRunRecord:
+    """One record describes every dataset: each sidecar and
+    critical_points.json carry the run configuration, then the runner's keys."""
+
+    COMMON = ("--set", "gamma_2=0.2", "--cutoff", "3,3")
+    CASES = {
+        "sweep-loss": ("sweep-loss", "--backend", "both", "--protocol", "fixed:-1.3",
+                       "--gamma-tip-grid", "0:12:5"),
+        "sweep-loss-fig3-twin": ("sweep-loss", "--preset", "paper_fig3", "--backend",
+                                 "analytic", "--gamma-tip-grid", "0:12:5"),
+        "sweep-loss-si": ("sweep-loss", *TestSiUnits.SI, "--backend", "analytic",
+                          "--gamma-tip-grid", "0:12:5"),
+        "critical-points": ("critical-points", "--backend", "analytic",
+                            "--protocol", "fixed:-1.3", "--gamma-tip-grid", "0:12:9"),
+        "spectrum": ("spectrum", "--backend", "lindblad", "--gamma-tip", "4.0",
+                     "--delta-grid=-3:3:7"),
+        "spectrum-map": ("spectrum-map", "--backend", "analytic", "--gamma-tip-grid", "0:4:2",
+                         "--delta-grid=-1:1:3"),
+        "eigen": ("eigen", "--backend", "analytic", "--gamma-tip-grid", "0:12:3"),
+        "lep": ("lep", "--backend", "analytic", "--grid", "15"),
+        "ep-agreement": ("ep-agreement", "--backend", "both", "--j-grid", "1.0,2.0"),
+        "distribution": ("distribution", "--backend", "both", "--protocol", "fixed:-1.3",
+                         "--gamma-tip", "6.0", "--save-states"),
+        "validate": ("validate", "--backend", "both"),
+    }
+
+    @pytest.mark.filterwarnings("ignore:drive exceeds")
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_record_carries_the_run_configuration(self, tmp_path, capsys, case):
+        argv = self.CASES[case]
+        runs = (tmp_path / "r1", tmp_path / "r2")
+        for out in runs:
+            assert run(capsys, *argv, *self.COMMON, "--output-dir", str(out))[0] == 0
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert names == sorted(p.name for p in runs[1].iterdir())
+        for name in names:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+        records = [n for n in names
+                   if n.endswith(".provenance.json") or n == "critical_points.json"]
+        assert bool(records) == (case != "validate")  # validate writes no dataset
+        preset_name = argv[argv.index("--preset") + 1] if "--preset" in argv else "paper_fig2"
+        backend = argv[argv.index("--backend") + 1]
+        protocol = "fixed(-1.3)" if "fixed:-1.3" in argv else "track_upper_branch"
+        for name in records:
+            side = json.loads((runs[0] / name).read_text())
+            assert side["preset"] == preset_name
+            assert side["overrides"] == {"gamma_2": 0.2}
+            if "--units" in argv:
+                assert side["params"]["unit_system"] == "si"
+                assert side["params"]["gamma_2"] == 0.2
+            else:
+                assert side["params"] == asdict(preset(preset_name)[0].with_(gamma_2=0.2))
+            assert side["backends"] == (["analytic", "lindblad"] if backend == "both"
+                                        else [backend])
+            assert side["cutoff"] == [3, 3]
+            assert side["code_version"] == kerrdimer.__version__
+            assert side["experiment"]
+            if "_fixed_delta" in name:  # the fig3 twin: its own protocol and a note
+                assert side["protocol"].startswith("fixed(")
+                assert side["note"] == "fixed-detuning companion sweep"
+            else:
+                assert side["protocol"] == protocol
+
+
 class TestStateSerialization:
     def test_density_matrix_json(self):
         import numpy as np
@@ -441,18 +526,33 @@ class TestEigenDatasets:
 
 
 class TestBenchmarkContract:
-    """Every benchmark workload command is accepted by the CLI as it stands."""
+    """Every benchmark workload command is accepted by the CLI as it stands,
+    and its outputs pass the benchmark's own correctness gates."""
 
     @staticmethod
-    def workloads():
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    def load(name, monkeypatch):
+        """perfbench/<name>.py, read-only, registered under its bare name for
+        the test's duration (gates.py imports workloads that way)."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
         spec.loader.exec_module(module)
         return module
 
-    def test_workload_commands_parse(self, tmp_path):
-        workloads = self.workloads()
+    def test_smoke_workloads_pass_gates(self, tmp_path, capsys, monkeypatch):
+        workloads = self.load("workloads", monkeypatch)
+        gates = self.load("gates", monkeypatch)
+        for name in workloads.NAMES:
+            spec = workloads.build(name, 0, str(tmp_path / name), smoke=True)
+            (tmp_path / name).mkdir()
+            codes = [main(argv) for argv in spec["commands"]]
+            tally = gates.run(spec, codes, capsys.readouterr().out)
+            assert tally.attempted > 0, name
+            assert tally.failed == 0, (name, tally.failures)
+
+    def test_workload_commands_parse(self, tmp_path, monkeypatch):
+        workloads = self.load("workloads", monkeypatch)
         parser = _build_parser()
         checked = 0
         for name in workloads.NAMES:

@@ -1,14 +1,16 @@
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from kerrdimer import experiments
 from kerrdimer.analytic import AMPLITUDE_STATES, analytic_observables, steady_amplitudes
+from kerrdimer.cli import main
 from kerrdimer.experiments import (
+    REFINE_TOL,
     SweepTable,
     critical_points,
     ep_agreement,
@@ -46,8 +48,7 @@ def synthetic_table(gts, n1, g2):
         {"gamma_tip": float(g), "analytic_n1": float(a), "analytic_g2": float(b)}
         for g, a, b in zip(gts, n1, g2)
     ]
-    return SweepTable(columns=list(rows[0]), rows=rows,
-                      provenance={"protocol": "track_upper_branch"})
+    return SweepTable(columns=list(rows[0]), rows=rows, protocol="track_upper_branch")
 
 
 class TestResolveDelta:
@@ -152,7 +153,7 @@ class TestSweepLoss:
             tables.append(sweep_loss(params(), grid, cutoff=(3, 3)))
         one, two = tables
         assert one.rows == two.rows
-        assert one.provenance == two.provenance
+        assert one == two
 
     def test_environment_restored_after_sweep(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -190,11 +191,13 @@ class TestSweepLoss:
         assert [row["analytic_failed"] for row in table.rows] == [1, 1]
 
     def test_csv_roundtrip_deterministic(self, loss_sweep, tmp_path):
+        # the library table and the CLI's dataset of the same sweep agree
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        loss_sweep.to_csv(p1)
-        loss_sweep.to_csv(p2)
+        write_csv(p1, loss_sweep.columns, loss_sweep.rows)
+        assert main(["sweep-loss", "--gamma-tip-grid", "0:12:61", "--output", "b.csv",
+                     "--output-dir", str(tmp_path)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
-        side = json.loads((tmp_path / "a.provenance.json").read_text())
+        side = json.loads((tmp_path / "b.provenance.json").read_text())
         assert side["protocol"] == "track_upper_branch"
         assert side["params"]["J"] == 2.0
 
@@ -244,6 +247,25 @@ class TestCriticalPoints:
         gts = np.linspace(0, 1, 3)
         with pytest.raises(ValueError):
             critical_points(synthetic_table(gts, gts, gts))
+
+    @pytest.fixture(scope="class")
+    def lindblad_sweep(self, fig2):
+        return sweep_loss(fig2, np.linspace(0.0, 12.0, 25), backends=("lindblad",))
+
+    @pytest.mark.parametrize("with_params", [True, False])
+    @pytest.mark.parametrize("blank", [0, 3])  # gamma_tip = 0 and 1.5
+    def test_failed_row_is_skipped(self, lindblad_sweep, fig2, blank, with_params):
+        # a failed point leaves its Lindblad cells blank: it must neither be
+        # taken as the minimum nor hide a sign change, nor decide the backend
+        p = fig2 if with_params else None
+        rows = list(lindblad_sweep.rows)
+        rows[blank] = {k: v for k, v in rows[blank].items()
+                       if not k.startswith("lindblad_")} | {"lindblad_failed": 1}
+        intact = critical_points(lindblad_sweep, p)
+        cps = critical_points(replace(lindblad_sweep, rows=rows), p)
+        for name in ("cp_c", "cp_q_down", "cp_q_up"):
+            assert getattr(cps, name).value == pytest.approx(
+                getattr(intact, name).value, abs=2 * REFINE_TOL), name
 
     def test_paper_preset_locations(self, loss_sweep, fig2):
         cps = critical_points(loss_sweep, fig2)
