@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .analytic import SingularParameterError
 from .experiments import (
+    LEP_HALFWIDTH,
     companion_path,
     critical_points,
     ep_agreement,
@@ -185,14 +186,15 @@ def _build_config(args) -> RunConfig:
         missing = [n for n in ("wavelength", "q_intrinsic", "chi3", "v_eff", "p_in")
                    if getattr(args, n) is None]
         if missing:
-            raise ValueError(f"--units si requires --{', --'.join(missing)}")
+            flags = ", ".join("--" + n.replace("_", "-") for n in missing)
+            raise ValueError(f"--units si requires {flags}")
         params = _si_params(params, args)
         rate_scale = params.gamma1_prime
     if overrides:
         params = params.with_(**overrides)
         print("overrides applied:", ", ".join(f"{k}={v}" for k, v in sorted(overrides.items())))
 
-    return RunConfig(
+    rc = RunConfig(
         params=params, preset_name=args.preset, preset_cfg=cfg,
         output_dir=Path(args.output_dir or os.environ.get("KERRDIMER_OUTPUT_DIR", "datasets")),
         output_name=args.output,
@@ -201,6 +203,10 @@ def _build_config(args) -> RunConfig:
         cutoff=_parse_cutoff(args.cutoff),
         overrides=overrides, rate_scale=rate_scale,
     )
+    if len(rc.backends) > 1 and args.command in ("spectrum", "spectrum-map"):
+        raise ValueError(f"{args.command} computes one backend: "
+                         "use --backend analytic or --backend lindblad")
+    return rc
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +336,8 @@ def _run_lep(rc: RunConfig, args) -> int:
         lo, hi = (x * rc.rate_scale for x in _parse_range(args.range))
     else:
         ep = hep_location(rc.params.J, rc.params.gamma1_prime, rc.params.gamma_2)
-        lo, hi = ep - 1.0, ep + 1.0
+        half = LEP_HALFWIDTH * rc.params.gamma1_prime
+        lo, hi = ep - half, ep + half
     res = lep_locate(rc.params, (lo, hi), grid=args.grid)
     path = rc.path("lep.csv")
     rc.write(path, ["gamma_tip", "branch", "re_Lambda", "im_Lambda", "gap", "overlap"],

@@ -61,7 +61,8 @@ __all__ = [
 BACKENDS = ("analytic", "lindblad")
 REFINE_TOL = 1e-3  # gamma_tip critical points resolved to 1e-3 * gamma_1'
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# ep_agreement searches each LEP on LEP_GRID points within LEP_HALFWIDTH of the HEP
+# ep_agreement and the lep command search each LEP on LEP_GRID points within
+# LEP_HALFWIDTH gamma_1' of the HEP
 LEP_HALFWIDTH = 1.0
 LEP_GRID = 21
 
@@ -348,7 +349,8 @@ def critical_points(table: SweepTable, p: SystemParams | None = None) -> Critica
     if p is not None:
         ep = hep_location(p.J, p.gamma1_prime, p.gamma_2)
         try:
-            res = lep_locate(p, (max(ep - 0.5, 0.0), ep + 0.5), grid=21)
+            half = 0.5 * p.gamma1_prime
+            res = lep_locate(p, (max(ep - half, 0.0), ep + half), grid=21)
             lep = CriticalPoint(value=res.gamma_tip, bracket=res.bracket,
                                 residual=res.gap)
         except LepNotFoundError:
@@ -412,9 +414,9 @@ def ep_agreement(p: SystemParams, j_grid) -> list[dict]:
         hep = hep_location(pj.J, pj.gamma1_prime, pj.gamma_2)
         row = {"J": float(j), "hep": hep, "lep": None, "rel_discrepancy": None,
                "found": 0}
+        half = LEP_HALFWIDTH * pj.gamma1_prime
         try:
-            res = lep_locate(pj, (max(hep - LEP_HALFWIDTH, 0.0), hep + LEP_HALFWIDTH),
-                             grid=LEP_GRID)
+            res = lep_locate(pj, (max(hep - half, 0.0), hep + half), grid=LEP_GRID)
             row.update(lep=res.gamma_tip,
                        rel_discrepancy=abs(res.gamma_tip - hep) / hep, found=1)
         except LepNotFoundError:

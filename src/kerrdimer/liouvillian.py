@@ -174,22 +174,37 @@ def check_size(basis: FockBasis) -> None:
         )
 
 
-def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True) -> Superoperator:
-    """Lindblad generator L rho = -i[H, rho] + sum_j gamma_j' D[a_j] rho.
-
-    driven=True uses the rotating-frame driven Hamiltonian; driven=False the
-    lab-frame isolated one (the generator used for the LEP analysis).
-    """
-    check_size(basis)
+def _unitary_and_mode1_loss(p: SystemParams, basis: FockBasis,
+                            driven: bool) -> sparse.csr_matrix:
+    """-i[H, .] + gamma_1' D[a_1]: the generator without its gamma_tip term."""
     d = basis.size
     h = build_hamiltonian(p, basis, "rotating_driven" if driven else "isolated").data
     # assembled through sparse Kronecker products (the factors are nearly
     # diagonal) and kept in CSR form
     hs = sparse.csr_matrix(h)
     eye = sparse.identity(d, dtype=complex, format="csr")
-    d1, d2 = _dissipators(basis)
-    lind = (-1j * (sparse.kron(eye, hs) - sparse.kron(hs.T, eye))
-            + p.gamma1_prime * d1 + p.gamma2_prime * d2)
+    return (-1j * (sparse.kron(eye, hs) - sparse.kron(hs.T, eye))
+            + p.gamma1_prime * _dissipators(basis)[0])
+
+
+# the undriven part is shared along an LEP scan, which varies only gamma_tip;
+# callers key it on gamma_tip = 0 and never modify the returned matrix. The
+# bound keeps a long coupling grid (one entry per J) from piling up entries.
+_undriven_part = functools.lru_cache(maxsize=64)(_unitary_and_mode1_loss)
+
+
+def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True) -> Superoperator:
+    """Lindblad generator L rho = -i[H, rho] + sum_j gamma_j' D[a_j] rho.
+
+    driven=True uses the rotating-frame driven Hamiltonian; driven=False the
+    lab-frame isolated one (the generator used for the LEP analysis). On the
+    undriven path only gamma_2' D[a_2] is summed anew per gamma_tip; the sum
+    keeps its left-to-right order, so every entry is what a full assembly gives.
+    """
+    check_size(basis)
+    part = (_unitary_and_mode1_loss(p, basis, True) if driven
+            else _undriven_part(p.with_(gamma_tip=0.0), basis, False))
+    lind = part + p.gamma2_prime * _dissipators(basis)[1]
     return Superoperator(basis=basis, data=lind.tocsr())
 
 

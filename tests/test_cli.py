@@ -1,6 +1,8 @@
+import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -11,6 +13,7 @@ import pytest
 import kerrdimer
 from kerrdimer.cli import _build_config, _build_parser, main
 from kerrdimer.model import preset
+from kerrdimer.spectral import hep_location
 
 
 def run(capsys, *argv):
@@ -176,6 +179,17 @@ class TestDispatch:
         side = json.loads((tmp_path / "fig3a_fixed_delta.provenance.json").read_text())
         assert side["protocol"].startswith("fixed(")
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--gamma-tip", "4.0", "--delta-grid=-1:1:3"),
+        ("spectrum-map", "--gamma-tip-grid", "0:4:2", "--delta-grid=-1:1:3")])
+    def test_single_backend_commands_reject_both(self, tmp_path, capsys, argv):
+        # these compute one backend; 'both' used to run the analytic one alone
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *argv, "--backend", "both", "--output-dir", str(out))
+        assert code == 2
+        assert err.startswith("configuration error: ")
+        assert "--backend analytic" in err and "--backend lindblad" in err
+        assert not out.exists()
 
     def test_backend_default_per_subcommand(self):
         parser = _build_parser()
@@ -385,6 +399,28 @@ class TestSiUnits:
                            "--wavelength", "1.55e-6", "--output-dir", str(tmp_path))
         assert code == 2
         assert "requires" in err
+
+    def test_si_error_names_flags_the_parser_accepts(self, tmp_path, capsys):
+        code, _, err = run(capsys, "sweep-loss", "--units", "si", "--output-dir", str(tmp_path))
+        assert code == 2
+        flags = re.findall(r"--[a-z0-9][a-z0-9-]*", err)
+        assert flags == ["--units", "--wavelength", "--q-intrinsic", "--chi3", "--v-eff",
+                         "--p-in"]
+        parser = _build_parser()
+        for flag in flags:
+            parser.parse_args(["sweep-loss", flag, "si" if flag == "--units" else "1"])
+
+    def test_default_lep_window_is_in_gamma1_prime(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "lep", *self.SI, "--output-dir", str(tmp_path))
+        assert code == 0, out
+        side = json.loads((tmp_path / "lep.provenance.json").read_text())
+        g1p = side["params"]["gamma_1"] + side["params"]["gamma_ex"]
+        hep = hep_location(side["params"]["J"], g1p, side["params"]["gamma_2"])
+        with open(tmp_path / "lep.csv") as fh:
+            gts = [float(r["gamma_tip"]) for r in csv.DictReader(fh)]
+        assert min(gts) == pytest.approx(hep - g1p, rel=1e-12)
+        assert max(gts) == pytest.approx(hep + g1p, rel=1e-12)
+        assert side["lep"] == pytest.approx(10815805.7736, rel=1e-9)
 
 
 class TestRunRecord:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
+from kerrdimer import liouvillian
 from kerrdimer.analytic import steady_amplitudes
 from kerrdimer.experiments import resolve_delta
 from kerrdimer.hilbert import build_basis, mode_operator
@@ -17,7 +19,7 @@ from kerrdimer.liouvillian import (
     unvec,
     vec,
 )
-from kerrdimer.model import SystemParams, preset, si_reference_rates
+from kerrdimer.model import SystemParams, build_hamiltonian, preset, si_reference_rates
 from kerrdimer.observables import photon_statistics
 from kerrdimer.spectral import hep_location, one_photon_eigensystem_closed
 
@@ -125,6 +127,67 @@ class TestBuildLiouvillian:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             build_liouvillian(params(), build_basis(per_mode=(8, 8)))
+
+
+def one_expression_liouvillian(p, basis, driven):
+    """The generator as one sparse expression, summed left to right."""
+    h = sparse.csr_matrix(
+        build_hamiltonian(p, basis, "rotating_driven" if driven else "isolated").data)
+    eye = sparse.identity(basis.size, dtype=complex, format="csr")
+    diss = []
+    for mode in (1, 2):
+        a = sparse.csr_matrix(mode_operator(basis, mode, "annihilate").data)
+        n = sparse.csr_matrix(mode_operator(basis, mode, "number").data)
+        diss.append(sparse.kron(a.conj(), a) - 0.5 * sparse.kron(eye, n)
+                    - 0.5 * sparse.kron(n.T, eye))
+    return (-1j * (sparse.kron(eye, h) - sparse.kron(h.T, eye))
+            + p.gamma1_prime * diss[0] + p.gamma2_prime * diss[1]).tocsr()
+
+
+def generator_bytes(m):
+    return m.toarray().tobytes()
+
+
+class TestUndrivenAssemblyCache:
+    """The gamma_tip-free part of the undriven generator is assembled once
+    and reused; every generator must stay what one expression gives."""
+
+    BASIS = build_basis(per_mode=(2, 2))
+
+    def test_equal_to_one_expression_entry_for_entry(self):
+        liouvillian._undriven_part.cache_clear()
+        for j in (1.0, 1.5, 2.0, 3.0):
+            for gt in np.linspace(0.0, 12.0, 25):
+                for driven in (False, True):
+                    p = params(J=j, gamma_tip=float(gt))
+                    got = build_liouvillian(p, self.BASIS, driven=driven).data
+                    ref = one_expression_liouvillian(p, self.BASIS, driven)
+                    assert generator_bytes(got) == generator_bytes(ref), (j, gt, driven)
+        # one cache entry per J, whatever the number of gamma_tip values
+        assert liouvillian._undriven_part.cache_info().currsize == 4
+
+    @pytest.mark.parametrize("name", ["J", "chi", "omega_c", "gamma_1", "gamma_ex",
+                                      "gamma_2"])
+    def test_every_other_field_reaches_the_generator(self, name):
+        base = params(gamma_tip=3.0)
+        other = base.with_(**{name: getattr(base, name) + 0.25})
+        first = build_liouvillian(base, self.BASIS, driven=False).data
+        second = build_liouvillian(other, self.BASIS, driven=False).data
+        assert generator_bytes(first) != generator_bytes(second)
+        assert generator_bytes(second) == generator_bytes(
+            one_expression_liouvillian(other, self.BASIS, False))
+
+    def test_lep_independent_of_earlier_scans(self):
+        p = params()
+        liouvillian._undriven_part.cache_clear()
+        cold = lep_locate(p, (7.9, 9.9), grid=21)
+        liouvillian._undriven_part.cache_clear()
+        for j in (1.0, 3.0):
+            hep = hep_location(j, p.gamma1_prime, p.gamma_2)
+            lep_locate(p.with_(J=j), (hep - 1.0, hep + 1.0), grid=21)
+        warm = lep_locate(p, (7.9, 9.9), grid=21)
+        assert warm == cold
+        assert warm.grid_rows == cold.grid_rows
 
 
 class TestSteadyState:
