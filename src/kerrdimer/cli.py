@@ -20,6 +20,7 @@ from .experiments import (
     companion_path,
     critical_points,
     ep_agreement,
+    lep_window,
     loss_point,
     parse_protocol,
     protocol_tag,
@@ -35,13 +36,12 @@ from .liouvillian import (
     LepNotFoundError,
     NumericalFailureError,
     ResourceLimitError,
-    build_liouvillian,
     lep_locate,
-    steady_state,
+    solve_points,
 )
 from .model import SystemParams, preset, si_reference_rates
-from .observables import excitation_spectrum, photon_statistics, poisson_comparison
-from .spectral import branch_sweep, hep_location, localization, subspace_eigensystem_numeric
+from .observables import photon_statistics, poisson_comparison
+from .spectral import branch_sweep, localization, subspace_eigensystem_numeric
 from .validation import run_validation
 
 USAGE_ERROR = 2
@@ -266,20 +266,17 @@ def _run_spectrum(rc: RunConfig, args) -> int:
     deltas = rc.grid(args.delta_grid, "delta_grid", "-4:4:501")
     gamma_tips = [g * rc.rate_scale for g in (args.gamma_tip or [0.0])]
     backend = rc.backends[0]
-    rows = []
-    peak_info = []
-    for gt in gamma_tips:
-        spec = excitation_spectrum(rc.params.with_(gamma_tip=gt), deltas,
-                                   backend=backend, cutoff=rc.cutoff)
-        for j, d in enumerate(deltas):
-            rows.append({"gamma_tip": gt, "delta": float(d), "s1": float(spec.s1[j]),
-                         "is_peak": 1 if j in spec.peak_indices else 0})
-        peak_info.append(f"gt={gt}: {spec.peak_count} peak(s)")
+    smap = spectrum_map(rc.params, gamma_tips, deltas, backend=backend, cutoff=rc.cutoff)
+    rows = ({"gamma_tip": gt, "delta": d, "s1": s1, "is_peak": int(j in peaks)}
+            for gt, s1_row, peaks in zip(gamma_tips, smap.s1.tolist(), smap.peak_indices)
+            for j, (d, s1) in enumerate(zip(smap.delta.tolist(), s1_row)))
     meta = {**asdict(rc.params), "experiment": "spectrum", "backend": backend}
     path = rc.path("s1_cuts.csv")
     rc.write(path, ["gamma_tip", "delta", "s1", "is_peak"], rows, meta=meta,
              experiment="spectrum", gamma_tips=gamma_tips, delta_grid=_grid_record(deltas))
-    print(f"spectrum: {'; '.join(peak_info)} -> {path}")
+    peak_info = "; ".join(f"gt={gt}: {row['n_peaks']} peak(s)"
+                          for gt, row in zip(gamma_tips, smap.peak_rows))
+    print(f"spectrum: {peak_info} -> {path}")
     return 0
 
 
@@ -335,9 +332,7 @@ def _run_lep(rc: RunConfig, args) -> int:
     if args.range is not None:
         lo, hi = (x * rc.rate_scale for x in _parse_range(args.range))
     else:
-        ep = hep_location(rc.params.J, rc.params.gamma1_prime, rc.params.gamma_2)
-        half = LEP_HALFWIDTH * rc.params.gamma1_prime
-        lo, hi = ep - half, ep + half
+        lo, hi = lep_window(rc.params, LEP_HALFWIDTH)
     res = lep_locate(rc.params, (lo, hi), grid=args.grid)
     path = rc.path("lep.csv")
     rc.write(path, ["gamma_tip", "branch", "re_Lambda", "im_Lambda", "gap", "overlap"],
@@ -365,10 +360,13 @@ def _run_ep_agreement(rc: RunConfig, args) -> int:
 def _run_distribution(rc: RunConfig, args) -> int:
     points = [g * rc.rate_scale for g in
               (args.gamma_tip or rc.preset_cfg.get("distribution_points", [6.0, 8.9]))]
-    basis = build_basis(per_mode=rc.cutoff)
+    states = solve_points([loss_point(rc.params, gt, rc.protocol) for gt in points],
+                          build_basis(per_mode=rc.cutoff))
     rows = []
-    for gt in points:
-        rho = steady_state(build_liouvillian(loss_point(rc.params, gt, rc.protocol), basis))
+    for gt, (rho, failure) in zip(points, states):
+        if failure:
+            raise DegenerateSteadyStateError(
+                f"loss point gamma_tip={gt!r} failed: {failure[0]}: {failure[1]}")
         if args.save_states:
             state_path = rc.output_dir / f"steady_state_gt_{gt!r}.json"
             state_path.write_text(rho.to_json(), encoding="utf-8")

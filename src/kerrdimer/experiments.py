@@ -8,11 +8,8 @@ byte-identical files.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import itertools
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,18 +21,10 @@ from .analytic import (
     analytic_observables,
     steady_amplitudes,
 )
-from .hilbert import FockBasis, build_basis
-from .liouvillian import (
-    DEFAULT_CUTOFF,
-    DegenerateSteadyStateError,
-    LepNotFoundError,
-    build_liouvillian,
-    check_size,
-    lep_locate,
-    steady_state,
-)
+from .hilbert import build_basis
+from .liouvillian import DEFAULT_CUTOFF, LepNotFoundError, lep_locate, solve_points
 from .model import SystemParams
-from .observables import excitation_spectrum, photon_statistics
+from .observables import _spectra, photon_statistics
 from .formatting import format_value
 from .search import bisect_root, golden_section_minimize
 from .spectral import hep_location, one_photon_eigensystem_closed
@@ -49,6 +38,7 @@ __all__ = [
     "protocol_tag",
     "resolve_delta",
     "loss_point",
+    "lep_window",
     "sweep_loss",
     "critical_points",
     "spectrum_map",
@@ -60,9 +50,9 @@ __all__ = [
 
 BACKENDS = ("analytic", "lindblad")
 REFINE_TOL = 1e-3  # gamma_tip critical points resolved to 1e-3 * gamma_1'
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# ep_agreement and the lep command search each LEP on LEP_GRID points within
-# LEP_HALFWIDTH gamma_1' of the HEP
+# ep_agreement searches each LEP on LEP_GRID points within LEP_HALFWIDTH
+# gamma_1' of the HEP; the lep command takes the same window on its --grid
+# points (default 41)
 LEP_HALFWIDTH = 1.0
 LEP_GRID = 21
 
@@ -162,23 +152,23 @@ def _sweep_columns(backends) -> list[str]:
     return cols
 
 
+def lep_window(p: SystemParams, halfwidth: float) -> tuple[float, float]:
+    """LEP search window: the HEP +- ``halfwidth`` gamma_1', clamped at 0."""
+    hep = hep_location(p.J, p.gamma1_prime, p.gamma_2)
+    half = halfwidth * p.gamma1_prime
+    return max(hep - half, 0.0), hep + half
+
+
 def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
                backends=BACKENDS, cutoff=DEFAULT_CUTOFF) -> SweepTable:
     """Evaluate all observables over an ascending gamma_tip grid.
 
     The detuning is resolved per point by the protocol. Lindblad points are
-    solved in spawned processes (one per CPU this process may run on, at
-    most one per point) whose BLAS is pinned to one thread, and gathered in
-    grid order, so the rows do not depend on the worker count or, for a BLAS
-    that reads the pinned variables, on the caller's thread count. A script
-    that calls this with the Lindblad backend therefore needs an
-    ``if __name__ == "__main__":`` guard.
-
-    A degenerate or invalid steady state blanks its row, is listed in
-    ``failures`` and the sweep continues; any other exception in a worker
-    propagates with its type and message. A basis that lacks one of the
-    reported populations (``AMPLITUDE_STATES``) or is over the size cap
-    fails the whole sweep before any point is solved.
+    solved by ``liouvillian.solve_points`` (see there for the ``__main__``
+    guard it needs); a point it reports as failed blanks its row and is
+    listed in ``failures``. A basis that lacks one of the reported
+    populations (``AMPLITUDE_STATES``) or is over the size cap fails the
+    whole sweep before any point is solved.
     """
     gts = np.asarray(gamma_tip_grid, dtype=float)
     if gts.size == 0:
@@ -210,17 +200,8 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
                 f"a Lindblad sweep needs a cutoff of at least "
                 f"{max(map(max, AMPLITUDE_STATES))} per mode: cutoff {tuple(cutoff)} "
                 f"lacks the reported populations {missing}")
-        check_size(basis)
-        # imported here: the analytic subcommands never start a pool
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        workers = min(len(os.sched_getaffinity(0)), len(points))
-        with _one_blas_thread(), ProcessPoolExecutor(
-                workers, mp_context=get_context("spawn")) as pool:
-            solved = list(pool.map(_lindblad_point, points, itertools.repeat(basis)))
-        for row, (columns, failure) in zip(rows, solved):
-            row.update(columns)
+        for row, (columns, failure) in zip(rows, solve_points(points, basis, _lindblad_columns)):
+            row.update(columns or {"lindblad_failed": 1})
             if failure:
                 failures.append((row["gamma_tip"], *failure))
     if "analytic" in backends:
@@ -229,42 +210,14 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
                       protocol=protocol, failures=failures)
 
 
-def _lindblad_point(pg: SystemParams, basis: FockBasis) -> tuple[dict, tuple[str, str] | None]:
-    """Lindblad columns of one sweep row, and (class, message) if it failed.
-
-    Only a degenerate or invalid steady state blanks the row; the generator
-    is built outside the ``try``, and any other exception propagates.
-    """
-    sop = build_liouvillian(pg, basis)
-    try:
-        stats = photon_statistics(steady_state(sop))
-    except (DegenerateSteadyStateError, ValueError) as exc:
-        return {"lindblad_failed": 1}, (type(exc).__name__, str(exc))
+def _lindblad_columns(rho) -> dict:
+    """Lindblad columns of one sweep row from its steady state."""
+    stats = photon_statistics(rho)
     columns = {"lindblad_n1": stats.n1, "lindblad_n2": stats.n2,
                "lindblad_g2": stats.g2, "lindblad_g3": stats.g3}
     columns.update({f"lindblad_p{m}{n}": stats.p_mn[(m, n)] for m, n in AMPLITUDE_STATES})
     columns["lindblad_failed"] = 0
-    return columns, None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin the BLAS thread variables to 1 in ``os.environ`` for the block.
-
-    Processes started inside it load their BLAS single-threaded. On exit
-    every variable gets its previous value back, or is removed again if it
-    was unset.
-    """
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+    return columns
 
 
 def _fill_analytic(rows: list[dict], p: SystemParams, gts: np.ndarray) -> None:
@@ -349,8 +302,7 @@ def critical_points(table: SweepTable, p: SystemParams | None = None) -> Critica
     if p is not None:
         ep = hep_location(p.J, p.gamma1_prime, p.gamma_2)
         try:
-            half = 0.5 * p.gamma1_prime
-            res = lep_locate(p, (max(ep - half, 0.0), ep + half), grid=21)
+            res = lep_locate(p, lep_window(p, 0.5), grid=LEP_GRID)
             lep = CriticalPoint(value=res.gamma_tip, bracket=res.bracket,
                                 residual=res.gap)
         except LepNotFoundError:
@@ -368,25 +320,26 @@ class SpectrumMap:
     delta: np.ndarray
     s1: np.ndarray  # shape (len(gamma_tip), len(delta))
     peak_rows: list[dict]
+    peak_indices: list[tuple[int, ...]]  # per gamma_tip row
 
 
 def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
                  backend: str = "analytic", cutoff=DEFAULT_CUTOFF) -> SpectrumMap:
     """Excitation-spectrum map with peak positions and branch overlay.
 
-    ``cutoff`` is the per-mode Fock cutoff of the 'lindblad' backend.
+    ``cutoff`` is the per-mode Fock cutoff of the 'lindblad' backend, which
+    solves every cell through ``liouvillian.solve_points`` (see there for
+    the ``__main__`` guard it needs).
     """
     gts = np.asarray(gamma_tip_grid, dtype=float)
     deltas = np.asarray(delta_grid, dtype=float)
     if gts.size == 0 or deltas.size == 0:
         raise ValueError("grids must be nonempty")
 
-    s1 = np.empty((len(gts), len(deltas)))
+    rows = [p.with_(gamma_tip=float(gt)) for gt in gts]
+    s1, specs = _spectra(rows, deltas, backend, cutoff)
     peak_rows = []
-    for i, gt in enumerate(gts):
-        pg = p.with_(gamma_tip=float(gt))
-        spec = excitation_spectrum(pg, deltas, backend=backend, cutoff=cutoff)
-        s1[i] = spec.s1
+    for gt, pg, spec in zip(gts, rows, specs):
         eig = one_photon_eigensystem_closed(pg)
         peak_rows.append({
             "gamma_tip": float(gt),
@@ -396,7 +349,8 @@ def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
             "omega_plus": float(eig.omega[0]),
             "omega_minus": float(eig.omega[1]),
         })
-    return SpectrumMap(gamma_tip=gts, delta=deltas, s1=s1, peak_rows=peak_rows)
+    return SpectrumMap(gamma_tip=gts, delta=deltas, s1=s1, peak_rows=peak_rows,
+                       peak_indices=[s.peak_indices for s in specs])
 
 
 def ep_agreement(p: SystemParams, j_grid) -> list[dict]:
@@ -414,9 +368,8 @@ def ep_agreement(p: SystemParams, j_grid) -> list[dict]:
         hep = hep_location(pj.J, pj.gamma1_prime, pj.gamma_2)
         row = {"J": float(j), "hep": hep, "lep": None, "rel_discrepancy": None,
                "found": 0}
-        half = LEP_HALFWIDTH * pj.gamma1_prime
         try:
-            res = lep_locate(pj, (max(hep - half, 0.0), hep + half), grid=LEP_GRID)
+            res = lep_locate(pj, lep_window(pj, LEP_HALFWIDTH), grid=LEP_GRID)
             row.update(lep=res.gamma_tip,
                        rel_discrepancy=abs(res.gamma_tip - hep) / hep, found=1)
         except LepNotFoundError:

@@ -6,9 +6,12 @@ so rho[r, c] lives at vec index c*d + r.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy import sparse
@@ -33,6 +36,7 @@ __all__ = [
     "check_size",
     "build_liouvillian",
     "steady_state",
+    "solve_points",
     "coherence_sector_pair",
     "lep_locate",
 ]
@@ -48,7 +52,9 @@ DEFAULT_CUTOFF = (5, 5)
 LEP_CUTOFF = (2, 2)
 LEP_GAP_THRESHOLD = 1e-3
 LEP_OVERLAP_THRESHOLD = 0.99
-LEP_TOL = 1e-9  # golden-section tolerance on gamma_tip
+LEP_TOL = 1e-9  # golden-section tolerance on gamma_tip, in units of gamma_1'
+# pinned to 1 while solve_points' workers start
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ResourceLimitError(RuntimeError):
@@ -208,12 +214,6 @@ def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True) ->
     return Superoperator(basis=basis, data=lind.tocsr())
 
 
-def _trace_row(d: int) -> np.ndarray:
-    row = np.zeros(d * d, dtype=complex)
-    row[np.arange(d) * d + np.arange(d)] = 1.0
-    return row
-
-
 def steady_state(sop: Superoperator) -> DensityMatrix:
     """Trace-normalized null vector of the generator.
 
@@ -232,10 +232,11 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     alt = d - 1 if i00 != d - 1 else 0
     r2 = alt * d + alt
 
-    trace = _trace_row(d)
+    diag = np.arange(d) * (d + 1)  # vec indices of the diagonal
+    trace = np.zeros(n, dtype=complex)
+    trace[diag] = 1.0
     keep = np.ones(n)
     keep[r1] = 0.0
-    diag = np.arange(d) * (d + 1)
     trace_at_r1 = sparse.csr_matrix(
         (np.ones(d, dtype=complex), (np.full(d, r1), diag)), shape=(n, n))
     m1 = (sparse.diags(keep) @ lmat + trace_at_r1).tocsc()
@@ -286,6 +287,56 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
 
     rho = DensityMatrix(basis=sop.basis, data=unvec(v1, d), residual=residual)
     return rho.validate()
+
+
+def solve_points(points, basis: FockBasis, reduce=None) -> list:
+    """``(reduce(rho), None)`` per parameter set, in input order, where rho
+    is the driven steady state on ``basis`` (``reduce`` None keeps rho).
+
+    A degenerate or invalid state (``DegenerateSteadyStateError`` or
+    ``ValueError``, from the solve or from ``reduce``) gives ``(None,
+    (class name, message))``; any other exception propagates. The points
+    are solved in spawned workers (one per CPU this process may run on, at
+    most one per point) whose BLAS is pinned to one thread, so the results
+    depend neither on the worker count nor, for a BLAS that reads the
+    pinned variables, on the caller's thread count. ``reduce`` must be
+    picklable, and a script that calls this needs an
+    ``if __name__ == "__main__":`` guard.
+    """
+    check_size(basis)
+    # imported here: only master-equation commands start a pool
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    workers = min(len(os.sched_getaffinity(0)), len(points))
+    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(_solve_point, points, repeat(basis), repeat(reduce)))
+
+
+def _solve_point(p: SystemParams, basis: FockBasis, reduce):
+    """One ``solve_points`` result; the generator is built outside the ``try``."""
+    sop = build_liouvillian(p, basis)
+    try:
+        rho = steady_state(sop)
+        return (rho if reduce is None else reduce(rho)), None
+    except (DegenerateSteadyStateError, ValueError) as exc:
+        return None, (type(exc).__name__, str(exc))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin the BLAS thread variables to 1 in ``os.environ`` for the block;
+    on exit each gets its previous value back, or is removed if it was unset."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def coherence_sector_pair(sop: Superoperator) -> LiouvillianSpectrum:
@@ -339,9 +390,9 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
 
     Scans the undriven lab-frame generator on ``grid`` (at least 3) points
     over gamma_tip, requires an interior gap minimum, refines it by
-    golden-section search, and checks the coalescence diagnostics (gap
-    below ``LEP_GAP_THRESHOLD`` in units of gamma_1', eigenmatrix overlap
-    above ``LEP_OVERLAP_THRESHOLD``).
+    golden-section search to ``LEP_TOL`` gamma_1', and checks the
+    coalescence diagnostics (gap below ``LEP_GAP_THRESHOLD`` gamma_1',
+    eigenmatrix overlap above ``LEP_OVERLAP_THRESHOLD``).
     """
     lo, hi = gamma_tip_range
     if not lo < hi:
@@ -379,8 +430,8 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
             f"no interior gap minimum in gamma_tip range [{lo}, {hi}]"
         )
     res = golden_section_minimize(
-        lambda gt: pair_at(gt).gap, float(gts[imin - 1]), float(gts[imin + 1]), tol=LEP_TOL
-    )
+        lambda gt: pair_at(gt).gap, float(gts[imin - 1]), float(gts[imin + 1]),
+        tol=LEP_TOL * p.gamma1_prime)
     best = pair_at(res.x)
     if best.gap > LEP_GAP_THRESHOLD * p.gamma1_prime or best.overlap < LEP_OVERLAP_THRESHOLD:
         raise LepNotFoundError(

@@ -10,7 +10,7 @@ hbar = 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -92,17 +92,8 @@ class DerivedRates:
 
 
 def kerr_coefficient(wavelength: float, chi3_over_eps_r2: float, v_eff: float) -> float:
-    """Kerr shift chi = 3*hbar*omega_c^2*(chi3/eps_r^2) / (4*eps0*V_eff), rad/s.
-
-    Parameters
-    ----------
-    wavelength : float
-        Resonance wavelength in m.
-    chi3_over_eps_r2 : float
-        Nonlinear susceptibility over relative permittivity squared, m^2/V^2.
-    v_eff : float
-        Effective mode volume in m^3.
-    """
+    """Kerr shift chi = 3*hbar*omega_c^2*(chi3/eps_r^2) / (4*eps0*V_eff), rad/s,
+    from the resonance wavelength (m), chi3/eps_r^2 (m^2/V^2) and V_eff (m^3)."""
     if wavelength <= 0 or v_eff <= 0:
         raise ValueError("wavelength and v_eff must be > 0")
     if chi3_over_eps_r2 < 0:
@@ -167,18 +158,6 @@ def build_hamiltonian(p: SystemParams, basis: FockBasis, variant: str) -> Comple
 # ---------------------------------------------------------------------------
 # presets
 
-def _params_from_dict(cfg: dict) -> SystemParams:
-    fields = {
-        k: cfg[k]
-        for k in (
-            "omega_c", "delta", "chi", "J", "gamma_1", "gamma_ex",
-            "gamma_2", "gamma_tip", "omega_drive_amp", "drive_phase",
-        )
-        if k in cfg
-    }
-    return SystemParams(unit_system=cfg.get("unit_system", "normalized"), **fields)
-
-
 def preset(name: str) -> tuple[SystemParams, dict]:
     """Load one of the shipped presets (``paper_fig1``/``paper_fig2``/``paper_fig3``)."""
     try:
@@ -186,7 +165,8 @@ def preset(name: str) -> tuple[SystemParams, dict]:
     except FileNotFoundError:
         raise KeyError(f"unknown preset {name!r}; available: {preset_names()}") from None
     cfg = json.loads(text)
-    return _params_from_dict(cfg["params"]), cfg
+    names = {f.name for f in fields(SystemParams)}
+    return SystemParams(**{k: v for k, v in cfg["params"].items() if k in names}), cfg
 
 
 def preset_names() -> list[str]:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .analytic import UNDEFINED_N1_FLOOR, amplitude_arrays, analytic_observables
 from .hilbert import build_basis, mode_operator
-from .liouvillian import DEFAULT_CUTOFF, DensityMatrix, build_liouvillian, steady_state
+from .liouvillian import DEFAULT_CUTOFF, DegenerateSteadyStateError, DensityMatrix, solve_points
 from .model import SystemParams
 
 __all__ = [
@@ -57,12 +57,15 @@ class SpectrumResult:
     delta: np.ndarray
     s1: np.ndarray
     peak_indices: tuple[int, ...]
-    peak_deltas: tuple[float, ...]
     skipped: tuple[int, ...]
 
     @property
     def peak_count(self) -> int:
         return len(self.peak_indices)
+
+    @property
+    def peak_deltas(self) -> tuple[float, ...]:
+        return tuple(float(self.delta[i]) for i in self.peak_indices)
 
 
 def photon_statistics(rho: DensityMatrix) -> PhotonStatistics:
@@ -131,35 +134,49 @@ def excitation_spectrum(p: SystemParams, delta_grid, backend: str = "analytic",
 
     backend 'analytic' evaluates the closed-form amplitudes (singular grid
     points and points where N1 vanishes are NaN and listed in ``skipped``);
-    'lindblad' solves the master equation steady state per point.
+    'lindblad' solves the master-equation steady state per point through
+    ``liouvillian.solve_points`` (see there for the ``__main__`` guard it
+    needs) and raises DegenerateSteadyStateError if any point fails.
     """
-    deltas = np.asarray(delta_grid, dtype=float)
+    return _spectra([p], np.asarray(delta_grid, dtype=float), backend, cutoff)[1][0]
+
+
+def _spectra(rows: list[SystemParams], deltas: np.ndarray, backend: str,
+             cutoff: tuple[int, int]) -> tuple[np.ndarray, list[SpectrumResult]]:
+    """S1 over ``rows`` x ``deltas``, and each row's ``excitation_spectrum``
+    result (its s1 a view of that row). The analytic backend evaluates one
+    row at a time, so its arrays stay row-sized; the Lindblad backend solves
+    every cell in one ``solve_points`` pool."""
     if deltas.size == 0:
         raise ValueError("delta grid must be nonempty")
-    n0 = n0_normalization(p)
-    if n0 == 0.0:
+    n0 = np.array([n0_normalization(pg) for pg in rows])
+    if np.any(n0 == 0.0):
         raise ValueError("no drive: S1 = N1 / n0 is undefined")
-    s1 = np.full(deltas.shape, np.nan)
-    skipped = []
+    s1 = np.full((len(rows), deltas.size), np.nan)
+    skipped = [()] * len(rows)
     if backend == "analytic":
-        amps, singular = amplitude_arrays(p, deltas, p.gamma2_prime)
-        n1 = analytic_observables(amps).n1
-        defined = ~singular & (n1 >= UNDEFINED_N1_FLOOR)
-        s1[defined] = n1[defined] / n0
-        skipped = np.flatnonzero(~defined).tolist()
+        for i, pg in enumerate(rows):
+            amps, singular = amplitude_arrays(pg, deltas, pg.gamma2_prime)
+            n1 = analytic_observables(amps).n1
+            defined = ~singular & (n1 >= UNDEFINED_N1_FLOOR)
+            s1[i, defined] = n1[defined] / n0[i]
+            skipped[i] = tuple(np.flatnonzero(~defined).tolist())
     elif backend == "lindblad":
-        basis = build_basis(per_mode=cutoff)
-        num1 = mode_operator(basis, 1, "number").data
-        for i, d in enumerate(deltas):
-            sop = build_liouvillian(p.with_(delta=float(d)), basis, driven=True)
-            rho = steady_state(sop)
-            s1[i] = rho.expectation(num1).real / n0
+        cells = [pg.with_(delta=float(d)) for pg in rows for d in deltas]
+        solved = solve_points(cells, build_basis(per_mode=cutoff), _mode1_occupation)
+        for pc, (_, failure) in zip(cells, solved):
+            if failure:
+                raise DegenerateSteadyStateError(
+                    f"lindblad point gamma_tip={pc.gamma_tip!r}, delta={pc.delta!r} "
+                    f"failed: {failure[0]}: {failure[1]}")
+        s1[:] = np.reshape([n1 for n1, _ in solved], s1.shape) / n0[:, None]
     else:
         raise ValueError("backend must be 'analytic' or 'lindblad'")
 
-    peaks = detect_peaks(s1)
-    return SpectrumResult(
-        delta=deltas, s1=s1, peak_indices=tuple(peaks),
-        peak_deltas=tuple(float(deltas[i]) for i in peaks),
-        skipped=tuple(skipped),
-    )
+    return s1, [SpectrumResult(delta=deltas, s1=row, peak_indices=tuple(detect_peaks(row)),
+                               skipped=row_skipped) for row, row_skipped in zip(s1, skipped)]
+
+
+def _mode1_occupation(rho: DensityMatrix) -> float:
+    """N1 = <a1' a1> of a steady state: the Lindblad spectrum's reduction."""
+    return rho.expectation(mode_operator(rho.basis, 1, "number").data).real

@@ -12,7 +12,9 @@ import pytest
 
 import kerrdimer
 from kerrdimer.cli import _build_config, _build_parser, main
+from kerrdimer import liouvillian
 from kerrdimer.model import preset
+from kerrdimer.search import MAX_ITER, golden_section_minimize
 from kerrdimer.spectral import hep_location
 
 
@@ -278,42 +280,53 @@ class TestExperimentCommands:
         assert "gamma_tip=8.9" in out
         assert (tmp_path / "lep.csv").exists()
 
-    def test_lep_independent_of_blas_threads(self, tmp_path):
-        src = str(Path(kerrdimer.__file__).resolve().parents[1])
-        for threads in ("1", "2"):
-            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            subprocess.run([sys.executable, "-m", "kerrdimer.cli", "lep",
-                            "--output-dir", str(tmp_path / threads)],
-                           env=env, check=True, capture_output=True, timeout=300)
-        for name in ("lep.csv", "lep.provenance.json"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    def test_lep_window_clamped_at_zero(self, tmp_path, capsys):
+        # the HEP (0.09) lies within gamma_1' of zero, so the default window
+        # starts at gamma_tip = 0 instead of failing on a negative loss
+        code, out, err = run(capsys, "lep", "--set", "J=0.01", "--set", "gamma_2=0.95",
+                             "--output-dir", str(tmp_path))
+        assert code == 0, err
+        assert "gamma_tip=0.090000" in out
+        side = json.loads((tmp_path / "lep.provenance.json").read_text())
+        assert side["gamma_tip_grid"]["start"] == 0.0
+        assert side["gamma_tip_grid"]["stop"] == pytest.approx(1.09, rel=1e-12)
 
-    def test_sweep_independent_of_blas_threads(self, tmp_path):
-        # the Lindblad points are solved in one-BLAS-thread workers, so the
-        # caller's thread count cannot reach the lindblad_* columns
-        src = str(Path(kerrdimer.__file__).resolve().parents[1])
-        for threads in ("1", "2"):
-            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            subprocess.run([sys.executable, "-m", "kerrdimer.cli", "sweep-loss",
-                            "--backend", "both", "--gamma-tip-grid", "0:12:9",
-                            "--output-dir", str(tmp_path / threads)],
-                           env=env, check=True, capture_output=True, timeout=300)
-        for name in ("fig2ab.csv", "fig2ab.provenance.json"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    # command line and the files it writes (glob patterns), per case
+    BLAS_CASES = {
+        "lep": (("lep",), ("lep.csv", "lep.provenance.json")),
+        "sweep-loss": (("sweep-loss", "--backend", "both", "--gamma-tip-grid", "0:12:9"),
+                       ("fig2ab.csv", "fig2ab.provenance.json")),
+        "spectrum-map": (("spectrum-map", "--gamma-tip-grid", "0:12:7", "--delta-grid=-4:4:41"),
+                         ("fig2c_map.csv", "fig2c_map_peaks.csv", "fig2c_map.provenance.json")),
+        "spectrum-lindblad": (("spectrum", "--backend", "lindblad", "--gamma-tip", "0.0",
+                               "--gamma-tip", "8.9", "--delta-grid=-4:4:21"),
+                              ("s1_cuts.csv", "s1_cuts.provenance.json")),
+        "spectrum-map-lindblad": (("spectrum-map", "--backend", "lindblad",
+                                   "--gamma-tip-grid", "0:12:3", "--delta-grid=-4:4:11"),
+                                  ("fig2c_map.csv", "fig2c_map_peaks.csv")),
+        "distribution": (("distribution", "--save-states"),
+                         ("fig3b.csv", "fig3b.provenance.json", "steady_state_gt_*.json")),
+    }
 
-    def test_spectrum_map_independent_of_blas_threads(self, tmp_path):
+    @pytest.mark.parametrize("case", list(BLAS_CASES))
+    def test_independent_of_blas_threads(self, tmp_path, case):
+        # master-equation points are solved in one-BLAS-thread workers, so
+        # the caller's thread count cannot reach the written files
+        argv, patterns = self.BLAS_CASES[case]
         src = str(Path(kerrdimer.__file__).resolve().parents[1])
         for threads in ("1", "2"):
             path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            subprocess.run([sys.executable, "-m", "kerrdimer.cli", "spectrum-map",
-                            "--gamma-tip-grid", "0:12:7", "--delta-grid=-4:4:41",
+            subprocess.run([sys.executable, "-m", "kerrdimer.cli", *argv,
                             "--output-dir", str(tmp_path / threads)],
                            env=env, check=True, capture_output=True, timeout=300)
-        for name in ("fig2c_map.csv", "fig2c_map_peaks.csv", "fig2c_map.provenance.json"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        for pattern in patterns:
+            names = sorted(p.name for p in (tmp_path / "1").glob(pattern))
+            assert names, pattern
+            assert names == sorted(p.name for p in (tmp_path / "2").glob(pattern))
+            for name in names:
+                assert (tmp_path / "1" / name).read_bytes() == \
+                    (tmp_path / "2" / name).read_bytes(), name
 
     def test_import_loads_only_the_needed_scipy(self):
         # the CLI needs scipy.sparse (eagerly, via the Liouvillian) but no
@@ -421,6 +434,23 @@ class TestSiUnits:
         assert min(gts) == pytest.approx(hep - g1p, rel=1e-12)
         assert max(gts) == pytest.approx(hep + g1p, rel=1e-12)
         assert side["lep"] == pytest.approx(10815805.7736, rel=1e-9)
+
+    def test_si_lep_search_takes_the_normalized_iterations(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # the golden-section tolerance scales with gamma_1' as the window
+        # does, so rad/s rates need no more refinement steps
+        iterations = []
+
+        def counted(*args, **kwargs):
+            res = golden_section_minimize(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(liouvillian, "golden_section_minimize", counted)
+        for name, units in (("si", self.SI), ("normalized", ())):
+            code, out, _ = run(capsys, "lep", *units, "--output-dir", str(tmp_path / name))
+            assert code == 0, out
+        assert iterations[0] == iterations[1] < MAX_ITER
 
 
 class TestRunRecord:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from kerrdimer import experiments
+from kerrdimer import experiments, liouvillian
 from kerrdimer.analytic import AMPLITUDE_STATES, analytic_observables, steady_amplitudes
 from kerrdimer.cli import main
 from kerrdimer.experiments import (
@@ -22,6 +22,7 @@ from kerrdimer.experiments import (
 from kerrdimer.hilbert import build_basis
 from kerrdimer.liouvillian import DegenerateSteadyStateError
 from kerrdimer.model import SystemParams
+from kerrdimer.observables import excitation_spectrum
 from kerrdimer.spectral import hep_location
 
 
@@ -41,6 +42,11 @@ class FaultyInWorker(SystemParams):
         if multiprocessing.parent_process() is not None:
             raise LookupError("no generator in a worker")
         return self.gamma_2 + self.gamma_tip
+
+
+def blas_environment(rho):
+    """A solve_points reduction: the BLAS thread variables its worker sees."""
+    return {name: os.environ.get(name) for name in liouvillian.BLAS_THREAD_VARS}
 
 
 def synthetic_table(gts, n1, g2):
@@ -102,31 +108,40 @@ class TestSweepLoss:
             sweep_loss(params(), [1.0, 0.5], backends=("analytic",))
 
     def test_only_numerical_failures_blank_a_row(self, monkeypatch):
-        # a degenerate steady state is a failed point that carries its
-        # reason; any other RuntimeError is a fault and must propagate. A
-        # monkeypatch does not reach the spawned workers, so this drives the
-        # per-point function they run.
+        # a degenerate or invalid steady state is a failed point that
+        # carries its reason; any other RuntimeError is a fault and must
+        # propagate. A monkeypatch does not reach the spawned workers, so
+        # this drives the per-point function they run, with the sweep's
+        # reduction of a state to its row.
         pg = params(gamma_tip=4.0)
         basis = build_basis(per_mode=(3, 3))
+
+        def invalid(rho):
+            raise ValueError("N1 vanishes")
+
+        assert liouvillian._solve_point(pg, basis, invalid) == (
+            None, ("ValueError", "N1 vanishes"))
 
         def degenerate(sop):
             raise DegenerateSteadyStateError("two null vectors")
 
-        monkeypatch.setattr(experiments, "steady_state", degenerate)
-        assert experiments._lindblad_point(pg, basis) == (
-            {"lindblad_failed": 1}, ("DegenerateSteadyStateError", "two null vectors"))
+        monkeypatch.setattr(liouvillian, "steady_state", degenerate)
+        assert liouvillian._solve_point(pg, basis, experiments._lindblad_columns) == (
+            None, ("DegenerateSteadyStateError", "two null vectors"))
 
         def broken(sop):
             raise RuntimeError("not a numerical failure")
 
-        monkeypatch.setattr(experiments, "steady_state", broken)
+        monkeypatch.setattr(liouvillian, "steady_state", broken)
         with pytest.raises(RuntimeError, match="not a numerical failure"):
-            experiments._lindblad_point(pg, basis)
+            liouvillian._solve_point(pg, basis, experiments._lindblad_columns)
 
     def test_worker_exception_propagates(self):
         p = FaultyInWorker(**vars(params()))
         with pytest.raises(LookupError, match="no generator in a worker"):
             sweep_loss(p, [0.0, 4.0], backends=("lindblad",), cutoff=(3, 3))
+        with pytest.raises(LookupError, match="no generator in a worker"):
+            excitation_spectrum(p, [0.0, 1.0], backend="lindblad", cutoff=(3, 3))
 
     def test_degenerate_point_is_listed(self):
         # no loss anywhere at gamma_tip = 0: the null space is not unique
@@ -134,6 +149,7 @@ class TestSweepLoss:
         table = sweep_loss(p, [0.0, 1.0], protocol=("fixed", 0.0),
                            backends=("lindblad",), cutoff=(3, 3))
         assert [r["lindblad_failed"] for r in table.rows] == [1, 0]
+        assert "lindblad_n1" not in table.rows[0]  # the failed row is blank
         assert table.failures == [(0.0, "DegenerateSteadyStateError", "steady state is "
                                    "not unique: two trace-normalized null vectors differ")]
 
@@ -149,7 +165,7 @@ class TestSweepLoss:
         grid = np.linspace(0.0, 12.0, 7)
         tables = []
         for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            monkeypatch.setattr(liouvillian.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             tables.append(sweep_loss(params(), grid, cutoff=(3, 3)))
         one, two = tables
         assert one.rows == two.rows
@@ -160,8 +176,13 @@ class TestSweepLoss:
         monkeypatch.setenv("MKL_NUM_THREADS", "")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         before = dict(os.environ)
-        with experiments._one_blas_thread():
-            assert all(os.environ[name] == "1" for name in experiments.BLAS_THREAD_VARS)
+        with liouvillian._one_blas_thread():
+            assert all(os.environ[name] == "1" for name in liouvillian.BLAS_THREAD_VARS)
+        assert dict(os.environ) == before
+        # the workers start pinned, and the caller's values come back after
+        basis = build_basis(per_mode=(3, 3))
+        assert liouvillian.solve_points([params()], basis, blas_environment) == [
+            (dict.fromkeys(liouvillian.BLAS_THREAD_VARS, "1"), None)]
         assert dict(os.environ) == before
         sweep_loss(params(), [0.0, 4.0], backends=("lindblad",), cutoff=(3, 3))
         assert dict(os.environ) == before
