@@ -56,19 +56,24 @@ _NUMERICAL_ERRORS = (NumericalFailureError, DegenerateSteadyStateError, LepNotFo
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         start, stop, num = spec.split(":")
-        grid = np.linspace(float(start), float(stop), int(num))
+        ends, num = [float(start), float(stop)], int(num)
     except ValueError:
-        grid = np.empty(0)
-    if grid.size == 0:
-        raise ValueError(f"grid must be start:stop:num with num >= 1, got {spec!r}")
-    return grid
+        ends, num = [], 0
+    if num < 1 or not np.isfinite(ends).all():
+        raise ValueError(f"grid must be start:stop:num with finite start and stop "
+                         f"and num >= 1, got {spec!r}")
+    return np.linspace(*ends, num)
 
 
 def _parse_values(spec: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in spec.split(",")])
+        values = np.array([float(x) for x in spec.split(",")])
     except ValueError:
-        raise ValueError(f"grid must be V1,V2,... with at least one number, got {spec!r}") from None
+        values = np.empty(0)
+    if values.size == 0 or not np.isfinite(values).all():
+        raise ValueError(f"grid must be V1,V2,... with at least one number, all finite, "
+                         f"got {spec!r}")
+    return values
 
 
 def _parse_range(spec: str) -> tuple[float, float]:
@@ -267,9 +272,9 @@ def _run_spectrum(rc: RunConfig, args) -> int:
     gamma_tips = [g * rc.rate_scale for g in (args.gamma_tip or [0.0])]
     backend = rc.backends[0]
     smap = spectrum_map(rc.params, gamma_tips, deltas, backend=backend, cutoff=rc.cutoff)
-    rows = ({"gamma_tip": gt, "delta": d, "s1": s1, "is_peak": int(j in peaks)}
-            for gt, s1_row, peaks in zip(gamma_tips, smap.s1.tolist(), smap.peak_indices)
-            for j, (d, s1) in enumerate(zip(smap.delta.tolist(), s1_row)))
+    rows = ({"gamma_tip": gt, "delta": smap.delta, "s1": s1_row,
+             "is_peak": np.isin(np.arange(smap.delta.size), peaks).astype(int)}
+            for gt, s1_row, peaks in zip(gamma_tips, smap.s1, smap.peak_indices))
     meta = {**asdict(rc.params), "experiment": "spectrum", "backend": backend}
     path = rc.path("s1_cuts.csv")
     rc.write(path, ["gamma_tip", "delta", "s1", "is_peak"], rows, meta=meta,
@@ -285,10 +290,9 @@ def _run_spectrum_map(rc: RunConfig, args) -> int:
     deltas = rc.grid(args.delta_grid, "delta_grid", "-4:4:201")
     smap = spectrum_map(rc.params, gts, deltas, backend=rc.backends[0], cutoff=rc.cutoff)
     path = rc.path("fig2c_map.csv")
-    cells = ({"gamma_tip": gt, "delta": d, "s1": s1}
-             for gt, s1_row in zip(smap.gamma_tip.tolist(), smap.s1)
-             for d, s1 in zip(smap.delta.tolist(), s1_row.tolist()))
-    rc.write(path, ["gamma_tip", "delta", "s1"], cells, experiment="spectrum_map",
+    rows = ({"gamma_tip": gt, "delta": smap.delta, "s1": s1_row}
+            for gt, s1_row in zip(smap.gamma_tip.tolist(), smap.s1))
+    rc.write(path, ["gamma_tip", "delta", "s1"], rows, experiment="spectrum_map",
              gamma_tip_grid=_grid_record(gts), delta_grid=_grid_record(deltas))
     peaks_path = companion_path(path, "_peaks.csv")
     write_csv(peaks_path,

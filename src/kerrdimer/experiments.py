@@ -2,13 +2,16 @@
 
 Every experiment produces a tidy row set; ``write_csv`` serializes it with
 full double precision and ``write_provenance`` writes the JSON sidecar that
-the caller assembles. Re-running with the same configuration reproduces
-byte-identical files.
+the caller assembles. A grid dataset is passed to ``write_csv`` as block
+items, one per gamma_tip row, whose array cells stand for many CSV rows;
+the bytes are those of one item per row. Re-running with the same
+configuration reproduces byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -55,6 +58,9 @@ REFINE_TOL = 1e-3  # gamma_tip critical points resolved to 1e-3 * gamma_1'
 # points (default 41)
 LEP_HALFWIDTH = 1.0
 LEP_GRID = 21
+# characters that can make csv.writer quote a cell (CR only on some Python
+# versions); a cell holding one is quoted by csv.writer itself
+_QUOTE_TRIGGERS = frozenset(',"\r\n')
 
 
 def companion_path(path, suffix: str) -> str:
@@ -383,15 +389,52 @@ def ep_agreement(p: SystemParams, j_grid) -> list[dict]:
 
 def write_csv(path, columns, rows, meta: dict | None = None) -> None:
     """CSV with shortest round-trip float formatting; optional '#' metadata
-    header lines carrying the full parameter set."""
+    header lines carrying the full parameter set.
+
+    Each item of ``rows`` maps column names to cells; a missing column is a
+    blank cell. A cell is a scalar or a 1-D numpy array, and the array cells
+    of one item have equal length: such a block item stands for one row per
+    array element, its scalar cells repeated on each. An item without array
+    cells is one row. Every cell reads as ``format_value`` writes it, a text
+    cell quoted as csv's minimal quoting does, so a block item writes the
+    same bytes as its rows one at a time.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if meta:
             for key in sorted(meta):
                 fh.write(f"# {key} = {format_value(meta[key])}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_value(row.get(c)) for c in columns])
+        fh.write(",".join(map(_cell_text, columns)) + "\n")
+        for item in rows:
+            fh.write(_item_lines(columns, item))
+
+
+def _item_lines(columns, item: dict) -> str:
+    """The CSV lines of one ``write_csv`` item, each ending in a newline."""
+    cells = [item.get(c) for c in columns]
+    n = next((len(v) for v in cells if isinstance(v, np.ndarray)), None)
+    if n is None:
+        return ",".join(map(_cell_text, cells)) + "\n"
+    texts = [_array_texts(v) if isinstance(v, np.ndarray) else [_cell_text(v)] * n
+             for v in cells]
+    return "".join([line + "\n" for line in map(",".join, zip(*texts, strict=True))])
+
+
+def _array_texts(values: np.ndarray):
+    """Cell texts of an array cell; a float64 element's text is its repr,
+    as ``format_value`` gives it."""
+    if values.dtype == float:
+        return map(repr, values.tolist())
+    return map(_cell_text, values.tolist())
+
+
+def _cell_text(v) -> str:
+    """``format_value(v)`` as csv.writer writes it under minimal quoting."""
+    text = format_value(v)
+    if _QUOTE_TRIGGERS.isdisjoint(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
 
 
 def write_provenance(path, provenance: dict) -> None:

@@ -46,6 +46,12 @@ EPSILON_0 = 8.8541878188e-12
 CHI_SI_REFERENCE = 2638495.9760940145  # rad/s
 
 
+# the fields of SystemParams that hold numbers; the rates among them are >= 0
+_RATE_FIELDS = frozenset(("J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip", "omega_drive_amp"))
+_FLOAT_FIELDS = ("chi", "J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip",
+                 "omega_drive_amp", "omega_c", "delta", "drive_phase")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All rates and drive settings of the two-resonator model (rad/s)."""
@@ -63,8 +69,11 @@ class SystemParams:
     unit_system: str = "normalized"
 
     def __post_init__(self):
-        for name in ("J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip", "omega_drive_amp"):
-            if getattr(self, name) < 0:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not -np.inf < value < np.inf:
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            if value < 0 and name in _RATE_FIELDS:
                 raise ValueError(f"{name} must be >= 0")
         if self.unit_system not in ("normalized", "si"):
             raise ValueError("unit_system must be 'normalized' or 'si'")

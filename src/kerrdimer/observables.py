@@ -114,7 +114,7 @@ def detect_peaks(y) -> list[int]:
     ``PEAK_SADDLE_RATIO`` times the saddle between them; the taller survives.
     """
     y = np.asarray(y, dtype=float)
-    idx = [i for i in range(1, len(y) - 1) if y[i] > y[i - 1] and y[i] > y[i + 1]]
+    idx = (np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])) + 1).tolist()
     changed = True
     while changed and len(idx) > 1:
         changed = False

@@ -8,14 +8,23 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kerrdimer
 from kerrdimer.cli import _build_config, _build_parser, main
+from kerrdimer.experiments import spectrum_map
 from kerrdimer import liouvillian
 from kerrdimer.model import preset
 from kerrdimer.search import MAX_ITER, golden_section_minimize
 from kerrdimer.spectral import hep_location
+
+
+# spectrum over ultranarrow resonances: far from them N1 vanishes, and
+# those cells are NaN
+VANISHING_N1_SPECTRUM = ("spectrum", "--set", "gamma_1=5e-15", "--set", "gamma_ex=5e-15",
+                         "--set", "gamma_2=1e-14", "--set", "J=1.0", "--set", "chi=1.0",
+                         "--delta-grid=-2:2:401")
 
 
 def run(capsys, *argv):
@@ -63,6 +72,29 @@ class TestDispatch:
             assert code == 2, (command, option, spec)
             assert "configuration error" in err
             assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("override", ["J=nan", "gamma_2=inf", "chi=nan"])
+    def test_non_finite_parameter_config_error(self, tmp_path, capsys, override):
+        name, _, value = override.partition("=")
+        code, out, err = run(capsys, "sweep-loss", "--backend", "analytic",
+                             "--gamma-tip-grid", "0:12:5", "--set", override,
+                             "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"configuration error: {name} must be finite, got {value}\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, spec", [
+        (("spectrum-map", "--gamma-tip-grid", "0:12:3", "--delta-grid=0:inf:4"), "0:inf:4"),
+        (("ep-agreement", "--j-grid", "1,inf"), "1,inf"),
+        (("sweep-loss", "--gamma-tip-grid", "nan:12:3"), "nan:12:3"),
+        (("ep-agreement", "--j-grid", "nan"), "nan")])
+    def test_non_finite_grid_config_error(self, tmp_path, capsys, argv, spec):
+        code, _, err = run(capsys, *argv, "--output-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("configuration error: grid must be ")
+        assert err.endswith(f"got {spec!r}\n")
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("option, value, form", [
         ("--range", "1:2:3", "LO:HI"), ("--range", "9", "LO:HI"),
@@ -212,10 +244,7 @@ class TestExperimentCommands:
     def test_spectrum_vanishing_n1_points_skipped(self, tmp_path, capsys):
         # far off the ultranarrow resonances N1 drops below the floor: those
         # cells are NaN, as singular points are, and the run succeeds
-        code, out, _ = run(capsys, "spectrum", "--set", "gamma_1=5e-15",
-                           "--set", "gamma_ex=5e-15", "--set", "gamma_2=1e-14",
-                           "--set", "J=1.0", "--set", "chi=1.0", "--delta-grid=-2:2:401",
-                           "--output-dir", str(tmp_path))
+        code, out, _ = run(capsys, *VANISHING_N1_SPECTRUM, "--output-dir", str(tmp_path))
         assert code == 0
         rows = [l.split(",") for l in (tmp_path / "s1_cuts.csv").read_text().splitlines()
                 if not l.startswith("#")][1:]
@@ -230,6 +259,37 @@ class TestExperimentCommands:
         assert peaks and f"{len(peaks)} peak(s)" in out
         for i in peaks:
             assert not (skipped[i] or skipped[i - 1] or skipped[i + 1]), rows[i]
+
+    def test_spectrum_map_bytes_match_the_per_cell_writer(self, tmp_path, capsys,
+                                                           reference_write_csv):
+        argv = ["spectrum-map", "--gamma-tip-grid", "0:12:3", "--delta-grid=-4:4:41",
+                "--output-dir", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+        rc = _build_config(_build_parser().parse_args(argv))
+        smap = spectrum_map(rc.params, np.linspace(0.0, 12.0, 3), np.linspace(-4.0, 4.0, 41))
+        cells = [{"gamma_tip": gt, "delta": d, "s1": s1}
+                 for gt, s1_row in zip(smap.gamma_tip.tolist(), smap.s1.tolist())
+                 for d, s1 in zip(smap.delta.tolist(), s1_row)]
+        reference_write_csv(tmp_path / "reference.csv", ["gamma_tip", "delta", "s1"], cells)
+        assert (tmp_path / "fig2c_map.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:drive exceeds")
+    def test_spectrum_nan_cell_bytes_match_the_per_cell_writer(self, tmp_path, capsys,
+                                                                reference_write_csv):
+        argv = [*VANISHING_N1_SPECTRUM, "--output-dir", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+        rc = _build_config(_build_parser().parse_args(argv))
+        smap = spectrum_map(rc.params, [0.0], np.linspace(-2.0, 2.0, 401))
+        peaks = smap.peak_indices[0]
+        cells = [{"gamma_tip": 0.0, "delta": d, "s1": s1, "is_peak": int(j in peaks)}
+                 for j, (d, s1) in enumerate(zip(smap.delta.tolist(), smap.s1[0].tolist()))]
+        meta = {**asdict(rc.params), "experiment": "spectrum", "backend": "analytic"}
+        reference_write_csv(tmp_path / "reference.csv",
+                            ["gamma_tip", "delta", "s1", "is_peak"], cells, meta=meta)
+        written = (tmp_path / "s1_cuts.csv").read_bytes()
+        assert b",nan,0\n" in written and b",1\n" in written
+        assert written == (tmp_path / "reference.csv").read_bytes()
 
     def test_spectrum_map(self, tmp_path, capsys):
         code, out, _ = run(capsys, "spectrum-map", "--gamma-tip-grid", "0:12:4",

@@ -5,6 +5,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kerrdimer import experiments, liouvillian
 from kerrdimer.analytic import AMPLITUDE_STATES, analytic_observables, steady_amplitudes
@@ -47,6 +48,42 @@ class FaultyInWorker(SystemParams):
 def blas_environment(rho):
     """A solve_points reduction: the BLAS thread variables its worker sees."""
     return {name: os.environ.get(name) for name in liouvillian.BLAS_THREAD_VARS}
+
+
+# cells as datasets hold them, with the edge cases of their text forms
+FLOAT_CELLS = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2e-308])
+CELL_KINDS = {
+    "float": (FLOAT_CELLS, float),
+    "int": (st.integers(-2**63, 2**63 - 1), np.int64),
+    "bool": (st.booleans(), bool),
+    "str": (st.text(st.sampled_from('ab ,"\n\r1.-'), max_size=5), str),
+    "mixed": (FLOAT_CELLS | st.integers() | st.booleans() | st.none()
+              | st.text(st.sampled_from('a,"\n'), max_size=3), object),
+}
+
+
+@st.composite
+def block_table(draw):
+    """Columns, ``write_csv`` items of scalar, array and missing cells, and
+    the same table as one dict per row."""
+    columns = [f"c{i}" for i in range(draw(st.integers(2, 5)))]
+    items, rows = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 4))
+        item, arrays = {}, {}
+        for c in columns:
+            cells, dtype = CELL_KINDS[draw(st.sampled_from(sorted(CELL_KINDS)))]
+            shape = draw(st.sampled_from(["array", "scalar", "missing"]))
+            if shape == "array":
+                arrays[c] = draw(st.lists(cells, min_size=n, max_size=n))
+                item[c] = np.array(arrays[c], dtype=dtype)
+            elif shape == "scalar":
+                item[c] = draw(cells)
+        scalars = {c: v for c, v in item.items() if c not in arrays}
+        rows += [{**scalars, **{c: v[i] for c, v in arrays.items()}}
+                 for i in range(n if arrays else 1)]
+        items.append(item)
+    return columns, items, rows
 
 
 def synthetic_table(gts, n1, g2):
@@ -351,3 +388,18 @@ class TestWriters:
         assert text[1] == "# chi = 0.1"
         assert text[2] == "a,b"
         assert text[3] == "1.5,"
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=block_table())
+    def test_block_items_write_the_per_cell_bytes(self, table, tmp_path_factory,
+                                                  reference_write_csv):
+        columns, items, rows = table
+        out = tmp_path_factory.mktemp("blocks")
+        write_csv(out / "blocks.csv", columns, items, meta={"J": 2.0})
+        reference_write_csv(out / "rows.csv", columns, rows, meta={"J": 2.0})
+        assert (out / "blocks.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+    def test_array_cells_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^zip"):
+            write_csv(tmp_path / "out.csv", ["a", "b"],
+                      [{"a": np.zeros(2), "b": np.zeros(3)}])

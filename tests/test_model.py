@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,15 @@ class TestSystemParams:
             params(gamma_tip=-0.1)
         with pytest.raises(ValueError):
             params(omega_drive_amp=-0.5)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SystemParams)
+                                      if f.name != "unit_system"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            params(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            params().with_(**{name: value})
 
     def test_total_losses(self):
         p = params(gamma_1=0.3, gamma_ex=0.7, gamma_2=0.1, gamma_tip=2.0)

@@ -7,6 +7,8 @@ from kerrdimer.hilbert import build_basis
 from kerrdimer.liouvillian import DensityMatrix, build_liouvillian, steady_state
 from kerrdimer.model import SystemParams, preset
 from kerrdimer.observables import (
+    PEAK_MIN_SEPARATION,
+    PEAK_SADDLE_RATIO,
     detect_peaks,
     excitation_spectrum,
     n0_normalization,
@@ -26,6 +28,23 @@ def fock_state(basis, m, n):
     rho = np.zeros((basis.size, basis.size), dtype=complex)
     rho[basis.index_of(m, n), basis.index_of(m, n)] = 1.0
     return DensityMatrix(basis=basis, data=rho)
+
+
+def reference_detect_peaks(y):
+    """``detect_peaks`` with its strict interior maxima found index by index."""
+    y = np.asarray(y, dtype=float)
+    idx = [i for i in range(1, len(y) - 1) if y[i] > y[i - 1] and y[i] > y[i + 1]]
+    changed = True
+    while changed and len(idx) > 1:
+        changed = False
+        for k in range(len(idx) - 1):
+            i, j = idx[k], idx[k + 1]
+            saddle = y[i:j + 1].min()
+            if (j - i) < PEAK_MIN_SEPARATION or min(y[i], y[j]) < PEAK_SADDLE_RATIO * saddle:
+                idx.pop(k if y[i] < y[j] else k + 1)
+                changed = True
+                break
+    return idx
 
 
 class TestPhotonStatistics:
@@ -93,6 +112,14 @@ class TestPeakDetection:
     def test_plateau_like_single_peak(self):
         y = np.concatenate([np.linspace(0, 1, 100), np.linspace(1, 0, 100)[1:]])
         assert len(detect_peaks(y)) <= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 1.0, 1.02, 2.0, np.nan, np.inf, -np.inf])
+                    | st.floats(-1e300, 1e300), max_size=40))
+    def test_matches_the_per_index_loop(self, values):
+        # plateaus, ties and NaN cells: the vectorised comparison finds the
+        # same strict interior maxima as comparing index by index
+        assert detect_peaks(np.array(values)) == reference_detect_peaks(values)
 
 
 class TestExcitationSpectrum:
