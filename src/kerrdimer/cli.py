@@ -132,7 +132,9 @@ class RunConfig:
         return grid * self.rate_scale
 
     def path(self, default: str) -> Path:
-        """Dataset path: ``--output`` if given, else ``default``, in the output dir."""
+        """Dataset path: ``--output`` if given, else ``default``, in the output
+        dir, which is created here, so a run that writes nothing leaves none."""
+        self.output_dir.mkdir(parents=True, exist_ok=True)
         return self.output_dir / (self.output_name or default)
 
     def provenance(self, **extra) -> dict:
@@ -372,6 +374,7 @@ def _run_distribution(rc: RunConfig, args) -> int:
             raise DegenerateSteadyStateError(
                 f"loss point gamma_tip={gt!r} failed: {failure[0]}: {failure[1]}")
         if args.save_states:
+            rc.output_dir.mkdir(parents=True, exist_ok=True)
             state_path = rc.output_dir / f"steady_state_gt_{gt!r}.json"
             state_path.write_text(rho.to_json(), encoding="utf-8")
         stats = photon_statistics(rho)
@@ -492,7 +495,6 @@ def main(argv=None) -> int:
 
     try:
         rc = _build_config(args)
-        rc.output_dir.mkdir(parents=True, exist_ok=True)
         return SUBCOMMANDS[args.command][0](rc, args)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,6 @@ from .hilbert import build_basis
 from .liouvillian import DEFAULT_CUTOFF, LepNotFoundError, lep_locate, solve_points
 from .model import SystemParams
 from .observables import _spectra, photon_statistics
-from .formatting import format_value
 from .search import bisect_root, golden_section_minimize
 from .spectral import hep_location, one_photon_eigensystem_closed
 
@@ -46,6 +46,7 @@ __all__ = [
     "critical_points",
     "spectrum_map",
     "ep_agreement",
+    "format_value",
     "write_csv",
     "write_provenance",
     "companion_path",
@@ -159,9 +160,12 @@ def _sweep_columns(backends) -> list[str]:
 
 
 def lep_window(p: SystemParams, halfwidth: float) -> tuple[float, float]:
-    """LEP search window: the HEP +- ``halfwidth`` gamma_1', clamped at 0."""
+    """LEP search window: the HEP +- ``halfwidth`` gamma_1', clamped at 0.
+    LepNotFoundError if no part of it lies above gamma_tip = 0."""
     hep = hep_location(p.J, p.gamma1_prime, p.gamma_2)
     half = halfwidth * p.gamma1_prime
+    if hep + half <= 0:
+        raise LepNotFoundError(f"no physical EP: the HEP lies at gamma_tip = {hep!r}")
     return max(hep - half, 0.0), hep + half
 
 
@@ -386,6 +390,23 @@ def ep_agreement(p: SystemParams, j_grid) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # dataset writers
+
+def format_value(v) -> str:
+    """Shortest round-trip text for a cell; None becomes the empty string."""
+    if isinstance(v, float):  # np.float64 too; its repr would name the type
+        return repr(float(v))
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, numbers.Integral):
+        return str(int(v))
+    if isinstance(v, numbers.Real):
+        return repr(float(v))
+    if isinstance(v, numbers.Complex):
+        return repr(complex(v))
+    return str(v)
+
 
 def write_csv(path, columns, rows, meta: dict | None = None) -> None:
     """CSV with shortest round-trip float formatting; optional '#' metadata

@@ -57,34 +57,17 @@ class ComplexOperator:
         object.__setattr__(self, "data", data)
 
 
-def build_basis(*, total: int | None = None,
-                per_mode: tuple[int, int] | None = None) -> FockBasis:
+def build_basis(*, per_mode: tuple[int, int] | None = None) -> FockBasis:
     """Enumerate the truncated two-mode Fock basis.
 
-    ``total=N_max`` keeps every state with m + n <= N_max;
-    ``per_mode=(n1_max, n2_max)`` keeps every state with m <= n1_max and
-    n <= n2_max. Exactly one of the two must be given.
+    ``per_mode=(n1_max, n2_max)``, which must be given, keeps every state
+    with m <= n1_max and n <= n2_max.
     """
-    if (total is None) == (per_mode is None):
-        raise ValueError("specify exactly one of total= or per_mode=")
-    if total is not None:
-        if total < 0:
-            raise ValueError("total truncation must be >= 0")
-        states = [
-            (m, n_tot - m)
-            for n_tot in range(total + 1)
-            for m in range(n_tot + 1)
-        ]
-    else:
-        n1_max, n2_max = per_mode
-        if n1_max < 0 or n2_max < 0:
-            raise ValueError("per-mode truncation must be >= 0")
-        states = [
-            (m, n)
-            for m in range(n1_max + 1)
-            for n in range(n2_max + 1)
-        ]
-        states.sort(key=lambda mn: (mn[0] + mn[1], mn[0]))
+    if per_mode is None or min(per_mode) < 0:
+        raise ValueError(f"per-mode truncation must be (n1_max, n2_max) >= 0, got {per_mode!r}")
+    n1_max, n2_max = per_mode
+    states = sorted(((m, n) for m in range(n1_max + 1) for n in range(n2_max + 1)),
+                    key=lambda mn: (mn[0] + mn[1], mn[0]))
     return FockBasis(states=tuple(states))
 
 

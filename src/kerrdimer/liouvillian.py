@@ -220,9 +220,9 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     Solved through a bordered linear system (one row replaced by the trace
     constraint), factored by sparse LU (SuperLU, COLAMD ordering) and
     polished by one step of iterative refinement. A second bordered system
-    with a different replaced row, solved from the same factorization by a
-    Woodbury update, guards against a degenerate null space, which is
-    reported rather than silently resolved.
+    with a different replaced row, solved by a Woodbury update from the same
+    factorization and the same two-column solve, guards against a degenerate
+    null space, which is reported rather than silently resolved.
     """
     d = sop.dim
     n = d * d
@@ -240,18 +240,20 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     trace_at_r1 = sparse.csr_matrix(
         (np.ones(d, dtype=complex), (np.full(d, r1), diag)), shape=(n, n))
     m1 = (sparse.diags(keep) @ lmat + trace_at_r1).tocsc()
-    b1 = np.zeros(n, dtype=complex)
-    b1[r1] = 1.0
+    # e_r1 and e_r2: the right-hand sides of M1 and M2, and the Woodbury U
+    u = np.zeros((n, 2), dtype=complex)
+    u[r1, 0] = 1.0
+    u[r2, 1] = 1.0
     try:
         lu = splu(m1)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise DegenerateSteadyStateError(
             f"bordered steady-state solve is singular: {exc}"
         ) from exc
-    v1 = lu.solve(b1)
+    z = lu.solve(u)
     # one refinement step: the sparse factor alone leaves ~1e-25 absolute
     # error, which is visible on three-photon populations of ~1e-15
-    v1 += lu.solve(b1 - m1 @ v1)
+    v1 = z[:, 0] + lu.solve(u[:, 0] - m1 @ z[:, 0])
     scale = float(abs(lmat).max())
     residual = float(np.max(np.abs(lmat @ v1)))
     if not np.all(np.isfinite(v1)) or residual > 1e-8 * max(scale, 1.0):
@@ -261,26 +263,18 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
 
     # second bordered system M2 (row r1 restored, row r2 replaced) via a
     # rank-2 Woodbury update of M1
-    b2 = np.zeros(n, dtype=complex)
-    b2[r2] = 1.0
-    u = np.zeros((n, 2), dtype=complex)
-    u[r1, 0] = 1.0
-    u[r2, 1] = 1.0
     vt = np.vstack([lmat[r1, :].toarray()[0] - trace,
                     trace - lmat[r2, :].toarray()[0]])
-    y = lu.solve(b2)
-    z = lu.solve(u)
     core = np.eye(2, dtype=complex) + vt @ z
     try:
-        w = np.linalg.solve(core, vt @ y)
+        w = np.linalg.solve(core, vt @ z[:, 1])
     except np.linalg.LinAlgError as exc:
         raise DegenerateSteadyStateError(
             f"degeneracy-guard system is singular: {exc}"
         ) from exc
-    v2 = y - z @ w
-    if not np.all(np.isfinite(v2)) or np.max(np.abs(v1 - v2)) > 1e-6 * max(
-        np.max(np.abs(v1)), 1.0
-    ):
+    v2 = z[:, 1] - z @ w
+    if (not np.all(np.isfinite(v2))
+            or np.max(np.abs(v1 - v2)) > 1e-6 * max(np.max(np.abs(v1)), 1.0)):
         raise DegenerateSteadyStateError(
             "steady state is not unique: two trace-normalized null vectors differ"
         )

@@ -64,10 +64,6 @@ def _n_block_states(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((m, n - m) for m in range(n + 1))
 
 
-def _normalize_columns(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=0, keepdims=True)
-
-
 def one_photon_eigensystem_closed(p: SystemParams) -> SubspaceEigensystem:
     """Closed-form eigenpairs of the one-photon block.
 
@@ -113,7 +109,9 @@ def hep_location(J: float, gamma1_prime: float, gamma_2: float) -> float:
     return gt
 
 
-def _two_photon_closed_eigenvalues(p: SystemParams):
+def _two_photon_closed_roots(p: SystemParams):
+    """Cubic roots labeled ('0', '+', '-'), or None when the closed
+    expressions are numerically unreliable."""
     g1p, g2p = p.gamma1_prime, p.gamma2_prime
     dg = g1p - g2p
     A = 2 * p.omega_c + 2 * p.chi - 1j * g1p
@@ -134,13 +132,6 @@ def _two_photon_closed_eigenvalues(p: SystemParams):
     ]))
     F = (D + np.sqrt(4 * E**3 + D**2 + 0j)) ** (1.0 / 3.0)  # principal branches
     G = (A + B + C) / 3.0
-    return A, B, C, D, E, F, G
-
-
-def _two_photon_closed_roots(p: SystemParams):
-    """Cubic roots labeled ('0', '+', '-'), or None when the closed
-    expressions are numerically unreliable."""
-    A, B, C, D, E, F, G = _two_photon_closed_eigenvalues(p)
     scale = max(p.J, abs(p.chi), p.gamma1_prime, p.gamma2_prime, abs(p.omega_c), 1e-300)
     if abs(F) < 1e-9 * scale:
         return None
@@ -151,13 +142,20 @@ def _two_photon_closed_roots(p: SystemParams):
     return np.array([lam0, lam_p, lam_m]), (A, C), scale
 
 
+def _coalesced(lam: np.ndarray, scale: float) -> bool:
+    """Whether two eigenvalues of ``lam`` lie within ``DEGENERACY_TOL * scale``."""
+    dists = [abs(a - b) for i, a in enumerate(lam) for b in lam[i + 1:]]
+    return bool(dists) and min(dists) < DEGENERACY_TOL * scale
+
+
 def _dense_block_eig(p: SystemParams, n: int):
+    """Eigenpairs of the N-excitation block, sliced from the per-mode basis (N, N)."""
     states = _n_block_states(n)
-    basis = build_basis(total=n)
+    basis = build_basis(per_mode=(n, n))
     h = build_hamiltonian(p, basis, "excitation_conserving_nonhermitian").data
     idx = [basis.index_of(m, k) for m, k in states]
     lam, vecs = np.linalg.eig(h[np.ix_(idx, idx)])
-    return lam, _normalize_columns(vecs), states
+    return lam, vecs / np.linalg.norm(vecs, axis=0, keepdims=True), states
 
 
 def two_photon_eigensystem_closed(p: SystemParams) -> SubspaceEigensystem:
@@ -191,15 +189,13 @@ def two_photon_eigensystem_closed(p: SystemParams) -> SubspaceEigensystem:
         labels = ("0", "+", "-")
         states = _n_block_states(2)
 
-    scale = max(np.max(np.abs(lam)), 1e-300)
-    dists = [abs(lam[i] - lam[j]) for i in range(3) for j in range(i + 1, 3)]
     return SubspaceEigensystem(
         n_excitation=2,
         eigenvalues=lam,
         eigenvectors=vecs,
         labels=labels,
         basis_states=states,
-        degenerate=min(dists) < DEGENERACY_TOL * scale,
+        degenerate=_coalesced(lam, max(np.max(np.abs(lam)), 1e-300)),
         used_fallback=fallback,
     )
 
@@ -219,8 +215,7 @@ def subspace_eigensystem_numeric(p: SystemParams, n: int) -> SubspaceEigensystem
         closed = _two_photon_closed_roots(p)
         if closed is not None:
             roots, _, scale = closed
-            dists = [abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3)]
-            reference = (roots, ("0", "+", "-"), min(dists) < DEGENERACY_TOL * scale)
+            reference = (roots, ("0", "+", "-"), _coalesced(roots, scale))
 
     if reference is not None:
         ref_vals, labels, degenerate = reference
@@ -230,9 +225,7 @@ def subspace_eigensystem_numeric(p: SystemParams, n: int) -> SubspaceEigensystem
         order = np.lexsort((lam.imag, lam.real))
         lam, vecs = lam[order], vecs[:, order]
         labels = tuple(f"b{k}" for k in range(n + 1))
-        dists = [abs(a - b) for i, a in enumerate(lam) for b in lam[i + 1:]]
-        scale = max(np.max(np.abs(lam)), 1e-300)
-        degenerate = bool(dists) and min(dists) < DEGENERACY_TOL * scale
+        degenerate = _coalesced(lam, max(np.max(np.abs(lam)), 1e-300))
 
     return SubspaceEigensystem(
         n_excitation=n,

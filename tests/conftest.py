@@ -3,8 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from kerrdimer.experiments import sweep_loss
-from kerrdimer.formatting import format_value
+from kerrdimer.experiments import format_value, sweep_loss
 from kerrdimer.model import preset
 
 

@@ -71,7 +71,7 @@ class TestDispatch:
             code, _, err = run(capsys, command, option, spec, "--output-dir", str(out))
             assert code == 2, (command, option, spec)
             assert "configuration error" in err
-            assert not any(out.iterdir())
+            assert not out.exists()
 
     @pytest.mark.parametrize("override", ["J=nan", "gamma_2=inf", "chi=nan"])
     def test_non_finite_parameter_config_error(self, tmp_path, capsys, override):
@@ -410,6 +410,39 @@ class TestExperimentCommands:
         assert code == 1
         assert "numerical failure" in err
 
+    # gamma_2 = 5 puts the HEP of J = 0.01 at gamma_tip = -3.96, so no
+    # default LEP window reaches a physical loss
+    UNREACHABLE_EP = ("--set", "J=0.01", "--set", "gamma_2=5")
+
+    @pytest.mark.filterwarnings("ignore:EP condition gives gamma_tip < 0")
+    def test_unreachable_lep_is_numerical_error(self, tmp_path, capsys):
+        code, _, err = run(capsys, "lep", *self.UNREACHABLE_EP,
+                           "--output-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("numerical failure: no physical EP")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:EP condition gives gamma_tip < 0")
+    def test_ep_agreement_marks_an_unreachable_ep(self, tmp_path, capsys):
+        code, out, err = run(capsys, "ep-agreement", *self.UNREACHABLE_EP,
+                             "--j-grid", "0.01,2", "--output-dir", str(tmp_path))
+        assert code == 0, err
+        assert "1/2 LEPs located" in out
+        with open(tmp_path / "fig1b_ep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["J"], r["found"]) for r in rows] == [("0.01", "0"), ("2.0", "1")]
+        assert rows[0]["lep"] == ""
+        assert float(rows[1]["lep"]) == pytest.approx(4.0, abs=1e-6)
+
+    @pytest.mark.filterwarnings("ignore:EP condition gives gamma_tip < 0")
+    def test_critical_points_report_an_unreachable_lep_absent(self, tmp_path, capsys):
+        code, out, err = run(capsys, "critical-points", *self.UNREACHABLE_EP,
+                             "--gamma-tip-grid", "0:12:13", "--output-dir", str(tmp_path))
+        assert code == 0, err
+        assert "ep=-3.9600 lep=absent" in out
+        payload = json.loads((tmp_path / "critical_points.json").read_text())
+        assert payload["critical_points"]["lep"] is None
+
     def test_ep_agreement(self, tmp_path, capsys):
         code, out, _ = run(capsys, "ep-agreement", "--j-grid", "1.0,2.0",
                            "--output-dir", str(tmp_path))
@@ -432,6 +465,27 @@ class TestExperimentCommands:
         assert "cp_q_down=1.77" in out
         payload = json.loads((tmp_path / "critical_points.json").read_text())
         assert payload["critical_points"]["ep"] == pytest.approx(8.9)
+
+
+class TestOutputDirectory:
+    # the output directory is made when the first file is written, so a run
+    # that writes nothing leaves none behind
+    def test_configuration_error_leaves_no_directory(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "spectrum-map", "--gamma-tip-grid", "0:12:3",
+                         "--delta-grid=0:inf:4", "--output-dir", str(tmp_path / "new" / "out"))
+        assert code == 2
+        assert not (tmp_path / "new").exists()
+
+    def test_numerical_failure_leaves_no_directory(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "lep", "--range", "0:1",
+                         "--output-dir", str(tmp_path / "lepfail" / "out"))
+        assert code == 1
+        assert not (tmp_path / "lepfail").exists()
+
+    def test_validate_leaves_no_directory(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "validate", "--output-dir", str(tmp_path / "vdir"))
+        assert code == 0
+        assert not (tmp_path / "vdir").exists()
 
 
 class TestValidate:
@@ -546,8 +600,9 @@ class TestRunRecord:
         runs = (tmp_path / "r1", tmp_path / "r2")
         for out in runs:
             assert run(capsys, *argv, *self.COMMON, "--output-dir", str(out))[0] == 0
-        names = sorted(p.name for p in runs[0].iterdir())
-        assert names == sorted(p.name for p in runs[1].iterdir())
+        # a run that writes nothing (validate) makes no output directory
+        names = sorted(p.name for p in runs[0].glob("*"))
+        assert names == sorted(p.name for p in runs[1].glob("*"))
         for name in names:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
@@ -592,11 +647,12 @@ class TestStateSerialization:
         assert payload["data"][0][0] == [0.25, 0.0]
 
     def test_distribution_saves_states(self, tmp_path, capsys):
+        # the state files are the first the run writes: they make the directory
         code, _, _ = run(capsys, "distribution", "--gamma-tip", "6.0",
                          "--cutoff", "3,3", "--save-states",
-                         "--output-dir", str(tmp_path))
+                         "--output-dir", str(tmp_path / "states"))
         assert code == 0
-        payload = json.loads((tmp_path / "steady_state_gt_6.0.json").read_text())
+        payload = json.loads((tmp_path / "states" / "steady_state_gt_6.0.json").read_text())
         assert payload["basis"][0] == [0, 0]
         assert payload["residual"] < 1e-10
 

@@ -15,13 +15,15 @@ from kerrdimer.experiments import (
     SweepTable,
     critical_points,
     ep_agreement,
+    format_value,
+    lep_window,
     resolve_delta,
     spectrum_map,
     sweep_loss,
     write_csv,
 )
 from kerrdimer.hilbert import build_basis
-from kerrdimer.liouvillian import DegenerateSteadyStateError
+from kerrdimer.liouvillian import DegenerateSteadyStateError, LepNotFoundError
 from kerrdimer.model import SystemParams
 from kerrdimer.observables import excitation_spectrum
 from kerrdimer.spectral import hep_location
@@ -379,6 +381,15 @@ class TestEpAgreement:
             ep_agreement(fig2, np.array([2.0, 1.0]))
 
 
+class TestLepWindow:
+    @pytest.mark.filterwarnings("ignore:EP condition gives gamma_tip < 0")
+    @pytest.mark.parametrize("J, gamma_2", [(0.01, 5.0), (0.0, 2.0)])
+    def test_no_window_above_zero_is_lep_not_found(self, J, gamma_2):
+        # HEP + half-width is -2.96 and exactly 0: no gamma_tip > 0 to scan
+        with pytest.raises(LepNotFoundError, match="no physical EP"):
+            lep_window(params(J=J, gamma_2=gamma_2), 1.0)
+
+
 class TestWriters:
     def test_meta_header_lines(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -398,6 +409,21 @@ class TestWriters:
         write_csv(out / "blocks.csv", columns, items, meta={"J": 2.0})
         reference_write_csv(out / "rows.csv", columns, rows, meta={"J": 2.0})
         assert (out / "blocks.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+    # cell values and the texts the datasets hold for them
+    FORMATTED = [
+        (None, ""), (True, "1"), (np.bool_(True), "True"), (7, "7"), (np.int64(7), "7"),
+        (0.1, "0.1"), (np.float64(0.1), "0.1"), (np.float32(0.1), "0.10000000149011612"),
+        (float("nan"), "nan"), (np.float32("nan"), "nan"), (float("inf"), "inf"),
+        (-float("inf"), "-inf"), (-0.0, "-0.0"), (5e-324, "5e-324"),
+        (1 + 2j, "(1+2j)"), (np.complex128(1 + 2j), "(1+2j)"), ("a,b", "a,b"),
+    ]
+
+    def test_format_value_texts(self):
+        # the formatter lives, and is exported, next to the writer it serves
+        assert "format_value" in experiments.__all__
+        for value, text in self.FORMATTED:
+            assert format_value(value) == text, repr(value)
 
     def test_array_cells_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="^zip"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import splu
 
 from kerrdimer import liouvillian
 from kerrdimer.analytic import steady_amplitudes
@@ -272,6 +273,27 @@ class TestSteadyState:
             for state, pw in want.p_mn.items():
                 if pw > 1e-14:
                     assert rel(got.p_mn[state], pw) <= 1e-12, state
+
+    def test_one_factor_and_two_solves_per_point(self, monkeypatch):
+        # the two-column solve for e_r1 and e_r2 serves the steady state and
+        # the guard, so a point costs one factorization, that solve and the
+        # refinement solve
+        calls = []
+
+        class CountingLU:
+            def __init__(self, m):
+                calls.append("splu")
+                self.lu = splu(m)
+
+            def solve(self, b):
+                calls.append(b.shape)
+                return self.lu.solve(b)
+
+        monkeypatch.setattr(liouvillian, "splu", CountingLU)
+        basis = build_basis(per_mode=(3, 3))
+        steady_state(build_liouvillian(tracked(params(), 2.0), basis))
+        n = basis.size ** 2
+        assert calls == ["splu", (n, 2), (n,)]
 
     def test_drive_phase_invariance(self):
         basis = build_basis(per_mode=(4, 4))

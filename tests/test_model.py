@@ -123,7 +123,7 @@ class TestSystemParams:
 
 class TestBuildHamiltonian:
     def test_bare_rotating_frame_is_diagonal(self):
-        basis = build_basis(total=3)
+        basis = build_basis(per_mode=(3, 3))
         p = params(chi=0.0, J=0.0, omega_drive_amp=0.0, delta=0.7)
         h = build_hamiltonian(p, basis, "rotating_driven").data
         expected = np.diag([0.7 * (m + n) for m, n in basis.states])
@@ -144,7 +144,7 @@ class TestBuildHamiltonian:
         assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
     def test_kerr_term_diagonal_m_m_minus_1(self):
-        basis = build_basis(total=3)
+        basis = build_basis(per_mode=(3, 3))
         p0 = params(chi=0.0, J=1.1, delta=0.2)
         p1 = params(chi=1.9, J=1.1, delta=0.2)
         dh = build_hamiltonian(p1, basis, "rotating_driven").data - \
@@ -153,7 +153,7 @@ class TestBuildHamiltonian:
         assert np.allclose(dh, expected, atol=1e-14)
 
     def test_excitation_conserving_block_diagonal(self):
-        basis = build_basis(total=3)
+        basis = build_basis(per_mode=(3, 3))
         p = params(omega_c=0.5, gamma_tip=3.0)
         h = build_hamiltonian(p, basis, "excitation_conserving_nonhermitian").data
         for i, (m1, n1) in enumerate(basis.states):
@@ -163,7 +163,7 @@ class TestBuildHamiltonian:
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            build_hamiltonian(params(), build_basis(total=1), "lab_driven")
+            build_hamiltonian(params(), build_basis(per_mode=(3, 3)), "lab_driven")
 
 
 class TestPresets:
