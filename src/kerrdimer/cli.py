@@ -121,14 +121,15 @@ class RunConfig:
     overrides: dict = field(default_factory=dict)
     rate_scale: float = 1.0
 
-    def grid(self, spec: str | None, key: str, fallback: str, parse=_parse_grid) -> np.ndarray:
+    def grid(self, spec: str | None, key: str, fallback: str | None = None,
+             parse=_parse_grid) -> np.ndarray:
         """Grid from the option ``spec``, else the preset's ``key`` block
-        (start/stop/num), else ``fallback``; in the active units."""
-        block = self.preset_cfg.get(key)
-        if spec is not None or not block:
-            grid = parse(fallback if spec is None else spec)
-        else:
+        (start/stop/num), else ``fallback`` if one is given; in the active units."""
+        if spec is None and (fallback is None or key in self.preset_cfg):
+            block = self.preset_cfg[key]
             grid = np.linspace(block["start"], block["stop"], block["num"])
+        else:
+            grid = parse(fallback if spec is None else spec)
         return grid * self.rate_scale
 
     def path(self, default: str) -> Path:
@@ -201,12 +202,13 @@ def _build_config(args) -> RunConfig:
         params = params.with_(**overrides)
         print("overrides applied:", ", ".join(f"{k}={v}" for k, v in sorted(overrides.items())))
 
+    backend = args.backend or SUBCOMMANDS[args.command][1]
     rc = RunConfig(
         params=params, preset_name=args.preset, preset_cfg=cfg,
         output_dir=Path(args.output_dir or os.environ.get("KERRDIMER_OUTPUT_DIR", "datasets")),
         output_name=args.output,
-        protocol=parse_protocol(args.protocol or cfg.get("protocol", "track_upper_branch")),
-        backends=("analytic", "lindblad") if args.backend == "both" else (args.backend,),
+        protocol=parse_protocol(args.protocol or cfg["protocol"]),
+        backends=("analytic", "lindblad") if backend == "both" else (backend,),
         cutoff=_parse_cutoff(args.cutoff),
         overrides=overrides, rate_scale=rate_scale,
     )
@@ -220,7 +222,7 @@ def _build_config(args) -> RunConfig:
 # experiment runners
 
 def _run_sweep_loss(rc: RunConfig, args) -> int:
-    grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:121")
+    grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid")
 
     def sweep(run: RunConfig, path, **extra) -> list:
         table = sweep_loss(run.params, grid, protocol=run.protocol, backends=run.backends,
@@ -229,7 +231,7 @@ def _run_sweep_loss(rc: RunConfig, args) -> int:
                   gamma_tip_grid=_grid_record(grid), **extra)
         return table.failures
 
-    path = rc.path(rc.preset_cfg.get("dataset", "sweep_loss.csv"))
+    path = rc.path(rc.preset_cfg["dataset"])
     failures = sweep(rc, path)
     written = [str(path)]
 
@@ -249,7 +251,7 @@ def _run_sweep_loss(rc: RunConfig, args) -> int:
 
 
 def _run_critical_points(rc: RunConfig, args) -> int:
-    grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:121")
+    grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid")
     table = sweep_loss(rc.params, grid, protocol=rc.protocol, backends=rc.backends,
                        cutoff=rc.cutoff)
     cps = critical_points(table, rc.params)
@@ -270,7 +272,7 @@ def _run_critical_points(rc: RunConfig, args) -> int:
 
 
 def _run_spectrum(rc: RunConfig, args) -> int:
-    deltas = rc.grid(args.delta_grid, "delta_grid", "-4:4:501")
+    deltas = rc.grid(args.delta_grid, "delta_grid")
     gamma_tips = [g * rc.rate_scale for g in (args.gamma_tip or [0.0])]
     backend = rc.backends[0]
     smap = spectrum_map(rc.params, gamma_tips, deltas, backend=backend, cutoff=rc.cutoff)
@@ -288,8 +290,8 @@ def _run_spectrum(rc: RunConfig, args) -> int:
 
 
 def _run_spectrum_map(rc: RunConfig, args) -> int:
-    gts = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:61")
-    deltas = rc.grid(args.delta_grid, "delta_grid", "-4:4:201")
+    gts = rc.grid(args.gamma_tip_grid, "gamma_tip_grid")
+    deltas = rc.grid(args.delta_grid, "delta_grid")
     smap = spectrum_map(rc.params, gts, deltas, backend=rc.backends[0], cutoff=rc.cutoff)
     path = rc.path("fig2c_map.csv")
     rows = ({"gamma_tip": gt, "delta": smap.delta, "s1": s1_row}
@@ -306,7 +308,7 @@ def _run_spectrum_map(rc: RunConfig, args) -> int:
 
 
 def _run_eigen(rc: RunConfig, args) -> int:
-    gts = rc.grid(args.gamma_tip_grid, "gamma_tip_grid", "0:12:121")
+    gts = rc.grid(args.gamma_tip_grid, "gamma_tip_grid")
     rows = branch_sweep(rc.params, gts)
     path = rc.path("figS3.csv")
     rc.write(path, ["gamma_tip", "branch", "re_lambda", "im_lambda", "pop_01", "pop_10"],
@@ -435,13 +437,8 @@ SUBCOMMANDS = {
 }
 
 
-def _common_parser(backend: str) -> argparse.ArgumentParser:
-    """Options shared by every subcommand, with the given --backend default.
-
-    A parent parser shares its action objects with every child, so a child's
-    ``set_defaults`` would change the default of all of them; each backend
-    default therefore gets its own parent.
-    """
+def _common_parser() -> argparse.ArgumentParser:
+    """Options shared by every subcommand."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--preset", default="paper_fig2",
                         help="shipped preset name (default: paper_fig2)")
@@ -461,8 +458,7 @@ def _common_parser(backend: str) -> argparse.ArgumentParser:
                         help="dataset directory (env KERRDIMER_OUTPUT_DIR, "
                              "default ./datasets)")
     common.add_argument("--output", default=None, help="dataset filename override")
-    common.add_argument("--backend", choices=("both", "analytic", "lindblad"),
-                        default=backend)
+    common.add_argument("--backend", choices=("both", "analytic", "lindblad"))
     common.add_argument("--cutoff", default=",".join(map(str, DEFAULT_CUTOFF)),
                         help="per-mode Fock cutoffs n1,n2 for master-equation solves")
     common.add_argument("--protocol", default=None,
@@ -471,7 +467,7 @@ def _common_parser(backend: str) -> argparse.ArgumentParser:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parents = {b: _common_parser(b) for b in ("both", "analytic")}
+    common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="kerrdimer",
         description="Loss sweeps, spectra and exceptional points of a driven "
@@ -479,8 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, backend, help_, options) in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, parents=[parents[backend]], help=help_)
+    for name, (_, _, help_, options) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, parents=[common], help=help_)
         for flag, kwargs in options.items():
             sp.add_argument(flag, **kwargs)
     return parser

@@ -250,14 +250,14 @@ def _fill_analytic(rows: list[dict], p: SystemParams, gts: np.ndarray) -> None:
         row["analytic_failed"] = int(failed[i])
 
 
-def critical_points(table: SweepTable, p: SystemParams | None = None) -> CriticalPoints:
+def critical_points(table: SweepTable, p: SystemParams) -> CriticalPoints:
     """Extract CP_c, CP_q(down/up), the Eq.-(3) EP and the located LEP.
 
     Brackets come from the (sorted) table's Lindblad columns if it has them,
     else its analytic ones; a row with a blank N1 or g2 cell (a failed
-    point) is skipped. Refinement runs on the analytic evaluator when ``p``
-    is given, otherwise on a cubic interpolant of the table columns. Missing
-    sign changes leave the corresponding fields unset rather than fabricated.
+    point) is skipped. Each bracket is refined to ``REFINE_TOL`` gamma_1' on
+    the analytic evaluator of ``p`` under the table's protocol. Missing sign
+    changes leave the corresponding fields unset rather than fabricated.
     """
     backend = "lindblad" if "lindblad_n1" in table.columns else "analytic"
     rows = sorted(table.rows, key=lambda r: r["gamma_tip"])
@@ -269,24 +269,15 @@ def critical_points(table: SweepTable, p: SystemParams | None = None) -> Critica
     if len(gts) < 5:
         raise ValueError("need at least 5 sweep rows with finite N1 and g2")
 
-    if p is not None:
-        obs = lambda gt: analytic_observables(steady_amplitudes(loss_point(p, gt, table.protocol)))
-        n1_of = lambda gt: obs(gt).n1
-        g2_of = lambda gt: obs(gt).g2
-    else:
-        from scipy.interpolate import CubicSpline  # only this branch needs it
-
-        n1_spline = CubicSpline(gts, n1)
-        g2_spline = CubicSpline(gts, g2)
-        n1_of = lambda gt: float(n1_spline(gt))
-        g2_of = lambda gt: float(g2_spline(gt))
+    obs = lambda gt: analytic_observables(steady_amplitudes(loss_point(p, gt, table.protocol)))
+    tol = REFINE_TOL * p.gamma1_prime
 
     # classical critical point: discrete minimum + golden-section refinement
     cp_c = None
     imin = int(np.argmin(n1))
     if 0 < imin < len(gts) - 1:
         lo, hi = float(gts[imin - 1]), float(gts[imin + 1])
-        res = golden_section_minimize(n1_of, lo, hi, tol=REFINE_TOL)
+        res = golden_section_minimize(lambda gt: obs(gt).n1, lo, hi, tol=tol)
         cp_c = CriticalPoint(value=res.x, bracket=res.bracket,
                              residual=res.bracket[1] - res.bracket[0])
 
@@ -299,24 +290,20 @@ def critical_points(table: SweepTable, p: SystemParams | None = None) -> Critica
                                        bracket=(float(gts[i]), float(gts[i])),
                                        residual=0.0))
     for i in np.where(sgn[:-1] * sgn[1:] < 0)[0]:
-        res = bisect_root(lambda gt: g2_of(gt) - 1.0, float(gts[i]),
-                          float(gts[i + 1]), tol=REFINE_TOL)
+        res = bisect_root(lambda gt: obs(gt).g2 - 1.0, float(gts[i]),
+                          float(gts[i + 1]), tol=tol)
         crossings.append(CriticalPoint(value=res.x, bracket=res.bracket,
                                        residual=abs(res.fx)))
     crossings.sort(key=lambda cp: cp.value)
     cp_q_down = crossings[0] if crossings else None
     cp_q_up = crossings[-1] if len(crossings) >= 2 else None
 
-    ep = None
-    lep = None
-    if p is not None:
-        ep = hep_location(p.J, p.gamma1_prime, p.gamma_2)
-        try:
-            res = lep_locate(p, lep_window(p, 0.5), grid=LEP_GRID)
-            lep = CriticalPoint(value=res.gamma_tip, bracket=res.bracket,
-                                residual=res.gap)
-        except LepNotFoundError:
-            lep = None
+    ep = hep_location(p.J, p.gamma1_prime, p.gamma_2)
+    try:
+        res = lep_locate(p, lep_window(p, 0.5), grid=LEP_GRID)
+        lep = CriticalPoint(value=res.gamma_tip, bracket=res.bracket, residual=res.gap)
+    except LepNotFoundError:
+        lep = None
 
     return CriticalPoints(cp_c=cp_c, cp_q_down=cp_q_down, cp_q_up=cp_q_up,
                           ep=ep, lep=lep)
@@ -397,7 +384,7 @@ def format_value(v) -> str:
         return repr(float(v))
     if v is None:
         return ""
-    if isinstance(v, bool):
+    if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, numbers.Integral):
         return str(int(v))

@@ -57,7 +57,6 @@ class SpectrumResult:
     delta: np.ndarray
     s1: np.ndarray
     peak_indices: tuple[int, ...]
-    skipped: tuple[int, ...]
 
     @property
     def peak_count(self) -> int:
@@ -133,7 +132,7 @@ def excitation_spectrum(p: SystemParams, delta_grid, backend: str = "analytic",
     """S1(delta) = N1(delta) / n0 over a detuning grid, with peak detection.
 
     backend 'analytic' evaluates the closed-form amplitudes (singular grid
-    points and points where N1 vanishes are NaN and listed in ``skipped``);
+    points and points where N1 vanishes are NaN);
     'lindblad' solves the master-equation steady state per point through
     ``liouvillian.solve_points`` (see there for the ``__main__`` guard it
     needs) and raises DegenerateSteadyStateError if any point fails.
@@ -153,14 +152,12 @@ def _spectra(rows: list[SystemParams], deltas: np.ndarray, backend: str,
     if np.any(n0 == 0.0):
         raise ValueError("no drive: S1 = N1 / n0 is undefined")
     s1 = np.full((len(rows), deltas.size), np.nan)
-    skipped = [()] * len(rows)
     if backend == "analytic":
         for i, pg in enumerate(rows):
             amps, singular = amplitude_arrays(pg, deltas, pg.gamma2_prime)
             n1 = analytic_observables(amps).n1
             defined = ~singular & (n1 >= UNDEFINED_N1_FLOOR)
             s1[i, defined] = n1[defined] / n0[i]
-            skipped[i] = tuple(np.flatnonzero(~defined).tolist())
     elif backend == "lindblad":
         cells = [pg.with_(delta=float(d)) for pg in rows for d in deltas]
         solved = solve_points(cells, build_basis(per_mode=cutoff), _mode1_occupation)
@@ -173,8 +170,8 @@ def _spectra(rows: list[SystemParams], deltas: np.ndarray, backend: str,
     else:
         raise ValueError("backend must be 'analytic' or 'lindblad'")
 
-    return s1, [SpectrumResult(delta=deltas, s1=row, peak_indices=tuple(detect_peaks(row)),
-                               skipped=row_skipped) for row, row_skipped in zip(s1, skipped)]
+    return s1, [SpectrumResult(delta=deltas, s1=row, peak_indices=tuple(detect_peaks(row)))
+                for row in s1]
 
 
 def _mode1_occupation(rho: DensityMatrix) -> float:

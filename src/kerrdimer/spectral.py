@@ -8,14 +8,12 @@ and eigenstate localization diagnostics.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import build_basis
 from .model import SystemParams, build_hamiltonian, derived_rates
-from .search import golden_section_minimize
 
 __all__ = [
     "SubspaceEigensystem",
@@ -23,7 +21,6 @@ __all__ = [
     "two_photon_eigensystem_closed",
     "subspace_eigensystem_numeric",
     "hep_location",
-    "hep_locate_numeric",
     "localization",
     "match_branches",
     "branch_sweep",
@@ -99,14 +96,11 @@ def hep_location(J: float, gamma1_prime: float, gamma_2: float) -> float:
     """Nanotip loss at which the one-photon eigenvalues coalesce.
 
     gamma_tip_EP = 4J + gamma_1' - gamma_2; a negative result means no
-    physical EP is reachable and a warning is emitted.
+    physical EP is reachable, which each caller reports.
     """
     if J < 0 or gamma1_prime < 0 or gamma_2 < 0:
         raise ValueError("J, gamma1_prime and gamma_2 must be >= 0")
-    gt = 4.0 * J + gamma1_prime - gamma_2
-    if gt < 0:
-        warnings.warn("EP condition gives gamma_tip < 0: no physical EP", stacklevel=2)
-    return gt
+    return 4.0 * J + gamma1_prime - gamma_2
 
 
 def _two_photon_closed_roots(p: SystemParams):
@@ -235,20 +229,6 @@ def subspace_eigensystem_numeric(p: SystemParams, n: int) -> SubspaceEigensystem
         basis_states=states,
         degenerate=degenerate,
     )
-
-
-def hep_locate_numeric(
-    p: SystemParams, lo: float, hi: float, tol: float = 1e-9
-) -> float:
-    """Locate the one-photon eigenvalue coalescence by minimizing the
-    numeric eigenvalue gap over gamma_tip in [lo, hi]."""
-
-    def gap(gt: float) -> float:
-        eig = subspace_eigensystem_numeric(p.with_(gamma_tip=gt), 1)
-        return abs(eig.eigenvalues[0] - eig.eigenvalues[1])
-
-    res = golden_section_minimize(gap, lo, hi, tol=tol)
-    return res.x
 
 
 def localization(eig: SubspaceEigensystem) -> np.ndarray:

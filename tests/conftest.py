@@ -5,6 +5,8 @@ import pytest
 
 from kerrdimer.experiments import format_value, sweep_loss
 from kerrdimer.model import preset
+from kerrdimer.search import golden_section_minimize
+from kerrdimer.spectral import subspace_eigensystem_numeric
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +37,20 @@ def _reference_write_csv(path, columns, rows, meta=None):
 @pytest.fixture(scope="session")
 def reference_write_csv():
     return _reference_write_csv
+
+
+def _hep_locate_numeric(p, lo, hi, tol=1e-9):
+    """The one-photon eigenvalue coalescence, located by minimizing the
+    numeric eigenvalue gap over gamma_tip in [lo, hi]: an oracle for the
+    closed-form ``hep_location``."""
+
+    def gap(gt):
+        eig = subspace_eigensystem_numeric(p.with_(gamma_tip=gt), 1)
+        return abs(eig.eigenvalues[0] - eig.eigenvalues[1])
+
+    return golden_section_minimize(gap, lo, hi, tol=tol).x
+
+
+@pytest.fixture(scope="session")
+def hep_locate_numeric():
+    return _hep_locate_numeric

@@ -17,7 +17,6 @@ from kerrdimer.observables import (
     poisson_comparison,
 )
 from kerrdimer.spectral import (
-    hep_locate_numeric,
     hep_location,
     one_photon_eigensystem_closed,
     subspace_eigensystem_numeric,
@@ -42,7 +41,7 @@ def lindblad_stats(p, gamma_tip, cutoff=(5, 5)):
     return photon_statistics(rho)
 
 
-def test_criterion_1_hep_location(fig2):
+def test_criterion_1_hep_location(fig2, hep_locate_numeric):
     ep = hep_location(fig2.J, fig2.gamma1_prime, fig2.gamma_2)
     exact = abs(ep - 8.9) < 1e-12
     located = hep_locate_numeric(fig2, 8.0, 10.0)

@@ -15,7 +15,7 @@ import kerrdimer
 from kerrdimer.cli import _build_config, _build_parser, main
 from kerrdimer.experiments import spectrum_map
 from kerrdimer import liouvillian
-from kerrdimer.model import preset
+from kerrdimer.model import preset, preset_names
 from kerrdimer.search import MAX_ITER, golden_section_minimize
 from kerrdimer.spectral import hep_location
 
@@ -227,8 +227,15 @@ class TestDispatch:
 
     def test_backend_default_per_subcommand(self):
         parser = _build_parser()
-        assert parser.parse_args(["sweep-loss"]).backend == "both"
-        assert parser.parse_args(["spectrum-map"]).backend == "analytic"
+        assert _build_config(parser.parse_args(["sweep-loss"])).backends == \
+            ("analytic", "lindblad")
+        assert _build_config(parser.parse_args(["spectrum-map"])).backends == ("analytic",)
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_every_preset_defines_the_run_defaults(self, name):
+        # the runners take these from the preset, with no fallback of their own
+        _, cfg = preset(name)
+        assert {"gamma_tip_grid", "delta_grid", "protocol", "dataset"} <= set(cfg)
 
 
 class TestExperimentCommands:
@@ -414,7 +421,6 @@ class TestExperimentCommands:
     # default LEP window reaches a physical loss
     UNREACHABLE_EP = ("--set", "J=0.01", "--set", "gamma_2=5")
 
-    @pytest.mark.filterwarnings("ignore:EP condition gives gamma_tip < 0")
     def test_unreachable_lep_is_numerical_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "lep", *self.UNREACHABLE_EP,
                            "--output-dir", str(tmp_path / "out"))
@@ -422,7 +428,6 @@ class TestExperimentCommands:
         assert err.startswith("numerical failure: no physical EP")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore:EP condition gives gamma_tip < 0")
     def test_ep_agreement_marks_an_unreachable_ep(self, tmp_path, capsys):
         code, out, err = run(capsys, "ep-agreement", *self.UNREACHABLE_EP,
                              "--j-grid", "0.01,2", "--output-dir", str(tmp_path))
@@ -434,7 +439,6 @@ class TestExperimentCommands:
         assert rows[0]["lep"] == ""
         assert float(rows[1]["lep"]) == pytest.approx(4.0, abs=1e-6)
 
-    @pytest.mark.filterwarnings("ignore:EP condition gives gamma_tip < 0")
     def test_critical_points_report_an_unreachable_lep_absent(self, tmp_path, capsys):
         code, out, err = run(capsys, "critical-points", *self.UNREACHABLE_EP,
                              "--gamma-tip-grid", "0:12:13", "--output-dir", str(tmp_path))
@@ -442,6 +446,24 @@ class TestExperimentCommands:
         assert "ep=-3.9600 lep=absent" in out
         payload = json.loads((tmp_path / "critical_points.json").read_text())
         assert payload["critical_points"]["lep"] is None
+
+    @pytest.mark.parametrize("argv, code", [
+        (("lep",), 1), (("ep-agreement", "--j-grid", "0.01,2"), 0), (("critical-points",), 0)],
+        ids=["lep", "ep-agreement", "critical-points"])
+    def test_unreachable_ep_leaves_stderr_clean(self, tmp_path, argv, code):
+        # each command reports the missing EP itself; no Python warning,
+        # with its source path, reaches stderr
+        src = str(Path(kerrdimer.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-m", "kerrdimer.cli", *argv,
+                              *self.UNREACHABLE_EP, "--output-dir", str(tmp_path)],
+                             env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == code, res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == code, lines  # lep's one "numerical failure:" line
+        assert all(line.startswith("numerical failure: no physical EP") for line in lines)
+        assert "UserWarning" not in res.stderr and src not in res.stderr
 
     def test_ep_agreement(self, tmp_path, capsys):
         code, out, _ = run(capsys, "ep-agreement", "--j-grid", "1.0,2.0",

@@ -24,8 +24,9 @@ from kerrdimer.experiments import (
 )
 from kerrdimer.hilbert import build_basis
 from kerrdimer.liouvillian import DegenerateSteadyStateError, LepNotFoundError
-from kerrdimer.model import SystemParams
+from kerrdimer.model import SystemParams, si_reference_rates
 from kerrdimer.observables import excitation_spectrum
+from kerrdimer.search import MAX_ITER, bisect_root, golden_section_minimize
 from kerrdimer.spectral import hep_location
 
 
@@ -263,66 +264,45 @@ class TestSweepLoss:
 
 
 class TestCriticalPoints:
-    def test_synthetic_parabola_minimum(self):
-        gts = np.linspace(3.0, 7.0, 21)
-        table = synthetic_table(gts, (gts - 5.0) ** 2 + 0.01, np.full_like(gts, 2.0))
-        cps = critical_points(table)
-        assert cps.cp_c.value == pytest.approx(5.0, abs=2e-3)
-        assert cps.cp_q_down is None and cps.cp_q_up is None
-
-    def test_synthetic_crossings(self):
-        gts = np.linspace(0.0, 10.0, 41)
-        g2 = 1.0 + np.sin(np.pi * (gts - 2.1) / 4.0)  # crosses 1 at 2.1 and 6.1
-        table = synthetic_table(gts, np.ones_like(gts), g2)
-        cps = critical_points(table)
-        assert cps.cp_q_down.value == pytest.approx(2.1, abs=5e-3)
-        assert cps.cp_q_up.value == pytest.approx(6.1, abs=5e-3)
-        assert cps.cp_q_down.value < cps.cp_q_up.value
-
-    def test_crossing_exactly_on_grid_point(self):
+    def test_crossing_exactly_on_grid_point(self, fig2):
         gts = np.linspace(0.0, 10.0, 21)
         g2 = np.where(gts < 4.0, 0.5, np.where(gts > 4.0, 1.5, 1.0))
         table = synthetic_table(gts, np.ones_like(gts), g2)
-        cps = critical_points(table)
+        cps = critical_points(table, fig2)
         assert cps.cp_q_down.value == 4.0
         assert cps.cp_q_down.residual == 0.0
 
-    def test_monotone_table_has_no_quantum_points(self):
+    def test_monotone_table_has_no_quantum_points(self, fig2):
         gts = np.linspace(0.0, 10.0, 11)
         table = synthetic_table(gts, gts + 1.0, gts + 2.0)
-        cps = critical_points(table)
+        cps = critical_points(table, fig2)
         assert cps.cp_q_down is None and cps.cp_q_up is None
         assert cps.cp_c is None  # minimum sits on the grid edge
 
-    def test_order_independence(self):
-        gts = np.linspace(3.0, 7.0, 21)
-        n1 = (gts - 5.0) ** 2 + 0.01
-        g2 = np.linspace(0.5, 1.5, 21)
-        fwd = critical_points(synthetic_table(gts, n1, g2))
-        rev = critical_points(synthetic_table(gts[::-1], n1[::-1], g2[::-1]))
-        assert fwd.cp_c.value == rev.cp_c.value
-        assert fwd.cp_q_down.value == rev.cp_q_down.value
+    def test_order_independence(self, loss_sweep, fig2):
+        fwd = critical_points(loss_sweep, fig2)
+        rev = critical_points(replace(loss_sweep, rows=loss_sweep.rows[::-1]), fig2)
+        for name in ("cp_c", "cp_q_down", "cp_q_up"):
+            assert getattr(fwd, name) == getattr(rev, name), name
 
-    def test_needs_enough_rows(self):
+    def test_needs_enough_rows(self, fig2):
         gts = np.linspace(0, 1, 3)
         with pytest.raises(ValueError):
-            critical_points(synthetic_table(gts, gts, gts))
+            critical_points(synthetic_table(gts, gts, gts), fig2)
 
     @pytest.fixture(scope="class")
     def lindblad_sweep(self, fig2):
         return sweep_loss(fig2, np.linspace(0.0, 12.0, 25), backends=("lindblad",))
 
-    @pytest.mark.parametrize("with_params", [True, False])
     @pytest.mark.parametrize("blank", [0, 3])  # gamma_tip = 0 and 1.5
-    def test_failed_row_is_skipped(self, lindblad_sweep, fig2, blank, with_params):
+    def test_failed_row_is_skipped(self, lindblad_sweep, fig2, blank):
         # a failed point leaves its Lindblad cells blank: it must neither be
         # taken as the minimum nor hide a sign change, nor decide the backend
-        p = fig2 if with_params else None
         rows = list(lindblad_sweep.rows)
         rows[blank] = {k: v for k, v in rows[blank].items()
                        if not k.startswith("lindblad_")} | {"lindblad_failed": 1}
-        intact = critical_points(lindblad_sweep, p)
-        cps = critical_points(replace(lindblad_sweep, rows=rows), p)
+        intact = critical_points(lindblad_sweep, fig2)
+        cps = critical_points(replace(lindblad_sweep, rows=rows), fig2)
         for name in ("cp_c", "cp_q_down", "cp_q_up"):
             assert getattr(cps, name).value == pytest.approx(
                 getattr(intact, name).value, abs=2 * REFINE_TOL), name
@@ -334,6 +314,37 @@ class TestCriticalPoints:
         assert cps.cp_q_up.value == pytest.approx(6.56, abs=0.02)
         assert cps.ep == pytest.approx(8.9, abs=1e-12)
         assert cps.lep.value == pytest.approx(8.9, abs=1e-3)
+
+    def test_rad_per_second_rates_take_the_normalized_refinement(self, fig2, monkeypatch):
+        # REFINE_TOL is in units of gamma_1', as the brackets are: the same
+        # system in rad/s takes the same steps to the same points
+        scale = si_reference_rates()["gamma1_prime"]
+        p_si = fig2.with_(unit_system="si", **{name: getattr(fig2, name) * scale for name in (
+            "omega_c", "delta", "chi", "J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip",
+            "omega_drive_amp")})
+        iterations = []
+
+        def counted(search):
+            def run(*args, **kwargs):
+                res = search(*args, **kwargs)
+                iterations.append(res.iterations)
+                return res
+            return run
+
+        monkeypatch.setattr(experiments, "golden_section_minimize",
+                            counted(golden_section_minimize))
+        monkeypatch.setattr(experiments, "bisect_root", counted(bisect_root))
+        gts = np.linspace(0.0, 12.0, 61)
+        runs = []
+        for p, unit in ((fig2, 1.0), (p_si, scale)):
+            iterations.clear()
+            cps = critical_points(sweep_loss(p, gts * unit, backends=("analytic",)), p)
+            runs.append((list(iterations), cps))
+        (norm_its, norm), (si_its, si) = runs
+        assert len(norm_its) == 3 and si_its == norm_its and max(norm_its) < MAX_ITER
+        for name in ("cp_c", "cp_q_down", "cp_q_up"):
+            assert abs(getattr(si, name).value / scale - getattr(norm, name).value) \
+                < REFINE_TOL, name
 
 
 class TestSpectrumMap:
@@ -382,7 +393,6 @@ class TestEpAgreement:
 
 
 class TestLepWindow:
-    @pytest.mark.filterwarnings("ignore:EP condition gives gamma_tip < 0")
     @pytest.mark.parametrize("J, gamma_2", [(0.01, 5.0), (0.0, 2.0)])
     def test_no_window_above_zero_is_lep_not_found(self, J, gamma_2):
         # HEP + half-width is -2.96 and exactly 0: no gamma_tip > 0 to scan
@@ -412,7 +422,7 @@ class TestWriters:
 
     # cell values and the texts the datasets hold for them
     FORMATTED = [
-        (None, ""), (True, "1"), (np.bool_(True), "True"), (7, "7"), (np.int64(7), "7"),
+        (None, ""), (True, "1"), (np.bool_(True), "1"), (7, "7"), (np.int64(7), "7"),
         (0.1, "0.1"), (np.float64(0.1), "0.1"), (np.float32(0.1), "0.10000000149011612"),
         (float("nan"), "nan"), (np.float32("nan"), "nan"), (float("inf"), "inf"),
         (-float("inf"), "-inf"), (-0.0, "-0.0"), (5e-324, "5e-324"),
@@ -424,6 +434,14 @@ class TestWriters:
         assert "format_value" in experiments.__all__
         for value, text in self.FORMATTED:
             assert format_value(value) == text, repr(value)
+
+    def test_bool_array_cell_writes_its_rows_bytes(self, tmp_path):
+        # a bool array's elements are numpy bools; they write as Python bools do
+        mask = np.array([True, False])
+        write_csv(tmp_path / "block.csv", ["a", "m"], [{"a": 1.5, "m": mask}])
+        write_csv(tmp_path / "rows.csv", ["a", "m"], [{"a": 1.5, "m": m} for m in mask])
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert (tmp_path / "block.csv").read_text() == "a,m\n1.5,1\n1.5,0\n"
 
     def test_array_cells_of_unequal_length_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="^zip"):

@@ -186,7 +186,7 @@ class TestAnalyticSpectrumKernel:
         p = preset("paper_fig2")[0].with_(gamma_tip=gamma_tip)
         deltas = np.linspace(-4, 4, 501)
         spec = excitation_spectrum(p, deltas)
-        assert spec.skipped == ()
+        assert not np.isnan(spec.s1).any()
         assert np.array_equal(spec.s1, scalar_s1(p, deltas))
 
     @settings(max_examples=40, deadline=None)
@@ -198,7 +198,6 @@ class TestAnalyticSpectrumKernel:
         spec = excitation_spectrum(p, deltas)
         expected = scalar_s1(p, deltas)
         assert np.array_equal(spec.s1, expected, equal_nan=True)
-        assert spec.skipped == tuple(np.flatnonzero(np.isnan(expected)))
 
     def test_singular_point_skipped(self):
         # eta1 = D1*D2 - J^2 vanishes at delta = 1 for these nearly lossless modes
@@ -208,8 +207,7 @@ class TestAnalyticSpectrumKernel:
         assert deltas[50] == 1.0
         with pytest.warns(UserWarning, match="perturbative"):
             spec = excitation_spectrum(p, deltas)
-        assert spec.skipped == (50,)
-        assert np.isnan(spec.s1[50])
+        assert np.flatnonzero(np.isnan(spec.s1)).tolist() == [50]
         assert np.isfinite(np.delete(spec.s1, 50)).all()
         assert 50 not in spec.peak_indices
 

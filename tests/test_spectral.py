@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -5,7 +7,6 @@ from scipy.optimize import linear_sum_assignment
 from kerrdimer.model import SystemParams
 from kerrdimer.spectral import (
     branch_sweep,
-    hep_locate_numeric,
     hep_location,
     localization,
     match_branches,
@@ -108,11 +109,13 @@ class TestHepLocation:
             d = hep_location(j + 1.0, 1.0, 0.1) - hep_location(j, 1.0, 0.1)
             assert d == pytest.approx(4.0, abs=1e-12)
 
-    def test_warns_when_unphysical(self):
-        with pytest.warns(UserWarning):
-            hep_location(0.1, 0.1, 5.0)
+    def test_unphysical_value_without_warning(self):
+        # a negative HEP is reported by each caller, not warned about here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hep_location(0.1, 0.1, 5.0) == pytest.approx(-4.5, abs=1e-12)
 
-    def test_numeric_coalescence_matches(self):
+    def test_numeric_coalescence_matches(self, hep_locate_numeric):
         p = params()
         located = hep_locate_numeric(p, 8.0, 10.0)
         assert located == pytest.approx(8.9, abs=1e-3)
