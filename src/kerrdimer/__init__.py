@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 from .hilbert import FockBasis, ComplexOperator, build_basis, mode_operator
 from .model import (
     SystemParams,
-    DerivedRates,
     kerr_coefficient,
     drive_amplitude,
-    derived_rates,
     build_hamiltonian,
     preset,
 )
@@ -44,8 +42,8 @@ from .experiments import sweep_loss, critical_points, spectrum_map, ep_agreement
 
 __all__ = [
     "FockBasis", "ComplexOperator", "build_basis", "mode_operator",
-    "SystemParams", "DerivedRates", "kerr_coefficient", "drive_amplitude",
-    "derived_rates", "build_hamiltonian", "preset",
+    "SystemParams", "kerr_coefficient", "drive_amplitude", "build_hamiltonian",
+    "preset",
     "SubspaceEigensystem", "one_photon_eigensystem_closed",
     "two_photon_eigensystem_closed", "subspace_eigensystem_numeric",
     "hep_location", "localization",

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -256,13 +257,12 @@ def _run_critical_points(rc: RunConfig, args) -> int:
                        cutoff=rc.cutoff)
     cps = critical_points(table, rc.params)
     path = rc.path("critical_points.json")
-    # each CriticalPoint by its value; ep is already a float
     write_provenance(path, rc.provenance(
         experiment="critical_points", gamma_tip_grid=_grid_record(grid),
-        critical_points={name: getattr(cp, "value", cp) for name, cp in vars(cps).items()}))
+        critical_points=vars(cps)))
 
     def show(cp):
-        return "absent" if cp is None else f"{cp.value:.4f}"
+        return "absent" if cp is None else f"{cp:.4f}"
 
     print(
         f"critical-points: cp_c={show(cps.cp_c)} cp_q_down={show(cps.cp_q_down)} "
@@ -489,15 +489,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
 
-    try:
-        rc = _build_config(args)
-        return SUBCOMMANDS[args.command][0](rc, args)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
-    except _CONFIG_ERRORS as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    # each library warning once, as one line without a source path
+    with warnings.catch_warnings():
+        warnings.simplefilter("once")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            rc = _build_config(args)
+            return SUBCOMMANDS[args.command][0](rc, args)
+        except _NUMERICAL_ERRORS as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return NUMERICAL_ERROR
+        except _CONFIG_ERRORS as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
 
 
 if __name__ == "__main__":

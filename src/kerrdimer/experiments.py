@@ -34,7 +34,6 @@ from .spectral import hep_location, one_photon_eigensystem_closed
 
 __all__ = [
     "SweepTable",
-    "CriticalPoint",
     "CriticalPoints",
     "SpectrumMap",
     "parse_protocol",
@@ -130,21 +129,14 @@ class SweepTable:
 
 
 @dataclass(frozen=True)
-class CriticalPoint:
-    value: float
-    bracket: tuple[float, float]
-    residual: float
-
-
-@dataclass(frozen=True)
 class CriticalPoints:
     """Loss values of the intensity minimum, g2 = 1 crossings, and EPs."""
 
-    cp_c: CriticalPoint | None = None
-    cp_q_down: CriticalPoint | None = None
-    cp_q_up: CriticalPoint | None = None
+    cp_c: float | None = None
+    cp_q_down: float | None = None
+    cp_q_up: float | None = None
     ep: float | None = None
-    lep: CriticalPoint | None = None
+    lep: float | None = None
 
 
 def _sweep_columns(backends) -> list[str]:
@@ -277,31 +269,22 @@ def critical_points(table: SweepTable, p: SystemParams) -> CriticalPoints:
     imin = int(np.argmin(n1))
     if 0 < imin < len(gts) - 1:
         lo, hi = float(gts[imin - 1]), float(gts[imin + 1])
-        res = golden_section_minimize(lambda gt: obs(gt).n1, lo, hi, tol=tol)
-        cp_c = CriticalPoint(value=res.x, bracket=res.bracket,
-                             residual=res.bracket[1] - res.bracket[0])
+        cp_c = golden_section_minimize(lambda gt: obs(gt).n1, lo, hi, tol=tol).x
 
     # quantum critical points: bisection inside g2 - 1 sign-change brackets;
     # a grid point sitting exactly on the crossing is taken as-is
     sgn = np.sign(g2 - 1.0)
-    crossings = []
-    for i in np.where(sgn == 0.0)[0]:
-        crossings.append(CriticalPoint(value=float(gts[i]),
-                                       bracket=(float(gts[i]), float(gts[i])),
-                                       residual=0.0))
-    for i in np.where(sgn[:-1] * sgn[1:] < 0)[0]:
-        res = bisect_root(lambda gt: obs(gt).g2 - 1.0, float(gts[i]),
-                          float(gts[i + 1]), tol=tol)
-        crossings.append(CriticalPoint(value=res.x, bracket=res.bracket,
-                                       residual=abs(res.fx)))
-    crossings.sort(key=lambda cp: cp.value)
+    crossings = [float(gts[i]) for i in np.where(sgn == 0.0)[0]]
+    crossings += [bisect_root(lambda gt: obs(gt).g2 - 1.0, float(gts[i]),
+                              float(gts[i + 1]), tol=tol).x
+                  for i in np.where(sgn[:-1] * sgn[1:] < 0)[0]]
+    crossings.sort()
     cp_q_down = crossings[0] if crossings else None
     cp_q_up = crossings[-1] if len(crossings) >= 2 else None
 
     ep = hep_location(p.J, p.gamma1_prime, p.gamma_2)
     try:
-        res = lep_locate(p, lep_window(p, 0.5), grid=LEP_GRID)
-        lep = CriticalPoint(value=res.gamma_tip, bracket=res.bracket, residual=res.gap)
+        lep = lep_locate(p, lep_window(p, 0.5), grid=LEP_GRID).gamma_tip
     except LepNotFoundError:
         lep = None
 

@@ -155,8 +155,7 @@ class LepResult:
     gamma_tip: float
     gap: float
     overlap: float
-    bracket: tuple[float, float]
-    grid_rows: list[dict] = field(hash=False, compare=False, default=None)
+    grid_rows: list[dict] = field(hash=False, compare=False)
 
 
 @functools.cache
@@ -290,19 +289,21 @@ def solve_points(points, basis: FockBasis, reduce=None) -> list:
     A degenerate or invalid state (``DegenerateSteadyStateError`` or
     ``ValueError``, from the solve or from ``reduce``) gives ``(None,
     (class name, message))``; any other exception propagates. The points
-    are solved in spawned workers (one per CPU this process may run on, at
-    most one per point) whose BLAS is pinned to one thread, so the results
-    depend neither on the worker count nor, for a BLAS that reads the
-    pinned variables, on the caller's thread count. ``reduce`` must be
-    picklable, and a script that calls this needs an
-    ``if __name__ == "__main__":`` guard.
+    are solved in spawned workers (one per CPU this process may run on, or
+    per CPU where the platform cannot tell; at most one per point) whose
+    BLAS is pinned to one thread, so the results depend neither on the
+    worker count nor, for a BLAS that reads the pinned variables, on the
+    caller's thread count. ``reduce`` must be picklable, and a script that
+    calls this needs an ``if __name__ == "__main__":`` guard.
     """
     check_size(basis)
     # imported here: only master-equation commands start a pool
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    workers = min(len(os.sched_getaffinity(0)), len(points))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cpus, len(points))
     with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
         return list(pool.map(_solve_point, points, repeat(basis), repeat(reduce)))
 
@@ -379,7 +380,7 @@ def coherence_sector_pair(sop: Superoperator) -> LiouvillianSpectrum:
 
 
 def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
-               grid: int = 41) -> LepResult:
+               grid: int) -> LepResult:
     """Locate the Liouvillian EP as the gap minimum of the tracked pair.
 
     Scans the undriven lab-frame generator on ``grid`` (at least 3) points
@@ -432,5 +433,4 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
             f"gap minimum at gamma_tip = {res.x:.6f} fails the coalescence "
             f"criteria (gap {best.gap:.3e}, overlap {best.overlap:.6f})"
         )
-    return LepResult(gamma_tip=res.x, gap=best.gap, overlap=best.overlap,
-                     bracket=res.bracket, grid_rows=rows)
+    return LepResult(gamma_tip=res.x, gap=best.gap, overlap=best.overlap, grid_rows=rows)

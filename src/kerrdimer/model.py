@@ -19,10 +19,8 @@ from .hilbert import ComplexOperator, FockBasis, mode_operator
 
 __all__ = [
     "SystemParams",
-    "DerivedRates",
     "kerr_coefficient",
     "drive_amplitude",
-    "derived_rates",
     "build_hamiltonian",
     "preset",
     "preset_names",
@@ -90,16 +88,6 @@ class SystemParams:
         return replace(self, **changes)
 
 
-@dataclass(frozen=True)
-class DerivedRates:
-    """Total losses plus the mean-loss / loss-contrast combinations."""
-
-    gamma1_prime: float
-    gamma2_prime: float
-    Gamma: float
-    beta: float
-
-
 def kerr_coefficient(wavelength: float, chi3_over_eps_r2: float, v_eff: float) -> float:
     """Kerr shift chi = 3*hbar*omega_c^2*(chi3/eps_r^2) / (4*eps0*V_eff), rad/s,
     from the resonance wavelength (m), chi3/eps_r^2 (m^2/V^2) and V_eff (m^3)."""
@@ -119,16 +107,6 @@ def drive_amplitude(p_in: float, gamma_ex: float, wavelength: float) -> float:
         raise ValueError("wavelength must be > 0")
     omega_l = 2 * np.pi * SPEED_OF_LIGHT / wavelength
     return float(np.sqrt(gamma_ex * p_in / (HBAR * omega_l)))
-
-
-def derived_rates(p: SystemParams) -> DerivedRates:
-    g1p, g2p = p.gamma1_prime, p.gamma2_prime
-    return DerivedRates(
-        gamma1_prime=g1p,
-        gamma2_prime=g2p,
-        Gamma=(g1p + g2p) / 4,
-        beta=(g2p - g1p) / 4,
-    )
 
 
 def build_hamiltonian(p: SystemParams, basis: FockBasis, variant: str) -> ComplexOperator:

@@ -13,8 +13,6 @@ __all__ = ["SearchResult", "golden_section_minimize", "bisect_root"]
 @dataclass(frozen=True)
 class SearchResult:
     x: float
-    fx: float
-    bracket: tuple[float, float]
     iterations: int
 
 
@@ -37,8 +35,7 @@ def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-9) -> Searc
             x2 = a + _INV_PHI * (b - a)
             f2 = f(x2)
         it += 1
-    x = 0.5 * (a + b)
-    return SearchResult(x=x, fx=f(x), bracket=(a, b), iterations=it)
+    return SearchResult(x=0.5 * (a + b), iterations=it)
 
 
 def bisect_root(f, lo: float, hi: float, tol: float = 1e-9) -> SearchResult:
@@ -49,9 +46,9 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-9) -> SearchResult:
     """
     fa, fb = f(lo), f(hi)
     if fa == 0.0:
-        return SearchResult(x=lo, fx=0.0, bracket=(lo, lo), iterations=0)
+        return SearchResult(x=lo, iterations=0)
     if fb == 0.0:
-        return SearchResult(x=hi, fx=0.0, bracket=(hi, hi), iterations=0)
+        return SearchResult(x=hi, iterations=0)
     if (fa > 0) == (fb > 0):
         raise ValueError("bracket does not change sign")
     a, b = lo, hi
@@ -60,11 +57,10 @@ def bisect_root(f, lo: float, hi: float, tol: float = 1e-9) -> SearchResult:
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0:
-            return SearchResult(x=m, fx=0.0, bracket=(m, m), iterations=it)
+            return SearchResult(x=m, iterations=it)
         if (fm > 0) != (fa > 0):
             b = m
         else:
             a, fa = m, fm
         it += 1
-    x = 0.5 * (a + b)
-    return SearchResult(x=x, fx=f(x), bracket=(a, b), iterations=it)
+    return SearchResult(x=0.5 * (a + b), iterations=it)

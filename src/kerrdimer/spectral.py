@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import build_basis
-from .model import SystemParams, build_hamiltonian, derived_rates
+from .model import SystemParams, build_hamiltonian
 
 __all__ = [
     "SubspaceEigensystem",
@@ -36,9 +36,10 @@ class SubspaceEigensystem:
 
     ``eigenvectors[:, k]`` is the unit-norm amplitude vector of branch
     ``labels[k]`` over ``basis_states`` (ordered by ascending m).
+    ``degenerate`` and ``used_fallback`` are set by the closed forms only;
+    a numeric eigensystem leaves both False.
     """
 
-    n_excitation: int
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     labels: tuple[str, ...]
@@ -68,22 +69,22 @@ def one_photon_eigensystem_closed(p: SystemParams) -> SubspaceEigensystem:
     pair flagged degenerate when the discriminant root falls below the
     declared EP neighborhood.
     """
-    r = derived_rates(p)
-    s = np.sqrt(complex(p.J**2 - r.beta**2))
-    lam = np.array([p.omega_c - 1j * r.Gamma + s, p.omega_c - 1j * r.Gamma - s])
+    g1p, g2p = p.gamma1_prime, p.gamma2_prime
+    Gamma, beta = (g1p + g2p) / 4, (g2p - g1p) / 4
+    s = np.sqrt(complex(p.J**2 - beta**2))
+    lam = np.array([p.omega_c - 1j * Gamma + s, p.omega_c - 1j * Gamma - s])
 
     # eigenvectors of [[i*beta, J], [J, -i*beta]] in the ((0,1), (1,0)) state
     # order; two algebraically equivalent forms, keep the better-conditioned
     vecs = np.empty((2, 2), dtype=complex)
     for k, lam_red in enumerate((s, -s)):  # reduced eigenvalue (loss offset removed)
-        v_a = np.array([-(1j * r.beta - lam_red), p.J])  # (C01, C10) ~ (-(i b -/+ s), J)
-        v_b = np.array([p.J, lam_red + 1j * r.beta])
+        v_a = np.array([-(1j * beta - lam_red), p.J])  # (C01, C10) ~ (-(i b -/+ s), J)
+        v_b = np.array([p.J, lam_red + 1j * beta])
         v = v_a if np.linalg.norm(v_a) >= np.linalg.norm(v_b) else v_b
         vecs[:, k] = v / np.linalg.norm(v)
 
-    degenerate = abs(s) < DEGENERACY_TOL * max(p.J, abs(r.beta), 1e-300)
+    degenerate = abs(s) < DEGENERACY_TOL * max(p.J, abs(beta), 1e-300)
     return SubspaceEigensystem(
-        n_excitation=1,
         eigenvalues=lam,
         eigenvectors=vecs,
         labels=("+", "-"),
@@ -184,7 +185,6 @@ def two_photon_eigensystem_closed(p: SystemParams) -> SubspaceEigensystem:
         states = _n_block_states(2)
 
     return SubspaceEigensystem(
-        n_excitation=2,
         eigenvalues=lam,
         eigenvectors=vecs,
         labels=labels,
@@ -204,31 +204,18 @@ def subspace_eigensystem_numeric(p: SystemParams, n: int) -> SubspaceEigensystem
     reference = None
     if n == 1:
         closed = one_photon_eigensystem_closed(p)
-        reference = (closed.eigenvalues, closed.labels, closed.degenerate)
-    elif n == 2:
-        closed = _two_photon_closed_roots(p)
-        if closed is not None:
-            roots, _, scale = closed
-            reference = (roots, ("0", "+", "-"), _coalesced(roots, scale))
+        reference = closed.eigenvalues, closed.labels
+    elif n == 2 and (closed := _two_photon_closed_roots(p)) is not None:
+        reference = closed[0], ("0", "+", "-")
 
-    if reference is not None:
-        ref_vals, labels, degenerate = reference
-        order = match_branches(ref_vals, lam)
-        lam, vecs = lam[order], vecs[:, order]
-    else:
+    if reference is None:
         order = np.lexsort((lam.imag, lam.real))
-        lam, vecs = lam[order], vecs[:, order]
         labels = tuple(f"b{k}" for k in range(n + 1))
-        degenerate = _coalesced(lam, max(np.max(np.abs(lam)), 1e-300))
-
-    return SubspaceEigensystem(
-        n_excitation=n,
-        eigenvalues=lam,
-        eigenvectors=vecs,
-        labels=labels,
-        basis_states=states,
-        degenerate=degenerate,
-    )
+    else:
+        order = match_branches(reference[0], lam)
+        labels = reference[1]
+    return SubspaceEigensystem(eigenvalues=lam[order], eigenvectors=vecs[:, order],
+                               labels=labels, basis_states=states)
 
 
 def localization(eig: SubspaceEigensystem) -> np.ndarray:
@@ -272,14 +259,13 @@ def branch_sweep(p: SystemParams, gamma_tip_grid) -> list[dict]:
     labels = None
     for gt in gamma_tip_grid:
         eig = subspace_eigensystem_numeric(p.with_(gamma_tip=gt), 1)
-        lam, vecs = eig.eigenvalues, eig.eigenvectors
+        lam, pops = eig.eigenvalues, localization(eig)
         if prev is None:
             labels = eig.labels
         else:
             order = match_branches(prev, lam)
-            lam, vecs = lam[order], vecs[:, order]
+            lam, pops = lam[order], pops[order]
         prev = lam
-        pops = (np.abs(vecs) ** 2).T
         for k, lab in enumerate(labels):
             row = {
                 "gamma_tip": float(gt),

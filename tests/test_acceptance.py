@@ -62,25 +62,25 @@ def test_criterion_2_hep_lep_agreement(fig2):
 
 def test_criterion_3_quantum_critical_points(loss_sweep, fig2):
     cps = critical_points(loss_sweep, fig2)
-    ok = (cps.cp_q_down is not None and within(cps.cp_q_down.value, 1.8, 0.15)
-          and cps.cp_q_up is not None and within(cps.cp_q_up.value, 6.5, 0.15))
+    ok = (cps.cp_q_down is not None and within(cps.cp_q_down, 1.8, 0.15)
+          and cps.cp_q_up is not None and within(cps.cp_q_up, 6.5, 0.15))
     report(3, "g2 = 1 crossings",
            ok,
-           f"cp_q_down = {cps.cp_q_down.value:.3f} (1.8 +-15%), "
-           f"cp_q_up = {cps.cp_q_up.value:.3f} (6.5 +-15%)")
+           f"cp_q_down = {cps.cp_q_down:.3f} (1.8 +-15%), "
+           f"cp_q_up = {cps.cp_q_up:.3f} (6.5 +-15%)")
 
 
 def test_criterion_4_classical_critical_point(loss_sweep, fig2):
     cps = critical_points(loss_sweep, fig2)
-    loc_ok = cps.cp_c is not None and within(cps.cp_c.value, 5.3, 0.10)
+    loc_ok = cps.cp_c is not None and within(cps.cp_c, 5.3, 0.10)
     # the quoted minimum value belongs to the 4 fW SI drive (N1 scales as
     # Omega^2); evaluate the located minimum at that drive strength
     om_si = si_reference_rates()["omega_drive_over_gamma1p"] * fig2.gamma1_prime
-    stats = lindblad_stats(fig2.with_(omega_drive_amp=om_si), cps.cp_c.value)
+    stats = lindblad_stats(fig2.with_(omega_drive_amp=om_si), cps.cp_c)
     val_ok = 0.003 / 3 <= stats.n1 <= 0.003 * 3
     report(4, "N1 minimum",
            loc_ok and val_ok,
-           f"located at {cps.cp_c.value:.3f} (5.3 +-10%), "
+           f"located at {cps.cp_c:.3f} (5.3 +-10%), "
            f"value at SI drive {stats.n1:.4f} (0.003 within x3)")
 
 

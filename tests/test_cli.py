@@ -247,7 +247,6 @@ class TestExperimentCommands:
         lines = (tmp_path / "s1_cuts.csv").read_text().splitlines()
         assert lines[0].startswith("# ")  # metadata header rows
 
-    @pytest.mark.filterwarnings("ignore:drive exceeds")
     def test_spectrum_vanishing_n1_points_skipped(self, tmp_path, capsys):
         # far off the ultranarrow resonances N1 drops below the floor: those
         # cells are NaN, as singular points are, and the run succeeds
@@ -281,7 +280,7 @@ class TestExperimentCommands:
         assert (tmp_path / "fig2c_map.csv").read_bytes() == \
             (tmp_path / "reference.csv").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:drive exceeds")
+    @pytest.mark.filterwarnings("ignore:drive exceeds")  # the spectrum_map call below
     def test_spectrum_nan_cell_bytes_match_the_per_cell_writer(self, tmp_path, capsys,
                                                                 reference_write_csv):
         argv = [*VANISHING_N1_SPECTRUM, "--output-dir", str(tmp_path)]
@@ -528,7 +527,6 @@ class TestSiUnits:
     SI = ("--units", "si", "--wavelength", "1.55e-6", "--q-intrinsic", "2e9",
           "--chi3", "2e-17", "--v-eff", "1e-16", "--p-in", "4e-15")
 
-    @pytest.mark.filterwarnings("ignore:drive exceeds")
     def test_si_sweep_scales_rates(self, tmp_path, capsys):
         code, _, _ = run(capsys, "sweep-loss", *self.SI,
                          "--gamma-tip-grid", "0:12:5", "--backend", "analytic",
@@ -558,6 +556,21 @@ class TestSiUnits:
         parser = _build_parser()
         for flag in flags:
             parser.parse_args(["sweep-loss", flag, "si" if flag == "--units" else "1"])
+
+    @pytest.mark.parametrize("units", ["si", "normalized"])
+    def test_strong_drive_warns_in_one_line(self, tmp_path, units):
+        # the paper's SI drive is 0.113 gamma_1': one warning line, without
+        # a source path, however often the library warns
+        src = str(Path(kerrdimer.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = self.SI if units == "si" else ()
+        res = subprocess.run([sys.executable, "-m", "kerrdimer.cli", "critical-points",
+                              *argv, "--output-dir", str(tmp_path)],
+                             env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ("warning: drive exceeds 0.1*gamma_1'; perturbative "
+                              "amplitudes degrade\n" if units == "si" else "")
 
     def test_default_lep_window_is_in_gamma1_prime(self, tmp_path, capsys):
         code, out, _ = run(capsys, "lep", *self.SI, "--output-dir", str(tmp_path))
@@ -615,7 +628,6 @@ class TestRunRecord:
         "validate": ("validate", "--backend", "both"),
     }
 
-    @pytest.mark.filterwarnings("ignore:drive exceeds")
     @pytest.mark.parametrize("case", list(CASES))
     def test_every_record_carries_the_run_configuration(self, tmp_path, capsys, case):
         argv = self.CASES[case]
@@ -688,7 +700,6 @@ class TestStateSerialization:
 
 
 class TestSiLindblad:
-    @pytest.mark.filterwarnings("ignore:drive exceeds")
     def test_si_master_equation_solves(self, tmp_path, capsys):
         # rad/s rates (~1e6) must not trip the solver's scale-relative guards
         code, _, _ = run(capsys, "distribution", *TestSiUnits.SI,

@@ -211,6 +211,14 @@ class TestSweepLoss:
         assert one.rows == two.rows
         assert one == two
 
+    def test_platform_without_cpu_affinity(self, monkeypatch):
+        # os.sched_getaffinity is Linux-only; elsewhere the CPU count decides
+        monkeypatch.delattr(liouvillian.os, "sched_getaffinity")
+        results = liouvillian.solve_points([params(gamma_tip=2.0), params(gamma_tip=6.0)],
+                                           build_basis(per_mode=(3, 3)))
+        assert [failure for _, failure in results] == [None, None]
+        assert all(abs(rho.data.trace() - 1.0) < 1e-12 for rho, _ in results)
+
     def test_environment_restored_after_sweep(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.setenv("MKL_NUM_THREADS", "")
@@ -269,8 +277,7 @@ class TestCriticalPoints:
         g2 = np.where(gts < 4.0, 0.5, np.where(gts > 4.0, 1.5, 1.0))
         table = synthetic_table(gts, np.ones_like(gts), g2)
         cps = critical_points(table, fig2)
-        assert cps.cp_q_down.value == 4.0
-        assert cps.cp_q_down.residual == 0.0
+        assert cps.cp_q_down == 4.0
 
     def test_monotone_table_has_no_quantum_points(self, fig2):
         gts = np.linspace(0.0, 10.0, 11)
@@ -284,6 +291,15 @@ class TestCriticalPoints:
         rev = critical_points(replace(loss_sweep, rows=loss_sweep.rows[::-1]), fig2)
         for name in ("cp_c", "cp_q_down", "cp_q_up"):
             assert getattr(fwd, name) == getattr(rev, name), name
+
+    def test_paper_preset_values_are_floats(self, fig2):
+        # the critical-points command's sweep; every point is a plain float
+        # with the value critical_points.json has always held
+        table = sweep_loss(fig2, np.linspace(0.0, 12.0, 121), backends=("analytic",))
+        cps = vars(critical_points(table, fig2))
+        assert cps == {"cp_c": 5.26393202250021, "cp_q_down": 1.7746093749999998,
+                       "cp_q_up": 6.561328125000001, "ep": 8.9, "lep": 8.900000000000002}
+        assert all(type(value) is float for value in cps.values())
 
     def test_needs_enough_rows(self, fig2):
         gts = np.linspace(0, 1, 3)
@@ -304,16 +320,16 @@ class TestCriticalPoints:
         intact = critical_points(lindblad_sweep, fig2)
         cps = critical_points(replace(lindblad_sweep, rows=rows), fig2)
         for name in ("cp_c", "cp_q_down", "cp_q_up"):
-            assert getattr(cps, name).value == pytest.approx(
-                getattr(intact, name).value, abs=2 * REFINE_TOL), name
+            assert getattr(cps, name) == pytest.approx(
+                getattr(intact, name), abs=2 * REFINE_TOL), name
 
     def test_paper_preset_locations(self, loss_sweep, fig2):
         cps = critical_points(loss_sweep, fig2)
-        assert cps.cp_c.value == pytest.approx(5.264, abs=0.02)
-        assert cps.cp_q_down.value == pytest.approx(1.775, abs=0.02)
-        assert cps.cp_q_up.value == pytest.approx(6.56, abs=0.02)
+        assert cps.cp_c == pytest.approx(5.264, abs=0.02)
+        assert cps.cp_q_down == pytest.approx(1.775, abs=0.02)
+        assert cps.cp_q_up == pytest.approx(6.56, abs=0.02)
         assert cps.ep == pytest.approx(8.9, abs=1e-12)
-        assert cps.lep.value == pytest.approx(8.9, abs=1e-3)
+        assert cps.lep == pytest.approx(8.9, abs=1e-3)
 
     def test_rad_per_second_rates_take_the_normalized_refinement(self, fig2, monkeypatch):
         # REFINE_TOL is in units of gamma_1', as the brackets are: the same
@@ -343,7 +359,7 @@ class TestCriticalPoints:
         (norm_its, norm), (si_its, si) = runs
         assert len(norm_its) == 3 and si_its == norm_its and max(norm_its) < MAX_ITER
         for name in ("cp_c", "cp_q_down", "cp_q_up"):
-            assert abs(getattr(si, name).value / scale - getattr(norm, name).value) \
+            assert abs(getattr(si, name) / scale - getattr(norm, name)) \
                 < REFINE_TOL, name
 
 

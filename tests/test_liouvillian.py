@@ -407,7 +407,7 @@ class TestCoherenceBlock:
 class TestLepLocate:
     def test_preset_lep_matches_hep(self):
         p = params()
-        res = lep_locate(p, (7.9, 9.9))
+        res = lep_locate(p, (7.9, 9.9), grid=41)
         assert res.gamma_tip == pytest.approx(8.9, abs=1e-3)
         assert res.gap < 1e-3
         assert res.overlap > 0.999
@@ -416,11 +416,11 @@ class TestLepLocate:
         for j in (1.0, 2.5):
             p = params(J=j)
             hep = hep_location(j, p.gamma1_prime, p.gamma_2)
-            res = lep_locate(p, (hep - 1.0, hep + 1.0))
+            res = lep_locate(p, (hep - 1.0, hep + 1.0), grid=41)
             assert abs(res.gamma_tip - hep) / hep < 0.02
 
     def test_not_found_outside_range(self):
         from kerrdimer.liouvillian import LepNotFoundError
 
         with pytest.raises(LepNotFoundError):
-            lep_locate(params(), (0.5, 3.0))
+            lep_locate(params(), (0.5, 3.0), grid=41)

@@ -8,7 +8,6 @@ from kerrdimer.model import (
     CHI_SI_REFERENCE,
     SystemParams,
     build_hamiltonian,
-    derived_rates,
     drive_amplitude,
     kerr_coefficient,
     preset,
@@ -76,25 +75,6 @@ class TestDriveAmplitude:
             drive_amplitude(-1e-15, 1e5, 1550e-9)
         with pytest.raises(ValueError):
             drive_amplitude(1e-15, 1e5, 0.0)
-
-
-class TestDerivedRates:
-    def test_paper_preset_rates(self):
-        r = derived_rates(params(gamma_2=0.1, gamma_tip=8.9))
-        assert r.gamma2_prime == pytest.approx(9.0)
-        assert r.Gamma == pytest.approx(2.5)
-        assert r.beta == pytest.approx(2.0)
-
-    def test_balanced_losses(self):
-        r = derived_rates(params(gamma_2=1.0, gamma_tip=0.0))
-        assert r.beta == 0.0
-        r = derived_rates(params(gamma_2=1.0, gamma_tip=0.0))
-        assert r.Gamma == pytest.approx(0.5)
-
-    def test_gamma_bound(self):
-        for gt in (0.0, 1.0, 10.0):
-            r = derived_rates(params(gamma_tip=gt))
-            assert r.Gamma >= abs(r.beta)
 
 
 class TestSystemParams:

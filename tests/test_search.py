@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from kerrdimer.search import bisect_root, golden_section_minimize
+from kerrdimer.search import MAX_ITER, bisect_root, golden_section_minimize
 
 
 @given(st.floats(min_value=-3.0, max_value=3.0))
@@ -40,3 +40,24 @@ def test_bisect_requires_sign_change():
 def test_bisect_endpoint_root():
     res = bisect_root(lambda x: x, 0.0, 1.0)
     assert res.x == 0.0
+
+
+def counting(f):
+    def counted(x):
+        counted.calls += 1
+        return f(x)
+    counted.calls = 0
+    return counted
+
+
+@pytest.mark.parametrize("search, f", [
+    (golden_section_minimize, lambda x: (x - 0.3) ** 2),
+    (bisect_root, lambda x: x - 0.3),
+], ids=["golden", "bisect"])
+def test_evaluations_per_search(search, f):
+    # two endpoint evaluations, then one per iteration; the answer is the
+    # bracket midpoint, which is not evaluated again
+    f = counting(f)
+    res = search(f, -1.0, 1.0, tol=1e-9)
+    assert 0 < res.iterations < MAX_ITER
+    assert f.calls == 2 + res.iterations
