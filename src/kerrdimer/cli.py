@@ -30,13 +30,14 @@ from .experiments import (
     write_csv,
     write_provenance,
 )
-from .hilbert import build_basis
 from .liouvillian import (
     DEFAULT_CUTOFF,
     DegenerateSteadyStateError,
     LepNotFoundError,
     NumericalFailureError,
     ResourceLimitError,
+    driven_basis,
+    excitation_cap,
     lep_locate,
     solve_points,
 )
@@ -144,7 +145,8 @@ class RunConfig:
         configuration, then the runner's ``extra`` (experiment, grids, results)."""
         return {"preset": self.preset_name, "params": asdict(self.params),
                 "overrides": self.overrides, "backends": list(self.backends),
-                "cutoff": list(self.cutoff), "protocol": protocol_tag(self.protocol),
+                "cutoff": list(self.cutoff), "excitation_cap": excitation_cap(self.cutoff),
+                "protocol": protocol_tag(self.protocol),
                 "code_version": __version__, **extra}
 
     def write(self, path, columns, rows, meta: dict | None = None, **extra) -> None:
@@ -369,7 +371,7 @@ def _run_distribution(rc: RunConfig, args) -> int:
     points = [g * rc.rate_scale for g in
               (args.gamma_tip or rc.preset_cfg.get("distribution_points", [6.0, 8.9]))]
     states = solve_points([loss_point(rc.params, gt, rc.protocol) for gt in points],
-                          build_basis(per_mode=rc.cutoff))
+                          driven_basis(rc.cutoff))
     rows = []
     for gt, (rho, failure) in zip(points, states):
         if failure:

@@ -25,8 +25,7 @@ from .analytic import (
     analytic_observables,
     steady_amplitudes,
 )
-from .hilbert import build_basis
-from .liouvillian import DEFAULT_CUTOFF, LepNotFoundError, lep_locate, solve_points
+from .liouvillian import DEFAULT_CUTOFF, LepNotFoundError, driven_basis, lep_locate, solve_points
 from .model import SystemParams
 from .observables import _spectra, photon_statistics
 from .search import bisect_root, golden_section_minimize
@@ -166,8 +165,9 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
     """Evaluate all observables over an ascending gamma_tip grid.
 
     The detuning is resolved per point by the protocol. Lindblad points are
-    solved by ``liouvillian.solve_points`` (see there for the ``__main__``
-    guard it needs); a point it reports as failed blanks its row and is
+    solved on ``liouvillian.driven_basis(cutoff)`` by
+    ``liouvillian.solve_points`` (see there for the ``__main__`` guard it
+    needs); a point it reports as failed blanks its row and is
     listed in ``failures``. A basis that lacks one of the reported
     populations (``AMPLITUDE_STATES``) or is over the size cap fails the
     whole sweep before any point is solved.
@@ -195,7 +195,7 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
         })
     failures = []
     if "lindblad" in backends:
-        basis = build_basis(per_mode=cutoff)
+        basis = driven_basis(cutoff)
         missing = [state for state in AMPLITUDE_STATES if state not in basis]
         if missing:
             raise ValueError(
@@ -308,8 +308,9 @@ def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
     """Excitation-spectrum map with peak positions and branch overlay.
 
     ``cutoff`` is the per-mode Fock cutoff of the 'lindblad' backend, which
-    solves every cell through ``liouvillian.solve_points`` (see there for
-    the ``__main__`` guard it needs).
+    solves every cell on ``liouvillian.driven_basis(cutoff)`` through
+    ``liouvillian.solve_points`` (see there for the ``__main__`` guard it
+    needs).
     """
     gts = np.asarray(gamma_tip_grid, dtype=float)
     deltas = np.asarray(delta_grid, dtype=float)
@@ -395,27 +396,42 @@ def write_csv(path, columns, rows, meta: dict | None = None) -> None:
             for key in sorted(meta):
                 fh.write(f"# {key} = {format_value(meta[key])}\n")
         fh.write(",".join(map(_cell_text, columns)) + "\n")
+        previous = {}
         for item in rows:
-            fh.write(_item_lines(columns, item))
+            fh.write(_item_lines(columns, item, previous))
 
 
-def _item_lines(columns, item: dict) -> str:
-    """The CSV lines of one ``write_csv`` item, each ending in a newline."""
+def _item_lines(columns, item: dict, previous: dict) -> str:
+    """The CSV lines of one ``write_csv`` item, each ending in a newline.
+
+    ``previous`` maps a column to the bytes and cell texts of its array cell
+    in the last item that had one there, so an array that repeats from item
+    to item (a grid's axis) is formatted once.
+    """
     cells = [item.get(c) for c in columns]
     n = next((len(v) for v in cells if isinstance(v, np.ndarray)), None)
     if n is None:
         return ",".join(map(_cell_text, cells)) + "\n"
-    texts = [_array_texts(v) if isinstance(v, np.ndarray) else [_cell_text(v)] * n
-             for v in cells]
+    texts = []
+    for c, v in zip(columns, cells):
+        if isinstance(v, np.ndarray):
+            # equal bytes of one dtype are equal values, except where the
+            # bytes are object pointers
+            key = None if v.dtype.hasobject else (v.dtype.str, v.tobytes())
+            if key is None or previous.get(c, (None,))[0] != key:
+                previous[c] = (key, _array_texts(v))
+            texts.append(previous[c][1])
+        else:
+            texts.append([_cell_text(v)] * n)
     return "".join([line + "\n" for line in map(",".join, zip(*texts, strict=True))])
 
 
-def _array_texts(values: np.ndarray):
+def _array_texts(values: np.ndarray) -> list[str]:
     """Cell texts of an array cell; a float64 element's text is its repr,
     as ``format_value`` gives it."""
     if values.dtype == float:
-        return map(repr, values.tolist())
-    return map(_cell_text, values.tolist())
+        return list(map(repr, values.tolist()))
+    return list(map(_cell_text, values.tolist()))
 
 
 def _cell_text(v) -> str:

@@ -57,16 +57,22 @@ class ComplexOperator:
         object.__setattr__(self, "data", data)
 
 
-def build_basis(*, per_mode: tuple[int, int] | None = None) -> FockBasis:
+def build_basis(*, per_mode: tuple[int, int] | None = None,
+                total: int | None = None) -> FockBasis:
     """Enumerate the truncated two-mode Fock basis.
 
     ``per_mode=(n1_max, n2_max)``, which must be given, keeps every state
-    with m <= n1_max and n <= n2_max.
+    with m <= n1_max and n <= n2_max; ``total=N`` keeps, of those, only the
+    states with m + n <= N (no cap when None or N >= n1_max + n2_max).
     """
     if per_mode is None or min(per_mode) < 0:
         raise ValueError(f"per-mode truncation must be (n1_max, n2_max) >= 0, got {per_mode!r}")
+    if total is not None and total < 0:
+        raise ValueError(f"total excitation cap must be >= 0, got {total!r}")
     n1_max, n2_max = per_mode
-    states = sorted(((m, n) for m in range(n1_max + 1) for n in range(n2_max + 1)),
+    cap = n1_max + n2_max if total is None else total
+    states = sorted(((m, n) for m in range(n1_max + 1) for n in range(n2_max + 1)
+                     if m + n <= cap),
                     key=lambda mn: (mn[0] + mn[1], mn[0]))
     return FockBasis(states=tuple(states))
 

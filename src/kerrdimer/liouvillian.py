@@ -34,6 +34,8 @@ __all__ = [
     "vec",
     "unvec",
     "check_size",
+    "excitation_cap",
+    "driven_basis",
     "build_liouvillian",
     "steady_state",
     "solve_points",
@@ -41,10 +43,16 @@ __all__ = [
     "lep_locate",
 ]
 
-# superoperators stay at most 4096 x 4096: the sparse LU of the bordered
-# system fills in to about 0.5 s per factor there
+# bases stay at most 64 states, so superoperators at most 4096 x 4096 (the
+# per-mode (7, 7) reference of validate): the sparse LU of the bordered
+# system fills in to about 0.5 s per factor there, against about 20 ms on
+# the 30-state default driven basis (900 unknowns)
 MAX_HILBERT_DIM = 64
-# per-mode Fock cutoffs of the driven master-equation solves
+# per-mode Fock cutoffs of the driven master-equation solves. Their basis
+# also caps m + n at max(c1, c2) + 2 (driven_basis): under weak drive each
+# photon costs about Omega^2 / gamma_1'^2 in population, so the 30 states of
+# (5, 5) up to m + n = 7 give every reported column within 1e-14 relative of
+# all 36, up to |5,5> with 10 photons, at the preset and at the SI drive
 DEFAULT_CUTOFF = (5, 5)
 
 # LEP search: per-mode cutoff of the undriven generator, and the coalescence
@@ -169,6 +177,18 @@ def _dissipators(basis: FockBasis) -> tuple[sparse.csr_matrix, sparse.csr_matrix
         out.append((sparse.kron(a.conj(), a) - 0.5 * sparse.kron(eye, n)
                     - 0.5 * sparse.kron(n.T, eye)).tocsr())
     return tuple(out)
+
+
+def excitation_cap(cutoff: tuple[int, int]) -> int:
+    """Largest m + n of the driven basis at per-mode ``cutoff``: max(c1, c2)
+    + 2, or c1 + c2 where that is smaller and the cap removes nothing."""
+    return min(max(cutoff) + 2, sum(cutoff))
+
+
+def driven_basis(cutoff: tuple[int, int]) -> FockBasis:
+    """Basis of the driven master-equation solves at per-mode ``cutoff``: the
+    states with m <= c1, n <= c2 and m + n <= ``excitation_cap(cutoff)``."""
+    return build_basis(per_mode=cutoff, total=excitation_cap(cutoff))
 
 
 def check_size(basis: FockBasis) -> None:

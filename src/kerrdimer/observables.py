@@ -8,8 +8,14 @@ from math import factorial
 import numpy as np
 
 from .analytic import UNDEFINED_N1_FLOOR, amplitude_arrays, analytic_observables
-from .hilbert import build_basis, mode_operator
-from .liouvillian import DEFAULT_CUTOFF, DegenerateSteadyStateError, DensityMatrix, solve_points
+from .hilbert import mode_operator
+from .liouvillian import (
+    DEFAULT_CUTOFF,
+    DegenerateSteadyStateError,
+    DensityMatrix,
+    driven_basis,
+    solve_points,
+)
 from .model import SystemParams
 
 __all__ = [
@@ -133,7 +139,8 @@ def excitation_spectrum(p: SystemParams, delta_grid, backend: str = "analytic",
 
     backend 'analytic' evaluates the closed-form amplitudes (singular grid
     points and points where N1 vanishes are NaN);
-    'lindblad' solves the master-equation steady state per point through
+    'lindblad' solves the master-equation steady state per point on
+    ``liouvillian.driven_basis(cutoff)`` through
     ``liouvillian.solve_points`` (see there for the ``__main__`` guard it
     needs) and raises DegenerateSteadyStateError if any point fails.
     """
@@ -160,7 +167,7 @@ def _spectra(rows: list[SystemParams], deltas: np.ndarray, backend: str,
             s1[i, defined] = n1[defined] / n0[i]
     elif backend == "lindblad":
         cells = [pg.with_(delta=float(d)) for pg in rows for d in deltas]
-        solved = solve_points(cells, build_basis(per_mode=cutoff), _mode1_occupation)
+        solved = solve_points(cells, driven_basis(cutoff), _mode1_occupation)
         for pc, (_, failure) in zip(cells, solved):
             if failure:
                 raise DegenerateSteadyStateError(

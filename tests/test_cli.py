@@ -658,6 +658,7 @@ class TestRunRecord:
             assert side["backends"] == (["analytic", "lindblad"] if backend == "both"
                                         else [backend])
             assert side["cutoff"] == [3, 3]
+            assert side["excitation_cap"] == 5  # max(3, 3) + 2
             assert side["code_version"] == kerrdimer.__version__
             assert side["experiment"]
             if "_fixed_delta" in name:  # the fig3 twin: its own protocol and a note
@@ -689,6 +690,18 @@ class TestStateSerialization:
         payload = json.loads((tmp_path / "states" / "steady_state_gt_6.0.json").read_text())
         assert payload["basis"][0] == [0, 0]
         assert payload["residual"] < 1e-10
+
+    def test_saved_state_lists_the_capped_basis(self, tmp_path, capsys):
+        # cutoff 3,3 with m + n <= 5: the 16 per-mode states less |3,3>
+        code, _, _ = run(capsys, "distribution", "--gamma-tip", "6.0",
+                         "--cutoff", "3,3", "--save-states", "--output-dir", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "steady_state_gt_6.0.json").read_text())
+        states = [tuple(s) for s in payload["basis"]]
+        assert len(states) == len(payload["data"]) == 15
+        assert (3, 3) not in states and (3, 2) in states and (2, 3) in states
+        side = json.loads((tmp_path / "fig3b.provenance.json").read_text())
+        assert (side["cutoff"], side["excitation_cap"]) == ([3, 3], 5)
 
     def test_nearby_loss_points_keep_separate_state_files(self, tmp_path, capsys):
         code, _, _ = run(capsys, "distribution", "--gamma-tip", "6.0",

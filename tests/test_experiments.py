@@ -17,6 +17,7 @@ from kerrdimer.experiments import (
     ep_agreement,
     format_value,
     lep_window,
+    loss_point,
     resolve_delta,
     spectrum_map,
     sweep_loss,
@@ -24,7 +25,7 @@ from kerrdimer.experiments import (
 )
 from kerrdimer.hilbert import build_basis
 from kerrdimer.liouvillian import DegenerateSteadyStateError, LepNotFoundError
-from kerrdimer.model import SystemParams, si_reference_rates
+from kerrdimer.model import SystemParams, preset, si_reference_rates
 from kerrdimer.observables import excitation_spectrum
 from kerrdimer.search import MAX_ITER, bisect_root, golden_section_minimize
 from kerrdimer.spectral import hep_location
@@ -271,6 +272,40 @@ class TestSweepLoss:
         assert side["params"]["J"] == 2.0
 
 
+class TestExcitationCap:
+    """The capped default basis gives the Lindblad columns of the full
+    per-mode (5, 5) square, to 1e-12 relative."""
+
+    RTOL = 1e-12
+    POPULATION_FLOOR = 1e-14  # smaller populations are compared absolutely
+
+    @pytest.mark.parametrize("drive", ["preset", "si"])
+    def test_lindblad_columns_match_per_mode_basis(self, fig2, drive):
+        if drive == "si":
+            _, cfg = preset("paper_fig2")
+            si = cfg["si_reference"]
+            omega = si_reference_rates(
+                wavelength=si["wavelength_m"], q_intrinsic=si["q_intrinsic"],
+                chi3_over_eps_r2=si["chi3_over_eps_r2_m2_per_V2"], v_eff=si["v_eff_m3"],
+                p_in=si["p_in_W"])["omega_drive_over_gamma1p"]
+            p = fig2.with_(omega_drive_amp=omega)
+        else:
+            p = fig2
+        gts = np.linspace(0.0, 12.0, 121)[::10]  # 13 points of the fig2 grid
+        table = sweep_loss(p, gts, backends=("lindblad",))
+        assert liouvillian.driven_basis(liouvillian.DEFAULT_CUTOFF).size == 30
+        full = build_basis(per_mode=(5, 5))
+        for gt, row in zip(gts, table.rows):
+            rho = liouvillian.steady_state(
+                liouvillian.build_liouvillian(loss_point(p, gt), full))
+            ref = experiments._lindblad_columns(rho)
+            assert row["lindblad_failed"] == ref["lindblad_failed"] == 0
+            for name, value in ref.items():
+                floor = self.POPULATION_FLOOR if name.startswith("lindblad_p") else 0.0
+                assert abs(row[name] - value) <= self.RTOL * max(abs(value), floor), (
+                    name, gt, row[name], value)
+
+
 class TestCriticalPoints:
     def test_crossing_exactly_on_grid_point(self, fig2):
         gts = np.linspace(0.0, 10.0, 21)
@@ -435,6 +470,27 @@ class TestWriters:
         write_csv(out / "blocks.csv", columns, items, meta={"J": 2.0})
         reference_write_csv(out / "rows.csv", columns, rows, meta={"J": 2.0})
         assert (out / "blocks.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+    def test_repeated_array_cells_write_their_current_bytes(self, tmp_path,
+                                                            reference_write_csv):
+        # consecutive items share one array, which changes in place between
+        # them (also 0.0 -> -0.0), or hold another dtype's view of its bytes
+        axis = np.array([0.0, 1.5, -2.0])
+        rows = []
+
+        def items():
+            for first, dtype in ((0.0, float), (0.0, float), (-0.0, float),
+                                 (-0.0, np.int64), (2.5, float)):
+                axis[0] = first
+                x = axis.view(dtype)
+                label = np.array([first, "a", None], dtype=object)
+                rows.extend({"x": a, "s": 1, "label": b}
+                            for a, b in zip(x.tolist(), label.tolist()))
+                yield {"x": x, "s": 1, "label": label}
+
+        write_csv(tmp_path / "items.csv", ["x", "s", "label"], items())
+        reference_write_csv(tmp_path / "rows.csv", ["x", "s", "label"], rows)
+        assert (tmp_path / "items.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     # cell values and the texts the datasets hold for them
     FORMATTED = [

@@ -26,6 +26,28 @@ def test_negative_truncation_rejected():
         build_basis(per_mode=(-1, 2))
 
 
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=14))
+def test_total_cap_intersects_per_mode(n1, n2, total):
+    basis = build_basis(per_mode=(n1, n2), total=total)
+    # exactly the per-mode states with m + n <= total, in the per-mode order
+    per_mode = build_basis(per_mode=(n1, n2))
+    assert basis.states == tuple(s for s in per_mode.states if sum(s) <= total)
+    assert all(m <= n1 and n <= n2 and m + n <= total for m, n in basis.states)
+    keys = [(m + n, m) for m, n in basis.states]
+    assert keys == sorted(keys)
+    if total >= n1 + n2:
+        assert basis == per_mode
+    assert build_basis(per_mode=(n1, n2), total=None) == per_mode
+
+
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6),
+       st.integers(max_value=-1))
+def test_negative_total_rejected(n1, n2, total):
+    with pytest.raises(ValueError, match="total excitation cap"):
+        build_basis(per_mode=(n1, n2), total=total)
+
+
 def test_annihilation_matrix_elements():
     # single-mode cutoff 2 in mode 1: elements sqrt(1), sqrt(2)
     basis = build_basis(per_mode=(2, 0))
