@@ -95,13 +95,20 @@ def photon_statistics(rho: DensityMatrix) -> PhotonStatistics:
 
 
 def poisson_comparison(p_m) -> PoissonComparison:
-    """Deviation of P_m from the Poisson distribution with the same mean."""
+    """Deviation of P_m from the Poisson distribution with the same mean.
+
+    ``p_m`` must be trace-normalized (it sums to 1): the m = 0 deviation,
+    P_0 - e^(-mu), is a difference of two numbers near 1 at weak drive, so it
+    is computed as -expm1(-mu) - sum(P_m, m >= 1), which keeps full precision.
+    """
     p = np.asarray(p_m, dtype=float)
     mu = float(np.sum(np.arange(len(p)) * p))
     ref = np.array([np.exp(-mu) * mu**m / factorial(m) for m in range(len(p))])
+    deviation = p - ref
+    deviation[0] = -np.expm1(-mu) - np.sum(p[1:])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(ref > 0, p / ref, np.inf)
-    return PoissonComparison(mu=mu, p_m=p, poisson=ref, deviation=p - ref, ratio=ratio)
+    return PoissonComparison(mu=mu, p_m=p, poisson=ref, deviation=deviation, ratio=ratio)
 
 
 def n0_normalization(p: SystemParams) -> float:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrdimer import experiments, liouvillian
+from kerrdimer import experiments, liouvillian, validation
 from kerrdimer.analytic import AMPLITUDE_STATES, analytic_observables, steady_amplitudes
 from kerrdimer.cli import main
 from kerrdimer.experiments import (
@@ -272,6 +272,30 @@ class TestSweepLoss:
         assert side["params"]["J"] == 2.0
 
 
+def at_drive(fig2, drive):
+    """The fig2 preset at its own drive ("preset") or at the drive of its SI
+    reference device ("si")."""
+    if drive == "preset":
+        return fig2
+    _, cfg = preset("paper_fig2")
+    si = cfg["si_reference"]
+    omega = si_reference_rates(
+        wavelength=si["wavelength_m"], q_intrinsic=si["q_intrinsic"],
+        chi3_over_eps_r2=si["chi3_over_eps_r2_m2_per_V2"], v_eff=si["v_eff_m3"],
+        p_in=si["p_in_W"])["omega_drive_over_gamma1p"]
+    return fig2.with_(omega_drive_amp=omega)
+
+
+def assert_columns_match(got, ref, rtol, population_floor, where):
+    """Every Lindblad column of ``got`` within ``rtol`` of ``ref``; populations
+    below ``population_floor`` are compared absolutely."""
+    assert got["lindblad_failed"] == ref["lindblad_failed"] == 0
+    for name, value in ref.items():
+        floor = population_floor if name.startswith("lindblad_p") else 0.0
+        assert abs(got[name] - value) <= rtol * max(abs(value), floor), (
+            name, where, got[name], value)
+
+
 class TestExcitationCap:
     """The capped default basis gives the Lindblad columns of the full
     per-mode (5, 5) square, to 1e-12 relative."""
@@ -281,16 +305,7 @@ class TestExcitationCap:
 
     @pytest.mark.parametrize("drive", ["preset", "si"])
     def test_lindblad_columns_match_per_mode_basis(self, fig2, drive):
-        if drive == "si":
-            _, cfg = preset("paper_fig2")
-            si = cfg["si_reference"]
-            omega = si_reference_rates(
-                wavelength=si["wavelength_m"], q_intrinsic=si["q_intrinsic"],
-                chi3_over_eps_r2=si["chi3_over_eps_r2_m2_per_V2"], v_eff=si["v_eff_m3"],
-                p_in=si["p_in_W"])["omega_drive_over_gamma1p"]
-            p = fig2.with_(omega_drive_amp=omega)
-        else:
-            p = fig2
+        p = at_drive(fig2, drive)
         gts = np.linspace(0.0, 12.0, 121)[::10]  # 13 points of the fig2 grid
         table = sweep_loss(p, gts, backends=("lindblad",))
         assert liouvillian.driven_basis(liouvillian.DEFAULT_CUTOFF).size == 30
@@ -298,12 +313,34 @@ class TestExcitationCap:
         for gt, row in zip(gts, table.rows):
             rho = liouvillian.steady_state(
                 liouvillian.build_liouvillian(loss_point(p, gt), full))
-            ref = experiments._lindblad_columns(rho)
-            assert row["lindblad_failed"] == ref["lindblad_failed"] == 0
-            for name, value in ref.items():
-                floor = self.POPULATION_FLOOR if name.startswith("lindblad_p") else 0.0
-                assert abs(row[name] - value) <= self.RTOL * max(abs(value), floor), (
-                    name, gt, row[name], value)
+            assert_columns_match(row, experiments._lindblad_columns(rho),
+                                 self.RTOL, self.POPULATION_FLOOR, gt)
+
+
+class TestValidationReference:
+    """validate's cutoff-convergence reference, the capped basis of per-mode
+    cutoff 7, gives the Lindblad columns of the full per-mode (7, 7) square
+    to 1e-12 relative."""
+
+    RTOL = 1e-12
+    POPULATION_FLOOR = 1e-14  # smaller populations are compared absolutely
+
+    def test_contains_default_basis(self):
+        reference = liouvillian.driven_basis(validation.REFERENCE_CUTOFF)
+        assert reference.size == 49
+        assert all(state in reference
+                   for state in liouvillian.driven_basis(liouvillian.DEFAULT_CUTOFF).states)
+
+    @pytest.mark.parametrize("drive", ["preset", "si"])
+    def test_lindblad_columns_match_per_mode_basis(self, fig2, drive):
+        p = at_drive(fig2, drive)
+        capped = liouvillian.driven_basis(validation.REFERENCE_CUTOFF)
+        full = build_basis(per_mode=validation.REFERENCE_CUTOFF)
+        for gt in (0.0, 6.0, 12.0):
+            got, ref = (experiments._lindblad_columns(liouvillian.steady_state(
+                liouvillian.build_liouvillian(loss_point(p, gt), basis)))
+                for basis in (capped, full))
+            assert_columns_match(got, ref, self.RTOL, self.POPULATION_FLOOR, gt)
 
 
 class TestCriticalPoints:

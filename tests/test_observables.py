@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,8 +88,6 @@ class TestPhotonStatistics:
 class TestPoissonComparison:
     def test_poisson_self_comparison(self):
         mu = 0.2
-        from math import factorial
-
         p_m = np.array([np.exp(-mu) * mu**m / factorial(m) for m in range(25)])
         cmp = poisson_comparison(p_m)
         assert np.max(np.abs(cmp.deviation)) < 1e-10
@@ -95,6 +96,20 @@ class TestPoissonComparison:
         p_m = np.array([0.5, 0.3, 0.2])
         cmp = poisson_comparison(p_m)
         assert cmp.mu == pytest.approx(0.7)
+
+    def test_vacuum_deviation_at_weak_drive(self):
+        # P_0 = 1 - 3e-5: P_0 - e^(-mu) is about 1e-10, a difference of two
+        # numbers near 1; it must keep the digits of an exact rational value
+        ulp = 2.0**-53
+        p1, p2 = round(3e-5 / ulp) * ulp, round(3.5e-10 / ulp) * ulp
+        p_m = np.array([1.0 - p1 - p2, p1, p2])
+        assert sum(map(Fraction, p_m)) == 1  # exactly trace-normalized
+        mu = Fraction(p1) + 2 * Fraction(p2)
+        # e^(-mu) to far below double precision: the terms fall by mu per order
+        exp_minus_mu = sum((-mu) ** k / factorial(k) for k in range(12))
+        exact = Fraction(p_m[0]) - exp_minus_mu
+        dev = poisson_comparison(p_m).deviation[0]
+        assert abs(Fraction(dev) - exact) <= 1e-10 * abs(exact)
 
 
 class TestPeakDetection:
