@@ -10,12 +10,15 @@ import contextlib
 import functools
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.blas import zgemm
 
 from .hilbert import FockBasis, build_basis, mode_operator
 from .model import SystemParams, build_hamiltonian
@@ -44,10 +47,11 @@ __all__ = [
 ]
 
 # bases stay at most 64 states, so superoperators at most 4096 x 4096 (the
-# full per-mode (7, 7) square, a test oracle only): the sparse LU of the
-# bordered system fills in to about 0.5 s per factor there, about 0.2 s on
-# validate's reference, the 49-state driven basis of cutoff (7, 7) (2401
-# unknowns), and about 20 ms on the 30-state default driven basis (900)
+# full per-mode (7, 7) square, a test oracle only). steady_state factors
+# dense blocks of one excitation-difference sector each, at most 344
+# unknowns there (about 80 ms a solve at one BLAS thread), 289 on validate's
+# reference, the 49-state driven basis of cutoff (7, 7) (2401 unknowns,
+# about 35 ms), and 132 on the 30-state default driven basis (900, about 7 ms)
 MAX_HILBERT_DIM = 64
 # per-mode Fock cutoffs of the driven master-equation solves. Their basis
 # also caps m + n at max(c1, c2) + 2 (driven_basis): under weak drive each
@@ -238,11 +242,13 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     """Trace-normalized null vector of the generator.
 
     Solved through a bordered linear system (one row replaced by the trace
-    constraint), factored by sparse LU (SuperLU, COLAMD ordering) and
-    polished by one step of iterative refinement. A second bordered system
-    with a different replaced row, solved by a Woodbury update from the same
-    factorization and the same two-column solve, guards against a degenerate
-    null space, which is reported rather than silently resolved.
+    constraint), factored by block elimination over the excitation-difference
+    sectors of the vec index (``_SectorLU``: dense LU of the k >= 0 blocks)
+    and polished by one step of iterative refinement. A second bordered
+    system with a different replaced row, solved by a Woodbury update from
+    the same factorization and the same two-column solve, guards against a
+    degenerate null space, which is reported rather than silently resolved.
+    The returned state is exactly Hermitian.
     """
     d = sop.dim
     n = d * d
@@ -253,27 +259,26 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     r2 = alt * d + alt
 
     diag = np.arange(d) * (d + 1)  # vec indices of the diagonal
-    trace = np.zeros(n, dtype=complex)
-    trace[diag] = 1.0
-    keep = np.ones(n)
-    keep[r1] = 0.0
-    trace_at_r1 = sparse.csr_matrix(
-        (np.ones(d, dtype=complex), (np.full(d, r1), diag)), shape=(n, n))
-    m1 = (sparse.diags(keep) @ lmat + trace_at_r1).tocsc()
     # e_r1 and e_r2: the right-hand sides of M1 and M2, and the Woodbury U
     u = np.zeros((n, 2), dtype=complex)
     u[r1, 0] = 1.0
     u[r2, 1] = 1.0
-    try:
-        lu = splu(m1)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise DegenerateSteadyStateError(
-            f"bordered steady-state solve is singular: {exc}"
-        ) from exc
+    lu = _SectorLU(sop, r1)
+    tau = lu.sectors.tau
     z = lu.solve(u)
-    # one refinement step: the sparse factor alone leaves ~1e-25 absolute
-    # error, which is visible on three-photon populations of ~1e-15
-    v1 = z[:, 0] + lu.solve(u[:, 0] - m1 @ z[:, 0])
+    # M1 z is L z with row r1 replaced by the trace of z
+    lz = lmat @ z
+    tz = z[diag].sum(axis=0)
+    # one refinement step: the factor alone leaves ~1e-25 absolute error,
+    # which is visible on three-photon populations of ~1e-15. The residual
+    # is Hermitian up to rounding, and solve takes its Hermitian part.
+    res = -lz[:, 0]
+    res[r1] = 1.0 - tz[0]
+    v1 = z[:, 0] + lu.solve(0.5 * (res + res[tau].conj()))
+    # exactly Hermitian: solve leaves sector 0 as its LU gives it, since
+    # symmetrized there the two null vectors of a degenerate lossless point
+    # came out alike and the guard below missed it
+    v1 = 0.5 * (v1 + v1[tau].conj())
     scale = float(abs(lmat).max())
     residual = float(np.max(np.abs(lmat @ v1)))
     if not np.all(np.isfinite(v1)) or residual > 1e-8 * max(scale, 1.0):
@@ -282,17 +287,15 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
         )
 
     # second bordered system M2 (row r1 restored, row r2 replaced) via a
-    # rank-2 Woodbury update of M1
-    vt = np.vstack([lmat[r1, :].toarray()[0] - trace,
-                    trace - lmat[r2, :].toarray()[0]])
-    core = np.eye(2, dtype=complex) + vt @ z
+    # rank-2 Woodbury update M2 = M1 + U V^T, V^T = [L[r1] - trace; trace - L[r2]]
+    vtz = np.array([lz[r1] - tz, tz - lz[r2]])
     try:
-        w = np.linalg.solve(core, vt @ z[:, 1])
+        w = np.linalg.solve(np.eye(2, dtype=complex) + vtz, vtz[:, 1])
     except np.linalg.LinAlgError as exc:
         raise DegenerateSteadyStateError(
             f"degeneracy-guard system is singular: {exc}"
         ) from exc
-    v2 = z[:, 1] - z @ w
+    v2 = z[:, 1] - z[:, 0] * w[0] - z[:, 1] * w[1]
     if (not np.all(np.isfinite(v2))
             or np.max(np.abs(v1 - v2)) > 1e-6 * max(np.max(np.abs(v1)), 1.0)):
         raise DegenerateSteadyStateError(
@@ -301,6 +304,129 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
 
     rho = DensityMatrix(basis=sop.basis, data=unvec(v1, d), residual=residual)
     return rho.validate()
+
+
+class _Sectors(NamedTuple):
+    """Excitation-difference sectors of the vec index on one basis."""
+
+    k: np.ndarray  # sector k = N(r) - N(c) of each vec index c*d + r
+    pos: np.ndarray  # position in its sector; -k takes its transpose's in k
+    tau: np.ndarray  # vec index of the transpose, c*d + r -> r*d + c
+    members: list  # vec indices of sector k = 0 .. K, ascending
+    mirror: np.ndarray  # sector-0 position of each sector-0 transpose
+
+
+@functools.cache
+def _sectors(basis: FockBasis) -> _Sectors:
+    """The sector maps of the vec index on the basis, cached per basis."""
+    d = basis.size
+    total = np.array([m + n for m, n in basis.states])
+    k = (total[None, :] - total[:, None]).ravel()
+    tau = np.arange(d * d).reshape(d, d).T.ravel()
+    members = [np.flatnonzero(k == j) for j in range(total.max() - total.min() + 1)]
+    pos = np.empty(d * d, dtype=np.intp)
+    for j, idx in enumerate(members):
+        pos[idx] = np.arange(len(idx))
+        if j:
+            pos[tau[idx]] = pos[idx]
+    return _Sectors(k, pos, tau, members, pos[tau[members[0]]])
+
+
+class _SectorLU:
+    """Factor of the bordered generator M1 (row r1 replaced by the trace
+    row) by block elimination over the excitation-difference sectors.
+
+    Every term of the generator but the drive conserves photon number, so
+    sector k of the vec index couples only to k and k +- 1; an entry that
+    couples sectors further apart is a ``NumericalFailureError``. M1 also
+    commutes with rho -> rho^+, which maps sector k onto sector -k with
+    conjugated entries. So sectors K .. 1 are eliminated into sector 0 by
+    dense LU of their Schur complements, and the k < 0 side, never formed,
+    contributes the conjugate, index-transposed correction of the k > 0
+    side. A zero pivot is a ``DegenerateSteadyStateError``. ``solve`` takes
+    right-hand sides whose columns are Hermitian as d x d matrices; its
+    solutions hold the conjugate transpose of sector k in sector -k, and
+    sector 0 as solved.
+    """
+
+    def __init__(self, sop: Superoperator, r1: int):
+        sec = self.sectors = _sectors(sop.basis)
+        d = sop.dim
+        lmat = sop.data
+        rows = np.repeat(np.arange(d * d), np.diff(lmat.indptr))
+        kr, kc = sec.k[rows], sec.k[lmat.indices]
+        if np.any(np.abs(kr - kc) > 1):
+            raise NumericalFailureError(
+                "the generator couples excitation-difference sectors more than one apart"
+            )
+        # the k >= 0 entries of L, but for row r1
+        keep = (kr >= 0) & (kc >= 0) & (rows != r1)
+        kr, kc, vals = kr[keep], kc[keep], lmat.data[keep]
+        pr, pc = sec.pos[rows[keep]], sec.pos[lmat.indices[keep]]
+
+        # dense and column-major, side by side in one buffer: the diagonal
+        # blocks M1[j, j] for j = 0 .. K, then the couplings M1[j, j - 1]
+        # for j = 1 .. K; the couplings M1[j, j + 1] stay sparse
+        sizes = [len(idx) for idx in sec.members]
+        kmax = len(sizes) - 1
+        shapes = [(s, s) for s in sizes] + list(zip(sizes[1:], sizes[:-1]))
+        start = np.cumsum([0] + [r * c for r, c in shapes])
+        dense = kr >= kc
+        slot = np.where(kr == kc, kr, kmax + kr)[dense]
+        buf = np.zeros(start[-1], dtype=complex)
+        np.add.at(buf, start[slot] + pc[dense] * np.take(sizes, kr[dense]) + pr[dense],
+                  vals[dense])
+        blocks = [buf[lo:hi].reshape(c, r).T
+                  for lo, hi, (r, c) in zip(start, start[1:], shapes)]
+        blocks[0][sec.pos[r1], sec.pos[np.arange(d) * (d + 1)]] = 1.0  # the trace row
+
+        def coupling(j: int) -> sparse.csr_matrix:
+            # rows stay in ascending order: pos is ascending in each sector
+            sel = (kr == j) & (kc == j + 1)
+            indptr = np.zeros(sizes[j] + 1, dtype=np.intp)
+            np.cumsum(np.bincount(pr[sel], minlength=sizes[j]), out=indptr[1:])
+            return sparse.csr_matrix((vals[sel], pc[sel], indptr), shape=(sizes[j], sizes[j + 1]))
+
+        self.up = [coupling(j) for j in range(kmax)]  # M1[j, j + 1]
+        self.lu = [None] * (kmax + 1)  # of the Schur complements S_j
+        self.w = [None] + blocks[kmax + 1:]  # M1[j, j - 1], then S_j^-1 M1[j, j - 1]
+        with warnings.catch_warnings():
+            # a zero pivot is reported below, not as a LinAlgWarning
+            warnings.simplefilter("ignore", LinAlgWarning)
+            for j in range(kmax, -1, -1):
+                lu = self.lu[j] = lu_factor(blocks[j], overwrite_a=True, check_finite=False)
+                if np.any(lu[0].diagonal() == 0.0):
+                    raise DegenerateSteadyStateError(
+                        f"bordered steady-state solve is singular: zero pivot "
+                        f"in excitation-difference sector {j}"
+                    )
+                if j:
+                    w = self.w[j] = lu_solve(lu, self.w[j], overwrite_b=True,
+                                             check_finite=False)
+                    corr = self.up[j - 1] @ w
+                    if j == 1:
+                        corr += corr[np.ix_(sec.mirror, sec.mirror)].conj()
+                    blocks[j - 1] -= corr
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        sec = self.sectors
+        kmax = len(self.lu) - 1
+        cols = b.reshape(len(b), -1)
+        y = [cols[idx] for idx in sec.members]
+        t = [None] * (kmax + 1)  # S_j^-1 y_j
+        for j in range(kmax, 0, -1):
+            t[j] = lu_solve(self.lu[j], y[j], check_finite=False)
+            g = self.up[j - 1] @ t[j]
+            if j == 1:
+                g += g[sec.mirror].conj()
+            y[j - 1] -= g
+        x = np.empty_like(cols)
+        xk = x[sec.members[0]] = lu_solve(self.lu[0], y[0], check_finite=False)
+        for j in range(1, kmax + 1):
+            xk = t[j] - zgemm(1.0, self.w[j], xk)
+            x[sec.members[j]] = xk
+            x[sec.tau[sec.members[j]]] = xk.conj()
+        return x.reshape(b.shape)
 
 
 def solve_points(points, basis: FockBasis, reduce=None) -> list:

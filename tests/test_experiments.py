@@ -194,6 +194,17 @@ class TestSweepLoss:
         assert table.failures == [(0.0, "DegenerateSteadyStateError", "steady state is "
                                    "not unique: two trace-normalized null vectors differ")]
 
+    def test_singular_point_is_listed_without_output(self, capfd):
+        # the drive commutator alone: the top sector's block is exactly zero.
+        # capfd reads file descriptor 2, which the spawned workers share
+        p = params(chi=0.0, J=0.0, gamma_1=0.0, gamma_ex=0.0, gamma_2=0.0, delta=0.0)
+        results = liouvillian.solve_points([p, p.with_(gamma_tip=1.0)],
+                                           liouvillian.driven_basis((3, 3)))
+        singular = "bordered steady-state solve is singular: zero pivot in excitation-difference"
+        assert results == [(None, ("DegenerateSteadyStateError", f"{singular} sector 5")),
+                           (None, ("DegenerateSteadyStateError", f"{singular} sector 3"))]
+        assert capfd.readouterr() == ("", "")
+
     @pytest.mark.parametrize("cutoff", [(2, 2), (1, 1), (3, 2), (2, 5)])
     def test_lindblad_cutoff_below_three_rejected(self, cutoff):
         with pytest.raises(ValueError, match="cutoff of at least 3 per mode"):

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import solve_ivp
-from scipy.sparse.linalg import splu
+from scipy.linalg import lu_factor
 
 from kerrdimer import liouvillian
 from kerrdimer.analytic import steady_amplitudes
@@ -13,8 +15,10 @@ from kerrdimer.liouvillian import (
     DensityMatrix,
     NumericalFailureError,
     ResourceLimitError,
+    Superoperator,
     build_liouvillian,
     coherence_sector_pair,
+    driven_basis,
     lep_locate,
     steady_state,
     unvec,
@@ -43,6 +47,37 @@ def random_density_matrix(basis, seed=0):
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = x @ x.conj().T
     return rho / np.trace(rho)
+
+
+def assert_matches_dense_bordered_solve(sop, statistics=True):
+    """Oracle: the same bordered system (row r1 of L replaced by the trace
+    row), densified and solved by dense LU. The steady state must agree to
+    1e-15 absolute; N1, g2, g3 and every population above 1e-14 to 1e-12
+    relative."""
+    basis = sop.basis
+    d = basis.size
+    i00 = basis.index_of(0, 0)
+    r1 = i00 * d + i00
+    m = sop.data.toarray()
+    m[r1, :] = 0.0
+    m[r1, np.arange(d) * (d + 1)] = 1.0
+    b = np.zeros(d * d, dtype=complex)
+    b[r1] = 1.0
+    oracle = DensityMatrix(basis=basis, data=unvec(np.linalg.solve(m, b), d))
+    rho = steady_state(sop)
+    assert np.max(np.abs(rho.data - oracle.data)) <= 1e-15
+
+    def rel(x, y):
+        return abs(x - y) / abs(y)
+
+    if statistics:
+        got, want = photon_statistics(rho), photon_statistics(oracle)
+        for name in ("n1", "g2", "g3"):
+            assert rel(getattr(got, name), getattr(want, name)) <= 1e-12, name
+    got, want = rho.populations(), oracle.populations()
+    for state, pw in want.items():
+        if pw > 1e-14:
+            assert rel(got[state], pw) <= 1e-12, state
 
 
 def time_evolve(sop, rho0, t_grid, rtol=1e-8, atol=1e-12):
@@ -222,14 +257,16 @@ class TestSteadyState:
         rho.validate()  # hermiticity 1e-10, trace 1e-10, psd -1e-8
         assert rho.residual < 1e-10
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_degenerate_steady_state_reported(self):
-        # mode 2 decoupled and lossless: any mode-2 Fock mixture is steady
+        # mode 2 decoupled and lossless: any mode-2 Fock mixture is steady.
+        # Reported by the error alone, with no LinAlgWarning.
         p = params(J=0.0, gamma_2=0.0, gamma_tip=0.0, omega_drive_amp=0.0)
         basis = build_basis(per_mode=(1, 1))
         sop = build_liouvillian(p, basis)
-        with pytest.raises(DegenerateSteadyStateError):
-            steady_state(sop)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSteadyStateError):
+                steady_state(sop)
 
     def test_populations_match_analytic(self):
         # weak-drive oracle equivalence at preset strength
@@ -244,56 +281,103 @@ class TestSteadyState:
                     assert num[state] == pytest.approx(pa, rel=0.01)
 
     def test_matches_dense_bordered_solve(self):
-        # oracle: the same bordered system (row r1 of L replaced by the
-        # trace row), densified and solved by dense LU
-        p, _ = preset("paper_fig2")
-        basis = build_basis(per_mode=(5, 5))
-        d = basis.size
-        i00 = basis.index_of(0, 0)
-        r1 = i00 * d + i00
-        b = np.zeros(d * d, dtype=complex)
-        b[r1] = 1.0
-
-        def rel(x, y):
-            return abs(x - y) / abs(y)
-
         # without iterative refinement, g3 and P_30 at gamma_tip = 1 are off
         # by about 1e-11 relative
+        p, _ = preset("paper_fig2")
+        basis = build_basis(per_mode=(5, 5))
         for gt in (0.0, 1.0, 4.0, 8.9, 12.0):
-            sop = build_liouvillian(tracked(p, gt), basis)
-            m = sop.data.toarray()
-            m[r1, :] = 0.0
-            m[r1, np.arange(d) * (d + 1)] = 1.0
-            oracle = DensityMatrix(basis=basis, data=unvec(np.linalg.solve(m, b), d))
-            rho = steady_state(sop)
-            assert np.max(np.abs(rho.data - oracle.data)) <= 1e-15
-            got, want = photon_statistics(rho), photon_statistics(oracle)
-            for name in ("n1", "g2", "g3"):
-                assert rel(getattr(got, name), getattr(want, name)) <= 1e-12, name
-            for state, pw in want.p_mn.items():
-                if pw > 1e-14:
-                    assert rel(got.p_mn[state], pw) <= 1e-12, state
+            assert_matches_dense_bordered_solve(build_liouvillian(tracked(p, gt), basis))
+
+    def test_si_scale_rates_match_dense_bordered_solve(self):
+        # every rate times gamma_1' in rad/s, as under --units si: the same
+        # state, from a generator whose entries reach about 1e8 against the
+        # ones of the trace row
+        p, _ = preset("paper_fig2")
+        q = tracked(p, 4.0)
+        rates = ("chi", "J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip",
+                 "omega_drive_amp", "delta")
+        si = q.with_(**{name: 6.1e5 * getattr(q, name) for name in rates})
+        assert_matches_dense_bordered_solve(build_liouvillian(si, driven_basis((5, 5))))
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("basis", [build_basis(per_mode=(5, 5)), driven_basis((5, 5))],
+                             ids=["per-mode", "capped"])
+    def test_strong_drive_matches_dense_bordered_solve(self, basis, omega):
+        # Omega in units of gamma_1' (1 in the preset), far past the weak-drive regime
+        p, _ = preset("paper_fig2")
+        sop = build_liouvillian(tracked(p, 4.0).with_(omega_drive_amp=omega), basis)
+        assert_matches_dense_bordered_solve(sop)
+
+    @pytest.mark.parametrize("basis", [build_basis(per_mode=(5, 5)), driven_basis((5, 5))],
+                             ids=["per-mode", "capped"])
+    def test_drive_phase_matches_dense_bordered_solve(self, basis):
+        p, _ = preset("paper_fig2")
+        sop = build_liouvillian(tracked(p, 4.0).with_(omega_drive_amp=1.0, drive_phase=1.1),
+                                basis)
+        assert_matches_dense_bordered_solve(sop)
+
+    @pytest.mark.parametrize("basis", [build_basis(per_mode=(5, 5)), driven_basis((5, 5)),
+                                       build_basis(per_mode=(0, 0))],
+                             ids=["per-mode", "capped", "vacuum-only"])
+    def test_sectors_without_coupling_match_dense_bordered_solve(self, basis):
+        # undriven, the sectors decouple; the vacuum-only basis has no k != 0
+        # sector at all. N1 = 0, so only the state is compared.
+        p, _ = preset("paper_fig2")
+        sop = build_liouvillian(tracked(p, 4.0).with_(omega_drive_amp=0.0), basis)
+        assert_matches_dense_bordered_solve(sop, statistics=False)
+
+    @pytest.mark.parametrize("omega", [0.01, 4.0])
+    def test_state_is_exactly_hermitian(self, omega):
+        p, _ = preset("paper_fig2")
+        sop = build_liouvillian(tracked(p, 6.0).with_(omega_drive_amp=omega, drive_phase=1.1),
+                                driven_basis((5, 5)))
+        rho = steady_state(sop).data
+        assert np.array_equal(rho, rho.conj().T)
+
+    def test_coupling_across_two_sectors_is_numerical_failure(self):
+        # |2,0><0,0| (sector k = 2) fed from |0,0><0,0| (k = 0): no generator term does that
+        basis = driven_basis((3, 3))
+        d = basis.size
+        sop = build_liouvillian(tracked(params(), 2.0), basis)
+        row = basis.index_of(0, 0) * d + basis.index_of(2, 0)
+        col = basis.index_of(0, 0) * (d + 1)
+        extra = sparse.csr_matrix(([1e-3], ([row], [col])), shape=sop.data.shape)
+        bad = Superoperator(basis=basis, data=(sop.data + extra).tocsr())
+        with pytest.raises(NumericalFailureError, match="more than one apart"):
+            steady_state(bad)
 
     def test_one_factor_and_two_solves_per_point(self, monkeypatch):
         # the two-column solve for e_r1 and e_r2 serves the steady state and
-        # the guard, so a point costs one factorization, that solve and the
-        # refinement solve
+        # the guard, so a point costs one block factorization, that solve and
+        # the refinement solve; the factorization takes one dense LU per
+        # sector k >= 0 and none for k < 0
         calls = []
+        factors = []
 
-        class CountingLU:
-            def __init__(self, m):
-                calls.append("splu")
-                self.lu = splu(m)
+        class CountingLU(liouvillian._SectorLU):
+            def __init__(self, sop, r1):
+                calls.append("factor")
+                super().__init__(sop, r1)
 
             def solve(self, b):
                 calls.append(b.shape)
-                return self.lu.solve(b)
+                return super().solve(b)
 
-        monkeypatch.setattr(liouvillian, "splu", CountingLU)
-        basis = build_basis(per_mode=(3, 3))
+        def counting_lu_factor(a, **kw):
+            factors.append(a.shape)
+            return lu_factor(a, **kw)
+
+        monkeypatch.setattr(liouvillian, "_SectorLU", CountingLU)
+        monkeypatch.setattr(liouvillian, "lu_factor", counting_lu_factor)
+        basis = driven_basis((3, 3))
         steady_state(build_liouvillian(tracked(params(), 2.0), basis))
         n = basis.size ** 2
-        assert calls == ["splu", (n, 2), (n,)]
+        assert calls == ["factor", (n, 2), (n,)]
+        # sectors k = 5 .. 0 of the 15-state basis (m + n <= 5); sector 0
+        # holds 1 + 4 + 9 + 16 + 9 + 4 = 43 of the n indices, each k > 0
+        # sector as many as its mirror
+        assert len(factors) == 6
+        assert sum(s for s, _ in factors) == (n + 43) // 2
 
     def test_drive_phase_invariance(self):
         basis = build_basis(per_mode=(4, 4))
