@@ -12,6 +12,7 @@ __all__ = [
     "ComplexOperator",
     "build_basis",
     "mode_operator",
+    "mode1_moment",
 ]
 
 
@@ -101,3 +102,15 @@ def mode_operator(basis: FockBasis, mode: int, kind: str) -> ComplexOperator:
 
     data = a if kind == "annihilate" else a.conj().T @ a
     return ComplexOperator(basis, data)
+
+
+@functools.cache
+def mode1_moment(basis: FockBasis, order: int) -> ComplexOperator:
+    """Normal-ordered mode-1 moment a_1'^order a_1^order on the basis.
+
+    The Kerr term is order 2, and g2 and g3 read orders 2 and 3. The product
+    is taken left to right, and the result is cached per (basis, order) like
+    ``mode_operator``; its data is read-only.
+    """
+    a1 = mode_operator(basis, 1, "annihilate").data
+    return ComplexOperator(basis, functools.reduce(np.matmul, [a1.conj().T] * order + [a1] * order))

@@ -10,15 +10,11 @@ import contextlib
 import functools
 import json
 import os
-import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.blas import zgemm
 
 from .hilbert import FockBasis, build_basis, mode_operator
 from .model import SystemParams, build_hamiltonian
@@ -26,6 +22,7 @@ from .search import golden_section_minimize
 from .spectral import match_branches
 
 __all__ = [
+    "CSRMatrix",
     "Superoperator",
     "DensityMatrix",
     "LiouvillianSpectrum",
@@ -49,9 +46,9 @@ __all__ = [
 # bases stay at most 64 states, so superoperators at most 4096 x 4096 (the
 # full per-mode (7, 7) square, a test oracle only). steady_state factors
 # dense blocks of one excitation-difference sector each, at most 344
-# unknowns there (about 80 ms a solve at one BLAS thread), 289 on validate's
+# unknowns there (about 110 ms a solve at one BLAS thread), 289 on validate's
 # reference, the 49-state driven basis of cutoff (7, 7) (2401 unknowns,
-# about 35 ms), and 132 on the 30-state default driven basis (900, about 7 ms)
+# about 50 ms), and 132 on the 30-state default driven basis (900, about 7.5 ms)
 MAX_HILBERT_DIM = 64
 # per-mode Fock cutoffs of the driven master-equation solves. Their basis
 # also caps m + n at max(c1, c2) + 2 (driven_basis): under weak drive each
@@ -94,12 +91,41 @@ def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((d, d), order="F")
 
 
+@dataclass(frozen=True, eq=False)
+class CSRMatrix:
+    """Compressed sparse rows on numpy arrays: ``data[indptr[i]:indptr[i + 1]]``
+    holds row i at the columns ``indices[indptr[i]:indptr[i + 1]]``."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def count_nonzero(self) -> int:
+        return int(np.count_nonzero(self.data))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with a vector or with the columns of a 2-D array."""
+        x = np.asarray(x)
+        if x.ndim == 2:
+            return np.stack([self @ col for col in x.T], axis=1)
+        out = np.zeros(self.shape[0], dtype=np.result_type(self.data, x))
+        rows = np.flatnonzero(np.diff(self.indptr))
+        if len(rows):
+            out[rows] = np.add.reduceat(self.data * x[self.indices], self.indptr[rows])
+        return out
+
+
 @dataclass(frozen=True)
 class Superoperator:
     """Sparse (CSR) Liouvillian matrix acting on column-stacked density matrices."""
 
     basis: FockBasis
-    data: sparse.csr_matrix
+    data: CSRMatrix
 
     @property
     def dim(self) -> int:
@@ -171,19 +197,6 @@ class LepResult:
     grid_rows: list[dict] = field(hash=False, compare=False)
 
 
-@functools.cache
-def _dissipators(basis: FockBasis) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
-    """Unit-rate D[a_1] and D[a_2] on the basis, in sparse form."""
-    eye = sparse.identity(basis.size, dtype=complex, format="csr")
-    out = []
-    for mode in (1, 2):
-        a = sparse.csr_matrix(mode_operator(basis, mode, "annihilate").data)
-        n = sparse.csr_matrix(mode_operator(basis, mode, "number").data)
-        out.append((sparse.kron(a.conj(), a) - 0.5 * sparse.kron(eye, n)
-                    - 0.5 * sparse.kron(n.T, eye)).tocsr())
-    return tuple(out)
-
-
 def excitation_cap(cutoff: tuple[int, int]) -> int:
     """Largest m + n of the driven basis at per-mode ``cutoff``: max(c1, c2)
     + 2, or c1 + c2 where that is smaller and the cap removes nothing."""
@@ -204,38 +217,87 @@ def check_size(basis: FockBasis) -> None:
         )
 
 
-def _unitary_and_mode1_loss(p: SystemParams, basis: FockBasis,
-                            driven: bool) -> sparse.csr_matrix:
-    """-i[H, .] + gamma_1' D[a_1]: the generator without its gamma_tip term."""
+class _Generator(NamedTuple):
+    """The CSR pattern of every generator on one basis with one Hamiltonian
+    variant, and what fills it: each entry's place in H for -i H rho and for
+    i rho H, and the values of the unit-rate dissipators D[a_1] and D[a_2]."""
+
+    indices: np.ndarray
+    indptr: np.ndarray
+    left: np.ndarray  # index of H[r, r'] in H.ravel(), d * d where the term has no entry
+    right: np.ndarray  # index of H[c', c] in H.ravel(), d * d likewise
+    diss: tuple[np.ndarray, np.ndarray]
+
+
+@functools.cache
+def _generator(basis: FockBasis, variant: str) -> _Generator:
+    """The pattern of ``build_liouvillian`` with the Hamiltonian ``variant``
+    on the basis, cached per basis and variant.
+
+    It holds every entry that kron(1, H), kron(H^T, 1), kron(a_j^*, a_j),
+    kron(1, n_j) or kron(n_j^T, 1) stores at some parameters. H is nonzero
+    at most where one of its terms is; the terms are nonnegative matrices,
+    so the Hamiltonian with every rate 1 has exactly that support.
+    """
     d = basis.size
-    h = build_hamiltonian(p, basis, "rotating_driven" if driven else "isolated").data
-    # assembled through sparse Kronecker products (the factors are nearly
-    # diagonal) and kept in CSR form
-    hs = sparse.csr_matrix(h)
-    eye = sparse.identity(d, dtype=complex, format="csr")
-    return (-1j * (sparse.kron(eye, hs) - sparse.kron(hs.T, eye))
-            + p.gamma1_prime * _dissipators(basis)[0])
+    n = d * d
+    unit = SystemParams(chi=1.0, J=1.0, gamma_1=0.0, gamma_ex=0.0, gamma_2=0.0,
+                        gamma_tip=0.0, omega_drive_amp=1.0, omega_c=1.0, delta=1.0)
+    hr, hc = np.nonzero(build_hamiltonian(unit, basis, variant).data)
+    eye = np.arange(d)
 
+    def kron(ra, ca, rb, cb):
+        # vec row and column of each stored entry of kron(A, B), from those of A and B
+        return ((ra[:, None] * d + rb).ravel(), (ca[:, None] * d + cb).ravel())
 
-# the undriven part is shared along an LEP scan, which varies only gamma_tip;
-# callers key it on gamma_tip = 0 and never modify the returned matrix. The
-# bound keeps a long coupling grid (one entry per J) from piling up entries.
-_undriven_part = functools.lru_cache(maxsize=64)(_unitary_and_mode1_loss)
+    # per term: its entries, and what each holds (an index into H.ravel() or a value)
+    terms = [(kron(eye, eye, hr, hc), np.tile(hr * d + hc, d)),
+             (kron(hc, hr, eye, eye), np.repeat(hr * d + hc, d))]
+    for mode in (1, 2):
+        a = mode_operator(basis, mode, "annihilate").data
+        num = mode_operator(basis, mode, "number").data
+        ar, ac = np.nonzero(a)
+        nr, nc = np.nonzero(num)
+        terms += [(kron(ar, ac, ar, ac), np.outer(a.conj()[ar, ac], a[ar, ac]).ravel()),
+                  (kron(eye, eye, nr, nc), np.tile(num[nr, nc], d)),
+                  (kron(nc, nr, eye, eye), np.repeat(num[nr, nc], d))]
+    keys = [rows * n + cols for (rows, cols), _ in terms]
+    pattern = np.unique(np.concatenate(keys))
+
+    def spread(i: int, fill):
+        out = np.full(len(pattern), fill)
+        out[np.searchsorted(pattern, keys[i])] = terms[i][1]
+        return out
+
+    # (kron(a^*, a) - 0.5 kron(1, n)) - 0.5 kron(n^T, 1), entry by entry
+    diss = tuple((spread(i, 0j) - 0.5 * spread(i + 1, 0j)) - 0.5 * spread(i + 2, 0j)
+                 for i in (2, 5))
+    gen = _Generator(pattern % n, np.searchsorted(pattern // n, np.arange(n + 1)),
+                     spread(0, n), spread(1, n), diss)
+    for arr in (*gen[:4], *diss):
+        arr.flags.writeable = False
+    return gen
 
 
 def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True) -> Superoperator:
     """Lindblad generator L rho = -i[H, rho] + sum_j gamma_j' D[a_j] rho.
 
     driven=True uses the rotating-frame driven Hamiltonian; driven=False the
-    lab-frame isolated one (the generator used for the LEP analysis). On the
-    undriven path only gamma_2' D[a_2] is summed anew per gamma_tip; the sum
-    keeps its left-to-right order, so every entry is what a full assembly gives.
+    lab-frame isolated one (the generator used for the LEP analysis). The
+    entries fill a pattern fixed per basis (``_generator``) by gathers from
+    the dense H, and each is summed as -i (H rho - rho H) + gamma_1' D[a_1]
+    + gamma_2' D[a_2], left to right, as the sum of the sparse Kronecker
+    products gives it; an entry that is zero at these parameters is stored.
     """
     check_size(basis)
-    part = (_unitary_and_mode1_loss(p, basis, True) if driven
-            else _undriven_part(p.with_(gamma_tip=0.0), basis, False))
-    lind = part + p.gamma2_prime * _dissipators(basis)[1]
-    return Superoperator(basis=basis, data=lind.tocsr())
+    variant = "rotating_driven" if driven else "isolated"
+    gen = _generator(basis, variant)
+    h = build_hamiltonian(p, basis, variant).data
+    h = np.append(h.ravel(), 0.0)
+    lind = (-1j * (h[gen.left] - h[gen.right]) + p.gamma1_prime * gen.diss[0]
+            + p.gamma2_prime * gen.diss[1])
+    n = basis.size ** 2
+    return Superoperator(basis=basis, data=CSRMatrix(lind, gen.indices, gen.indptr, (n, n)))
 
 
 def steady_state(sop: Superoperator) -> DensityMatrix:
@@ -243,15 +305,14 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
 
     Solved through a bordered linear system (one row replaced by the trace
     constraint), factored by block elimination over the excitation-difference
-    sectors of the vec index (``_SectorLU``: dense LU of the k >= 0 blocks)
-    and polished by one step of iterative refinement. A second bordered
-    system with a different replaced row, solved by a Woodbury update from
-    the same factorization and the same two-column solve, guards against a
-    degenerate null space, which is reported rather than silently resolved.
-    The returned state is exactly Hermitian.
+    sectors of the vec index (``_SectorLU``: dense LAPACK solves of the
+    k >= 0 blocks) and polished by one step of iterative refinement. A second
+    bordered system with a different replaced row, solved by a Woodbury
+    update from the same elimination and the same two-column solve, guards
+    against a degenerate null space, which is reported rather than silently
+    resolved. The returned state is exactly Hermitian.
     """
     d = sop.dim
-    n = d * d
     lmat = sop.data
     i00 = sop.basis.index_of(0, 0)
     r1 = i00 * d + i00
@@ -259,19 +320,17 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     r2 = alt * d + alt
 
     diag = np.arange(d) * (d + 1)  # vec indices of the diagonal
-    # e_r1 and e_r2: the right-hand sides of M1 and M2, and the Woodbury U
-    u = np.zeros((n, 2), dtype=complex)
-    u[r1, 0] = 1.0
-    u[r2, 1] = 1.0
-    lu = _SectorLU(sop, r1)
+    # z solves M1 z = [e_r1, e_r2]: the right-hand sides of M1 and M2, and the
+    # Woodbury U; the elimination solves it as it factors
+    lu = _SectorLU(sop, r1, r2)
     tau = lu.sectors.tau
-    z = lu.solve(u)
+    z = lu.z
     # M1 z is L z with row r1 replaced by the trace of z
     lz = lmat @ z
     tz = z[diag].sum(axis=0)
-    # one refinement step: the factor alone leaves ~1e-25 absolute error,
-    # which is visible on three-photon populations of ~1e-15. The residual
-    # is Hermitian up to rounding, and solve takes its Hermitian part.
+    # one refinement step: the elimination alone leaves ~1e-25 absolute
+    # error, which is visible on three-photon populations of ~1e-15. The
+    # residual is Hermitian up to rounding, and solve takes its Hermitian part.
     res = -lz[:, 0]
     res[r1] = 1.0 - tz[0]
     v1 = z[:, 0] + lu.solve(0.5 * (res + res[tau].conj()))
@@ -279,7 +338,7 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     # symmetrized there the two null vectors of a degenerate lossless point
     # came out alike and the guard below missed it
     v1 = 0.5 * (v1 + v1[tau].conj())
-    scale = float(abs(lmat).max())
+    scale = float(np.max(np.abs(lmat.data), initial=0.0))
     residual = float(np.max(np.abs(lmat @ v1)))
     if not np.all(np.isfinite(v1)) or residual > 1e-8 * max(scale, 1.0):
         raise DegenerateSteadyStateError(
@@ -314,6 +373,8 @@ class _Sectors(NamedTuple):
     tau: np.ndarray  # vec index of the transpose, c*d + r -> r*d + c
     members: list  # vec indices of sector k = 0 .. K, ascending
     mirror: np.ndarray  # sector-0 position of each sector-0 transpose
+    mirror_flat: np.ndarray  # flat index of the transposes' pairs in a sector-0 block
+    order: np.ndarray  # vec indices of sectors 0, 1 .. K, then of -1 .. -K
 
 
 @functools.cache
@@ -329,104 +390,170 @@ def _sectors(basis: FockBasis) -> _Sectors:
         pos[idx] = np.arange(len(idx))
         if j:
             pos[tau[idx]] = pos[idx]
-    return _Sectors(k, pos, tau, members, pos[tau[members[0]]])
+    mirror = pos[tau[members[0]]]
+    order = np.concatenate(members + [tau[idx] for idx in members[1:]])
+    return _Sectors(k, pos, tau, members, mirror,
+                    (mirror[:, None] * len(mirror) + mirror).ravel(), order)
+
+
+class _BlockPlan(NamedTuple):
+    """Where the entries of a generator pattern go in the blocks of M1."""
+
+    sectors: _Sectors
+    shapes: list  # of the diagonal blocks M1[j, j], then of M1[j, j - 1]
+    start: np.ndarray  # offset of each of those blocks in one buffer
+    dest: np.ndarray  # buffer offset of each entry that lands in a dense block
+    src: np.ndarray  # its index in the generator's data
+    trace: tuple  # block-0 positions of the trace row
+    up_src: list  # M1[j, j + 1] row by row: indices into data, nnz if none
+    up_cols: list  # and their columns in sector j + 1
+
+
+def _block_plan(basis: FockBasis, indptr: np.ndarray, indices: np.ndarray,
+                r1: int) -> _BlockPlan:
+    """The ``_BlockPlan`` of a CSR pattern on the basis, with row r1 left out."""
+    sec = _sectors(basis)
+    d = basis.size
+    rows = np.repeat(np.arange(d * d), np.diff(indptr))
+    kr, kc = sec.k[rows], sec.k[indices]
+    if np.any(np.abs(kr - kc) > 1):
+        raise NumericalFailureError(
+            "the generator couples excitation-difference sectors more than one apart"
+        )
+    # the k >= 0 entries of L, but for row r1
+    entry = np.flatnonzero((kr >= 0) & (kc >= 0) & (rows != r1))
+    kr, kc = kr[entry], kc[entry]
+    pr, pc = sec.pos[rows[entry]], sec.pos[indices[entry]]
+
+    # dense and row-major, side by side in one buffer: the diagonal blocks
+    # M1[j, j] for j = 0 .. K, then the couplings M1[j, j - 1] for
+    # j = 1 .. K; the couplings M1[j, j + 1] stay sparse
+    sizes = [len(idx) for idx in sec.members]
+    kmax = len(sizes) - 1
+    shapes = [(s, s) for s in sizes] + list(zip(sizes[1:], sizes[:-1]))
+    start = np.cumsum([0] + [r * c for r, c in shapes])
+    dense = kr >= kc
+    slot = np.where(kr == kc, kr, kmax + kr)[dense]
+    dest = start[slot] + pr[dense] * np.take(sizes, kc[dense]) + pc[dense]
+
+    up_src, up_cols = [], []
+    for j in range(kmax):
+        sel = np.flatnonzero((kr == j) & (kc == j + 1))
+        sel = sel[np.argsort(pr[sel], kind="stable")]
+        count = np.bincount(pr[sel], minlength=sizes[j])
+        width = count.max(initial=0)
+        rank = np.arange(len(sel)) - np.repeat(np.cumsum(count) - count, count)
+        src = np.full((sizes[j], width), len(indices))
+        cols = np.zeros((sizes[j], width), dtype=np.intp)
+        src[pr[sel], rank] = entry[sel]
+        cols[pr[sel], rank] = pc[sel]
+        up_src.append(src)
+        up_cols.append(cols)
+    trace = (sec.pos[r1], sec.pos[np.arange(d) * (d + 1)])
+    return _BlockPlan(sec, shapes, start, dest, entry[dense], trace, up_src, up_cols)
+
+
+@functools.cache
+def _generator_block_plan(basis: FockBasis, r1: int) -> _BlockPlan:
+    """The ``_BlockPlan`` of the driven generator's pattern, cached per basis."""
+    gen = _generator(basis, "rotating_driven")
+    return _block_plan(basis, gen.indptr, gen.indices, r1)
 
 
 class _SectorLU:
-    """Factor of the bordered generator M1 (row r1 replaced by the trace
-    row) by block elimination over the excitation-difference sectors.
+    """Block elimination of the bordered generator M1 (row r1 replaced by
+    the trace row) over the excitation-difference sectors.
 
     Every term of the generator but the drive conserves photon number, so
     sector k of the vec index couples only to k and k +- 1; an entry that
     couples sectors further apart is a ``NumericalFailureError``. M1 also
     commutes with rho -> rho^+, which maps sector k onto sector -k with
-    conjugated entries. So sectors K .. 1 are eliminated into sector 0 by
-    dense LU of their Schur complements, and the k < 0 side, never formed,
+    conjugated entries. So sectors K .. 1 are eliminated into sector 0
+    through their Schur complements S_j, and the k < 0 side, never formed,
     contributes the conjugate, index-transposed correction of the k > 0
-    side. A zero pivot is a ``DegenerateSteadyStateError``. ``solve`` takes
-    right-hand sides whose columns are Hermitian as d x d matrices; its
-    solutions hold the conjugate transpose of sector k in sector -k, and
-    sector 0 as solved.
+    side. numpy has no reusable LU, so each solve with S_j is a LAPACK
+    solve that factors it anew: the elimination gives it every right-hand
+    side known then, the coupling M1[j, j - 1] and, in sector 0, the unit
+    columns e_r1 and e_r2, whose solution is ``z``. ``solve`` factors the
+    kept S_j once more. A zero pivot is a ``DegenerateSteadyStateError``.
+    ``solve`` takes right-hand sides whose columns are Hermitian as d x d
+    matrices; its solutions, like ``z``, hold the conjugate transpose of
+    sector k in sector -k, and sector 0 as solved.
     """
 
-    def __init__(self, sop: Superoperator, r1: int):
-        sec = self.sectors = _sectors(sop.basis)
-        d = sop.dim
+    def __init__(self, sop: Superoperator, r1: int, r2: int):
         lmat = sop.data
-        rows = np.repeat(np.arange(d * d), np.diff(lmat.indptr))
-        kr, kc = sec.k[rows], sec.k[lmat.indices]
-        if np.any(np.abs(kr - kc) > 1):
-            raise NumericalFailureError(
-                "the generator couples excitation-difference sectors more than one apart"
-            )
-        # the k >= 0 entries of L, but for row r1
-        keep = (kr >= 0) & (kc >= 0) & (rows != r1)
-        kr, kc, vals = kr[keep], kc[keep], lmat.data[keep]
-        pr, pc = sec.pos[rows[keep]], sec.pos[lmat.indices[keep]]
+        gen = _generator(sop.basis, "rotating_driven")
+        if np.array_equal(lmat.indptr, gen.indptr) and np.array_equal(lmat.indices, gen.indices):
+            plan = _generator_block_plan(sop.basis, r1)
+        else:
+            plan = _block_plan(sop.basis, lmat.indptr, lmat.indices, r1)
+        sec = self.sectors = plan.sectors
+        kmax = len(sec.members) - 1
+        buf = np.zeros(plan.start[-1], dtype=complex)
+        buf[plan.dest] = lmat.data[plan.src]
+        blocks = [buf[lo:hi].reshape(shape) for lo, hi, shape in
+                  zip(plan.start, plan.start[1:], plan.shapes)]
+        blocks[0][plan.trace] = 1.0
+        vals = np.append(lmat.data, 0.0)
+        self.up = [(vals[src], cols) for src, cols in zip(plan.up_src, plan.up_cols)]  # M1[j, j + 1]
+        self.s = blocks[:kmax + 1]  # the Schur complements S_j
+        self.w = [None] * (kmax + 1)  # S_j^-1 M1[j, j - 1]
+        for j in range(kmax, 0, -1):
+            w = self.w[j] = self._solve(j, blocks[kmax + j])
+            corr = self._couple(j - 1, w)
+            if j == 1:
+                corr += np.conjugate(corr.take(sec.mirror_flat).reshape(corr.shape))
+            blocks[j - 1] -= corr
+        # e_r1 and e_r2 lie in sector 0, so every t_j of their solution is 0
+        rhs = np.zeros((len(sec.members[0]), 2), dtype=complex)
+        rhs[sec.pos[[r1, r2]], [0, 1]] = 1.0
+        self.z = self._back_substitute(self._solve(0, rhs), [0] * (kmax + 1))
 
-        # dense and column-major, side by side in one buffer: the diagonal
-        # blocks M1[j, j] for j = 0 .. K, then the couplings M1[j, j - 1]
-        # for j = 1 .. K; the couplings M1[j, j + 1] stay sparse
-        sizes = [len(idx) for idx in sec.members]
-        kmax = len(sizes) - 1
-        shapes = [(s, s) for s in sizes] + list(zip(sizes[1:], sizes[:-1]))
-        start = np.cumsum([0] + [r * c for r, c in shapes])
-        dense = kr >= kc
-        slot = np.where(kr == kc, kr, kmax + kr)[dense]
-        buf = np.zeros(start[-1], dtype=complex)
-        np.add.at(buf, start[slot] + pc[dense] * np.take(sizes, kr[dense]) + pr[dense],
-                  vals[dense])
-        blocks = [buf[lo:hi].reshape(c, r).T
-                  for lo, hi, (r, c) in zip(start, start[1:], shapes)]
-        blocks[0][sec.pos[r1], sec.pos[np.arange(d) * (d + 1)]] = 1.0  # the trace row
+    def _solve(self, j: int, b: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(self.s[j], b)
+        except np.linalg.LinAlgError:
+            raise DegenerateSteadyStateError(
+                f"bordered steady-state solve is singular: zero pivot "
+                f"in excitation-difference sector {j}"
+            ) from None
 
-        def coupling(j: int) -> sparse.csr_matrix:
-            # rows stay in ascending order: pos is ascending in each sector
-            sel = (kr == j) & (kc == j + 1)
-            indptr = np.zeros(sizes[j] + 1, dtype=np.intp)
-            np.cumsum(np.bincount(pr[sel], minlength=sizes[j]), out=indptr[1:])
-            return sparse.csr_matrix((vals[sel], pc[sel], indptr), shape=(sizes[j], sizes[j + 1]))
+    def _couple(self, j: int, x: np.ndarray) -> np.ndarray:
+        """M1[j, j + 1] @ x, a sum over the few entries of each row."""
+        vals, cols = self.up[j]
+        if not cols.shape[1]:
+            return np.zeros((len(vals), x.shape[1]), dtype=complex)
+        out = x[cols[:, 0]]
+        out *= vals[:, 0, None]
+        for i in range(1, cols.shape[1]):
+            term = x[cols[:, i]]
+            term *= vals[:, i, None]
+            out += term
+        return out
 
-        self.up = [coupling(j) for j in range(kmax)]  # M1[j, j + 1]
-        self.lu = [None] * (kmax + 1)  # of the Schur complements S_j
-        self.w = [None] + blocks[kmax + 1:]  # M1[j, j - 1], then S_j^-1 M1[j, j - 1]
-        with warnings.catch_warnings():
-            # a zero pivot is reported below, not as a LinAlgWarning
-            warnings.simplefilter("ignore", LinAlgWarning)
-            for j in range(kmax, -1, -1):
-                lu = self.lu[j] = lu_factor(blocks[j], overwrite_a=True, check_finite=False)
-                if np.any(lu[0].diagonal() == 0.0):
-                    raise DegenerateSteadyStateError(
-                        f"bordered steady-state solve is singular: zero pivot "
-                        f"in excitation-difference sector {j}"
-                    )
-                if j:
-                    w = self.w[j] = lu_solve(lu, self.w[j], overwrite_b=True,
-                                             check_finite=False)
-                    corr = self.up[j - 1] @ w
-                    if j == 1:
-                        corr += corr[np.ix_(sec.mirror, sec.mirror)].conj()
-                    blocks[j - 1] -= corr
+    def _back_substitute(self, x0: np.ndarray, t: list) -> np.ndarray:
+        """x from its sector-0 part x0 and t_j = S_j^-1 y_j for j >= 1."""
+        parts = [x0]
+        for j in range(1, len(t)):
+            parts.append(t[j] - self.w[j] @ parts[-1])
+        x = np.empty((len(self.sectors.k), x0.shape[1]), dtype=complex)
+        x[self.sectors.order] = np.concatenate(parts + [np.conjugate(xk) for xk in parts[1:]])
+        return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         sec = self.sectors
-        kmax = len(self.lu) - 1
+        kmax = len(self.s) - 1
         cols = b.reshape(len(b), -1)
         y = [cols[idx] for idx in sec.members]
         t = [None] * (kmax + 1)  # S_j^-1 y_j
         for j in range(kmax, 0, -1):
-            t[j] = lu_solve(self.lu[j], y[j], check_finite=False)
-            g = self.up[j - 1] @ t[j]
+            t[j] = self._solve(j, y[j])
+            g = self._couple(j - 1, t[j])
             if j == 1:
                 g += g[sec.mirror].conj()
             y[j - 1] -= g
-        x = np.empty_like(cols)
-        xk = x[sec.members[0]] = lu_solve(self.lu[0], y[0], check_finite=False)
-        for j in range(1, kmax + 1):
-            xk = t[j] - zgemm(1.0, self.w[j], xk)
-            x[sec.members[j]] = xk
-            x[sec.tau[sec.members[j]]] = xk.conj()
-        return x.reshape(b.shape)
+        return self._back_substitute(self._solve(0, y[0]), t).reshape(b.shape)
 
 
 def solve_points(points, basis: FockBasis, reduce=None) -> list:

@@ -9,13 +9,14 @@ hbar = 1.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
 
-from .hilbert import ComplexOperator, FockBasis, mode_operator
+from .hilbert import ComplexOperator, FockBasis, mode1_moment, mode_operator
 
 __all__ = [
     "SystemParams",
@@ -123,14 +124,12 @@ def build_hamiltonian(p: SystemParams, basis: FockBasis, variant: str) -> Comple
         raise ValueError(f"unknown variant {variant!r}; expected one of {HAMILTONIAN_VARIANTS}")
 
     a1 = mode_operator(basis, 1, "annihilate").data
-    a2 = mode_operator(basis, 2, "annihilate").data
     n1 = mode_operator(basis, 1, "number").data
     n2 = mode_operator(basis, 2, "number").data
-    kerr = a1.conj().T @ a1.conj().T @ a1 @ a1
-    hop = a1.conj().T @ a2 + a2.conj().T @ a1
+    number, kerr, hop = _static_terms(basis)
 
     freq = p.delta if variant == "rotating_driven" else p.omega_c
-    h = freq * (n1 + n2) + p.chi * kerr + p.J * hop
+    h = freq * number + p.chi * kerr + p.J * hop
 
     if variant == "rotating_driven":
         drive = p.omega_drive_amp * np.exp(1j * p.drive_phase)
@@ -140,6 +139,18 @@ def build_hamiltonian(p: SystemParams, basis: FockBasis, variant: str) -> Comple
         h = h - 0.5j * (p.gamma1_prime * n1 + p.gamma2_prime * n2)
 
     return ComplexOperator(basis, h)
+
+
+@functools.cache
+def _static_terms(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n1 + n2, a1'^2 a1^2 and a1' a2 + a2' a1: the operators of the
+    Hamiltonian that depend on the basis alone, cached per basis, read-only."""
+    a1 = mode_operator(basis, 1, "annihilate").data
+    a2 = mode_operator(basis, 2, "annihilate").data
+    number = mode_operator(basis, 1, "number").data + mode_operator(basis, 2, "number").data
+    hop = a1.conj().T @ a2 + a2.conj().T @ a1
+    number.flags.writeable = hop.flags.writeable = False
+    return number, mode1_moment(basis, 2).data, hop
 
 
 # ---------------------------------------------------------------------------

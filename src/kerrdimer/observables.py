@@ -8,7 +8,7 @@ from math import factorial
 import numpy as np
 
 from .analytic import UNDEFINED_N1_FLOOR, amplitude_arrays, analytic_observables
-from .hilbert import mode_operator
+from .hilbert import mode1_moment, mode_operator
 from .liouvillian import (
     DEFAULT_CUTOFF,
     DegenerateSteadyStateError,
@@ -80,14 +80,12 @@ def photon_statistics(rho: DensityMatrix) -> PhotonStatistics:
     is too small for the correlators to be defined.
     """
     basis = rho.basis
-    a1 = mode_operator(basis, 1, "annihilate").data
-    a1d = a1.conj().T
     n1 = rho.expectation(mode_operator(basis, 1, "number").data).real
     n2 = rho.expectation(mode_operator(basis, 2, "number").data).real
     if n1 < UNDEFINED_N1_FLOOR:
         raise ValueError("N1 vanishes: correlation functions are undefined")
-    m2 = rho.expectation(a1d @ a1d @ a1 @ a1).real
-    m3 = rho.expectation(a1d @ a1d @ a1d @ a1 @ a1 @ a1).real
+    m2 = rho.expectation(mode1_moment(basis, 2).data).real
+    m3 = rho.expectation(mode1_moment(basis, 3).data).real
     return PhotonStatistics(
         n1=n1, n2=n2, g2=m2 / n1**2, g3=m3 / n1**3,
         p_mn=rho.populations(), p_m=rho.mode1_marginal(),

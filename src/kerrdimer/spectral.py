@@ -81,7 +81,9 @@ def one_photon_eigensystem_closed(p: SystemParams) -> SubspaceEigensystem:
         v_a = np.array([-(1j * beta - lam_red), p.J])  # (C01, C10) ~ (-(i b -/+ s), J)
         v_b = np.array([p.J, lam_red + 1j * beta])
         v = v_a if np.linalg.norm(v_a) >= np.linalg.norm(v_b) else v_b
-        vecs[:, k] = v / np.linalg.norm(v)
+        nrm = np.linalg.norm(v)
+        # J = 0 and beta = 0: the reduced block vanishes and both forms with it
+        vecs[:, k] = v / nrm if nrm else np.eye(2)[k]
 
     degenerate = abs(s) < DEGENERACY_TOL * max(p.J, abs(beta), 1e-300)
     return SubspaceEigensystem(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.integrate import solve_ivp
-from scipy.linalg import lu_factor
 
 from kerrdimer import liouvillian
 from kerrdimer.analytic import steady_amplitudes
@@ -41,6 +40,11 @@ def tracked(p, gamma_tip):
     return pg.with_(delta=resolve_delta(pg, "track_upper_branch"))
 
 
+def dense(m):
+    """A CSR matrix, the library's or scipy's, as a dense array through scipy."""
+    return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape).toarray()
+
+
 def random_density_matrix(basis, seed=0):
     rng = np.random.default_rng(seed)
     d = basis.size
@@ -58,7 +62,7 @@ def assert_matches_dense_bordered_solve(sop, statistics=True):
     d = basis.size
     i00 = basis.index_of(0, 0)
     r1 = i00 * d + i00
-    m = sop.data.toarray()
+    m = dense(sop.data)
     m[r1, :] = 0.0
     m[r1, np.arange(d) * (d + 1)] = 1.0
     b = np.zeros(d * d, dtype=complex)
@@ -127,7 +131,7 @@ class TestBuildLiouvillian:
     def test_trace_annihilation(self):
         basis = build_basis(per_mode=(3, 2))
         sop = build_liouvillian(params(gamma_tip=2.0), basis)
-        scale = np.max(np.abs(sop.data))
+        scale = np.max(np.abs(sop.data.data))
         for seed in range(3):
             rho = random_density_matrix(basis, seed)
             out = unvec(sop.data @ vec(rho), basis.size)
@@ -166,7 +170,8 @@ class TestBuildLiouvillian:
 
 
 def one_expression_liouvillian(p, basis, driven):
-    """The generator as one sparse expression, summed left to right."""
+    """The generator as one expression of scipy sparse Kronecker products,
+    summed left to right."""
     h = sparse.csr_matrix(
         build_hamiltonian(p, basis, "rotating_driven" if driven else "isolated").data)
     eye = sparse.identity(basis.size, dtype=complex, format="csr")
@@ -181,17 +186,18 @@ def one_expression_liouvillian(p, basis, driven):
 
 
 def generator_bytes(m):
-    return m.toarray().tobytes()
+    return dense(m).tobytes()
 
 
 class TestUndrivenAssemblyCache:
-    """The gamma_tip-free part of the undriven generator is assembled once
-    and reused; every generator must stay what one expression gives."""
+    """The generator's pattern and its unit-rate dissipator values are built
+    once per basis and Hamiltonian variant and reused; every generator must
+    stay what one expression gives."""
 
     BASIS = build_basis(per_mode=(2, 2))
 
     def test_equal_to_one_expression_entry_for_entry(self):
-        liouvillian._undriven_part.cache_clear()
+        liouvillian._generator.cache_clear()
         for j in (1.0, 1.5, 2.0, 3.0):
             for gt in np.linspace(0.0, 12.0, 25):
                 for driven in (False, True):
@@ -199,8 +205,30 @@ class TestUndrivenAssemblyCache:
                     got = build_liouvillian(p, self.BASIS, driven=driven).data
                     ref = one_expression_liouvillian(p, self.BASIS, driven)
                     assert generator_bytes(got) == generator_bytes(ref), (j, gt, driven)
-        # one cache entry per J, whatever the number of gamma_tip values
-        assert liouvillian._undriven_part.cache_info().currsize == 4
+        # one cache entry per Hamiltonian variant, whatever the number of
+        # parameter sets
+        assert liouvillian._generator.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("basis", [driven_basis((5, 5)), driven_basis((7, 7)),
+                                       build_basis(per_mode=(4, 4))],
+                             ids=["capped-5", "capped-7", "per-mode-4"])
+    def test_equal_to_one_expression_on_the_solve_bases(self, basis):
+        # the bases of the datasets, of validate's reference and of its
+        # per-mode checks, at the preset, with a drive phase, with zero rates
+        # (their entries stay in the pattern as zeros) and at SI scale (every
+        # rate times 6.1e5, as under --units si)
+        p, _ = preset("paper_fig2")
+        q = tracked(p, 4.0)
+        rates = ("chi", "J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip",
+                 "omega_drive_amp", "delta")
+        cases = [q, tracked(p, 8.9).with_(drive_phase=1.1),
+                 q.with_(J=0.0, chi=0.0, gamma_2=0.0, gamma_tip=0.0),
+                 q.with_(**{name: 6.1e5 * getattr(q, name) for name in rates})]
+        for case in cases:
+            for driven in (True, False):
+                got = build_liouvillian(case, basis, driven=driven).data
+                ref = one_expression_liouvillian(case, basis, driven)
+                assert generator_bytes(got) == generator_bytes(ref), (case, driven)
 
     @pytest.mark.parametrize("name", ["J", "chi", "omega_c", "gamma_1", "gamma_ex",
                                       "gamma_2"])
@@ -215,9 +243,9 @@ class TestUndrivenAssemblyCache:
 
     def test_lep_independent_of_earlier_scans(self):
         p = params()
-        liouvillian._undriven_part.cache_clear()
+        liouvillian._generator.cache_clear()
         cold = lep_locate(p, (7.9, 9.9), grid=21)
-        liouvillian._undriven_part.cache_clear()
+        liouvillian._generator.cache_clear()
         for j in (1.0, 3.0):
             hep = hep_location(j, p.gamma1_prime, p.gamma_2)
             lep_locate(p.with_(J=j), (hep - 1.0, hep + 1.0), grid=21)
@@ -335,49 +363,58 @@ class TestSteadyState:
         assert np.array_equal(rho, rho.conj().T)
 
     def test_coupling_across_two_sectors_is_numerical_failure(self):
-        # |2,0><0,0| (sector k = 2) fed from |0,0><0,0| (k = 0): no generator term does that
+        # |2,0><0,0| (sector k = 2) fed from |0,0><0,0| (k = 0): no generator
+        # term does that. The generator is a scipy CSR matrix here, which
+        # steady_state takes as it takes its own.
         basis = driven_basis((3, 3))
         d = basis.size
-        sop = build_liouvillian(tracked(params(), 2.0), basis)
+        lmat = build_liouvillian(tracked(params(), 2.0), basis).data
         row = basis.index_of(0, 0) * d + basis.index_of(2, 0)
         col = basis.index_of(0, 0) * (d + 1)
-        extra = sparse.csr_matrix(([1e-3], ([row], [col])), shape=sop.data.shape)
-        bad = Superoperator(basis=basis, data=(sop.data + extra).tocsr())
+        extra = sparse.csr_matrix(([1e-3], ([row], [col])), shape=lmat.shape)
+        as_scipy = sparse.csr_matrix((lmat.data, lmat.indices, lmat.indptr), shape=lmat.shape)
+        # the same state up to the order of the residual's sums
+        assert np.max(np.abs(steady_state(Superoperator(basis=basis, data=as_scipy)).data
+                             - steady_state(Superoperator(basis=basis, data=lmat)).data)) <= 1e-15
+        bad = Superoperator(basis=basis, data=(as_scipy + extra).tocsr())
         with pytest.raises(NumericalFailureError, match="more than one apart"):
             steady_state(bad)
 
     def test_one_factor_and_two_solves_per_point(self, monkeypatch):
-        # the two-column solve for e_r1 and e_r2 serves the steady state and
-        # the guard, so a point costs one block factorization, that solve and
-        # the refinement solve; the factorization takes one dense LU per
-        # sector k >= 0 and none for k < 0
+        # the block elimination solves for e_r1 and e_r2 as it factors, and
+        # that two-column solution serves the steady state and the guard, so
+        # a point costs one elimination and the refinement solve. Each takes
+        # one LAPACK solve per sector k >= 0 (numpy factors anew per solve)
+        # and none for k < 0; the guard adds one 2 x 2 solve.
         calls = []
-        factors = []
+        solves = []
+        solve = np.linalg.solve
 
         class CountingLU(liouvillian._SectorLU):
-            def __init__(self, sop, r1):
+            def __init__(self, sop, r1, r2):
                 calls.append("factor")
-                super().__init__(sop, r1)
+                super().__init__(sop, r1, r2)
 
             def solve(self, b):
                 calls.append(b.shape)
                 return super().solve(b)
 
-        def counting_lu_factor(a, **kw):
-            factors.append(a.shape)
-            return lu_factor(a, **kw)
+        def counting_solve(a, b):
+            solves.append(a.shape[0])
+            return solve(a, b)
 
         monkeypatch.setattr(liouvillian, "_SectorLU", CountingLU)
-        monkeypatch.setattr(liouvillian, "lu_factor", counting_lu_factor)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         basis = driven_basis((3, 3))
         steady_state(build_liouvillian(tracked(params(), 2.0), basis))
         n = basis.size ** 2
-        assert calls == ["factor", (n, 2), (n,)]
+        assert calls == ["factor", (n,)]
         # sectors k = 5 .. 0 of the 15-state basis (m + n <= 5); sector 0
         # holds 1 + 4 + 9 + 16 + 9 + 4 = 43 of the n indices, each k > 0
         # sector as many as its mirror
-        assert len(factors) == 6
-        assert sum(s for s, _ in factors) == (n + 43) // 2
+        assert len(solves) == 2 * 6 + 1
+        assert solves[-1] == 2
+        assert sum(solves[:6]) == sum(solves[6:12]) == (n + 43) // 2
 
     def test_drive_phase_invariance(self):
         basis = build_basis(per_mode=(4, 4))
@@ -428,14 +465,14 @@ class TestSpectrum:
     def test_contains_steady_eigenvalue(self):
         basis = build_basis(per_mode=(2, 2))
         sop = build_liouvillian(tracked(params(), 1.0), basis)
-        vals = np.linalg.eigvals(sop.data.toarray())
-        scale = np.max(np.abs(sop.data))
+        vals = np.linalg.eigvals(dense(sop.data))
+        scale = np.max(np.abs(sop.data.data))
         assert np.min(np.abs(vals)) < 1e-8 * scale
 
     def test_conjugation_symmetry(self):
         basis = build_basis(per_mode=(2, 2))
         sop = build_liouvillian(tracked(params(), 2.0), basis)
-        vals = np.linalg.eigvals(sop.data.toarray())
+        vals = np.linalg.eigvals(dense(sop.data))
         for lam in vals:
             if abs(lam.imag) > 1e-10:
                 assert np.min(np.abs(vals - lam.conjugate())) < 1e-8
@@ -467,7 +504,7 @@ class TestCoherenceBlock:
         basis, d = sop.basis, sop.dim
         i00 = basis.index_of(0, 0)
         k = [i00 * d + basis.index_of(1, 0), i00 * d + basis.index_of(0, 1)]
-        cols = sop.data[:, k].toarray()
+        cols = dense(sop.data)[:, k]
         assert np.all(cols[k] != 0.0)
         cols[k] = 0.0
         assert np.count_nonzero(cols) == 0
@@ -477,7 +514,7 @@ class TestCoherenceBlock:
         for gt in (0.0, 4.0, 10.0):
             sop = self.undriven(gt)
             pair = coherence_sector_pair(sop)
-            full = np.linalg.eigvals(sop.data.toarray())
+            full = np.linalg.eigvals(dense(sop.data))
             for lam in pair.eigenvalues:
                 assert np.min(np.abs(full - lam)) < 1e-10
 

@@ -80,6 +80,16 @@ class TestOnePhotonClosed:
         pops = localization(eig)
         assert np.allclose(np.sort(pops, axis=1), [[0, 1], [0, 1]], atol=1e-12)
 
+    def test_decoupled_equal_loss_gives_the_bare_states(self):
+        # J = 0 and gamma_1' = gamma_2' (beta = 0): the reduced block is zero,
+        # and the eigenvectors are the bare states, with no 0/0 on the way
+        p = params(J=0.0, gamma_2=1.0, gamma_tip=0.0)
+        with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            eig = one_photon_eigensystem_closed(p)
+        assert np.array_equal(eig.eigenvectors, np.eye(2))
+        assert eig.eigenvalues[0] == eig.eigenvalues[1] == p.omega_c - 0.5j
+
     def test_unit_norm_eigenvectors(self):
         eig = one_photon_eigensystem_closed(params(gamma_tip=4.4))
         assert np.allclose(np.linalg.norm(eig.eigenvectors, axis=0), 1.0)
