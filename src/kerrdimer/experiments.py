@@ -152,11 +152,15 @@ def _sweep_columns(backends) -> list[str]:
 
 def lep_window(p: SystemParams, halfwidth: float) -> tuple[float, float]:
     """LEP search window: the HEP +- ``halfwidth`` gamma_1', clamped at 0.
-    LepNotFoundError if no part of it lies above gamma_tip = 0."""
+    LepNotFoundError if no part of it lies above gamma_tip = 0; ValueError
+    if gamma_1' = 0 (and the HEP lies above 0), where the window has no width."""
     hep = hep_location(p.J, p.gamma1_prime, p.gamma_2)
     half = halfwidth * p.gamma1_prime
     if hep + half <= 0:
         raise LepNotFoundError(f"no physical EP: the HEP lies at gamma_tip = {hep!r}")
+    if p.gamma1_prime == 0.0:
+        raise ValueError(f"gamma_1' = 0: the LEP window, the HEP +- {halfwidth!r} gamma_1', "
+                         "has no width")
     return max(hep - half, 0.0), hep + half
 
 
@@ -317,11 +321,10 @@ def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
     if gts.size == 0 or deltas.size == 0:
         raise ValueError("grids must be nonempty")
 
-    rows = [p.with_(gamma_tip=float(gt)) for gt in gts]
-    s1, specs = _spectra(rows, deltas, backend, cutoff)
+    s1, specs = _spectra(p, gts, deltas, backend, cutoff)
     peak_rows = []
-    for gt, pg, spec in zip(gts, rows, specs):
-        eig = one_photon_eigensystem_closed(pg)
+    for gt, spec in zip(gts, specs):
+        eig = one_photon_eigensystem_closed(p.with_(gamma_tip=float(gt)))
         peak_rows.append({
             "gamma_tip": float(gt),
             "n_peaks": spec.peak_count,

@@ -110,8 +110,18 @@ def poisson_comparison(p_m) -> PoissonComparison:
 
 
 def n0_normalization(p: SystemParams) -> float:
-    """Spectrum normalization n0 = Omega^2 / (gamma_1' + gamma_2')^2."""
-    return p.omega_drive_amp**2 / (p.gamma1_prime + p.gamma2_prime) ** 2
+    """Spectrum normalization n0 = Omega^2 / (gamma_1' + gamma_2')^2.
+    ValueError where (gamma_1' + gamma_2')^2 is 0: no loss, or one so small
+    that its square underflows."""
+    return _n0(p.omega_drive_amp, p.gamma1_prime + p.gamma2_prime, p.gamma_tip)
+
+
+def _n0(omega: float, loss: float, gamma_tip: float) -> float:
+    """``n0_normalization`` on floats (libm pow; numpy's array ** 2 is x * x)."""
+    den = loss**2
+    if den == 0.0:
+        raise ValueError(f"no loss at gamma_tip={gamma_tip!r}: S1 = N1 / n0 is undefined")
+    return omega**2 / den
 
 
 def detect_peaks(y) -> list[int]:
@@ -149,29 +159,44 @@ def excitation_spectrum(p: SystemParams, delta_grid, backend: str = "analytic",
     ``liouvillian.solve_points`` (see there for the ``__main__`` guard it
     needs) and raises DegenerateSteadyStateError if any point fails.
     """
-    return _spectra([p], np.asarray(delta_grid, dtype=float), backend, cutoff)[1][0]
+    return _spectra(p, np.array([p.gamma_tip], dtype=float),
+                    np.asarray(delta_grid, dtype=float), backend, cutoff)[1][0]
 
 
-def _spectra(rows: list[SystemParams], deltas: np.ndarray, backend: str,
+# Cells per analytic block of whole gamma_tip rows. On the preset map (121 x
+# 501, perfbench fig2c_map) blocks of 2048 cells (4 rows) took peak_rss_mb
+# from 31.86 MiB (one row a call) to 32.10 MiB (+0.7 %), and blocks of 4096
+# to 33.7 MiB (+6 %), over that metric's 5 % bound.
+ANALYTIC_BLOCK_CELLS = 2048
+
+
+def _spectra(p: SystemParams, gamma_tips: np.ndarray, deltas: np.ndarray, backend: str,
              cutoff: tuple[int, int]) -> tuple[np.ndarray, list[SpectrumResult]]:
-    """S1 over ``rows`` x ``deltas``, and each row's ``excitation_spectrum``
-    result (its s1 a view of that row). The analytic backend evaluates one
-    row at a time, so its arrays stay row-sized; the Lindblad backend solves
-    every cell in one ``solve_points`` pool."""
+    """S1 over ``gamma_tips`` x ``deltas`` at ``p`` with its gamma_tip replaced
+    per row, and each row's ``excitation_spectrum`` result (its s1 a view of
+    that row). The analytic backend evaluates blocks of whole rows of at most
+    ``ANALYTIC_BLOCK_CELLS`` cells (at least one row) in one
+    ``amplitude_arrays`` call each. The Lindblad backend solves every cell in
+    one ``solve_points`` pool."""
     if deltas.size == 0:
         raise ValueError("delta grid must be nonempty")
-    n0 = np.array([n0_normalization(pg) for pg in rows])
+    g2p = p.gamma_2 + gamma_tips
+    n0 = np.array([_n0(p.omega_drive_amp, loss, gt) for gt, loss
+                   in zip(gamma_tips.tolist(), (p.gamma1_prime + g2p).tolist())])
     if np.any(n0 == 0.0):
         raise ValueError("no drive: S1 = N1 / n0 is undefined")
-    s1 = np.full((len(rows), deltas.size), np.nan)
+    s1 = np.full((gamma_tips.size, deltas.size), np.nan)
     if backend == "analytic":
-        for i, pg in enumerate(rows):
-            amps, singular = amplitude_arrays(pg, deltas, pg.gamma2_prime)
+        step = max(1, ANALYTIC_BLOCK_CELLS // deltas.size)
+        for lo in range(0, gamma_tips.size, step):
+            g = g2p[lo:lo + step]
+            amps, singular = amplitude_arrays(p, deltas[None, :], g[:, None])
             n1 = analytic_observables(amps).n1
-            defined = ~singular & (n1 >= UNDEFINED_N1_FLOOR)
-            s1[i, defined] = n1[defined] / n0[i]
+            np.divide(n1, n0[lo:lo + g.size, None], out=s1[lo:lo + g.size],
+                      where=~singular & (n1 >= UNDEFINED_N1_FLOOR))
     elif backend == "lindblad":
-        cells = [pg.with_(delta=float(d)) for pg in rows for d in deltas]
+        cells = [p.with_(gamma_tip=gt, delta=d)
+                 for gt in gamma_tips.tolist() for d in deltas.tolist()]
         solved = solve_points(cells, driven_basis(cutoff), _mode1_occupation)
         for pc, (_, failure) in zip(cells, solved):
             if failure:

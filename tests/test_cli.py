@@ -17,6 +17,7 @@ from kerrdimer.cli import _build_config, _build_parser, main
 from kerrdimer.experiments import spectrum_map
 from kerrdimer import liouvillian
 from kerrdimer.model import preset, preset_names
+from kerrdimer.observables import excitation_spectrum
 from kerrdimer.search import MAX_ITER, golden_section_minimize
 from kerrdimer.spectral import hep_location
 
@@ -281,6 +282,23 @@ class TestExperimentCommands:
         assert (tmp_path / "fig2c_map.csv").read_bytes() == \
             (tmp_path / "reference.csv").read_bytes()
 
+    def test_multi_block_map_bytes_match_the_per_row_spectra(self, tmp_path, capsys,
+                                                             reference_write_csv):
+        # 13 rows of 501 cells span four analytic blocks, the last one partial;
+        # the written map must equal the cells of 13 single-row spectra
+        argv = ["spectrum-map", "--gamma-tip-grid", "0:12:13", "--delta-grid=-4:4:501",
+                "--output-dir", str(tmp_path)]
+        assert run(capsys, *argv)[0] == 0
+        rc = _build_config(_build_parser().parse_args(argv))
+        deltas = np.linspace(-4.0, 4.0, 501)
+        cells = [{"gamma_tip": gt, "delta": d, "s1": s1}
+                 for gt in np.linspace(0.0, 12.0, 13).tolist()
+                 for d, s1 in zip(deltas.tolist(), excitation_spectrum(
+                     rc.params.with_(gamma_tip=gt), deltas).s1.tolist())]
+        reference_write_csv(tmp_path / "reference.csv", ["gamma_tip", "delta", "s1"], cells)
+        assert (tmp_path / "fig2c_map.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
+
     @pytest.mark.filterwarnings("ignore:drive exceeds")  # the spectrum_map call below
     def test_spectrum_nan_cell_bytes_match_the_per_cell_writer(self, tmp_path, capsys,
                                                                 reference_write_csv):
@@ -462,6 +480,53 @@ class TestExperimentCommands:
         assert code == 1
         assert err.startswith("numerical failure: no physical EP")
         assert not (tmp_path / "out").exists()
+
+    # no loss anywhere: gamma_1' + gamma_2' = 0 at gamma_tip = 0
+    LOSSLESS = ("--set", "gamma_1=0", "--set", "gamma_ex=0", "--set", "gamma_2=0")
+
+    @pytest.mark.parametrize("command", [("spectrum", "--gamma-tip", "0"),
+                                         ("spectrum-map", "--gamma-tip-grid", "0:1:3",
+                                          "--delta-grid=-1:1:5")])
+    @pytest.mark.parametrize("backend", ["analytic", "lindblad"])
+    def test_lossless_spectrum_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                               command, backend):
+        from kerrdimer import observables
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(observables, "solve_points", no_pool)
+        code, _, err = run(capsys, *command, *self.LOSSLESS, "--backend", backend,
+                           "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err.endswith("configuration error: no loss at gamma_tip=0.0: "
+                            "S1 = N1 / n0 is undefined\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [("lep",), ("ep-agreement",), ("critical-points",)])
+    def test_default_lep_window_without_gamma1_loss_is_config_error(self, tmp_path, capsys,
+                                                                    command):
+        # the default window is the HEP +- a multiple of gamma_1', empty here
+        code, _, err = run(capsys, *command, "--set", "gamma_1=0", "--set", "gamma_ex=0",
+                           "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert "configuration error: gamma_1' = 0: the LEP window" in err
+        assert "increasing" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, code, says", [
+        (("lep",), 1, "numerical failure: no physical EP"),
+        (("ep-agreement", "--j-grid", "0.5,1"), 0, "0/2 LEPs located"),
+        (("critical-points", "--gamma-tip-grid", "0:12:13"), 0, "lep=absent")],
+        ids=["lep", "ep-agreement", "critical-points"])
+    def test_unreachable_ep_without_gamma1_loss_is_reported_as_such(self, tmp_path, capsys,
+                                                                    argv, code, says):
+        # gamma_1' = 0 and HEP = 4J - gamma_2 < 0: no physical EP, whatever the window
+        got, out, err = run(capsys, *argv, "--set", "gamma_1=0", "--set", "gamma_ex=0",
+                            "--set", "gamma_2=10", "--output-dir", str(tmp_path))
+        assert got == code, err
+        assert says in out + err
+        assert "width" not in err
 
     def test_ep_agreement_marks_an_unreachable_ep(self, tmp_path, capsys):
         code, out, err = run(capsys, "ep-agreement", *self.UNREACHABLE_EP,

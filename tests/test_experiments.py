@@ -498,6 +498,21 @@ class TestLepWindow:
         with pytest.raises(LepNotFoundError, match="no physical EP"):
             lep_window(params(J=J, gamma_2=gamma_2), 1.0)
 
+    def test_no_gamma1_loss_is_value_error(self):
+        # +- halfwidth * gamma_1' is a window of no width, not a missing EP
+        with pytest.raises(ValueError, match="gamma_1' = 0"):
+            lep_window(params(gamma_1=0.0, gamma_ex=0.0), 1.0)
+
+    def test_no_gamma1_loss_and_no_physical_ep_is_lep_not_found(self):
+        # HEP = 4J - gamma_2 = -2 < 0: the missing EP, not the window's width
+        with pytest.raises(LepNotFoundError, match="no physical EP"):
+            lep_window(params(gamma_1=0.0, gamma_ex=0.0, gamma_2=10.0), 1.0)
+
+    def test_ep_agreement_marks_rows_without_gamma1_loss_or_physical_ep(self):
+        rows = ep_agreement(params(gamma_1=0.0, gamma_ex=0.0, gamma_2=10.0), [0.5, 1.0])
+        assert [(r["J"], r["hep"], r["lep"], r["found"]) for r in rows] == [
+            (0.5, -8.0, None, 0), (1.0, -6.0, None, 0)]
+
 
 class TestWriters:
     def test_meta_header_lines(self, tmp_path):

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kerrdimer.analytic import SingularParameterError, analytic_observables, steady_amplitudes
+from kerrdimer.experiments import spectrum_map
 from kerrdimer.hilbert import build_basis
 from kerrdimer.liouvillian import DensityMatrix, build_liouvillian, steady_state
 from kerrdimer.model import SystemParams, preset
 from kerrdimer.observables import (
+    ANALYTIC_BLOCK_CELLS,
     PEAK_MIN_SEPARATION,
     PEAK_SADDLE_RATIO,
     detect_peaks,
@@ -225,6 +227,56 @@ class TestAnalyticSpectrumKernel:
         assert np.flatnonzero(np.isnan(spec.s1)).tolist() == [50]
         assert np.isfinite(np.delete(spec.s1, 50)).all()
         assert 50 not in spec.peak_indices
+
+    def assert_map_matches_rows(self, p, gamma_tips, deltas):
+        """``spectrum_map`` against the scalar oracle and single-row spectra."""
+        smap = spectrum_map(p, gamma_tips, deltas)
+        for gt, s1, peaks in zip(gamma_tips, smap.s1, smap.peak_indices):
+            pg = p.with_(gamma_tip=gt)
+            spec = excitation_spectrum(pg, deltas)
+            assert np.array_equal(s1, scalar_s1(pg, deltas), equal_nan=True)
+            assert np.array_equal(s1, spec.s1, equal_nan=True)
+            assert peaks == spec.peak_indices
+        return smap
+
+    def test_blocks_with_a_remainder(self):
+        deltas = np.linspace(-4, 4, 501)
+        rows_per_block = ANALYTIC_BLOCK_CELLS // deltas.size
+        assert 13 % rows_per_block and 13 > rows_per_block
+        smap = self.assert_map_matches_rows(preset("paper_fig2")[0],
+                                            np.linspace(0, 12, 13).tolist(), deltas)
+        assert not np.isnan(smap.s1).any()
+
+    def test_rows_wider_than_a_block(self):
+        deltas = np.linspace(-4, 4, ANALYTIC_BLOCK_CELLS + 53)
+        smap = self.assert_map_matches_rows(preset("paper_fig2")[0], [0.0, 5.3, 8.9], deltas)
+        assert not np.isnan(smap.s1).any()
+
+    def test_singular_cells_across_blocks(self):
+        # the nearly lossless case of test_singular_point_skipped: eta1
+        # vanishes at delta = 1 on every row, and the rows span three blocks
+        p = params(gamma_1=5e-15, gamma_ex=5e-15, gamma_2=1e-14, J=1.0, chi=1.0)
+        deltas = np.linspace(0.5, 1.5, 101)
+        gamma_tips = np.linspace(0.0, 1e-14, 2 * (ANALYTIC_BLOCK_CELLS // 101) + 5).tolist()
+        with pytest.warns(UserWarning, match="perturbative"):
+            smap = self.assert_map_matches_rows(p, gamma_tips, deltas)
+        rows, cols = np.nonzero(np.isnan(smap.s1))
+        assert rows.tolist() == list(range(len(gamma_tips)))
+        assert set(cols.tolist()) == {50}
+
+    def test_zero_loss_undefined(self):
+        p = params(gamma_1=0.0, gamma_ex=0.0, gamma_2=0.0)
+        with pytest.raises(ValueError,
+                           match=r"^no loss at gamma_tip=0\.0: S1 = N1 / n0 is undefined$"):
+            excitation_spectrum(p, np.linspace(-1, 1, 5))
+        with pytest.raises(ValueError, match=r"^no loss at gamma_tip=0\.0"):
+            spectrum_map(p, [1.0, 0.0], np.linspace(-1, 1, 5))
+        # a loss whose square underflows to 0 leaves n0 just as undefined
+        with pytest.raises(ValueError, match=r"^no loss at gamma_tip=0\.0"):
+            excitation_spectrum(params(gamma_1=1e-170, gamma_ex=0.0, gamma_2=0.0),
+                                np.linspace(-1, 1, 5))
+        with pytest.raises(ValueError, match=r"^no loss at gamma_tip=0\.0"):
+            n0_normalization(p)
 
     def test_zero_drive_undefined(self):
         with pytest.raises(ValueError, match="undefined"):
