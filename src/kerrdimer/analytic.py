@@ -27,6 +27,7 @@ __all__ = [
     "steady_amplitudes",
     "amplitude_arrays",
     "analytic_observables",
+    "shell_ratio",
 ]
 
 # canonical state order: ascending N = m + n, then ascending m
@@ -242,6 +243,23 @@ def amplitude_arrays(p: SystemParams, delta, gamma2_prime) -> tuple[AmplitudeSet
         singular |= mask
     with np.errstate(all="ignore"):
         return _amplitudes(p, t), singular
+
+
+def shell_ratio(p: SystemParams, delta, gamma2_prime) -> float:
+    """The largest ratio of the populations of the shells N + 1 and N (P_N,
+    the sum of P_mn over m + n = N), for N = 1 and 2, over the elements of
+    ``delta`` and ``gamma2_prime`` (as for ``amplitude_arrays``) where the
+    closed form is not singular; NaN where no element is. It does not warn
+    about a strong drive: a run that reports no analytic column predicts its
+    excitation cap from it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        amps, singular = amplitude_arrays(p, delta, gamma2_prime)
+    pops = amps.populations()
+    p1, p2, p3 = (sum(pr for (m, n), pr in pops.items() if m + n == N) for N in (1, 2, 3))
+    with np.errstate(all="ignore"):
+        ratios = np.broadcast_to(np.maximum(p2 / p1, p3 / p2), singular.shape)[~singular]
+    return float(np.max(ratios)) if ratios.size else float("nan")
 
 
 def analytic_observables(amps: AmplitudeSet) -> AnalyticObservables:

@@ -142,7 +142,9 @@ class RunConfig:
 
     def provenance(self, **extra) -> dict:
         """Sidecar content, the same keys for every subcommand: the run
-        configuration, then the runner's ``extra`` (experiment, grids, results)."""
+        configuration, then the runner's ``extra`` (experiment, grids,
+        results, and the ``excitation_cap`` of a sweep's Lindblad solves,
+        which replaces the cutoff's)."""
         return {"preset": self.preset_name, "params": asdict(self.params),
                 "overrides": self.overrides, "backends": list(self.backends),
                 "cutoff": list(self.cutoff), "excitation_cap": excitation_cap(self.cutoff),
@@ -224,6 +226,12 @@ def _build_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 # experiment runners
 
+def _cap_record(table) -> dict:
+    """The sidecar's ``excitation_cap`` where the sweep's Lindblad solves
+    certified their own; without them the record keeps the cutoff's."""
+    return {} if table.excitation_cap is None else {"excitation_cap": table.excitation_cap}
+
+
 def _run_sweep_loss(rc: RunConfig, args) -> int:
     grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid")
 
@@ -231,7 +239,7 @@ def _run_sweep_loss(rc: RunConfig, args) -> int:
         table = sweep_loss(run.params, grid, protocol=run.protocol, backends=run.backends,
                            cutoff=run.cutoff)
         run.write(path, table.columns, table.rows, experiment="sweep_loss",
-                  gamma_tip_grid=_grid_record(grid), **extra)
+                  gamma_tip_grid=_grid_record(grid), **_cap_record(table), **extra)
         return table.failures
 
     path = rc.path(rc.preset_cfg["dataset"])
@@ -261,7 +269,7 @@ def _run_critical_points(rc: RunConfig, args) -> int:
     path = rc.path("critical_points.json")
     write_provenance(path, rc.provenance(
         experiment="critical_points", gamma_tip_grid=_grid_record(grid),
-        critical_points=vars(cps)))
+        critical_points=vars(cps), **_cap_record(table)))
 
     def show(cp):
         return "absent" if cp is None else f"{cp:.4f}"
@@ -371,7 +379,7 @@ def _run_distribution(rc: RunConfig, args) -> int:
     points = [g * rc.rate_scale for g in
               (args.gamma_tip or rc.preset_cfg.get("distribution_points", [6.0, 8.9]))]
     states = solve_points([loss_point(rc.params, gt, rc.protocol) for gt in points],
-                          driven_basis(rc.cutoff))
+                          driven_basis(rc.cutoff)).results
     rows = []
     for gt, (rho, failure) in zip(points, states):
         if failure:

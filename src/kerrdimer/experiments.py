@@ -23,9 +23,18 @@ from .analytic import (
     UNDEFINED_N1_FLOOR,
     amplitude_arrays,
     analytic_observables,
+    shell_ratio,
     steady_amplitudes,
 )
-from .liouvillian import DEFAULT_CUTOFF, LepNotFoundError, driven_basis, lep_locate, solve_points
+from .liouvillian import (
+    DEFAULT_CUTOFF,
+    LepNotFoundError,
+    driven_basis,
+    excitation_cap,
+    lep_locate,
+    solve_points,
+    start_cap,
+)
 from .model import SystemParams
 from .observables import _spectra, photon_statistics
 from .search import bisect_root, golden_section_minimize
@@ -116,12 +125,14 @@ class SweepTable:
 
     ``failures`` holds (gamma_tip, exception class, message) for each
     Lindblad point whose row was blanked; it is not written to the dataset.
+    ``excitation_cap`` is the cap of the Lindblad solves, None without them.
     """
 
     columns: list[str]
     rows: list[dict]
     protocol: object
     failures: list[tuple[float, str, str]] = field(default_factory=list)
+    excitation_cap: int | None = None
 
     def column(self, name: str) -> np.ndarray:
         return np.array([row[name] for row in self.rows], dtype=float)
@@ -171,10 +182,12 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
     The detuning is resolved per point by the protocol. Lindblad points are
     solved on ``liouvillian.driven_basis(cutoff)`` by
     ``liouvillian.solve_points`` (see there for the ``__main__`` guard it
-    needs); a point it reports as failed blanks its row and is
-    listed in ``failures``. A basis that lacks one of the reported
-    populations (``AMPLITUDE_STATES``) or is over the size cap fails the
-    whole sweep before any point is solved.
+    needs), at the excitation cap it certifies, starting from the cap that
+    the closed-form shell ratio predicts (``liouvillian.start_cap``); a
+    point it reports as failed blanks its row and is listed in
+    ``failures``. A basis that lacks one of the reported populations
+    (``AMPLITUDE_STATES``) or is over the size cap fails the whole sweep
+    before any point is solved.
     """
     gts = np.asarray(gamma_tip_grid, dtype=float)
     if gts.size == 0:
@@ -198,6 +211,7 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
             "kappa_minus": float(eig.kappa[1]),
         })
     failures = []
+    cap = None
     if "lindblad" in backends:
         basis = driven_basis(cutoff)
         missing = [state for state in AMPLITUDE_STATES if state not in basis]
@@ -206,22 +220,28 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
                 f"a Lindblad sweep needs a cutoff of at least "
                 f"{max(map(max, AMPLITUDE_STATES))} per mode: cutoff {tuple(cutoff)} "
                 f"lacks the reported populations {missing}")
-        for row, (columns, failure) in zip(rows, solve_points(points, basis, _lindblad_columns)):
+        ratio = shell_ratio(p, np.array([pg.delta for pg in points]), p.gamma_2 + gts)
+        solved = solve_points(points, basis, _lindblad_columns,
+                              start_cap(ratio, excitation_cap(cutoff)))
+        for row, (columns, failure) in zip(rows, solved.results):
             row.update(columns or {"lindblad_failed": 1})
             if failure:
                 failures.append((row["gamma_tip"], *failure))
+        cap = solved.cap
     if "analytic" in backends:
         _fill_analytic(rows, p, gts)
     return SweepTable(columns=_sweep_columns(backends), rows=rows,
-                      protocol=protocol, failures=failures)
+                      protocol=protocol, failures=failures, excitation_cap=cap)
 
 
 def _lindblad_columns(rho) -> dict:
-    """Lindblad columns of one sweep row from its steady state."""
+    """Lindblad columns of one sweep row from its steady state; a state
+    outside its basis (in a certificate's solve below shell 3) holds none."""
     stats = photon_statistics(rho)
     columns = {"lindblad_n1": stats.n1, "lindblad_n2": stats.n2,
                "lindblad_g2": stats.g2, "lindblad_g3": stats.g3}
-    columns.update({f"lindblad_p{m}{n}": stats.p_mn[(m, n)] for m, n in AMPLITUDE_STATES})
+    columns.update({f"lindblad_p{m}{n}": stats.p_mn.get((m, n), 0.0)
+                    for m, n in AMPLITUDE_STATES})
     columns["lindblad_failed"] = 0
     return columns
 

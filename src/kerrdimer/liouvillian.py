@@ -36,9 +36,11 @@ __all__ = [
     "check_size",
     "excitation_cap",
     "driven_basis",
+    "start_cap",
     "build_liouvillian",
     "steady_state",
     "solve_points",
+    "SolvedPoints",
     "coherence_sector_pair",
     "lep_locate",
 ]
@@ -48,13 +50,15 @@ __all__ = [
 # dense blocks of one excitation-difference sector each, at most 344
 # unknowns there (about 110 ms a solve at one BLAS thread), 289 on validate's
 # reference, the 49-state driven basis of cutoff (7, 7) (2401 unknowns,
-# about 50 ms), and 132 on the 30-state default driven basis (900, about 7.5 ms)
+# about 50 ms), 132 on the 30-state ceiling of the default cutoff (900,
+# about 7.5 ms), and 72 on its 21 states up to m + n = 5 (441, about 2.4 ms)
 MAX_HILBERT_DIM = 64
 # per-mode Fock cutoffs of the driven master-equation solves. Their basis
-# also caps m + n at max(c1, c2) + 2 (driven_basis): under weak drive each
-# photon costs about Omega^2 / gamma_1'^2 in population, so the 30 states of
-# (5, 5) up to m + n = 7 give every reported column within 1e-14 relative of
-# all 36, up to |5,5> with 10 photons, at the preset and at the SI drive
+# also caps m + n at max(c1, c2) + 2 (driven_basis), the ceiling: 30 of the
+# 36 states of (5, 5), up to m + n = 7. Under weak drive each shell of m + n
+# holds about Omega^2 / gamma_1'^2 of the one below, so a sweep solves at a
+# lower cap that it picks and certifies per run (solve_points): 21 states up
+# to m + n = 5 at the preset drive, the ceiling at the SI drive
 DEFAULT_CUTOFF = (5, 5)
 
 # LEP search: per-mode cutoff of the undriven generator, and the coalescence
@@ -63,6 +67,11 @@ LEP_CUTOFF = (2, 2)
 LEP_GAP_THRESHOLD = 1e-3
 LEP_OVERLAP_THRESHOLD = 0.99
 LEP_TOL = 1e-9  # golden-section tolerance on gamma_tip, in units of gamma_1'
+# a certified excitation cap keeps every reduced number within this
+# relative error of the ceiling (north-star aim 2), and is at least MIN_CAP:
+# shell 3 holds the reported p03 .. p30 and g3
+TRUNCATION_TOL = 1e-12
+MIN_CAP = 3
 # pinned to 1 while solve_points' workers start
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -207,6 +216,22 @@ def driven_basis(cutoff: tuple[int, int]) -> FockBasis:
     """Basis of the driven master-equation solves at per-mode ``cutoff``: the
     states with m <= c1, n <= c2 and m + n <= ``excitation_cap(cutoff)``."""
     return build_basis(per_mode=cutoff, total=excitation_cap(cutoff))
+
+
+def start_cap(shell_ratio: float, ceiling: int) -> int:
+    """The excitation cap a run's solves start at, predicted from
+    ``shell_ratio``, the largest ratio of the populations of the closed-form
+    shells N + 1 and N (``analytic.shell_ratio``). If each shell holds that
+    ratio of the one below, the first shell a cap c drops, c + 1, holds
+    shell_ratio ** (c - 2) of shell 3, the smallest reported: the cap is the
+    smallest c >= MIN_CAP where that is at most TRUNCATION_TOL, and at most
+    ``ceiling``. A ratio of 1 or more, or NaN, gives the ceiling."""
+    if not shell_ratio < 1.0:
+        return ceiling
+    cap = MIN_CAP
+    while cap < ceiling and shell_ratio ** (cap - 2) > TRUNCATION_TOL:
+        cap += 1
+    return min(cap, ceiling)
 
 
 def check_size(basis: FockBasis) -> None:
@@ -556,9 +581,28 @@ class _SectorLU:
         return self._back_substitute(self._solve(0, y[0]), t).reshape(b.shape)
 
 
-def solve_points(points, basis: FockBasis, reduce=None) -> list:
+class SolvedPoints(NamedTuple):
+    """``solve_points``' results in input order, and the excitation cap
+    (largest m + n) of the basis they were solved on."""
+
+    results: list
+    cap: int
+
+
+def solve_points(points, basis: FockBasis, reduce=None,
+                 start_cap: int | None = None) -> SolvedPoints:
     """``(reduce(rho), None)`` per parameter set, in input order, where rho
-    is the driven steady state on ``basis`` (``reduce`` None keeps rho).
+    is the driven steady state on ``basis`` up to the returned cap (``reduce``
+    None keeps rho).
+
+    Without ``start_cap`` or ``reduce``, the cap is the largest m + n of
+    ``basis``, the ceiling. With both, the points are solved at ``start_cap``
+    (at least ``MIN_CAP``, at most the ceiling), and each point also at the
+    two caps below it, for a truncation certificate (``_truncation_error``).
+    If a point's estimate is over ``TRUNCATION_TOL``, or one of its solves
+    failed, every point is solved one shell up, in the same pool, until all
+    pass; at the ceiling no certificate is taken. ``reduce``'s result must
+    then be a number or a dict of numbers.
 
     A degenerate or invalid state (``DegenerateSteadyStateError`` or
     ``ValueError``, from the solve or from ``reduce``) gives ``(None,
@@ -575,11 +619,32 @@ def solve_points(points, basis: FockBasis, reduce=None) -> list:
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
+    ceiling = max(m + n for m, n in basis.states)
+    if start_cap is None or reduce is None:
+        cap = ceiling
+    else:
+        cap = min(max(start_cap, MIN_CAP), ceiling)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(cpus, len(points))
     with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
-        return list(pool.map(_solve_point, points, repeat(basis), repeat(reduce)))
+        while True:
+            solved = list(pool.map(_solve_certified, points, repeat(basis),
+                                   repeat(None if cap == ceiling else cap), repeat(reduce)))
+            if cap == ceiling or all(err <= TRUNCATION_TOL for _, err in solved):
+                return SolvedPoints([result for result, _ in solved], cap)
+            cap += 1
+
+
+def _solve_certified(p: SystemParams, basis: FockBasis, cap: int | None, reduce):
+    """The ``_solve_point`` result of a point on ``basis`` up to m + n <=
+    ``cap``, and its ``_truncation_error`` from the solves at the two caps
+    below; with ``cap`` None, on all of ``basis``, and the error None."""
+    if cap is None:
+        return _solve_point(p, basis, reduce), None
+    results = [_solve_point(p, FockBasis(tuple(s for s in basis.states if sum(s) <= c)), reduce)
+               for c in (cap - 2, cap - 1, cap)]
+    return results[-1], _truncation_error(*results)
 
 
 def _solve_point(p: SystemParams, basis: FockBasis, reduce):
@@ -590,6 +655,33 @@ def _solve_point(p: SystemParams, basis: FockBasis, reduce):
         return (rho if reduce is None else reduce(rho)), None
     except (DegenerateSteadyStateError, ValueError) as exc:
         return None, (type(exc).__name__, str(exc))
+
+
+def _truncation_error(coarser, coarse, fine) -> float:
+    """Estimated truncation error of a point's result at cap c, from its
+    ``_solve_point`` results at c - 2, c - 1 and c: step(c)^2 / step(c - 1),
+    where step(c) is the largest relative change of the reduced numbers from
+    cap c - 1 to c. Where the error falls geometrically from shell to shell,
+    step(c) is about the error at c - 1 and step(c) / step(c - 1) the factor
+    from one shell to the next. Infinite where a solve failed or a step is
+    not finite; a zero step(c) is a zero error."""
+    if any(failure for _, failure in (coarser, coarse, fine)):
+        return float("inf")
+    x2, x1, x0 = (np.array(list(r.values()) if isinstance(r, dict) else [r], dtype=float)
+                  for r, _ in (coarser, coarse, fine))
+    step, prev = _relative_step(x1, x0), _relative_step(x2, x1)
+    if not (np.isfinite(step) and np.isfinite(prev)):
+        return float("inf")
+    if step == 0.0:
+        return 0.0
+    return step * step / prev if prev else float("inf")
+
+
+def _relative_step(old: np.ndarray, new: np.ndarray) -> float:
+    """max |new - old| / |new| over the elements; an unchanged element is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(new == old, 0.0, np.abs(new - old) / np.abs(new))
+    return float(np.max(rel, initial=0.0))
 
 
 @contextlib.contextmanager

@@ -26,7 +26,6 @@ __all__ = [
     "preset",
     "preset_names",
     "si_reference_rates",
-    "CHI_SI_REFERENCE",
 ]
 
 HAMILTONIAN_VARIANTS = (
@@ -39,11 +38,6 @@ HAMILTONIAN_VARIANTS = (
 SPEED_OF_LIGHT = 299792458.0
 HBAR = 1.0545718176461565e-34
 EPSILON_0 = 8.8541878188e-12
-
-# chi for lambda = 1550 nm, chi^(3)/eps_r^2 = 2e-17 m^2/V^2, V_eff = 100 um^3,
-# evaluated directly from kerr_coefficient with CODATA constants.
-CHI_SI_REFERENCE = 2638495.9760940145  # rad/s
-
 
 # the fields of SystemParams that hold numbers; the rates among them are >= 0
 _RATE_FIELDS = frozenset(("J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip", "omega_drive_amp"))

@@ -112,16 +112,29 @@ def poisson_comparison(p_m) -> PoissonComparison:
 def n0_normalization(p: SystemParams) -> float:
     """Spectrum normalization n0 = Omega^2 / (gamma_1' + gamma_2')^2.
     ValueError where (gamma_1' + gamma_2')^2 is 0: no loss, or one so small
-    that its square underflows."""
+    that its square underflows; and where Omega^2 or the loss's square is
+    beyond the float range."""
     return _n0(p.omega_drive_amp, p.gamma1_prime + p.gamma2_prime, p.gamma_tip)
 
 
 def _n0(omega: float, loss: float, gamma_tip: float) -> float:
     """``n0_normalization`` on floats (libm pow; numpy's array ** 2 is x * x)."""
-    den = loss**2
+    den = _square(loss, f"loss gamma_1' + gamma_2' = {loss!r} at gamma_tip={gamma_tip!r}")
     if den == 0.0:
         raise ValueError(f"no loss at gamma_tip={gamma_tip!r}: S1 = N1 / n0 is undefined")
-    return omega**2 / den
+    return _square(omega, f"drive amplitude Omega = {omega!r}") / den
+
+
+def _square(x: float, label: str) -> float:
+    """x**2 on a float; ValueError with the ``label`` of the input where that
+    overflows (Python raises OverflowError for **; an infinite x gives inf)."""
+    try:
+        sq = x**2
+    except OverflowError:
+        sq = float("inf")
+    if sq == float("inf"):
+        raise ValueError(f"{label}: its square is beyond the float range")
+    return sq
 
 
 def detect_peaks(y) -> list[int]:
@@ -197,7 +210,9 @@ def _spectra(p: SystemParams, gamma_tips: np.ndarray, deltas: np.ndarray, backen
     elif backend == "lindblad":
         cells = [p.with_(gamma_tip=gt, delta=d)
                  for gt in gamma_tips.tolist() for d in deltas.tolist()]
-        solved = solve_points(cells, driven_basis(cutoff), _mode1_occupation)
+        # at the ceiling: N1 alone does not converge geometrically shell by
+        # shell, so the truncation certificate would not hold for it
+        solved = solve_points(cells, driven_basis(cutoff), _mode1_occupation).results
         for pc, (_, failure) in zip(cells, solved):
             if failure:
                 raise DegenerateSteadyStateError(

@@ -503,6 +503,30 @@ class TestExperimentCommands:
                             "S1 = N1 / n0 is undefined\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [("spectrum", "--gamma-tip", "0"),
+                                         ("spectrum-map", "--gamma-tip-grid", "0:1:3",
+                                          "--delta-grid=-1:1:5")])
+    @pytest.mark.parametrize("backend", ["analytic", "lindblad"])
+    @pytest.mark.parametrize("override, message", [
+        ("omega_drive_amp=1e200", "drive amplitude Omega = 1e+200"),
+        ("gamma_2=1e200", "loss gamma_1' + gamma_2' = 1e+200 at gamma_tip=0.0"),
+    ])
+    def test_overflowing_normalization_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                       command, backend, override, message):
+        # n0 = Omega^2 / (gamma_1' + gamma_2')^2: a square beyond the float range
+        from kerrdimer import observables
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(observables, "solve_points", no_pool)
+        code, _, err = run(capsys, *command, "--set", override, "--backend", backend,
+                           "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err == (f"configuration error: {message}: its square is beyond the "
+                       "float range\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [("lep",), ("ep-agreement",), ("critical-points",)])
     def test_default_lep_window_without_gamma1_loss_is_config_error(self, tmp_path, capsys,
                                                                     command):
@@ -897,3 +921,54 @@ class TestBenchmarkContract:
                         _build_config(args)
                         checked += 1
         assert checked >= len(workloads.NAMES) * 4
+
+
+class TestBytecheck:
+    """tools/bytecheck.py: its command list, and how it tells a declared
+    difference from any other. The harness itself takes minutes."""
+
+    @pytest.fixture(scope="class")
+    def bytecheck(self):
+        path = Path(__file__).resolve().parents[1] / "tools" / "bytecheck.py"
+        spec = importlib.util.spec_from_file_location("bytecheck", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_commands_name_every_subcommand(self, bytecheck):
+        from kerrdimer.cli import SUBCOMMANDS
+
+        ids = [cid for cid, _ in bytecheck.COMMANDS]
+        assert len(ids) == len(set(ids))
+        assert set(SUBCOMMANDS) <= {argv[0] for _, argv in bytecheck.COMMANDS}
+        parser = _build_parser()
+        for _, argv in bytecheck.COMMANDS:
+            parser.parse_args(list(argv))
+
+    def test_declared_differences(self, bytecheck):
+        allow = [bytecheck.parse_allow("*.csv:lindblad_*=1e-12"),
+                 bytecheck.parse_allow("*.json:excitation_cap")]
+        csv_old = b"gamma_tip,analytic_n1,lindblad_n1\n0.0,1.5,2.0\n"
+        within = b"gamma_tip,analytic_n1,lindblad_n1\n0.0,1.5,2.000000000001\n"
+        beyond = b"gamma_tip,analytic_n1,lindblad_n1\n0.0,1.5,2.00000000001\n"
+        other = b"gamma_tip,analytic_n1,lindblad_n1\n0.0,1.5000000000000002,2.0\n"
+        json_old = json.dumps({"cutoff": [5, 5], "excitation_cap": 7}).encode()
+        json_cap = json.dumps({"cutoff": [5, 5], "excitation_cap": 5}).encode()
+        json_cutoff = json.dumps({"cutoff": [3, 3], "excitation_cap": 7}).encode()
+
+        def outcome(files_old, files_new, streams=False, **changed):
+            old = {"exit code": 0, "stdout": b"", "stderr": b"", "files": files_old}
+            new = {**old, "files": files_new, **changed}
+            diffs, declared = bytecheck.compare(old, new, allow, streams)
+            return len(diffs), len(declared)
+
+        assert outcome({"x.csv": csv_old}, {"x.csv": csv_old}) == (0, 0)
+        assert outcome({"x.csv": csv_old}, {"x.csv": within}) == (0, 1)
+        assert outcome({"x.csv": csv_old}, {"x.csv": beyond}) == (1, 0)
+        assert outcome({"x.csv": csv_old}, {"x.csv": other}) == (1, 0)
+        assert outcome({"x.csv": csv_old}, {}) == (1, 0)
+        assert outcome({"x.provenance.json": json_old}, {"x.provenance.json": json_cap}) == (0, 1)
+        assert outcome({"x.provenance.json": json_old},
+                       {"x.provenance.json": json_cutoff}) == (1, 0)
+        assert outcome({}, {}, stderr=b"changed") == (1, 0)
+        assert outcome({}, {}, streams=True, stderr=b"changed", **{"exit code": 2}) == (0, 2)

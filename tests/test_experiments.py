@@ -1,3 +1,5 @@
+import concurrent.futures
+import csv
 import json
 import multiprocessing
 import os
@@ -8,7 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kerrdimer import experiments, liouvillian, validation
-from kerrdimer.analytic import AMPLITUDE_STATES, analytic_observables, steady_amplitudes
+from kerrdimer.analytic import (
+    AMPLITUDE_STATES,
+    analytic_observables,
+    shell_ratio,
+    steady_amplitudes,
+)
 from kerrdimer.cli import main
 from kerrdimer.experiments import (
     REFINE_TOL,
@@ -198,11 +205,12 @@ class TestSweepLoss:
         # the drive commutator alone: the top sector's block is exactly zero.
         # capfd reads file descriptor 2, which the spawned workers share
         p = params(chi=0.0, J=0.0, gamma_1=0.0, gamma_ex=0.0, gamma_2=0.0, delta=0.0)
-        results = liouvillian.solve_points([p, p.with_(gamma_tip=1.0)],
-                                           liouvillian.driven_basis((3, 3)))
+        solved = liouvillian.solve_points([p, p.with_(gamma_tip=1.0)],
+                                          liouvillian.driven_basis((3, 3)))
         singular = "bordered steady-state solve is singular: zero pivot in excitation-difference"
-        assert results == [(None, ("DegenerateSteadyStateError", f"{singular} sector 5")),
-                           (None, ("DegenerateSteadyStateError", f"{singular} sector 3"))]
+        assert solved.results == [(None, ("DegenerateSteadyStateError", f"{singular} sector 5")),
+                                  (None, ("DegenerateSteadyStateError", f"{singular} sector 3"))]
+        assert solved.cap == 5  # without a start cap, the basis's own
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("cutoff", [(2, 2), (1, 1), (3, 2), (2, 5)])
@@ -227,7 +235,7 @@ class TestSweepLoss:
         # os.sched_getaffinity is Linux-only; elsewhere the CPU count decides
         monkeypatch.delattr(liouvillian.os, "sched_getaffinity")
         results = liouvillian.solve_points([params(gamma_tip=2.0), params(gamma_tip=6.0)],
-                                           build_basis(per_mode=(3, 3)))
+                                           build_basis(per_mode=(3, 3))).results
         assert [failure for _, failure in results] == [None, None]
         assert all(abs(rho.data.trace() - 1.0) < 1e-12 for rho, _ in results)
 
@@ -241,7 +249,7 @@ class TestSweepLoss:
         assert dict(os.environ) == before
         # the workers start pinned, and the caller's values come back after
         basis = build_basis(per_mode=(3, 3))
-        assert liouvillian.solve_points([params()], basis, blas_environment) == [
+        assert liouvillian.solve_points([params()], basis, blas_environment).results == [
             (dict.fromkeys(liouvillian.BLAS_THREAD_VARS, "1"), None)]
         assert dict(os.environ) == before
         sweep_loss(params(), [0.0, 4.0], backends=("lindblad",), cutoff=(3, 3))
@@ -326,6 +334,88 @@ class TestExcitationCap:
                 liouvillian.build_liouvillian(loss_point(p, gt), full))
             assert_columns_match(row, experiments._lindblad_columns(rho),
                                  self.RTOL, self.POPULATION_FLOOR, gt)
+
+
+class TestCertifiedCap:
+    """A sweep's Lindblad solves run at the excitation cap they certify, and
+    give every lindblad_* column within 1e-12 relative of the ceiling, the
+    capped basis of the cutoff."""
+
+    RTOL = 1e-12
+    GRID = np.linspace(0.0, 12.0, 13)  # every tenth point of the fig2 grid
+
+    @staticmethod
+    def omega(fig2, drive):
+        return 0.5 if drive == "strong" else at_drive(fig2, drive).omega_drive_amp
+
+    def assert_ceiling_columns(self, p, rows, population_floor=0.0):
+        """Each row's Lindblad columns against an in-process ceiling solve;
+        populations below ``population_floor`` are compared absolutely."""
+        ceiling = liouvillian.driven_basis(liouvillian.DEFAULT_CUTOFF)
+        for row in rows:
+            pt = p.with_(gamma_tip=float(row["gamma_tip"]), delta=float(row["delta_used"]))
+            ref = experiments._lindblad_columns(liouvillian.steady_state(
+                liouvillian.build_liouvillian(pt, ceiling)))
+            assert_columns_match({name: float(row[name]) for name in ref}, ref, self.RTOL,
+                                 population_floor, row["gamma_tip"])
+
+    @pytest.mark.parametrize("drive, start", [("preset", 5), ("si", 7), ("strong", 7)])
+    def test_predicted_cap(self, fig2, drive, start):
+        p = fig2.with_(omega_drive_amp=self.omega(fig2, drive))
+        for protocol in ("track_upper_branch", ("fixed", loss_point(p, 0.0).delta)):
+            deltas = [loss_point(p, gt, protocol).delta for gt in self.GRID]
+            ratio = shell_ratio(p, np.array(deltas), p.gamma_2 + self.GRID)
+            assert liouvillian.start_cap(ratio, 7) == start
+
+    @pytest.mark.parametrize("name", ["paper_fig2", "paper_fig3"])
+    @pytest.mark.parametrize("drive", ["preset", "si", "strong"])
+    def test_columns_match_the_ceiling(self, fig2, tmp_path, capsys, name, drive):
+        omega = self.omega(fig2, drive)
+        assert main(["sweep-loss", "--preset", name, "--backend", "lindblad",
+                     "--gamma-tip-grid", "0:12:13", "--set", f"omega_drive_amp={omega!r}",
+                     "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        sidecars = sorted(tmp_path.glob("*.provenance.json"))
+        assert len(sidecars) == (2 if name == "paper_fig3" else 1)  # fig3: the fixed-delta twin
+        for sidecar in sidecars:
+            # the preset drive is certified below the ceiling; the SI drive needs it
+            assert json.loads(sidecar.read_text())["excitation_cap"] == (
+                5 if drive == "preset" else 7)
+            with open(str(sidecar).replace(".provenance.json", ".csv"), newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 13
+            self.assert_ceiling_columns(preset(name)[0].with_(omega_drive_amp=omega), rows)
+
+    @pytest.mark.parametrize("drive, start, cap", [("preset", 4, 5), ("si", 5, 7)])
+    def test_missed_certificate_escalates_in_one_pool(self, fig2, monkeypatch, drive, start,
+                                                      cap):
+        # far below the one-photon branches (delta = -13, about -6 chi) the
+        # closed-form shells 1 to 3 understate the higher ones, so the
+        # predicted cap misses the certificate and the run goes up shell by shell
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        p = at_drive(fig2, drive)
+        gts = self.GRID[::3]
+        ratio = shell_ratio(p, np.full(gts.shape, -13.0), p.gamma_2 + gts)
+        assert liouvillian.start_cap(ratio, 7) == start
+        table = sweep_loss(p, gts, protocol=("fixed", -13.0), backends=("lindblad",))
+        assert (table.excitation_cap, len(pools)) == (cap, 1)
+        # p03 is about 1e-24 here, where solves on two bases differ by about
+        # 1e-35 absolute (1e-11 relative) at any cap: the rounding floor
+        self.assert_ceiling_columns(p, table.rows, population_floor=1e-14)
+
+    def test_without_reduction_the_ceiling(self, fig2):
+        # distribution keeps whole states: their top shells are P_m rows
+        solved = liouvillian.solve_points([fig2], liouvillian.driven_basis((3, 3)),
+                                          start_cap=3)
+        assert solved.cap == 5
+        assert solved.results[0][0].basis == liouvillian.driven_basis((3, 3))
 
 
 class TestValidationReference:

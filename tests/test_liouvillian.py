@@ -545,3 +545,45 @@ class TestLepLocate:
 
         with pytest.raises(LepNotFoundError):
             lep_locate(params(), (0.5, 3.0), grid=41)
+
+
+class TestTruncationCertificate:
+    @pytest.mark.parametrize("ratio, ceiling, cap", [
+        (0.0, 7, 3),  # MIN_CAP: shell 3 holds reported columns
+        (1e-7, 7, 4),  # 1e-7 ** 2 = 1e-14
+        (3e-5, 7, 5),  # about the preset drive: 2.7e-14 at cap 5, 9e-10 at cap 4
+        (4e-3, 7, 7),  # about the SI drive: 2.6e-10 at cap 6
+        (1e-7, 3, 3), (0.0, 2, 2),  # at most the ceiling
+        (0.5, 9, 9), (1.0, 7, 7), (np.inf, 7, 7), (np.nan, 7, 7),
+    ])
+    def test_start_cap(self, ratio, ceiling, cap):
+        assert liouvillian.start_cap(ratio, ceiling) == cap
+
+    @staticmethod
+    def solved(*values):
+        return [({"x": v, "y": 2.0, "failed": 0}, None) for v in values]
+
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_geometric_error(self, scalar):
+        # errors 1e-3, 1e-6, 1e-9 at caps c - 2, c - 1, c: the estimate at c is
+        # about 1e-9, from a reduction to a dict of numbers or to one number
+        values = (1 + 1e-3, 1 + 1e-6, 1 + 1e-9)
+        results = [(v, None) for v in values] if scalar else self.solved(*values)
+        assert liouvillian._truncation_error(*results) == pytest.approx(1e-9, rel=1e-2)
+
+    def test_unchanged_result_has_no_error(self):
+        assert liouvillian._truncation_error(*self.solved(1.5, 1.0, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("values", [
+        (1.0, 1.0, 1.0 + 1e-15),  # a step after none: not contracting
+        (1.0, 1.0 + 1e-3, 0.0),  # a number that vanishes at the top cap
+        (1.0, np.nan, 1.0),
+    ])
+    def test_no_geometric_decay_is_uncertified(self, values):
+        assert liouvillian._truncation_error(*self.solved(*values)) == np.inf
+
+    @pytest.mark.parametrize("failed", [0, 1, 2])
+    def test_failed_solve_is_uncertified(self, failed):
+        results = self.solved(1 + 1e-3, 1 + 1e-6, 1 + 1e-9)
+        results[failed] = (None, ("ValueError", "N1 vanishes"))
+        assert liouvillian._truncation_error(*results) == np.inf

@@ -5,7 +5,6 @@ import pytest
 
 from kerrdimer.hilbert import build_basis, mode_operator
 from kerrdimer.model import (
-    CHI_SI_REFERENCE,
     SystemParams,
     build_hamiltonian,
     drive_amplitude,
@@ -20,6 +19,9 @@ from kerrdimer.model import (
 HBAR = 1.054571817e-34
 C_LIGHT = 299792458.0
 EPS0 = 8.8541878128e-12
+# chi for lambda = 1550 nm, chi^(3)/eps_r^2 = 2e-17 m^2/V^2, V_eff = 100 um^3,
+# evaluated directly from kerr_coefficient with CODATA 2022 constants
+CHI_SI_REFERENCE = 2638495.9760940145  # rad/s
 
 
 def params(**kw):
