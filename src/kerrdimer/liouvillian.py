@@ -67,11 +67,17 @@ LEP_CUTOFF = (2, 2)
 LEP_GAP_THRESHOLD = 1e-3
 LEP_OVERLAP_THRESHOLD = 0.99
 LEP_TOL = 1e-9  # golden-section tolerance on gamma_tip, in units of gamma_1'
-# a certified excitation cap keeps every reduced number within this
-# relative error of the ceiling (north-star aim 2), and is at least MIN_CAP:
-# shell 3 holds the reported p03 .. p30 and g3
-TRUNCATION_TOL = 1e-12
-MIN_CAP = 3
+# bound on a point's estimated truncation error (_truncation_error) at a
+# certified excitation cap: a tenth of north-star aim 2's 1e-12 relative to
+# the ceiling, because the estimate is an extrapolation. Over 2000 random
+# 9-point runs of cutoff (5, 5) it let 39 runs through at 1e-12 whose error
+# lay above 1e-12 and above the ceiling's own rounding noise, the worst
+# 7.3e-12, and 3 at 1e-13, the worst 1.7e-12: a multi-photon resonance in a
+# shell above the cap is not seen by the solves below it. A run starts at
+# MIN_CAP at the lowest: shell 3 holds the reported p03 .. p30 and g3, and
+# the certificate's solve one cap lower must hold it too
+TRUNCATION_TOL = 1e-13
+MIN_CAP = 4
 # pinned to 1 while solve_points' workers start
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -663,8 +669,10 @@ def _truncation_error(coarser, coarse, fine) -> float:
     where step(c) is the largest relative change of the reduced numbers from
     cap c - 1 to c. Where the error falls geometrically from shell to shell,
     step(c) is about the error at c - 1 and step(c) / step(c - 1) the factor
-    from one shell to the next. Infinite where a solve failed or a step is
-    not finite; a zero step(c) is a zero error."""
+    from one shell to the next. It is an extrapolation, not a bound: a
+    shell above c can hold more than that factor predicts (see
+    ``TRUNCATION_TOL``). Infinite where a solve failed or a step is not
+    finite; a zero step(c) is a zero error."""
     if any(failure for _, failure in (coarser, coarse, fine)):
         return float("inf")
     x2, x1, x0 = (np.array(list(r.values()) if isinstance(r, dict) else [r], dtype=float)

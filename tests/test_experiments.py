@@ -386,12 +386,13 @@ class TestCertifiedCap:
             assert len(rows) == 13
             self.assert_ceiling_columns(preset(name)[0].with_(omega_drive_amp=omega), rows)
 
-    @pytest.mark.parametrize("drive, start, cap", [("preset", 4, 5), ("si", 5, 7)])
+    @pytest.mark.parametrize("drive, start, cap", [(0.05, 5, 6), ("si", 6, 7)])
     def test_missed_certificate_escalates_in_one_pool(self, fig2, monkeypatch, drive, start,
                                                       cap):
         # far below the one-photon branches (delta = -13, about -6 chi) the
         # closed-form shells 1 to 3 understate the higher ones, so the
-        # predicted cap misses the certificate and the run goes up shell by shell
+        # predicted cap misses the certificate and the run goes up a shell:
+        # at Omega = 0.05 to a cap below the ceiling, at the SI drive to it
         pools = []
 
         class CountedPool(concurrent.futures.ProcessPoolExecutor):
@@ -400,7 +401,7 @@ class TestCertifiedCap:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-        p = at_drive(fig2, drive)
+        p = fig2.with_(omega_drive_amp=drive) if drive == 0.05 else at_drive(fig2, drive)
         gts = self.GRID[::3]
         ratio = shell_ratio(p, np.full(gts.shape, -13.0), p.gamma_2 + gts)
         assert liouvillian.start_cap(ratio, 7) == start

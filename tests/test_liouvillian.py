@@ -549,7 +549,7 @@ class TestLepLocate:
 
 class TestTruncationCertificate:
     @pytest.mark.parametrize("ratio, ceiling, cap", [
-        (0.0, 7, 3),  # MIN_CAP: shell 3 holds reported columns
+        (0.0, 7, 4),  # MIN_CAP: shell 3 holds reported columns at c - 1
         (1e-7, 7, 4),  # 1e-7 ** 2 = 1e-14
         (3e-5, 7, 5),  # about the preset drive: 2.7e-14 at cap 5, 9e-10 at cap 4
         (4e-3, 7, 7),  # about the SI drive: 2.6e-10 at cap 6

@@ -3,7 +3,7 @@
 Usage, from anywhere inside the repository:
 
     python3 tools/bytecheck.py BASE [HEAD] [--allow GLOB:NAME[=BOUND]]...
-                               [--allow-streams ID]... [--only ID,...]
+                               [--allow-streams ID]...
 
 BASE and HEAD are git revisions; without HEAD the working tree's ``src/`` is
 the second side. Each revision's ``src/`` is exported with ``git archive``
@@ -23,7 +23,7 @@ on both sides, except for the declared differences:
 - ``--allow-streams ID``: the exit code, stdout and stderr of command ID
   may differ (a fixed error message, say); they are printed.
 
-``--only`` runs the named commands alone. It prints one line per command (``same``, ``declared`` with what differed
+It prints one line per command (``same``, ``declared`` with what differed
 within the declarations, or ``DIFFERS`` with the first differences) and
 exits 0 when every command is same or declared, 1 otherwise. A run takes a
 few minutes.
@@ -62,7 +62,7 @@ COMMANDS = [
     ("sweep-loss-strong", ("sweep-loss", "--set", "omega_drive_amp=0.5",
                            "--gamma-tip-grid=0:12:13")),
     ("sweep-loss-escalates", ("sweep-loss", "--backend", "lindblad", "--set",
-                              "omega_drive_amp=0.1131", "--protocol", "fixed:-13",
+                              "omega_drive_amp=0.05", "--protocol", "fixed:-13",
                               "--gamma-tip-grid=0:12:5")),
     ("critical-points", ("critical-points",)),
     ("critical-points-lindblad", ("critical-points", "--backend", "lindblad",
@@ -241,15 +241,10 @@ def main(argv=None) -> int:
     parser.add_argument("--allow", action="append", type=parse_allow, default=[],
                         metavar="GLOB:NAME[=BOUND]")
     parser.add_argument("--allow-streams", action="append", default=[], metavar="ID")
-    parser.add_argument("--only", help="comma-separated command ids")
     args = parser.parse_args(argv)
-    commands = COMMANDS
-    wanted = args.only.split(",") if args.only else []
-    unknown = sorted(set(wanted + args.allow_streams) - {cid for cid, _ in COMMANDS})
+    unknown = sorted(set(args.allow_streams) - {cid for cid, _ in COMMANDS})
     if unknown:
         parser.error(f"unknown command ids {unknown}")
-    if wanted:
-        commands = [(cid, cmd) for cid, cmd in COMMANDS if cid in wanted]
 
     failed = 0
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
@@ -260,7 +255,7 @@ def main(argv=None) -> int:
         print(f"bytecheck: {args.base} -> {args.head or 'working tree'}, "
               f"OPENBLAS_NUM_THREADS={','.join(THREADS)}, allowed: "
               f"{', '.join(allowed + args.allow_streams) or 'none'}", flush=True)
-        for cid, cmd in commands:
+        for cid, cmd in COMMANDS:
             diffs, declared = [], set()
             for t in THREADS:
                 old = run_command(old_src, cmd, t, tmp / "run" / cid / t / "old")
@@ -277,7 +272,7 @@ def main(argv=None) -> int:
                 print(f"declared {cid}: {'; '.join(sorted(declared))}", flush=True)
             else:
                 print(f"same     {cid}", flush=True)
-    print(f"bytecheck: {len(commands) - failed}/{len(commands)} commands same or declared")
+    print(f"bytecheck: {len(COMMANDS) - failed}/{len(COMMANDS)} commands same or declared")
     return 1 if failed else 0
 
 
