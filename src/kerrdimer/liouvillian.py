@@ -69,13 +69,12 @@ LEP_OVERLAP_THRESHOLD = 0.99
 LEP_TOL = 1e-9  # golden-section tolerance on gamma_tip, in units of gamma_1'
 # bound on a point's estimated truncation error (_truncation_error) at a
 # certified excitation cap: a tenth of north-star aim 2's 1e-12 relative to
-# the ceiling, because the estimate is an extrapolation. Over 2000 random
-# 9-point runs of cutoff (5, 5) it let 39 runs through at 1e-12 whose error
-# lay above 1e-12 and above the ceiling's own rounding noise, the worst
-# 7.3e-12, and 3 at 1e-13, the worst 1.7e-12: a multi-photon resonance in a
-# shell above the cap is not seen by the solves below it. A run starts at
-# MIN_CAP at the lowest: shell 3 holds the reported p03 .. p30 and g3, and
-# the certificate's solve one cap lower must hold it too
+# the ceiling, because the estimate is an extrapolation. Over 2300 random
+# 9-point runs (cutoffs (5, 5) and (7, 7)) it let no run through whose error
+# lay above 1e-12 and above the ceiling's own rounding noise; at 2e-13 one
+# (1.7e-12), at 1e-12 eleven. A run starts at MIN_CAP at the lowest: shell 3
+# holds the reported p03 .. p30 and g3, and the solve one cap lower must
+# hold it too
 TRUNCATION_TOL = 1e-13
 MIN_CAP = 4
 # pinned to 1 while solve_points' workers start
@@ -604,7 +603,7 @@ def solve_points(points, basis: FockBasis, reduce=None,
     Without ``start_cap`` or ``reduce``, the cap is the largest m + n of
     ``basis``, the ceiling. With both, the points are solved at ``start_cap``
     (at least ``MIN_CAP``, at most the ceiling), and each point also at the
-    two caps below it, for a truncation certificate (``_truncation_error``).
+    three caps below it, for a truncation certificate (``_truncation_error``).
     If a point's estimate is over ``TRUNCATION_TOL``, or one of its solves
     failed, every point is solved one shell up, in the same pool, until all
     pass; at the ceiling no certificate is taken. ``reduce``'s result must
@@ -644,12 +643,12 @@ def solve_points(points, basis: FockBasis, reduce=None,
 
 def _solve_certified(p: SystemParams, basis: FockBasis, cap: int | None, reduce):
     """The ``_solve_point`` result of a point on ``basis`` up to m + n <=
-    ``cap``, and its ``_truncation_error`` from the solves at the two caps
+    ``cap``, and its ``_truncation_error`` from the solves at the three caps
     below; with ``cap`` None, on all of ``basis``, and the error None."""
     if cap is None:
         return _solve_point(p, basis, reduce), None
     results = [_solve_point(p, FockBasis(tuple(s for s in basis.states if sum(s) <= c)), reduce)
-               for c in (cap - 2, cap - 1, cap)]
+               for c in range(cap - 3, cap + 1)]
     return results[-1], _truncation_error(*results)
 
 
@@ -663,26 +662,29 @@ def _solve_point(p: SystemParams, basis: FockBasis, reduce):
         return None, (type(exc).__name__, str(exc))
 
 
-def _truncation_error(coarser, coarse, fine) -> float:
+def _truncation_error(*results) -> float:
     """Estimated truncation error of a point's result at cap c, from its
-    ``_solve_point`` results at c - 2, c - 1 and c: step(c)^2 / step(c - 1),
-    where step(c) is the largest relative change of the reduced numbers from
-    cap c - 1 to c. Where the error falls geometrically from shell to shell,
-    step(c) is about the error at c - 1 and step(c) / step(c - 1) the factor
-    from one shell to the next. It is an extrapolation, not a bound: a
-    shell above c can hold more than that factor predicts (see
-    ``TRUNCATION_TOL``). Infinite where a solve failed or a step is not
-    finite; a zero step(c) is a zero error."""
-    if any(failure for _, failure in (coarser, coarse, fine)):
+    ``_solve_point`` results at caps c - 3 .. c: step(c) * max(step(c) /
+    step(c - 1), step(c - 1) / step(c - 2)), where step(c) is the largest
+    relative change of the reduced numbers from cap c - 1 to c. Where the
+    error falls geometrically from shell to shell, step(c) is about the
+    error at c - 1 and a ratio of steps the factor from one shell to the
+    next; the larger of the last two covers a factor that changes from shell
+    to shell. It is an extrapolation, not a bound (see ``TRUNCATION_TOL``).
+    Infinite where a solve failed, a step is not finite, or a step before
+    the last is zero; a zero step(c) is a zero error."""
+    if any(failure for _, failure in results):
         return float("inf")
-    x2, x1, x0 = (np.array(list(r.values()) if isinstance(r, dict) else [r], dtype=float)
-                  for r, _ in (coarser, coarse, fine))
-    step, prev = _relative_step(x1, x0), _relative_step(x2, x1)
-    if not (np.isfinite(step) and np.isfinite(prev)):
+    xs = [np.array(list(r.values()) if isinstance(r, dict) else [r], dtype=float)
+          for r, _ in results]
+    older, prev, step = (_relative_step(a, b) for a, b in zip(xs, xs[1:]))
+    if not np.isfinite([older, prev, step]).all():
         return float("inf")
     if step == 0.0:
         return 0.0
-    return step * step / prev if prev else float("inf")
+    if prev == 0.0 or older == 0.0:
+        return float("inf")
+    return step * max(step / prev, prev / older)
 
 
 def _relative_step(old: np.ndarray, new: np.ndarray) -> float:

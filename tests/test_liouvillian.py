@@ -565,25 +565,38 @@ class TestTruncationCertificate:
 
     @pytest.mark.parametrize("scalar", [False, True])
     def test_geometric_error(self, scalar):
-        # errors 1e-3, 1e-6, 1e-9 at caps c - 2, c - 1, c: the estimate at c is
-        # about 1e-9, from a reduction to a dict of numbers or to one number
-        values = (1 + 1e-3, 1 + 1e-6, 1 + 1e-9)
+        # errors 1e-2, 1e-4, 1e-6, 1e-8 at caps c - 3 .. c: the estimate at c
+        # is about 1e-8, from a reduction to a dict of numbers or to one number
+        values = (1 + 1e-2, 1 + 1e-4, 1 + 1e-6, 1 + 1e-8)
         results = [(v, None) for v in values] if scalar else self.solved(*values)
-        assert liouvillian._truncation_error(*results) == pytest.approx(1e-9, rel=1e-2)
+        assert liouvillian._truncation_error(*results) == pytest.approx(1e-8, rel=1e-2)
+
+    @pytest.mark.parametrize("steps, error", [
+        ((1e-3, 1e-4, 1e-8), 1e-9),  # the factor fell from 0.1 to 1e-4: 0.1 kept
+        ((1e-4, 1e-6, 1e-7), 1e-8),  # it rose from 1e-2 to 0.1: 0.1 kept
+    ])
+    def test_larger_of_the_last_two_factors(self, steps, error):
+        # relative steps from cap c - 3 up
+        values = [1.0]
+        for step in reversed(steps):
+            values.insert(0, values[0] * (1 - step))
+        assert liouvillian._truncation_error(*self.solved(*values)) == pytest.approx(
+            error, rel=1e-2)
 
     def test_unchanged_result_has_no_error(self):
-        assert liouvillian._truncation_error(*self.solved(1.5, 1.0, 1.0)) == 0.0
+        assert liouvillian._truncation_error(*self.solved(2.0, 1.5, 1.0, 1.0)) == 0.0
 
     @pytest.mark.parametrize("values", [
-        (1.0, 1.0, 1.0 + 1e-15),  # a step after none: not contracting
-        (1.0, 1.0 + 1e-3, 0.0),  # a number that vanishes at the top cap
-        (1.0, np.nan, 1.0),
+        (1.0, 1.0, 1.0, 1.0 + 1e-15),  # a step after none: not contracting
+        (1.0, 1.0, 1.0 + 1e-3, 1.0 + 1e-6),  # nor after an earlier none
+        (1.0, 1.0 + 1e-3, 1.0 + 1e-6, 0.0),  # a number that vanishes at the top cap
+        (1.0, 1.0, np.nan, 1.0),
     ])
     def test_no_geometric_decay_is_uncertified(self, values):
         assert liouvillian._truncation_error(*self.solved(*values)) == np.inf
 
-    @pytest.mark.parametrize("failed", [0, 1, 2])
+    @pytest.mark.parametrize("failed", [0, 1, 2, 3])
     def test_failed_solve_is_uncertified(self, failed):
-        results = self.solved(1 + 1e-3, 1 + 1e-6, 1 + 1e-9)
+        results = self.solved(1 + 1e-2, 1 + 1e-4, 1 + 1e-6, 1 + 1e-8)
         results[failed] = (None, ("ValueError", "N1 vanishes"))
         assert liouvillian._truncation_error(*results) == np.inf
