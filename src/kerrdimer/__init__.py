@@ -19,7 +19,6 @@ from .model import (
 from .spectral import (
     SubspaceEigensystem,
     one_photon_eigensystem_closed,
-    two_photon_eigensystem_closed,
     subspace_eigensystem_numeric,
     hep_location,
     localization,
@@ -45,8 +44,7 @@ __all__ = [
     "SystemParams", "kerr_coefficient", "drive_amplitude", "build_hamiltonian",
     "preset",
     "SubspaceEigensystem", "one_photon_eigensystem_closed",
-    "two_photon_eigensystem_closed", "subspace_eigensystem_numeric",
-    "hep_location", "localization",
+    "subspace_eigensystem_numeric", "hep_location", "localization",
     "AmplitudeSet", "steady_amplitudes", "analytic_observables",
     "Superoperator", "DensityMatrix", "build_liouvillian", "steady_state",
     "lep_locate",

@@ -50,8 +50,10 @@ __all__ = [
 # dense blocks of one excitation-difference sector each, at most 344
 # unknowns there (about 110 ms a solve at one BLAS thread), 289 on validate's
 # reference, the 49-state driven basis of cutoff (7, 7) (2401 unknowns,
-# about 50 ms), 132 on the 30-state ceiling of the default cutoff (900,
-# about 7.5 ms), and 72 on its 21 states up to m + n = 5 (441, about 2.4 ms)
+# about 40 ms), 132 on the 30-state ceiling of the default cutoff (900,
+# about 6 ms), and 72 on its 21 states up to m + n = 5 (441, about 2.4 ms
+# alone, about 2 ms a point in a stack of 4: solve_points' workers stack
+# the points of small bases, STACK_BYTES)
 MAX_HILBERT_DIM = 64
 # per-mode Fock cutoffs of the driven master-equation solves. Their basis
 # also caps m + n at max(c1, c2) + 2 (driven_basis), the ceiling: 30 of the
@@ -77,6 +79,18 @@ LEP_TOL = 1e-9  # golden-section tolerance on gamma_tip, in units of gamma_1'
 # hold it too
 TRUNCATION_TOL = 1e-13
 MIN_CAP = 4
+# solve_points' worker tasks: chunks of at most CHUNK_POINTS points, each
+# solved per cap as stacks of points whose _SectorLU block buffers take at
+# most STACK_BYTES together (at least one point). Stacking saves the
+# per-call overhead of small bases, and costs cache misses on large ones.
+# On a 2-core Xeon (2 MiB L2 a core) at one BLAS thread, a fig2 point took
+# 0.53-0.56, 0.69-0.75, 1.15-1.16 and 2.25-2.47 ms at caps 2 .. 5 (blocks
+# of 6, 37, 147 and 466 kB) solved alone; 0.23-0.25, 0.39, 0.78-0.84 and
+# 1.84-2.10 ms in stacks of 16, 16, 16 and 4; 1.93-2.23 ms at cap 5 in
+# stacks of 8 (3.7 MB). On the 30-state ceiling (1.4 MB) it took 5.9-6.1 ms
+# alone, 5.6-5.9 in pairs and 6.4-7.3 in triples.
+CHUNK_POINTS = 16
+STACK_BYTES = 1 << 21
 # pinned to 1 while solve_points' workers start
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -331,68 +345,96 @@ def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True) ->
 
 
 def steady_state(sop: Superoperator) -> DensityMatrix:
-    """Trace-normalized null vector of the generator.
+    """Trace-normalized null vector of the generator: ``_steady_states`` on
+    a stack of one. Its failure, a ``DegenerateSteadyStateError`` or the
+    ``ValueError`` of ``DensityMatrix.validate``, is raised."""
+    (rho,) = _steady_states(sop.basis, [sop.data])
+    if isinstance(rho, Exception):
+        raise rho
+    return rho
+
+
+def _steady_states(basis: FockBasis, mats: list) -> list:
+    """The trace-normalized null vector of each generator of a stack on
+    ``basis``: CSR matrices (``CSRMatrix`` or alike) on one pattern.
 
     Solved through a bordered linear system (one row replaced by the trace
     constraint), factored by block elimination over the excitation-difference
     sectors of the vec index (``_SectorLU``: dense LAPACK solves of the
-    k >= 0 blocks) and polished by one step of iterative refinement. A second
-    bordered system with a different replaced row, solved by a Woodbury
-    update from the same elimination and the same two-column solve, guards
-    against a degenerate null space, which is reported rather than silently
-    resolved. The returned state is exactly Hermitian.
+    k >= 0 blocks, one call per sector for the whole stack) and polished by
+    one step of iterative refinement. A second bordered system with a
+    different replaced row, solved by a Woodbury update from the same
+    elimination and the same two-column solve, guards against a degenerate
+    null space, which is reported rather than silently resolved. Each state
+    is exactly Hermitian. Each matrix's own products (``@``) stay per point:
+    numpy's complex multiply rounds ``a * b`` and ``b * a`` differently, and
+    swaps a large temporary's operands, so a stacked product would move the
+    last bits. So a point's numbers are those of its stack of one. An item
+    is the point's ``DensityMatrix``, or the ``DegenerateSteadyStateError``
+    or ``ValueError`` its checks raised; a sector's LAPACK call that fails
+    for any member raises a ``DegenerateSteadyStateError`` for the stack.
     """
-    d = sop.dim
-    lmat = sop.data
-    i00 = sop.basis.index_of(0, 0)
-    r1 = i00 * d + i00
-    alt = d - 1 if i00 != d - 1 else 0
-    r2 = alt * d + alt
-
+    d = basis.size
+    r1, r2 = _bordered_rows(basis)
     diag = np.arange(d) * (d + 1)  # vec indices of the diagonal
     # z solves M1 z = [e_r1, e_r2]: the right-hand sides of M1 and M2, and the
     # Woodbury U; the elimination solves it as it factors
-    lu = _SectorLU(sop, r1, r2)
+    data = np.stack([lmat.data for lmat in mats])
+    lu = _SectorLU(basis, mats[0], data, r1, r2)
     tau = lu.sectors.tau
     z = lu.z
     # M1 z is L z with row r1 replaced by the trace of z
-    lz = lmat @ z
-    tz = z[diag].sum(axis=0)
+    lz = np.stack([lmat @ zp for lmat, zp in zip(mats, z)])
+    tz = z.take(diag, axis=1).sum(axis=1)
     # one refinement step: the elimination alone leaves ~1e-25 absolute
     # error, which is visible on three-photon populations of ~1e-15. The
     # residual is Hermitian up to rounding, and solve takes its Hermitian part.
-    res = -lz[:, 0]
-    res[r1] = 1.0 - tz[0]
-    v1 = z[:, 0] + lu.solve(0.5 * (res + res[tau].conj()))
+    res = -lz[:, :, 0]
+    res[:, r1] = 1.0 - tz[:, 0]
+    v1 = z[:, :, 0] + lu.solve(0.5 * (res + res.take(tau, axis=1).conj()))
     # exactly Hermitian: solve leaves sector 0 as its LU gives it, since
     # symmetrized there the two null vectors of a degenerate lossless point
     # came out alike and the guard below missed it
-    v1 = 0.5 * (v1 + v1[tau].conj())
-    scale = float(np.max(np.abs(lmat.data), initial=0.0))
-    residual = float(np.max(np.abs(lmat @ v1)))
-    if not np.all(np.isfinite(v1)) or residual > 1e-8 * max(scale, 1.0):
-        raise DegenerateSteadyStateError(
-            f"steady-state solve did not converge (residual {residual:.3e})"
-        )
+    v1 = 0.5 * (v1 + v1.take(tau, axis=1).conj())
 
-    # second bordered system M2 (row r1 restored, row r2 replaced) via a
-    # rank-2 Woodbury update M2 = M1 + U V^T, V^T = [L[r1] - trace; trace - L[r2]]
-    vtz = np.array([lz[r1] - tz, tz - lz[r2]])
-    try:
-        w = np.linalg.solve(np.eye(2, dtype=complex) + vtz, vtz[:, 1])
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSteadyStateError(
-            f"degeneracy-guard system is singular: {exc}"
-        ) from exc
-    v2 = z[:, 1] - z[:, 0] * w[0] - z[:, 1] * w[1]
-    if (not np.all(np.isfinite(v2))
-            or np.max(np.abs(v1 - v2)) > 1e-6 * max(np.max(np.abs(v1)), 1.0)):
-        raise DegenerateSteadyStateError(
-            "steady state is not unique: two trace-normalized null vectors differ"
-        )
+    states = []
+    for lmat, zp, lzp, tzp, v in zip(mats, z, lz, tz, v1):
+        try:
+            scale = float(np.max(np.abs(lmat.data), initial=0.0))
+            residual = float(np.max(np.abs(lmat @ v)))
+            if not np.all(np.isfinite(v)) or residual > 1e-8 * max(scale, 1.0):
+                raise DegenerateSteadyStateError(
+                    f"steady-state solve did not converge (residual {residual:.3e})"
+                )
+            # second bordered system M2 (row r1 restored, row r2 replaced) via a
+            # rank-2 Woodbury update M2 = M1 + U V^T, V^T = [L[r1] - trace; trace - L[r2]]
+            vtz = np.array([lzp[r1] - tzp, tzp - lzp[r2]])
+            try:
+                w = np.linalg.solve(np.eye(2, dtype=complex) + vtz, vtz[:, 1])
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateSteadyStateError(
+                    f"degeneracy-guard system is singular: {exc}"
+                ) from exc
+            v2 = zp[:, 1] - zp[:, 0] * w[0] - zp[:, 1] * w[1]
+            if (not np.all(np.isfinite(v2))
+                    or np.max(np.abs(v - v2)) > 1e-6 * max(np.max(np.abs(v)), 1.0)):
+                raise DegenerateSteadyStateError(
+                    "steady state is not unique: two trace-normalized null vectors differ"
+                )
+            rho = DensityMatrix(basis=basis, data=unvec(v, d), residual=residual)
+            states.append(rho.validate())
+        except (DegenerateSteadyStateError, ValueError) as exc:
+            states.append(exc)
+    return states
 
-    rho = DensityMatrix(basis=sop.basis, data=unvec(v1, d), residual=residual)
-    return rho.validate()
+
+def _bordered_rows(basis: FockBasis) -> tuple[int, int]:
+    """The rows r1 and r2 of L that the two bordered systems replace by the
+    trace row: the diagonal entries of |0,0> and of another state."""
+    d = basis.size
+    i00 = basis.index_of(0, 0)
+    alt = d - 1 if i00 != d - 1 else 0
+    return i00 * d + i00, alt * d + alt
 
 
 class _Sectors(NamedTuple):
@@ -491,8 +533,9 @@ def _generator_block_plan(basis: FockBasis, r1: int) -> _BlockPlan:
 
 
 class _SectorLU:
-    """Block elimination of the bordered generator M1 (row r1 replaced by
-    the trace row) over the excitation-difference sectors.
+    """Block elimination of the bordered generators M1 (row r1 replaced by
+    the trace row) of a stack on one basis and CSR ``pattern``, whose
+    entries are the rows of ``data``, over the excitation-difference sectors.
 
     Every term of the generator but the drive conserves photon number, so
     sector k of the vec index couples only to k and k +- 1; an entry that
@@ -505,39 +548,46 @@ class _SectorLU:
     solve that factors it anew: the elimination gives it every right-hand
     side known then, the coupling M1[j, j - 1] and, in sector 0, the unit
     columns e_r1 and e_r2, whose solution is ``z``. ``solve`` factors the
-    kept S_j once more. A zero pivot is a ``DegenerateSteadyStateError``.
-    ``solve`` takes right-hand sides whose columns are Hermitian as d x d
-    matrices; its solutions, like ``z``, hold the conjugate transpose of
-    sector k in sector -k, and sector 0 as solved.
+    kept S_j once more. Every block carries the stack as its leading axis,
+    so each sector's solve and product is one call for the whole stack,
+    which LAPACK and BLAS run member by member as for a stack of one. A
+    zero pivot in any member is a ``DegenerateSteadyStateError`` for the
+    stack. ``solve`` takes right-hand sides (P, n) or (P, n, m) whose
+    columns are Hermitian as d x d matrices; its solutions, like ``z``,
+    hold the conjugate transpose of sector k in sector -k, and sector 0 as
+    solved.
     """
 
-    def __init__(self, sop: Superoperator, r1: int, r2: int):
-        lmat = sop.data
-        gen = _generator(sop.basis, "rotating_driven")
-        if np.array_equal(lmat.indptr, gen.indptr) and np.array_equal(lmat.indices, gen.indices):
-            plan = _generator_block_plan(sop.basis, r1)
+    def __init__(self, basis: FockBasis, pattern, data: np.ndarray, r1: int, r2: int):
+        gen = _generator(basis, "rotating_driven")
+        if np.array_equal(pattern.indptr, gen.indptr) and np.array_equal(pattern.indices,
+                                                                         gen.indices):
+            plan = _generator_block_plan(basis, r1)
         else:
-            plan = _block_plan(sop.basis, lmat.indptr, lmat.indices, r1)
+            plan = _block_plan(basis, pattern.indptr, pattern.indices, r1)
         sec = self.sectors = plan.sectors
         kmax = len(sec.members) - 1
-        buf = np.zeros(plan.start[-1], dtype=complex)
-        buf[plan.dest] = lmat.data[plan.src]
-        blocks = [buf[lo:hi].reshape(shape) for lo, hi, shape in
+        stack = len(data)
+        buf = np.zeros((stack, plan.start[-1]), dtype=complex)
+        buf[:, plan.dest] = data.take(plan.src, axis=1)
+        blocks = [buf[:, lo:hi].reshape(stack, *shape) for lo, hi, shape in
                   zip(plan.start, plan.start[1:], plan.shapes)]
-        blocks[0][plan.trace] = 1.0
-        vals = np.append(lmat.data, 0.0)
-        self.up = [(vals[src], cols) for src, cols in zip(plan.up_src, plan.up_cols)]  # M1[j, j + 1]
+        blocks[0][(slice(None), *plan.trace)] = 1.0
+        vals = np.append(data, np.zeros((stack, 1)), axis=1)
+        self.up = [(vals.take(src, axis=1), cols)  # M1[j, j + 1]
+                   for src, cols in zip(plan.up_src, plan.up_cols)]
         self.s = blocks[:kmax + 1]  # the Schur complements S_j
         self.w = [None] * (kmax + 1)  # S_j^-1 M1[j, j - 1]
         for j in range(kmax, 0, -1):
             w = self.w[j] = self._solve(j, blocks[kmax + j])
             corr = self._couple(j - 1, w)
             if j == 1:
-                corr += np.conjugate(corr.take(sec.mirror_flat).reshape(corr.shape))
+                corr += np.conjugate(corr.reshape(stack, -1).take(sec.mirror_flat, axis=1)
+                                     .reshape(corr.shape))
             blocks[j - 1] -= corr
         # e_r1 and e_r2 lie in sector 0, so every t_j of their solution is 0
-        rhs = np.zeros((len(sec.members[0]), 2), dtype=complex)
-        rhs[sec.pos[[r1, r2]], [0, 1]] = 1.0
+        rhs = np.zeros((stack, len(sec.members[0]), 2), dtype=complex)
+        rhs[:, sec.pos[[r1, r2]], [0, 1]] = 1.0
         self.z = self._back_substitute(self._solve(0, rhs), [0] * (kmax + 1))
 
     def _solve(self, j: int, b: np.ndarray) -> np.ndarray:
@@ -553,12 +603,12 @@ class _SectorLU:
         """M1[j, j + 1] @ x, a sum over the few entries of each row."""
         vals, cols = self.up[j]
         if not cols.shape[1]:
-            return np.zeros((len(vals), x.shape[1]), dtype=complex)
-        out = x[cols[:, 0]]
-        out *= vals[:, 0, None]
+            return np.zeros((len(x), len(cols), x.shape[2]), dtype=complex)
+        out = x.take(cols[:, 0], axis=1)
+        out *= vals[:, :, 0, None]
         for i in range(1, cols.shape[1]):
-            term = x[cols[:, i]]
-            term *= vals[:, i, None]
+            term = x.take(cols[:, i], axis=1)
+            term *= vals[:, :, i, None]
             out += term
         return out
 
@@ -567,21 +617,22 @@ class _SectorLU:
         parts = [x0]
         for j in range(1, len(t)):
             parts.append(t[j] - self.w[j] @ parts[-1])
-        x = np.empty((len(self.sectors.k), x0.shape[1]), dtype=complex)
-        x[self.sectors.order] = np.concatenate(parts + [np.conjugate(xk) for xk in parts[1:]])
+        x = np.empty((len(x0), len(self.sectors.k), x0.shape[2]), dtype=complex)
+        x[:, self.sectors.order] = np.concatenate(
+            parts + [np.conjugate(xk) for xk in parts[1:]], axis=1)
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         sec = self.sectors
         kmax = len(self.s) - 1
-        cols = b.reshape(len(b), -1)
-        y = [cols[idx] for idx in sec.members]
+        cols = b.reshape(*b.shape[:2], -1)
+        y = [cols.take(idx, axis=1) for idx in sec.members]
         t = [None] * (kmax + 1)  # S_j^-1 y_j
         for j in range(kmax, 0, -1):
             t[j] = self._solve(j, y[j])
             g = self._couple(j - 1, t[j])
             if j == 1:
-                g += g[sec.mirror].conj()
+                g += g.take(sec.mirror, axis=1).conj()
             y[j - 1] -= g
         return self._back_substitute(self._solve(0, y[0]), t).reshape(b.shape)
 
@@ -614,10 +665,14 @@ def solve_points(points, basis: FockBasis, reduce=None,
     (class name, message))``; any other exception propagates. The points
     are solved in spawned workers (one per CPU this process may run on, or
     per CPU where the platform cannot tell; at most one per point) whose
-    BLAS is pinned to one thread, so the results depend neither on the
-    worker count nor, for a BLAS that reads the pinned variables, on the
-    caller's thread count. ``reduce`` must be picklable, and a script that
-    calls this needs an ``if __name__ == "__main__":`` guard.
+    BLAS is pinned to one thread. Each worker task is a chunk of at most
+    ``CHUNK_POINTS`` consecutive points, fewer where that gives every
+    worker a chunk, solved per cap as stacks (``_solve_chunk``); a point's
+    result is that of its stack of one, so the results depend neither on
+    the worker count nor on the chunks, nor, for a BLAS that reads the
+    pinned variables, on the caller's thread count. ``reduce`` must be
+    picklable, and a script that calls this needs an ``if __name__ ==
+    "__main__":`` guard.
     """
     check_size(basis)
     # imported here: only master-equation commands start a pool
@@ -632,39 +687,71 @@ def solve_points(points, basis: FockBasis, reduce=None,
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(cpus, len(points))
+    # a multiple of the worker count, of near-equal chunks
+    count = workers * -(-len(points) // (workers * CHUNK_POINTS))
+    bounds = [len(points) * i // count for i in range(count + 1)]
+    chunks = [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
         while True:
-            solved = list(pool.map(_solve_certified, points, repeat(basis),
-                                   repeat(None if cap == ceiling else cap), repeat(reduce)))
+            solved = [item for chunk in pool.map(_solve_chunk, chunks, repeat(basis),
+                                                  repeat(None if cap == ceiling else cap),
+                                                  repeat(reduce))
+                      for item in chunk]
             if cap == ceiling or all(err <= TRUNCATION_TOL for _, err in solved):
                 return SolvedPoints([result for result, _ in solved], cap)
             cap += 1
 
 
-def _solve_certified(p: SystemParams, basis: FockBasis, cap: int | None, reduce):
-    """The ``_solve_point`` result of a point on ``basis`` up to m + n <=
-    ``cap``, and its ``_truncation_error`` from the solves at the three caps
-    below; with ``cap`` None, on all of ``basis``, and the error None."""
+def _solve_chunk(points, basis: FockBasis, cap: int | None, reduce) -> list:
+    """``(result, estimate)`` per point of a chunk: its ``solve_points``
+    result on ``basis`` up to m + n <= ``cap``, and its ``_truncation_error``
+    from the solves at the three caps below; with ``cap`` None, on all of
+    ``basis``, and the estimate None. The generators of each cap's stack are
+    built outside any ``try``: a fault there propagates."""
     if cap is None:
-        return _solve_point(p, basis, reduce), None
-    results = [_solve_point(p, FockBasis(tuple(s for s in basis.states if sum(s) <= c)), reduce)
-               for c in range(cap - 3, cap + 1)]
-    return results[-1], _truncation_error(*results)
+        return [(result, None) for result in _solve_stacks(points, basis, reduce)]
+    solved = [_solve_stacks(points, FockBasis(tuple(s for s in basis.states if sum(s) <= c)),
+                            reduce)
+              for c in range(cap - 3, cap + 1)]
+    return [(results[-1], _truncation_error(*results)) for results in zip(*solved)]
 
 
-def _solve_point(p: SystemParams, basis: FockBasis, reduce):
-    """One ``solve_points`` result; the generator is built outside the ``try``."""
-    sop = build_liouvillian(p, basis)
+def _solve_stacks(points, basis: FockBasis, reduce) -> list:
+    """The ``solve_points`` result of each point on ``basis``, solved in
+    stacks whose block buffers (``_SectorLU``) take at most ``STACK_BYTES``,
+    and at least one point: ``(reduce(rho), None)``, or ``(None, (class
+    name, message))`` for a ``DegenerateSteadyStateError`` or ``ValueError``
+    of the solve or of ``reduce``."""
+    step = max(1, STACK_BYTES // (16 * _generator_block_plan(basis, _bordered_rows(basis)[0])
+                                  .start[-1]))
+    results = []
+    for lo in range(0, len(points), step):
+        mats = [build_liouvillian(p, basis).data for p in points[lo:lo + step]]
+        for state in _stack_states(basis, mats):
+            try:
+                if isinstance(state, Exception):
+                    raise state
+                results.append((state if reduce is None else reduce(state), None))
+            except (DegenerateSteadyStateError, ValueError) as exc:
+                results.append((None, (type(exc).__name__, str(exc))))
+    return results
+
+
+def _stack_states(basis: FockBasis, mats: list) -> list:
+    """``_steady_states`` of a stack; a LAPACK call that fails for one
+    member fails the whole stack's, which is then solved point by point,
+    so that each point keeps its own failure."""
     try:
-        rho = steady_state(sop)
-        return (rho if reduce is None else reduce(rho)), None
-    except (DegenerateSteadyStateError, ValueError) as exc:
-        return None, (type(exc).__name__, str(exc))
+        return _steady_states(basis, mats)
+    except DegenerateSteadyStateError as exc:
+        if len(mats) == 1:
+            return [exc]
+        return [state for lmat in mats for state in _stack_states(basis, [lmat])]
 
 
 def _truncation_error(*results) -> float:
     """Estimated truncation error of a point's result at cap c, from its
-    ``_solve_point`` results at caps c - 3 .. c: step(c) * max(step(c) /
+    ``solve_points`` results at caps c - 3 .. c: step(c) * max(step(c) /
     step(c - 1), step(c - 1) / step(c - 2)), where step(c) is the largest
     relative change of the reduced numbers from cap c - 1 to c. Where the
     error falls geometrically from shell to shell, step(c) is about the

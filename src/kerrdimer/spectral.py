@@ -1,8 +1,9 @@
 """Eigenanalysis of the excitation-conserving non-Hermitian Hamiltonian.
 
-Closed forms for the one- and two-photon excitation subspaces, a dense
-block eigensolver for any excitation number, exceptional-point location,
-and eigenstate localization diagnostics.
+The closed form of the one-photon excitation subspace and the two-photon
+block's closed-form roots (branch labels), a dense block eigensolver for
+any excitation number, exceptional-point location, and eigenstate
+localization diagnostics.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .model import SystemParams, build_hamiltonian
 __all__ = [
     "SubspaceEigensystem",
     "one_photon_eigensystem_closed",
-    "two_photon_eigensystem_closed",
     "subspace_eigensystem_numeric",
     "hep_location",
     "localization",
@@ -36,8 +36,8 @@ class SubspaceEigensystem:
 
     ``eigenvectors[:, k]`` is the unit-norm amplitude vector of branch
     ``labels[k]`` over ``basis_states`` (ordered by ascending m).
-    ``degenerate`` and ``used_fallback`` are set by the closed forms only;
-    a numeric eigensystem leaves both False.
+    ``degenerate`` is set by the closed form only; a numeric eigensystem
+    leaves it False.
     """
 
     eigenvalues: np.ndarray
@@ -45,7 +45,6 @@ class SubspaceEigensystem:
     labels: tuple[str, ...]
     basis_states: tuple[tuple[int, int], ...]
     degenerate: bool = False
-    used_fallback: bool = False
 
     @property
     def omega(self) -> np.ndarray:
@@ -139,12 +138,6 @@ def _two_photon_closed_roots(p: SystemParams):
     return np.array([lam0, lam_p, lam_m]), (A, C), scale
 
 
-def _coalesced(lam: np.ndarray, scale: float) -> bool:
-    """Whether two eigenvalues of ``lam`` lie within ``DEGENERACY_TOL * scale``."""
-    dists = [abs(a - b) for i, a in enumerate(lam) for b in lam[i + 1:]]
-    return bool(dists) and min(dists) < DEGENERACY_TOL * scale
-
-
 def _dense_block_eig(p: SystemParams, n: int):
     """Eigenpairs of the N-excitation block, sliced from the per-mode basis (N, N)."""
     states = _n_block_states(n)
@@ -153,47 +146,6 @@ def _dense_block_eig(p: SystemParams, n: int):
     idx = [basis.index_of(m, k) for m, k in states]
     lam, vecs = np.linalg.eig(h[np.ix_(idx, idx)])
     return lam, vecs / np.linalg.norm(vecs, axis=0, keepdims=True), states
-
-
-def two_photon_eigensystem_closed(p: SystemParams) -> SubspaceEigensystem:
-    """Closed-form eigenpairs of the two-photon block (cubic roots).
-
-    Falls back to the dense 3x3 eigensolver (flagged) when the cubic-root
-    intermediate or an eigenvector amplitude is too small for the closed
-    expressions to be reliable.
-    """
-    closed = _two_photon_closed_roots(p)
-    fallback = closed is None
-    if not fallback:
-        lam, (A, C), scale = closed
-        # eigenvector (C02, C11, C20) ~ (sqrt2*J*(A-l), -(C-l)*(A-l), sqrt2*J*(C-l))
-        sq2J = np.sqrt(2) * p.J
-        vecs = np.empty((3, 3), dtype=complex)
-        for k, l in enumerate(lam):
-            v = np.array([sq2J * (A - l), -(C - l) * (A - l), sq2J * (C - l)])
-            nrm = np.linalg.norm(v)
-            if nrm < 1e-12 * scale**2:
-                fallback = True
-                break
-            vecs[:, k] = v / nrm
-
-    if fallback:
-        lam_n, vecs, states = _dense_block_eig(p, 2)
-        order = np.lexsort((lam_n.imag, lam_n.real))
-        lam, vecs = lam_n[order], vecs[:, order]
-        labels = ("b0", "b1", "b2")
-    else:
-        labels = ("0", "+", "-")
-        states = _n_block_states(2)
-
-    return SubspaceEigensystem(
-        eigenvalues=lam,
-        eigenvectors=vecs,
-        labels=labels,
-        basis_states=states,
-        degenerate=_coalesced(lam, max(np.max(np.abs(lam)), 1e-300)),
-        used_fallback=fallback,
-    )
 
 
 def subspace_eigensystem_numeric(p: SystemParams, n: int) -> SubspaceEigensystem:

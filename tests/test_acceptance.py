@@ -20,7 +20,6 @@ from kerrdimer.spectral import (
     hep_location,
     one_photon_eigensystem_closed,
     subspace_eigensystem_numeric,
-    two_photon_eigensystem_closed,
 )
 
 
@@ -153,7 +152,7 @@ def test_criterion_8_oracle_equivalence(fig2):
            f"|g2-1| analytic {worst_ana:.1e} (< 1e-8), lindblad {worst_num:.1e} (< 1e-3)")
 
 
-def test_criterion_9_spectral_closed_forms(fig2):
+def test_criterion_9_spectral_closed_forms(fig2, two_photon_eigensystem_closed):
     rng = np.random.default_rng(1234)
     worst1, worst2 = 0.0, 0.0
     n_checked = 0

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import importlib.util
 import json
@@ -972,3 +973,24 @@ class TestBytecheck:
                        {"x.provenance.json": json_cutoff}) == (1, 0)
         assert outcome({}, {}, stderr=b"changed") == (1, 0)
         assert outcome({}, {}, streams=True, stderr=b"changed", **{"exit code": 2}) == (0, 2)
+
+    def test_declared_floor(self, bytecheck):
+        # a population far below the floor moves by 1e-11 relative, 1.5e-31
+        # absolute: within 1e-12 of the floor 1e-14 (1e-26 absolute), not of
+        # its own size. A cell passes if any matching declaration admits it.
+        old = b"gamma_tip,lindblad_n1,lindblad_p03\n0.0,2.0,1.5e-20\n"
+        tiny = b"gamma_tip,lindblad_n1,lindblad_p03\n0.0,2.0,1.5000000000150e-20\n"
+        large = b"gamma_tip,lindblad_n1,lindblad_p03\n0.0,2.00000000001,1.5e-20\n"
+        plain = [bytecheck.parse_allow("*.csv:lindblad_*=1e-12")]
+        floored = plain + [bytecheck.parse_allow("*.csv:lindblad_p*=1e-12,1e-14")]
+        assert floored[1] == ("*.csv", "lindblad_p*", (1e-12, 1e-14))
+        assert plain[0] == ("*.csv", "lindblad_*", (1e-12, 0.0))
+        assert len(bytecheck.compare_csv("x.csv", old, tiny, plain)[0]) == 1
+        diffs, declared = bytecheck.compare_csv("x.csv", old, tiny, floored)
+        assert diffs == [] and declared["lindblad_p03"] == pytest.approx(1.5e-31 / 1e-14)
+        # the floor does not widen a column above it
+        assert len(bytecheck.compare_csv("x.csv", old, large, floored)[0]) == 1
+        for spec in ("*.csv:lindblad_p*=1e-12,", "*.csv:lindblad_p*=,1e-14",
+                     "*.csv:lindblad_p*=1e-12,x", "*.csv"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                bytecheck.parse_allow(spec)

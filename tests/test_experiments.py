@@ -159,7 +159,7 @@ class TestSweepLoss:
         # a degenerate or invalid steady state is a failed point that
         # carries its reason; any other RuntimeError is a fault and must
         # propagate. A monkeypatch does not reach the spawned workers, so
-        # this drives the per-point function they run, with the sweep's
+        # this drives the chunk function they run, with the sweep's
         # reduction of a state to its row.
         pg = params(gamma_tip=4.0)
         basis = build_basis(per_mode=(3, 3))
@@ -167,22 +167,22 @@ class TestSweepLoss:
         def invalid(rho):
             raise ValueError("N1 vanishes")
 
-        assert liouvillian._solve_point(pg, basis, invalid) == (
-            None, ("ValueError", "N1 vanishes"))
+        assert liouvillian._solve_chunk([pg], basis, None, invalid) == [(
+            (None, ("ValueError", "N1 vanishes")), None)]
 
-        def degenerate(sop):
+        def degenerate(basis, mats):
             raise DegenerateSteadyStateError("two null vectors")
 
-        monkeypatch.setattr(liouvillian, "steady_state", degenerate)
-        assert liouvillian._solve_point(pg, basis, experiments._lindblad_columns) == (
-            None, ("DegenerateSteadyStateError", "two null vectors"))
+        monkeypatch.setattr(liouvillian, "_steady_states", degenerate)
+        assert liouvillian._solve_chunk([pg], basis, None, experiments._lindblad_columns) == [(
+            (None, ("DegenerateSteadyStateError", "two null vectors")), None)]
 
-        def broken(sop):
+        def broken(basis, mats):
             raise RuntimeError("not a numerical failure")
 
-        monkeypatch.setattr(liouvillian, "steady_state", broken)
+        monkeypatch.setattr(liouvillian, "_steady_states", broken)
         with pytest.raises(RuntimeError, match="not a numerical failure"):
-            liouvillian._solve_point(pg, basis, experiments._lindblad_columns)
+            liouvillian._solve_chunk([pg], basis, None, experiments._lindblad_columns)
 
     def test_worker_exception_propagates(self):
         p = FaultyInWorker(**vars(params()))
@@ -417,6 +417,101 @@ class TestCertifiedCap:
                                           start_cap=3)
         assert solved.cap == 5
         assert solved.results[0][0].basis == liouvillian.driven_basis((3, 3))
+
+
+class TestStackedChunks:
+    """A worker solves its chunk of points per cap as stacks; each point's
+    result must be exactly that of its stack of one."""
+
+    @staticmethod
+    def singly(points, basis, cap, reduce):
+        return [liouvillian._solve_chunk([p], basis, cap, reduce)[0] for p in points]
+
+    @pytest.fixture(autouse=True)
+    def one_stack(self, monkeypatch):
+        # the whole chunk in one stack at every cap, whatever its blocks take
+        monkeypatch.setattr(liouvillian, "STACK_BYTES", 1 << 40)
+
+    def test_certified_columns_and_estimates(self, fig2):
+        # the preset's fig2 points at their certified cap 5: the columns at
+        # cap 5 and the estimate from the solves at caps 2 .. 5
+        points = [loss_point(fig2, gt) for gt in np.linspace(0.0, 12.0, 16)]
+        basis = liouvillian.driven_basis(liouvillian.DEFAULT_CUTOFF)
+        stacked = liouvillian._solve_chunk(points, basis, 5, experiments._lindblad_columns)
+        assert stacked == self.singly(points, basis, 5, experiments._lindblad_columns)
+        assert all(failure is None and err <= liouvillian.TRUNCATION_TOL
+                   for (_, failure), err in stacked)
+
+    @pytest.mark.parametrize("cutoff, count", [((5, 5), 6), ((7, 7), 3)])
+    def test_whole_states_at_the_ceiling(self, fig2, monkeypatch, cutoff, count):
+        # at (7, 7) a generator's gathered column passes numpy's 256 KiB
+        # temporary-elision size, where its complex multiply swaps operands
+        # and rounds otherwise. So each point's products with its generator,
+        # L z (two columns) and the residual's L v, stay CSRMatrix products
+        # of one point, one column at a time: a product over the stack sums
+        # and rounds in another order, at every stack size.
+        points = [loss_point(fig2, gt).with_(omega_drive_amp=omega)
+                  for gt, omega in zip(np.linspace(0.0, 12.0, count), (0.01, 0.1131, 0.5) * 2)]
+        basis = liouvillian.driven_basis(cutoff)
+        products = []
+        matmul = liouvillian.CSRMatrix.__matmul__
+
+        def recorded(lmat, x):
+            products.append(np.ndim(x))
+            return matmul(lmat, x)
+
+        monkeypatch.setattr(liouvillian.CSRMatrix, "__matmul__", recorded)
+        stacked = liouvillian._solve_chunk(points, basis, None, None)
+        assert sorted(products) == [1] * 3 * count + [2] * count
+        for ((rho, failure), err), ((one, _), _) in zip(
+                stacked, self.singly(points, basis, None, None)):
+            assert failure is None and err is None
+            assert rho.basis == one.basis == basis
+            assert np.array_equal(rho.data, one.data)
+            assert rho.residual == one.residual
+
+    def test_singular_point_among_good_ones(self, capfd):
+        # chi = J = gamma = 0: the top sector's block is exactly zero, which
+        # fails the stack's LAPACK call; the chunk is solved again point by
+        # point, and the bad point keeps its own message, without output
+        good = params(gamma_tip=2.0)
+        bad = params(chi=0.0, J=0.0, gamma_1=0.0, gamma_ex=0.0, gamma_2=0.0, delta=0.0)
+        points = [good, good.with_(gamma_tip=5.0), bad, good.with_(gamma_tip=9.0)]
+        basis = liouvillian.driven_basis((3, 3))
+        stacked = liouvillian._solve_chunk(points, basis, None, experiments._lindblad_columns)
+        singular = ("bordered steady-state solve is singular: zero pivot in "
+                    "excitation-difference sector 5")
+        assert stacked[2] == ((None, ("DegenerateSteadyStateError", singular)), None)
+        assert stacked == self.singly(points, basis, None, experiments._lindblad_columns)
+        assert all(failure is None for i, ((_, failure), _) in enumerate(stacked) if i != 2)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("count, cpus, sizes", [
+        (121, 2, [15] * 7 + [16]), (7, 2, [3, 4]), (2, 2, [1, 1]), (3, 1, [3]), (40, 1, [13, 13, 14]),
+    ])
+    def test_chunk_sizes(self, monkeypatch, count, cpus, sizes):
+        # at most CHUNK_POINTS, near-equal, and as many chunks as a multiple
+        # of the workers
+        tasks = []
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks, *args):
+                tasks.extend(len(chunk) for chunk in chunks)
+                return [[(None, None)] * len(chunk) for chunk in chunks]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(liouvillian.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        liouvillian.solve_points([params()] * count, liouvillian.driven_basis((3, 3)))
+        assert tasks == sizes
 
 
 class TestValidationReference:

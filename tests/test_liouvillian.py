@@ -383,38 +383,45 @@ class TestSteadyState:
     def test_one_factor_and_two_solves_per_point(self, monkeypatch):
         # the block elimination solves for e_r1 and e_r2 as it factors, and
         # that two-column solution serves the steady state and the guard, so
-        # a point costs one elimination and the refinement solve. Each takes
-        # one LAPACK solve per sector k >= 0 (numpy factors anew per solve)
-        # and none for k < 0; the guard adds one 2 x 2 solve.
+        # a stack of points costs one elimination and the refinement solve.
+        # Each takes one LAPACK call per sector k >= 0 for the whole stack
+        # (numpy factors anew per solve) and none for k < 0; the guard adds
+        # one 2 x 2 solve per point. steady_state is the stack of one.
         calls = []
         solves = []
         solve = np.linalg.solve
 
         class CountingLU(liouvillian._SectorLU):
-            def __init__(self, sop, r1, r2):
+            def __init__(self, *args):
                 calls.append("factor")
-                super().__init__(sop, r1, r2)
+                super().__init__(*args)
 
             def solve(self, b):
                 calls.append(b.shape)
                 return super().solve(b)
 
         def counting_solve(a, b):
-            solves.append(a.shape[0])
+            solves.append(a.shape)
             return solve(a, b)
 
         monkeypatch.setattr(liouvillian, "_SectorLU", CountingLU)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         basis = driven_basis((3, 3))
-        steady_state(build_liouvillian(tracked(params(), 2.0), basis))
         n = basis.size ** 2
-        assert calls == ["factor", (n,)]
-        # sectors k = 5 .. 0 of the 15-state basis (m + n <= 5); sector 0
-        # holds 1 + 4 + 9 + 16 + 9 + 4 = 43 of the n indices, each k > 0
-        # sector as many as its mirror
-        assert len(solves) == 2 * 6 + 1
-        assert solves[-1] == 2
-        assert sum(solves[:6]) == sum(solves[6:12]) == (n + 43) // 2
+        mats = [build_liouvillian(tracked(params(), gt), basis).data for gt in (2.0, 4.0, 6.0)]
+        for stack, run in ((1, lambda: steady_state(Superoperator(basis=basis, data=mats[0]))),
+                           (3, lambda: liouvillian._steady_states(basis, mats))):
+            calls.clear()
+            solves.clear()
+            run()
+            assert calls == ["factor", (stack, n)]
+            # sectors k = 5 .. 0 of the 15-state basis (m + n <= 5); sector 0
+            # holds 1 + 4 + 9 + 16 + 9 + 4 = 43 of the n indices, each k > 0
+            # sector as many as its mirror
+            assert len(solves) == 2 * 6 + stack
+            assert all(len(shape) == 3 and shape[0] == stack for shape in solves[:12])
+            assert solves[12:] == [(2, 2)] * stack
+            assert sum(s[1] for s in solves[:6]) == sum(s[1] for s in solves[6:12]) == (n + 43) // 2
 
     def test_drive_phase_invariance(self):
         basis = build_basis(per_mode=(4, 4))

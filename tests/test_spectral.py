@@ -12,7 +12,6 @@ from kerrdimer.spectral import (
     match_branches,
     one_photon_eigensystem_closed,
     subspace_eigensystem_numeric,
-    two_photon_eigensystem_closed,
 )
 
 
@@ -132,14 +131,14 @@ class TestHepLocation:
 
 
 class TestTwoPhotonClosed:
-    def test_symmetric_linear_case(self):
+    def test_symmetric_linear_case(self, two_photon_eigensystem_closed):
         # chi = 0, equal losses: eigenvalues 2wc - i*gamma + {0, +-2J}
         p = params(chi=0.0, gamma_2=0.5, gamma_tip=0.5, omega_c=0.3)
         eig = two_photon_eigensystem_closed(p)
         expected = [0.6 - 1j, 0.6 - 1j + 2 * p.J, 0.6 - 1j - 2 * p.J]
         sorted_close(eig.eigenvalues, expected, 1e-10)
 
-    def test_trace_identity(self):
+    def test_trace_identity(self, two_photon_eigensystem_closed):
         rng = np.random.default_rng(11)
         for _ in range(30):
             p = params(omega_c=rng.uniform(-1, 1), chi=rng.uniform(0, 5),
@@ -148,7 +147,7 @@ class TestTwoPhotonClosed:
             trace = np.trace(two_photon_matrix(p))
             assert np.sum(eig.eigenvalues) == pytest.approx(trace, rel=1e-10)
 
-    def test_against_dense_eigensolver(self):
+    def test_against_dense_eigensolver(self, two_photon_eigensystem_closed):
         rng = np.random.default_rng(13)
         for _ in range(50):
             p = params(omega_c=rng.uniform(-1, 1), chi=rng.uniform(0.1, 5),
@@ -158,13 +157,13 @@ class TestTwoPhotonClosed:
             oracle = np.linalg.eigvals(two_photon_matrix(p))
             sorted_close(eig.eigenvalues, oracle, 1e-9)
 
-    def test_paper_preset_at_ep(self):
+    def test_paper_preset_at_ep(self, two_photon_eigensystem_closed):
         p = params(gamma_tip=8.9)
         eig = two_photon_eigensystem_closed(p)
         oracle = np.linalg.eigvals(two_photon_matrix(p))
         sorted_close(eig.eigenvalues, oracle, 1e-9)
 
-    def test_eigenvectors_satisfy_eigenproblem(self):
+    def test_eigenvectors_satisfy_eigenproblem(self, two_photon_eigensystem_closed):
         p = params(gamma_tip=5.0)
         eig = two_photon_eigensystem_closed(p)
         h = two_photon_matrix(p)
@@ -174,7 +173,7 @@ class TestTwoPhotonClosed:
             res = h @ v[:, k] - eig.eigenvalues[k] * v[:, k]
             assert np.max(np.abs(res)) < 1e-9
 
-    def test_fallback_at_linear_ep(self):
+    def test_fallback_at_linear_ep(self, two_photon_eigensystem_closed):
         # chi = 0 at the EP makes the cubic intermediate F vanish exactly;
         # the block then has an exact triple root at 2*omega_c - i*(g1'+g2')/2,
         # resolvable only to the defective eps^(1/3) scale
@@ -200,7 +199,7 @@ class TestSubspaceNumeric:
             assert np.max(np.abs(num.eigenvalues - closed.eigenvalues)) < \
                 1e-10 * np.max(np.abs(closed.eigenvalues))
 
-    def test_matches_two_photon_closed(self):
+    def test_matches_two_photon_closed(self, two_photon_eigensystem_closed):
         rng = np.random.default_rng(19)
         for _ in range(25):
             p = params(chi=rng.uniform(0.5, 4), J=rng.uniform(0.3, 4),
@@ -241,7 +240,7 @@ class TestLocalization:
         pops = localization(one_photon_eigensystem_closed(p))
         assert np.allclose(pops, 0.5, atol=1e-3)
 
-    def test_localization_beyond_ep(self):
+    def test_localization_beyond_ep(self, two_photon_eigensystem_closed):
         p = params(gamma_tip=20.0)
         e1 = one_photon_eigensystem_closed(p)
         pops1 = localization(e1)

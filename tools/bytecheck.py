@@ -2,7 +2,7 @@
 
 Usage, from anywhere inside the repository:
 
-    python3 tools/bytecheck.py BASE [HEAD] [--allow GLOB:NAME[=BOUND]]...
+    python3 tools/bytecheck.py BASE [HEAD] [--allow GLOB:NAME[=BOUND[,FLOOR]]]...
                                [--allow-streams ID]...
 
 BASE and HEAD are git revisions; without HEAD the working tree's ``src/`` is
@@ -15,9 +15,12 @@ a fresh empty directory per side, command and thread count, as
 writes, its stdout, its stderr and its exit code must then be the same bytes
 on both sides, except for the declared differences:
 
-- ``--allow 'GLOB:COLUMN_GLOB=BOUND'``: in a CSV file whose name matches
-  GLOB, the cells of the matching columns may differ by BOUND relative
-  (both numbers, or both the same text);
+- ``--allow 'GLOB:COLUMN_GLOB=BOUND[,FLOOR]'``: in a CSV file whose name
+  matches GLOB, the cells of the matching columns may differ by BOUND
+  relative to the larger of their magnitudes and FLOOR (0 when not given),
+  so that cells below FLOOR are bounded absolutely by BOUND * FLOOR (both
+  numbers, or both the same text); a cell passes if one of the
+  declarations that match its column admits it;
 - ``--allow 'GLOB:KEY_GLOB'``: in a JSON file whose name matches GLOB, the
   matching top-level keys may hold any value;
 - ``--allow-streams ID``: the exit code, stdout and stderr of command ID
@@ -36,7 +39,6 @@ import csv
 import fnmatch
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -100,13 +102,19 @@ MAX_SHOWN = 4  # differences shown per command
 TIMEOUT_S = 600
 
 
-def parse_allow(spec: str) -> tuple[str, str, float | None]:
-    """``GLOB:NAME_GLOB[=BOUND]`` -> (file glob, column or key glob, bound)."""
+def parse_allow(spec: str) -> tuple[str, str, tuple[float, float] | None]:
+    """``GLOB:NAME_GLOB[=BOUND[,FLOOR]]`` -> (file glob, column or key glob,
+    (bound, floor) of a CSV column, or None for a JSON key)."""
     files, sep, rest = spec.partition(":")
-    name, eq, bound = rest.partition("=")
-    if not (sep and files and name) or (eq and not bound):
-        raise argparse.ArgumentTypeError(f"--allow takes GLOB:NAME[=BOUND], got {spec!r}")
-    return files, name, float(bound) if eq else None
+    name, eq, limit = rest.partition("=")
+    bound, comma, floor = limit.partition(",")
+    try:
+        if not (sep and files and name) or (eq and not bound) or (comma and not floor):
+            raise ValueError
+        return files, name, (float(bound), float(floor or 0.0)) if eq else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--allow takes GLOB:NAME[=BOUND[,FLOOR]], got {spec!r}") from None
 
 
 def export_src(rev: str, dest: Path) -> Path:
@@ -134,17 +142,18 @@ def run_command(src: Path, argv, threads: str, cwd: Path) -> dict:
                for name, stream in (("stdout", res.stdout), ("stderr", res.stderr))}}
 
 
-def _rel(a: float, b: float) -> float:
+def _rel(a: float, b: float, floor: float) -> float:
     if a == b:
         return 0.0
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b) / max(abs(a), abs(b), floor)
 
 
 def compare_csv(name: str, old: bytes, new: bytes, allow) -> tuple[list, dict]:
     """(differences, declared) of two CSV files: ``declared`` maps each
-    allowed column that differed to its largest relative difference."""
-    columns = [(glob, bound) for files, glob, bound in allow
-               if bound is not None and fnmatch.fnmatch(Path(name).name, files)]
+    allowed column that differed to its largest relative difference (with
+    the floor of the declaration that admitted it)."""
+    columns = [(glob, limit) for files, glob, limit in allow
+               if limit is not None and fnmatch.fnmatch(Path(name).name, files)]
     a_lines, b_lines = old.decode().splitlines(), new.decode().splitlines()
     a_meta = [x for x in a_lines if x.startswith("#")]
     if a_meta != [x for x in b_lines if x.startswith("#")]:
@@ -159,13 +168,15 @@ def compare_csv(name: str, old: bytes, new: bytes, allow) -> tuple[list, dict]:
         for col, x, y in zip(header, ra, rb):
             if x == y:
                 continue
-            bound = next((b for glob, b in columns if fnmatch.fnmatch(col, glob)), None)
             try:
-                rel = _rel(float(x), float(y))
-            except ValueError:
-                rel = math.inf
-            if bound is not None and rel <= bound:
-                declared[col] = max(declared.get(col, 0.0), rel)
+                a, b = float(x), float(y)
+            except ValueError:  # text
+                a = b = None
+            rels = [] if a is None else [
+                rel for glob, (bound, floor) in columns
+                if fnmatch.fnmatch(col, glob) and (rel := _rel(a, b, floor)) <= bound]
+            if rels:
+                declared[col] = max(declared.get(col, 0.0), min(rels))
             else:
                 diffs.append(f"{name}: row {i} {col}: {x} -> {y}")
     return diffs, declared
@@ -174,8 +185,8 @@ def compare_csv(name: str, old: bytes, new: bytes, allow) -> tuple[list, dict]:
 def compare_json(name: str, old: bytes, new: bytes, allow) -> tuple[list, dict]:
     """(differences, declared) of two JSON files: ``declared`` maps each
     allowed top-level key that differed to its two values."""
-    keys = [glob for files, glob, bound in allow
-            if bound is None and fnmatch.fnmatch(Path(name).name, files)]
+    keys = [glob for files, glob, limit in allow
+            if limit is None and fnmatch.fnmatch(Path(name).name, files)]
     a, b = json.loads(old), json.loads(new)
     if not (isinstance(a, dict) and isinstance(b, dict)):
         return [f"{name}: differs"], {}
@@ -239,7 +250,7 @@ def main(argv=None) -> int:
     parser.add_argument("base")
     parser.add_argument("head", nargs="?")
     parser.add_argument("--allow", action="append", type=parse_allow, default=[],
-                        metavar="GLOB:NAME[=BOUND]")
+                        metavar="GLOB:NAME[=BOUND[,FLOOR]]")
     parser.add_argument("--allow-streams", action="append", default=[], metavar="ID")
     args = parser.parse_args(argv)
     unknown = sorted(set(args.allow_streams) - {cid for cid, _ in COMMANDS})
@@ -251,7 +262,9 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         old_src = export_src(args.base, tmp / "old")
         new_src = export_src(args.head, tmp / "new") if args.head else ROOT / "src"
-        allowed = [f"{f}:{n}" + ("" if b is None else f"={b:g}") for f, n, b in args.allow]
+        allowed = [f"{f}:{n}" + ("" if lim is None else f"={lim[0]:g}"
+                                 + (f",{lim[1]:g}" if lim[1] else ""))
+                   for f, n, lim in args.allow]
         print(f"bytecheck: {args.base} -> {args.head or 'working tree'}, "
               f"OPENBLAS_NUM_THREADS={','.join(THREADS)}, allowed: "
               f"{', '.join(allowed + args.allow_streams) or 'none'}", flush=True)
