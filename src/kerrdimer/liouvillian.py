@@ -46,14 +46,8 @@ __all__ = [
 ]
 
 # bases stay at most 64 states, so superoperators at most 4096 x 4096 (the
-# full per-mode (7, 7) square, a test oracle only). steady_state factors
-# dense blocks of one excitation-difference sector each, at most 344
-# unknowns there (about 110 ms a solve at one BLAS thread), 289 on validate's
-# reference, the 49-state driven basis of cutoff (7, 7) (2401 unknowns,
-# about 40 ms), 132 on the 30-state ceiling of the default cutoff (900,
-# about 6 ms), and 72 on its 21 states up to m + n = 5 (441, about 2.4 ms
-# alone, about 2 ms a point in a stack of 4: solve_points' workers stack
-# the points of small bases, STACK_BYTES)
+# full per-mode (7, 7) square, a test oracle only), where steady_state takes
+# about 110 ms at one BLAS thread; README lists its cost on the other bases
 MAX_HILBERT_DIM = 64
 # per-mode Fock cutoffs of the driven master-equation solves. Their basis
 # also caps m + n at max(c1, c2) + 2 (driven_basis), the ceiling: 30 of the
@@ -82,13 +76,11 @@ MIN_CAP = 4
 # solve_points' worker tasks: chunks of at most CHUNK_POINTS points, each
 # solved per cap as stacks of points whose _SectorLU block buffers take at
 # most STACK_BYTES together (at least one point). Stacking saves the
-# per-call overhead of small bases, and costs cache misses on large ones.
-# On a 2-core Xeon (2 MiB L2 a core) at one BLAS thread, a fig2 point took
-# 0.53-0.56, 0.69-0.75, 1.15-1.16 and 2.25-2.47 ms at caps 2 .. 5 (blocks
-# of 6, 37, 147 and 466 kB) solved alone; 0.23-0.25, 0.39, 0.78-0.84 and
-# 1.84-2.10 ms in stacks of 16, 16, 16 and 4; 1.93-2.23 ms at cap 5 in
-# stacks of 8 (3.7 MB). On the 30-state ceiling (1.4 MB) it took 5.9-6.1 ms
-# alone, 5.6-5.9 in pairs and 6.4-7.3 in triples.
+# per-call overhead of small bases, and costs cache misses on large ones:
+# on a 2-core Xeon (2 MiB L2 a core) at one BLAS thread a fig2 point took
+# 0.23-0.25 ms at cap 2 in stacks of 16 against 0.53-0.56 alone, 1.84-2.10
+# ms at cap 5 in stacks of 4 (1.9 MB) against 1.93-2.23 in stacks of 8, and
+# 5.9-6.1 ms on the 30-state ceiling (1.4 MB) alone against 6.4-7.3 in triples
 CHUNK_POINTS = 16
 STACK_BYTES = 1 << 21
 # pinned to 1 while solve_points' workers start
@@ -144,7 +136,8 @@ class CSRMatrix:
         out = np.zeros(self.shape[0], dtype=np.result_type(self.data, x))
         rows = np.flatnonzero(np.diff(self.indptr))
         if len(rows):
-            out[rows] = np.add.reduceat(self.data * x[self.indices], self.indptr[rows])
+            # data first: a * b and b * a round apart, and * swaps a large temporary's operands
+            out[rows] = np.add.reduceat(np.multiply(self.data, x[self.indices]), self.indptr[rows])
         return out
 
 
@@ -281,7 +274,8 @@ def _generator(basis: FockBasis, variant: str) -> _Generator:
     It holds every entry that kron(1, H), kron(H^T, 1), kron(a_j^*, a_j),
     kron(1, n_j) or kron(n_j^T, 1) stores at some parameters. H is nonzero
     at most where one of its terms is; the terms are nonnegative matrices,
-    so the Hamiltonian with every rate 1 has exactly that support.
+    so the Hamiltonian with every rate 1 has exactly that support. A sort
+    drops the duplicate keys: np.unique would import numpy.ma, about 10 ms.
     """
     d = basis.size
     n = d * d
@@ -306,7 +300,8 @@ def _generator(basis: FockBasis, variant: str) -> _Generator:
                   (kron(eye, eye, nr, nc), np.tile(num[nr, nc], d)),
                   (kron(nc, nr, eye, eye), np.repeat(num[nr, nc], d))]
     keys = [rows * n + cols for (rows, cols), _ in terms]
-    pattern = np.unique(np.concatenate(keys))
+    pattern = np.sort(np.concatenate(keys))
+    pattern = pattern[np.diff(pattern, prepend=-1) != 0]
 
     def spread(i: int, fill):
         out = np.full(len(pattern), fill)
@@ -344,6 +339,17 @@ def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True) ->
     return Superoperator(basis=basis, data=CSRMatrix(lind, gen.indices, gen.indptr, (n, n)))
 
 
+def _variant_of(basis: FockBasis, mat) -> str:
+    """The Hamiltonian variant whose ``_generator`` pattern on the basis the
+    CSR matrix ``mat`` holds; another pattern is a NumericalFailureError."""
+    for variant in ("rotating_driven", "isolated"):
+        gen = _generator(basis, variant)
+        if ((mat.indices is gen.indices or np.array_equal(mat.indices, gen.indices))
+                and (mat.indptr is gen.indptr or np.array_equal(mat.indptr, gen.indptr))):
+            return variant
+    raise NumericalFailureError("the sparsity pattern is not a build_liouvillian generator's")
+
+
 def steady_state(sop: Superoperator) -> DensityMatrix:
     """Trace-normalized null vector of the generator: ``_steady_states`` on
     a stack of one. Its failure, a ``DegenerateSteadyStateError`` or the
@@ -366,13 +372,11 @@ def _steady_states(basis: FockBasis, mats: list) -> list:
     different replaced row, solved by a Woodbury update from the same
     elimination and the same two-column solve, guards against a degenerate
     null space, which is reported rather than silently resolved. Each state
-    is exactly Hermitian. Each matrix's own products (``@``) stay per point:
-    numpy's complex multiply rounds ``a * b`` and ``b * a`` differently, and
-    swaps a large temporary's operands, so a stacked product would move the
-    last bits. So a point's numbers are those of its stack of one. An item
-    is the point's ``DensityMatrix``, or the ``DegenerateSteadyStateError``
-    or ``ValueError`` its checks raised; a sector's LAPACK call that fails
-    for any member raises a ``DegenerateSteadyStateError`` for the stack.
+    is exactly Hermitian. Each matrix's own products (``@``) stay per point,
+    so a point's numbers are those of its stack of one. An item is the
+    point's ``DensityMatrix``, or the ``DegenerateSteadyStateError`` or
+    ``ValueError`` its checks raised; a sector's LAPACK call that fails for
+    any member raises a ``DegenerateSteadyStateError`` for the stack.
     """
     d = basis.size
     r1, r2 = _bordered_rows(basis)
@@ -481,9 +485,10 @@ class _BlockPlan(NamedTuple):
     up_cols: list  # and their columns in sector j + 1
 
 
-def _block_plan(basis: FockBasis, indptr: np.ndarray, indices: np.ndarray,
-                r1: int) -> _BlockPlan:
-    """The ``_BlockPlan`` of a CSR pattern on the basis, with row r1 left out."""
+@functools.cache
+def _generator_block_plan(basis: FockBasis, variant: str, r1: int) -> _BlockPlan:
+    """The ``_BlockPlan`` of the ``variant`` generator's pattern, row r1 left out."""
+    indices, indptr = _generator(basis, variant)[:2]
     sec = _sectors(basis)
     d = basis.size
     rows = np.repeat(np.arange(d * d), np.diff(indptr))
@@ -525,20 +530,14 @@ def _block_plan(basis: FockBasis, indptr: np.ndarray, indices: np.ndarray,
     return _BlockPlan(sec, shapes, start, dest, entry[dense], trace, up_src, up_cols)
 
 
-@functools.cache
-def _generator_block_plan(basis: FockBasis, r1: int) -> _BlockPlan:
-    """The ``_BlockPlan`` of the driven generator's pattern, cached per basis."""
-    gen = _generator(basis, "rotating_driven")
-    return _block_plan(basis, gen.indptr, gen.indices, r1)
-
-
 class _SectorLU:
     """Block elimination of the bordered generators M1 (row r1 replaced by
-    the trace row) of a stack on one basis and CSR ``pattern``, whose
-    entries are the rows of ``data``, over the excitation-difference sectors.
+    the trace row) of a stack on one basis, over the excitation-difference
+    sectors: the rows of ``data`` hold their entries on ``pattern``, a
+    ``build_liouvillian`` pattern (``_variant_of``).
 
     Every term of the generator but the drive conserves photon number, so
-    sector k of the vec index couples only to k and k +- 1; an entry that
+    sector k of the vec index couples only to k and k +- 1; a pattern that
     couples sectors further apart is a ``NumericalFailureError``. M1 also
     commutes with rho -> rho^+, which maps sector k onto sector -k with
     conjugated entries. So sectors K .. 1 are eliminated into sector 0
@@ -553,18 +552,12 @@ class _SectorLU:
     which LAPACK and BLAS run member by member as for a stack of one. A
     zero pivot in any member is a ``DegenerateSteadyStateError`` for the
     stack. ``solve`` takes right-hand sides (P, n) or (P, n, m) whose
-    columns are Hermitian as d x d matrices; its solutions, like ``z``,
-    hold the conjugate transpose of sector k in sector -k, and sector 0 as
-    solved.
+    columns are Hermitian as d x d matrices; its solutions, like ``z``, hold
+    the conjugate transpose of sector k in sector -k, and sector 0 as solved.
     """
 
     def __init__(self, basis: FockBasis, pattern, data: np.ndarray, r1: int, r2: int):
-        gen = _generator(basis, "rotating_driven")
-        if np.array_equal(pattern.indptr, gen.indptr) and np.array_equal(pattern.indices,
-                                                                         gen.indices):
-            plan = _generator_block_plan(basis, r1)
-        else:
-            plan = _block_plan(basis, pattern.indptr, pattern.indices, r1)
+        plan = _generator_block_plan(basis, _variant_of(basis, pattern), r1)
         sec = self.sectors = plan.sectors
         kmax = len(sec.members) - 1
         stack = len(data)
@@ -722,8 +715,8 @@ def _solve_stacks(points, basis: FockBasis, reduce) -> list:
     and at least one point: ``(reduce(rho), None)``, or ``(None, (class
     name, message))`` for a ``DegenerateSteadyStateError`` or ``ValueError``
     of the solve or of ``reduce``."""
-    step = max(1, STACK_BYTES // (16 * _generator_block_plan(basis, _bordered_rows(basis)[0])
-                                  .start[-1]))
+    plan = _generator_block_plan(basis, "rotating_driven", _bordered_rows(basis)[0])
+    step = max(1, STACK_BYTES // (16 * plan.start[-1]))
     results = []
     for lo in range(0, len(points), step):
         mats = [build_liouvillian(p, basis).data for p in points[lo:lo + step]]
@@ -797,6 +790,20 @@ def _one_blas_thread():
                 os.environ[name] = value
 
 
+@functools.cache
+def _coherence_plan(basis: FockBasis, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """Where the columns |1,0><0,0| and |0,1><0,0| of the ``variant``
+    generator on the basis hold their entries: the data indices of their
+    2x2 block, row-major, and of their other entries. Cached per basis."""
+    gen = _generator(basis, variant)
+    n = basis.size ** 2
+    k = basis.index_of(0, 0) * basis.size + np.array([basis.index_of(1, 0), basis.index_of(0, 1)])
+    rows = np.repeat(np.arange(n), np.diff(gen.indptr))
+    # the dissipators' number terms store the diagonal, the hopping the rest
+    block = np.searchsorted(rows * n + gen.indices, (k[:, None] * n + k).ravel())
+    return block, np.flatnonzero(np.isin(gen.indices, k) & ~np.isin(rows, k))
+
+
 def coherence_sector_pair(sop: Superoperator) -> LiouvillianSpectrum:
     """Eigenvalue pair of the one-excitation x vacuum coherence block.
 
@@ -804,35 +811,28 @@ def coherence_sector_pair(sop: Superoperator) -> LiouvillianSpectrum:
     invariant (the jump terms vanish on it), so the pair is read from the
     2x2 block of L: its eigenvalues are -i times the one-photon eigenvalues
     of the non-Hermitian Hamiltonian, and their coalescence defines the
-    tracked LEP. The eigenvalues come from the closed 2x2 formula, which
-    stays exact at the EP where a general eigensolver splits the pair by
-    about sqrt(machine eps).
+    tracked LEP. The block's two columns are read from the CSR data of a
+    ``build_liouvillian`` pattern (``_coherence_plan``). The eigenvalues
+    come from the closed 2x2 formula, which stays exact at the EP where a
+    general eigensolver splits the pair by about sqrt(machine eps).
     """
-    d = sop.dim
-    basis = sop.basis
-    i00 = basis.index_of(0, 0)
-    k = [i00 * d + basis.index_of(1, 0), i00 * d + basis.index_of(0, 1)]
-    unit = np.zeros((d * d, 2))
-    unit[k, [0, 1]] = 1.0
-    cols = sop.data @ unit  # exact: every other product is a zero
-    (a, b), (c, dd) = cols[k]
-    cols[k] = 0.0
-    if np.any(cols != 0.0):
-        raise NumericalFailureError(
-            "the single-photon coherence block is not invariant under the "
-            "generator (is it driven?)"
-        )
+    block, rest = _coherence_plan(sop.basis, _variant_of(sop.basis, sop.data))
+    data = sop.data.data
+    if data[rest].any():
+        raise NumericalFailureError("the single-photon coherence block is not invariant "
+                                    "under the generator (is it driven?)")
+    a, b, c, dd = data[block]
     mean = 0.5 * (a + dd)
     root = np.sqrt((0.5 * (a - dd)) ** 2 + b * c)
     vals = np.array([mean + root, mean - root])
 
     def eigvec(i: int) -> np.ndarray:
         # null vector of [[a - lam, b], [c, dd - lam]], built from
-        # whichever row gives the longer one
+        # whichever row gives the longer one (the first of equal ones)
         lam = vals[i]
-        v = max((np.array([b, lam - a]), np.array([lam - dd, c])),
-                key=np.linalg.norm)
-        nrm = np.linalg.norm(v)
+        u, w = np.array([b, lam - a]), np.array([lam - dd, c])
+        nu, nw = np.linalg.norm(u), np.linalg.norm(w)
+        v, nrm = (w, nw) if nw > nu else (u, nu)
         if nrm == 0.0:  # the block is a multiple of the identity
             return np.eye(2, dtype=complex)[i]
         return v / nrm

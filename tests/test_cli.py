@@ -427,6 +427,24 @@ class TestExperimentCommands:
         assert "kerrdimer.liouvillian" in loaded
         assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
+    def test_lep_and_a_generator_build_load_no_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma (about 10 ms a process); neither the
+        # LEP search nor a generator pattern built afterwards may need it
+        src = str(Path(kerrdimer.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        probe = ("import sys\n"
+                 "from kerrdimer import cli, liouvillian\n"
+                 "from kerrdimer.hilbert import build_basis\n"
+                 "from kerrdimer.model import preset\n"
+                 f"assert cli.main(['lep', '--output-dir', {str(tmp_path)!r}]) == 0\n"
+                 "p, _ = preset('paper_fig2')\n"
+                 "liouvillian.build_liouvillian(p, build_basis(per_mode=(3, 2)))\n"
+                 "print('numpy.ma' in sys.modules)\n")
+        res = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                             check=True, capture_output=True, text=True, timeout=300)
+        assert res.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "lep.csv").exists()
+
     def test_runs_where_scipy_cannot_be_imported(self, tmp_path):
         # a package named scipy that raises on import, ahead of the real one
         # on PYTHONPATH, which the spawned sweep workers inherit

@@ -45,6 +45,37 @@ def dense(m):
     return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape).toarray()
 
 
+def product_read_pair(sop):
+    """The coherence pair as the CSR product with a unit matrix reads it,
+    with six norms: the oracle of ``coherence_sector_pair``'s direct read."""
+    d = sop.dim
+    basis = sop.basis
+    i00 = basis.index_of(0, 0)
+    k = [i00 * d + basis.index_of(1, 0), i00 * d + basis.index_of(0, 1)]
+    unit = np.zeros((d * d, 2))
+    unit[k, [0, 1]] = 1.0
+    cols = sop.data @ unit  # exact: every other product is a zero
+    (a, b), (c, dd) = cols[k]
+    cols[k] = 0.0
+    if np.any(cols != 0.0):
+        raise NumericalFailureError("the coherence block is not invariant")
+    mean = 0.5 * (a + dd)
+    root = np.sqrt((0.5 * (a - dd)) ** 2 + b * c)
+    vals = np.array([mean + root, mean - root])
+
+    def eigvec(i):
+        lam = vals[i]
+        v = max((np.array([b, lam - a]), np.array([lam - dd, c])), key=np.linalg.norm)
+        nrm = np.linalg.norm(v)
+        if nrm == 0.0:
+            return np.eye(2, dtype=complex)[i]
+        return v / nrm
+
+    overlap = abs(np.vdot(eigvec(0), eigvec(1)))
+    return liouvillian.LiouvillianSpectrum(eigenvalues=vals, gap=float(abs(2 * root)),
+                                           overlap=float(overlap))
+
+
 def random_density_matrix(basis, seed=0):
     rng = np.random.default_rng(seed)
     d = basis.size
@@ -168,6 +199,21 @@ class TestBuildLiouvillian:
         with pytest.raises(ResourceLimitError):
             build_liouvillian(params(), build_basis(per_mode=(8, 8)))
 
+    def test_product_takes_the_data_first(self):
+        # numpy's complex multiply rounds a * b and b * a differently, and
+        # `*` swaps the operands of a temporary of 256 KiB or more (here
+        # nnz >= 16384 complex): the product must not depend on that
+        lmat = build_liouvillian(tracked(params(), 4.0), driven_basis((7, 7))).data
+        assert lmat.nnz >= 16384
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=lmat.shape[1]) + 1j * rng.normal(size=lmat.shape[1])
+        gathered = x[lmat.indices]
+        assert not np.array_equal(gathered * lmat.data, np.multiply(lmat.data, gathered))
+        rows = np.flatnonzero(np.diff(lmat.indptr))
+        want = np.zeros(lmat.shape[0], dtype=complex)
+        want[rows] = np.add.reduceat(np.multiply(lmat.data, gathered), lmat.indptr[rows])
+        assert np.array_equal(lmat @ x, want)
+
 
 def one_expression_liouvillian(p, basis, driven):
     """The generator as one expression of scipy sparse Kronecker products,
@@ -240,6 +286,37 @@ class TestUndrivenAssemblyCache:
         assert generator_bytes(first) != generator_bytes(second)
         assert generator_bytes(second) == generator_bytes(
             one_expression_liouvillian(other, self.BASIS, False))
+
+    @pytest.mark.parametrize("basis", [
+        build_basis(per_mode=modes) for modes in ((0, 0), (1, 0), (1, 1), (2, 0), (2, 2), (3, 0),
+                                                  (3, 2), (3, 3), (4, 1), (4, 4), (5, 2), (5, 5))
+    ] + [driven_basis(cutoff) for cutoff in ((3, 3), (5, 5), (7, 7))]
+      + [build_basis(per_mode=(5, 5), total=cap) for cap in (2, 3, 4, 5, 6)],
+        ids=lambda basis: f"{basis.size}-states")
+    @pytest.mark.parametrize("variant", ["rotating_driven", "isolated"])
+    def test_pattern_is_the_unique_keys_of_its_terms(self, basis, variant):
+        # every entry that kron(1, H), kron(H^T, 1), kron(a_j^*, a_j),
+        # kron(1, n_j) and kron(n_j^T, 1) store with every rate 1, as row * n
+        # + column keys through np.unique; the vacuum-only basis has none
+        unit = SystemParams(chi=1.0, J=1.0, gamma_1=0.0, gamma_ex=0.0, gamma_2=0.0,
+                            gamma_tip=0.0, omega_drive_amp=1.0, omega_c=1.0, delta=1.0)
+        n = basis.size ** 2
+        h = build_hamiltonian(unit, basis, variant).data
+        eye = np.eye(basis.size)
+        factors = [(eye, h), (h.T, eye)]
+        for mode in (1, 2):
+            a = mode_operator(basis, mode, "annihilate").data
+            num = mode_operator(basis, mode, "number").data
+            factors += [(a, a), (eye, num), (num.T, eye)]
+        keys = []
+        for left, right in factors:
+            term = sparse.kron(sparse.coo_matrix(left != 0), sparse.coo_matrix(right != 0),
+                               format="coo")
+            keys.append(term.row.astype(np.int64) * n + term.col)
+        gen = liouvillian._generator(basis, variant)
+        rows = np.repeat(np.arange(n), np.diff(gen.indptr))
+        assert len(gen.indptr) == n + 1
+        assert np.array_equal(rows * n + gen.indices, np.unique(np.concatenate(keys)))
 
     def test_lep_independent_of_earlier_scans(self):
         p = params()
@@ -364,8 +441,9 @@ class TestSteadyState:
 
     def test_coupling_across_two_sectors_is_numerical_failure(self):
         # |2,0><0,0| (sector k = 2) fed from |0,0><0,0| (k = 0): no generator
-        # term does that. The generator is a scipy CSR matrix here, which
-        # steady_state takes as it takes its own.
+        # term does that, so no build_liouvillian pattern holds that entry,
+        # and the solve plans only those. A scipy CSR copy of a generator
+        # holds its pattern, and steady_state takes it as it takes its own.
         basis = driven_basis((3, 3))
         d = basis.size
         lmat = build_liouvillian(tracked(params(), 2.0), basis).data
@@ -377,7 +455,7 @@ class TestSteadyState:
         assert np.max(np.abs(steady_state(Superoperator(basis=basis, data=as_scipy)).data
                              - steady_state(Superoperator(basis=basis, data=lmat)).data)) <= 1e-15
         bad = Superoperator(basis=basis, data=(as_scipy + extra).tocsr())
-        with pytest.raises(NumericalFailureError, match="more than one apart"):
+        with pytest.raises(NumericalFailureError, match="not a build_liouvillian generator's"):
             steady_state(bad)
 
     def test_one_factor_and_two_solves_per_point(self, monkeypatch):
@@ -530,6 +608,50 @@ class TestCoherenceBlock:
         sop = build_liouvillian(params(gamma_tip=4.0), basis, driven=True)
         with pytest.raises(NumericalFailureError):
             coherence_sector_pair(sop)
+
+    def test_direct_read_matches_the_product_read(self):
+        # bit for bit, signed zeros included: eigenvalues, gap and overlap
+        p = params(omega_drive_amp=0.0)
+        ep = lep_locate(p, (7.9, 9.9), grid=21).gamma_tip
+        rng = np.random.default_rng(23)
+        cases = [(p.with_(gamma_tip=float(gt)), False) for gt in rng.uniform(0.0, 20.0, 40)]
+        cases += [(p.with_(gamma_tip=gt, J=0.0), False) for gt in (0.0, 3.0, 8.9)]
+        cases += [(p.with_(gamma_tip=gt, chi=0.0), False) for gt in (0.0, 4.0, 8.9)]
+        cases += [(p.with_(gamma_tip=ep), False), (p.with_(gamma_tip=8.9), False),
+                  (p.with_(gamma_tip=8.9, omega_c=0.0), False),
+                  (p.with_(gamma_tip=4.0), True)]  # driven at zero drive: still invariant
+        # J = 0 and gamma_2' = gamma_1': the block is a multiple of the identity
+        identity = p.with_(J=0.0, gamma_tip=p.gamma1_prime - p.gamma_2)
+        assert identity.gamma2_prime == identity.gamma1_prime
+        cases.append((identity, False))
+        for basis in (build_basis(per_mode=(2, 2)), driven_basis((3, 3))):
+            for case, driven in cases:
+                sop = build_liouvillian(case, basis, driven=driven)
+                got, want = coherence_sector_pair(sop), product_read_pair(sop)
+                assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes(), case
+                assert (np.array([got.gap, got.overlap]).tobytes()
+                        == np.array([want.gap, want.overlap]).tobytes()), case
+        pair = coherence_sector_pair(build_liouvillian(identity, basis, driven=False))
+        assert pair.gap == 0.0 and pair.overlap == 0.0
+        driven = build_liouvillian(params(gamma_tip=4.0), basis, driven=True)
+        for read in (coherence_sector_pair, product_read_pair):
+            with pytest.raises(NumericalFailureError):
+                read(driven)
+
+    def test_pattern_other_than_a_generator_is_numerical_failure(self):
+        # the direct read plans build_liouvillian's patterns; a scipy copy of
+        # one holds it, a matrix with one more stored entry does not
+        sop = self.undriven(4.0)
+        lmat = sop.data
+        as_scipy = sparse.csr_matrix((lmat.data, lmat.indices, lmat.indptr), shape=lmat.shape)
+        got = coherence_sector_pair(Superoperator(basis=sop.basis, data=as_scipy))
+        assert got.eigenvalues.tobytes() == coherence_sector_pair(sop).eigenvalues.tobytes()
+        # |2,0><0,0| fed from |0,0><0,0|, which no generator term does
+        basis, d = sop.basis, sop.dim
+        row, col = basis.index_of(0, 0) * d + basis.index_of(2, 0), basis.index_of(0, 0) * (d + 1)
+        extra = sparse.csr_matrix(([1e-3], ([row], [col])), shape=lmat.shape)
+        with pytest.raises(NumericalFailureError, match="not a build_liouvillian generator's"):
+            coherence_sector_pair(Superoperator(basis=basis, data=(as_scipy + extra).tocsr()))
 
 
 class TestLepLocate:
