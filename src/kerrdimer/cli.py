@@ -226,12 +226,6 @@ def _build_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 # experiment runners
 
-def _cap_record(table) -> dict:
-    """The sidecar's ``excitation_cap`` where the sweep's Lindblad solves
-    certified their own; without them the record keeps the cutoff's."""
-    return {} if table.excitation_cap is None else {"excitation_cap": table.excitation_cap}
-
-
 def _run_sweep_loss(rc: RunConfig, args) -> int:
     grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid")
 
@@ -239,7 +233,7 @@ def _run_sweep_loss(rc: RunConfig, args) -> int:
         table = sweep_loss(run.params, grid, protocol=run.protocol, backends=run.backends,
                            cutoff=run.cutoff)
         run.write(path, table.columns, table.rows, experiment="sweep_loss",
-                  gamma_tip_grid=_grid_record(grid), **_cap_record(table), **extra)
+                  gamma_tip_grid=_grid_record(grid), excitation_cap=table.excitation_cap, **extra)
         return table.failures
 
     path = rc.path(rc.preset_cfg["dataset"])
@@ -269,7 +263,7 @@ def _run_critical_points(rc: RunConfig, args) -> int:
     path = rc.path("critical_points.json")
     write_provenance(path, rc.provenance(
         experiment="critical_points", gamma_tip_grid=_grid_record(grid),
-        critical_points=vars(cps), **_cap_record(table)))
+        critical_points=vars(cps), excitation_cap=table.excitation_cap))
 
     def show(cp):
         return "absent" if cp is None else f"{cp:.4f}"

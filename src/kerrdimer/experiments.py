@@ -123,19 +123,17 @@ def loss_point(p: SystemParams, gamma_tip: float, protocol="track_upper_branch")
 class SweepTable:
     """One row per sweep point under the detuning ``protocol``.
 
-    ``failures`` holds (gamma_tip, exception class, message) for each
-    Lindblad point whose row was blanked; it is not written to the dataset.
-    ``excitation_cap`` is the cap of the Lindblad solves, None without them.
+    ``excitation_cap`` is the cap that the Lindblad solves certified, or
+    the cutoff's (``liouvillian.excitation_cap``) without them. ``failures``
+    holds (gamma_tip, exception class, message) for each Lindblad point
+    whose row was blanked; it is not written to the dataset.
     """
 
     columns: list[str]
     rows: list[dict]
     protocol: object
+    excitation_cap: int
     failures: list[tuple[float, str, str]] = field(default_factory=list)
-    excitation_cap: int | None = None
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([row[name] for row in self.rows], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
             "kappa_minus": float(eig.kappa[1]),
         })
     failures = []
-    cap = None
+    cap = excitation_cap(cutoff)
     if "lindblad" in backends:
         basis = driven_basis(cutoff)
         missing = [state for state in AMPLITUDE_STATES if state not in basis]
@@ -221,8 +219,7 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
                 f"{max(map(max, AMPLITUDE_STATES))} per mode: cutoff {tuple(cutoff)} "
                 f"lacks the reported populations {missing}")
         ratio = shell_ratio(p, np.array([pg.delta for pg in points]), p.gamma_2 + gts)
-        solved = solve_points(points, basis, _lindblad_columns,
-                              start_cap(ratio, excitation_cap(cutoff)))
+        solved = solve_points(points, basis, _lindblad_columns, start_cap(ratio, cap))
         for row, (columns, failure) in zip(rows, solved.results):
             row.update(columns or {"lindblad_failed": 1})
             if failure:

@@ -31,7 +31,6 @@ __all__ = [
     "DegenerateSteadyStateError",
     "NumericalFailureError",
     "LepNotFoundError",
-    "vec",
     "unvec",
     "check_size",
     "excitation_cap",
@@ -103,10 +102,6 @@ class LepNotFoundError(RuntimeError):
     pass
 
 
-def vec(rho: np.ndarray) -> np.ndarray:
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
-
-
 def unvec(v: np.ndarray, d: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((d, d), order="F")
 
@@ -148,10 +143,6 @@ class Superoperator:
     basis: FockBasis
     data: CSRMatrix
 
-    @property
-    def dim(self) -> int:
-        return self.basis.size
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -161,17 +152,18 @@ class DensityMatrix:
     data: np.ndarray
     residual: float = 0.0
 
-    def validate(self, hermiticity_tol: float = 1e-10, trace_tol: float = 1e-10,
-                 psd_floor: float = -1e-8) -> "DensityMatrix":
+    def validate(self) -> "DensityMatrix":
+        """Raise ValueError beyond 1e-10 from Hermitian or from unit trace,
+        or with an eigenvalue below -1e-8."""
         rho = self.data
         herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > hermiticity_tol:
+        if herm > 1e-10:
             raise ValueError(f"not Hermitian: max |rho - rho^+| = {herm:.3e}")
         tr = np.trace(rho)
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-        if lo < psd_floor:
+        if lo < -1e-8:
             raise ValueError(f"not PSD: min eigenvalue {lo:.3e}")
         return self
 
@@ -362,7 +354,8 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
 
 def _steady_states(basis: FockBasis, mats: list) -> list:
     """The trace-normalized null vector of each generator of a stack on
-    ``basis``: CSR matrices (``CSRMatrix`` or alike) on one pattern.
+    ``basis``: CSR matrices (``CSRMatrix`` or alike) on the pattern of the
+    first, a ``build_liouvillian`` pattern (``_variant_of``).
 
     Solved through a bordered linear system (one row replaced by the trace
     constraint), factored by block elimination over the excitation-difference
@@ -375,31 +368,34 @@ def _steady_states(basis: FockBasis, mats: list) -> list:
     is exactly Hermitian. Each matrix's own products (``@``) stay per point,
     so a point's numbers are those of its stack of one. An item is the
     point's ``DensityMatrix``, or the ``DegenerateSteadyStateError`` or
-    ``ValueError`` its checks raised; a sector's LAPACK call that fails for
-    any member raises a ``DegenerateSteadyStateError`` for the stack.
+    ``ValueError`` its checks raised. A sector's LAPACK call that fails for
+    any member fails the stack's, which is then solved point by point, so
+    that each point keeps its own failure.
     """
-    d = basis.size
-    r1, r2 = _bordered_rows(basis)
-    diag = np.arange(d) * (d + 1)  # vec indices of the diagonal
-    # z solves M1 z = [e_r1, e_r2]: the right-hand sides of M1 and M2, and the
-    # Woodbury U; the elimination solves it as it factors
-    data = np.stack([lmat.data for lmat in mats])
-    lu = _SectorLU(basis, mats[0], data, r1, r2)
-    tau = lu.sectors.tau
-    z = lu.z
-    # M1 z is L z with row r1 replaced by the trace of z
-    lz = np.stack([lmat @ zp for lmat, zp in zip(mats, z)])
-    tz = z.take(diag, axis=1).sum(axis=1)
-    # one refinement step: the elimination alone leaves ~1e-25 absolute
-    # error, which is visible on three-photon populations of ~1e-15. The
-    # residual is Hermitian up to rounding, and solve takes its Hermitian part.
-    res = -lz[:, :, 0]
-    res[:, r1] = 1.0 - tz[:, 0]
-    v1 = z[:, :, 0] + lu.solve(0.5 * (res + res.take(tau, axis=1).conj()))
+    plan = _solver_plan(basis, _variant_of(basis, mats[0]))
+    r1, r2 = plan.r1, plan.r2
+    try:
+        # z solves M1 z = [e_r1, e_r2]: the right-hand sides of M1 and M2,
+        # and the Woodbury U; the elimination solves it as it factors
+        lu = _SectorLU(plan, np.stack([lmat.data for lmat in mats]))
+        z = lu.z
+        # M1 z is L z with row r1 replaced by the trace of z
+        lz = np.stack([lmat @ zp for lmat, zp in zip(mats, z)])
+        tz = z.take(plan.diag, axis=1).sum(axis=1)
+        # one refinement step: the elimination alone leaves ~1e-25 absolute
+        # error, which is visible on three-photon populations of ~1e-15. The
+        # residual is Hermitian up to rounding, and solve takes its Hermitian part.
+        res = -lz[:, :, 0]
+        res[:, r1] = 1.0 - tz[:, 0]
+        v1 = z[:, :, 0] + lu.solve(0.5 * (res + res.take(plan.tau, axis=1).conj()))
+    except DegenerateSteadyStateError as exc:
+        if len(mats) == 1:
+            return [exc]
+        return [_steady_states(basis, [lmat])[0] for lmat in mats]
     # exactly Hermitian: solve leaves sector 0 as its LU gives it, since
     # symmetrized there the two null vectors of a degenerate lossless point
     # came out alike and the guard below missed it
-    v1 = 0.5 * (v1 + v1.take(tau, axis=1).conj())
+    v1 = 0.5 * (v1 + v1.take(plan.tau, axis=1).conj())
 
     states = []
     for lmat, zp, lzp, tzp, v in zip(mats, z, lz, tz, v1):
@@ -425,38 +421,44 @@ def _steady_states(basis: FockBasis, mats: list) -> list:
                 raise DegenerateSteadyStateError(
                     "steady state is not unique: two trace-normalized null vectors differ"
                 )
-            rho = DensityMatrix(basis=basis, data=unvec(v, d), residual=residual)
+            rho = DensityMatrix(basis=basis, data=unvec(v, basis.size), residual=residual)
             states.append(rho.validate())
         except (DegenerateSteadyStateError, ValueError) as exc:
             states.append(exc)
     return states
 
 
-def _bordered_rows(basis: FockBasis) -> tuple[int, int]:
-    """The rows r1 and r2 of L that the two bordered systems replace by the
-    trace row: the diagonal entries of |0,0> and of another state."""
-    d = basis.size
-    i00 = basis.index_of(0, 0)
-    alt = d - 1 if i00 != d - 1 else 0
-    return i00 * d + i00, alt * d + alt
+class _Plan(NamedTuple):
+    """The steady-state solver's plan of one generator pattern: its bordered
+    rows, the excitation-difference sectors of the vec index, and where the
+    pattern's entries go in the blocks of M1."""
 
-
-class _Sectors(NamedTuple):
-    """Excitation-difference sectors of the vec index on one basis."""
-
-    k: np.ndarray  # sector k = N(r) - N(c) of each vec index c*d + r
-    pos: np.ndarray  # position in its sector; -k takes its transpose's in k
+    r1: int  # the rows of L that the two bordered systems replace by the
+    r2: int  # trace row: the diagonal entries of |0,0> and of another state
+    diag: np.ndarray  # vec indices of the diagonal
+    pos: np.ndarray  # position of each vec index in its sector; -k takes its transpose's in k
     tau: np.ndarray  # vec index of the transpose, c*d + r -> r*d + c
-    members: list  # vec indices of sector k = 0 .. K, ascending
+    members: list  # vec indices of sector k = N(r) - N(c) = 0 .. K, ascending
     mirror: np.ndarray  # sector-0 position of each sector-0 transpose
     mirror_flat: np.ndarray  # flat index of the transposes' pairs in a sector-0 block
     order: np.ndarray  # vec indices of sectors 0, 1 .. K, then of -1 .. -K
+    shapes: list  # of the diagonal blocks M1[j, j], then of M1[j, j - 1]
+    start: np.ndarray  # offset of each of those blocks in one buffer
+    dest: np.ndarray  # buffer offset of each entry that lands in a dense block
+    src: np.ndarray  # its index in the generator's data
+    up_src: list  # M1[j, j + 1] row by row: indices into data, nnz if none
+    up_cols: list  # and their columns in sector j + 1
 
 
 @functools.cache
-def _sectors(basis: FockBasis) -> _Sectors:
-    """The sector maps of the vec index on the basis, cached per basis."""
+def _solver_plan(basis: FockBasis, variant: str) -> _Plan:
+    """The ``_Plan`` of the ``variant`` generator's pattern on the basis,
+    cached per basis and variant."""
+    indices, indptr = _generator(basis, variant)[:2]
     d = basis.size
+    i00 = basis.index_of(0, 0)
+    alt = d - 1 if i00 != d - 1 else 0
+    r1 = i00 * (d + 1)
     total = np.array([m + n for m, n in basis.states])
     k = (total[None, :] - total[:, None]).ravel()
     tau = np.arange(d * d).reshape(d, d).T.ravel()
@@ -467,32 +469,9 @@ def _sectors(basis: FockBasis) -> _Sectors:
         if j:
             pos[tau[idx]] = pos[idx]
     mirror = pos[tau[members[0]]]
-    order = np.concatenate(members + [tau[idx] for idx in members[1:]])
-    return _Sectors(k, pos, tau, members, mirror,
-                    (mirror[:, None] * len(mirror) + mirror).ravel(), order)
 
-
-class _BlockPlan(NamedTuple):
-    """Where the entries of a generator pattern go in the blocks of M1."""
-
-    sectors: _Sectors
-    shapes: list  # of the diagonal blocks M1[j, j], then of M1[j, j - 1]
-    start: np.ndarray  # offset of each of those blocks in one buffer
-    dest: np.ndarray  # buffer offset of each entry that lands in a dense block
-    src: np.ndarray  # its index in the generator's data
-    trace: tuple  # block-0 positions of the trace row
-    up_src: list  # M1[j, j + 1] row by row: indices into data, nnz if none
-    up_cols: list  # and their columns in sector j + 1
-
-
-@functools.cache
-def _generator_block_plan(basis: FockBasis, variant: str, r1: int) -> _BlockPlan:
-    """The ``_BlockPlan`` of the ``variant`` generator's pattern, row r1 left out."""
-    indices, indptr = _generator(basis, variant)[:2]
-    sec = _sectors(basis)
-    d = basis.size
     rows = np.repeat(np.arange(d * d), np.diff(indptr))
-    kr, kc = sec.k[rows], sec.k[indices]
+    kr, kc = k[rows], k[indices]
     if np.any(np.abs(kr - kc) > 1):
         raise NumericalFailureError(
             "the generator couples excitation-difference sectors more than one apart"
@@ -500,12 +479,12 @@ def _generator_block_plan(basis: FockBasis, variant: str, r1: int) -> _BlockPlan
     # the k >= 0 entries of L, but for row r1
     entry = np.flatnonzero((kr >= 0) & (kc >= 0) & (rows != r1))
     kr, kc = kr[entry], kc[entry]
-    pr, pc = sec.pos[rows[entry]], sec.pos[indices[entry]]
+    pr, pc = pos[rows[entry]], pos[indices[entry]]
 
     # dense and row-major, side by side in one buffer: the diagonal blocks
     # M1[j, j] for j = 0 .. K, then the couplings M1[j, j - 1] for
     # j = 1 .. K; the couplings M1[j, j + 1] stay sparse
-    sizes = [len(idx) for idx in sec.members]
+    sizes = [len(idx) for idx in members]
     kmax = len(sizes) - 1
     shapes = [(s, s) for s in sizes] + list(zip(sizes[1:], sizes[:-1]))
     start = np.cumsum([0] + [r * c for r, c in shapes])
@@ -526,15 +505,17 @@ def _generator_block_plan(basis: FockBasis, variant: str, r1: int) -> _BlockPlan
         cols[pr[sel], rank] = pc[sel]
         up_src.append(src)
         up_cols.append(cols)
-    trace = (sec.pos[r1], sec.pos[np.arange(d) * (d + 1)])
-    return _BlockPlan(sec, shapes, start, dest, entry[dense], trace, up_src, up_cols)
+    return _Plan(r1, alt * (d + 1), np.arange(d) * (d + 1), pos, tau, members, mirror,
+                 (mirror[:, None] * len(mirror) + mirror).ravel(),
+                 np.concatenate(members + [tau[idx] for idx in members[1:]]),
+                 shapes, start, dest, entry[dense], up_src, up_cols)
 
 
 class _SectorLU:
     """Block elimination of the bordered generators M1 (row r1 replaced by
-    the trace row) of a stack on one basis, over the excitation-difference
-    sectors: the rows of ``data`` hold their entries on ``pattern``, a
-    ``build_liouvillian`` pattern (``_variant_of``).
+    the trace row) of a stack over the excitation-difference sectors: the
+    rows of ``data`` hold their entries on the pattern of ``plan``
+    (``_solver_plan``).
 
     Every term of the generator but the drive conserves photon number, so
     sector k of the vec index couples only to k and k +- 1; a pattern that
@@ -556,16 +537,15 @@ class _SectorLU:
     the conjugate transpose of sector k in sector -k, and sector 0 as solved.
     """
 
-    def __init__(self, basis: FockBasis, pattern, data: np.ndarray, r1: int, r2: int):
-        plan = _generator_block_plan(basis, _variant_of(basis, pattern), r1)
-        sec = self.sectors = plan.sectors
-        kmax = len(sec.members) - 1
+    def __init__(self, plan: _Plan, data: np.ndarray):
+        self.plan = plan
+        kmax = len(plan.members) - 1
         stack = len(data)
         buf = np.zeros((stack, plan.start[-1]), dtype=complex)
         buf[:, plan.dest] = data.take(plan.src, axis=1)
         blocks = [buf[:, lo:hi].reshape(stack, *shape) for lo, hi, shape in
                   zip(plan.start, plan.start[1:], plan.shapes)]
-        blocks[0][(slice(None), *plan.trace)] = 1.0
+        blocks[0][:, plan.pos[plan.r1], plan.pos[plan.diag]] = 1.0  # the trace row
         vals = np.append(data, np.zeros((stack, 1)), axis=1)
         self.up = [(vals.take(src, axis=1), cols)  # M1[j, j + 1]
                    for src, cols in zip(plan.up_src, plan.up_cols)]
@@ -575,12 +555,12 @@ class _SectorLU:
             w = self.w[j] = self._solve(j, blocks[kmax + j])
             corr = self._couple(j - 1, w)
             if j == 1:
-                corr += np.conjugate(corr.reshape(stack, -1).take(sec.mirror_flat, axis=1)
+                corr += np.conjugate(corr.reshape(stack, -1).take(plan.mirror_flat, axis=1)
                                      .reshape(corr.shape))
             blocks[j - 1] -= corr
         # e_r1 and e_r2 lie in sector 0, so every t_j of their solution is 0
-        rhs = np.zeros((stack, len(sec.members[0]), 2), dtype=complex)
-        rhs[:, sec.pos[[r1, r2]], [0, 1]] = 1.0
+        rhs = np.zeros((stack, len(plan.members[0]), 2), dtype=complex)
+        rhs[:, plan.pos[[plan.r1, plan.r2]], [0, 1]] = 1.0
         self.z = self._back_substitute(self._solve(0, rhs), [0] * (kmax + 1))
 
     def _solve(self, j: int, b: np.ndarray) -> np.ndarray:
@@ -610,22 +590,22 @@ class _SectorLU:
         parts = [x0]
         for j in range(1, len(t)):
             parts.append(t[j] - self.w[j] @ parts[-1])
-        x = np.empty((len(x0), len(self.sectors.k), x0.shape[2]), dtype=complex)
-        x[:, self.sectors.order] = np.concatenate(
+        x = np.empty((len(x0), len(self.plan.pos), x0.shape[2]), dtype=complex)
+        x[:, self.plan.order] = np.concatenate(
             parts + [np.conjugate(xk) for xk in parts[1:]], axis=1)
         return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        sec = self.sectors
+        plan = self.plan
         kmax = len(self.s) - 1
         cols = b.reshape(*b.shape[:2], -1)
-        y = [cols.take(idx, axis=1) for idx in sec.members]
+        y = [cols.take(idx, axis=1) for idx in plan.members]
         t = [None] * (kmax + 1)  # S_j^-1 y_j
         for j in range(kmax, 0, -1):
             t[j] = self._solve(j, y[j])
             g = self._couple(j - 1, t[j])
             if j == 1:
-                g += g.take(sec.mirror, axis=1).conj()
+                g += g.take(plan.mirror, axis=1).conj()
             y[j - 1] -= g
         return self._back_substitute(self._solve(0, y[0]), t).reshape(b.shape)
 
@@ -699,47 +679,30 @@ def _solve_chunk(points, basis: FockBasis, cap: int | None, reduce) -> list:
     """``(result, estimate)`` per point of a chunk: its ``solve_points``
     result on ``basis`` up to m + n <= ``cap``, and its ``_truncation_error``
     from the solves at the three caps below; with ``cap`` None, on all of
-    ``basis``, and the estimate None. The generators of each cap's stack are
+    ``basis``, and the estimate None. A result is ``(reduce(rho), None)``,
+    or ``(None, (class name, message))`` for a ``DegenerateSteadyStateError``
+    or ``ValueError`` of the solve or of ``reduce``. Each cap's points are
+    solved in stacks whose block buffers (``_SectorLU``) take at most
+    ``STACK_BYTES``, and at least one point. The generators of a stack are
     built outside any ``try``: a fault there propagates."""
-    if cap is None:
-        return [(result, None) for result in _solve_stacks(points, basis, reduce)]
-    solved = [_solve_stacks(points, FockBasis(tuple(s for s in basis.states if sum(s) <= c)),
-                            reduce)
-              for c in range(cap - 3, cap + 1)]
-    return [(results[-1], _truncation_error(*results)) for results in zip(*solved)]
-
-
-def _solve_stacks(points, basis: FockBasis, reduce) -> list:
-    """The ``solve_points`` result of each point on ``basis``, solved in
-    stacks whose block buffers (``_SectorLU``) take at most ``STACK_BYTES``,
-    and at least one point: ``(reduce(rho), None)``, or ``(None, (class
-    name, message))`` for a ``DegenerateSteadyStateError`` or ``ValueError``
-    of the solve or of ``reduce``."""
-    plan = _generator_block_plan(basis, "rotating_driven", _bordered_rows(basis)[0])
-    step = max(1, STACK_BYTES // (16 * plan.start[-1]))
-    results = []
-    for lo in range(0, len(points), step):
-        mats = [build_liouvillian(p, basis).data for p in points[lo:lo + step]]
-        for state in _stack_states(basis, mats):
-            try:
-                if isinstance(state, Exception):
-                    raise state
-                results.append((state if reduce is None else reduce(state), None))
-            except (DegenerateSteadyStateError, ValueError) as exc:
-                results.append((None, (type(exc).__name__, str(exc))))
-    return results
-
-
-def _stack_states(basis: FockBasis, mats: list) -> list:
-    """``_steady_states`` of a stack; a LAPACK call that fails for one
-    member fails the whole stack's, which is then solved point by point,
-    so that each point keeps its own failure."""
-    try:
-        return _steady_states(basis, mats)
-    except DegenerateSteadyStateError as exc:
-        if len(mats) == 1:
-            return [exc]
-        return [state for lmat in mats for state in _stack_states(basis, [lmat])]
+    bases = [basis] if cap is None else [
+        FockBasis(tuple(s for s in basis.states if sum(s) <= c)) for c in range(cap - 3, cap + 1)]
+    solved = []
+    for sub in bases:
+        step = max(1, STACK_BYTES // (16 * _solver_plan(sub, "rotating_driven").start[-1]))
+        results = []
+        for lo in range(0, len(points), step):
+            mats = [build_liouvillian(p, sub).data for p in points[lo:lo + step]]
+            for state in _steady_states(sub, mats):
+                try:
+                    if isinstance(state, Exception):
+                        raise state
+                    results.append((state if reduce is None else reduce(state), None))
+                except (DegenerateSteadyStateError, ValueError) as exc:
+                    results.append((None, (type(exc).__name__, str(exc))))
+        solved.append(results)
+    return [(results[-1], None if cap is None else _truncation_error(*results))
+            for results in zip(*solved)]
 
 
 def _truncation_error(*results) -> float:

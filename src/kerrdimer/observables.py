@@ -26,7 +26,6 @@ __all__ = [
     "poisson_comparison",
     "excitation_spectrum",
     "detect_peaks",
-    "n0_normalization",
 ]
 
 PEAK_SADDLE_RATIO = 1.05
@@ -109,16 +108,11 @@ def poisson_comparison(p_m) -> PoissonComparison:
     return PoissonComparison(mu=mu, p_m=p, poisson=ref, deviation=deviation, ratio=ratio)
 
 
-def n0_normalization(p: SystemParams) -> float:
-    """Spectrum normalization n0 = Omega^2 / (gamma_1' + gamma_2')^2.
-    ValueError where (gamma_1' + gamma_2')^2 is 0: no loss, or one so small
-    that its square underflows; and where Omega^2 or the loss's square is
-    beyond the float range."""
-    return _n0(p.omega_drive_amp, p.gamma1_prime + p.gamma2_prime, p.gamma_tip)
-
-
 def _n0(omega: float, loss: float, gamma_tip: float) -> float:
-    """``n0_normalization`` on floats (libm pow; numpy's array ** 2 is x * x)."""
+    """Spectrum normalization n0 = Omega^2 / loss^2 at ``gamma_tip``, where
+    loss = gamma_1' + gamma_2', on floats (libm pow; numpy's array ** 2 is
+    x * x). ValueError where loss^2 is 0: no loss, or one so small that its
+    square underflows; and where Omega^2 or loss^2 is beyond the float range."""
     den = _square(loss, f"loss gamma_1' + gamma_2' = {loss!r} at gamma_tip={gamma_tip!r}")
     if den == 0.0:
         raise ValueError(f"no loss at gamma_tip={gamma_tip!r}: S1 = N1 / n0 is undefined")

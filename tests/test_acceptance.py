@@ -85,7 +85,7 @@ def test_criterion_4_classical_critical_point(loss_sweep, fig2):
 
 def test_criterion_5_blockade_endpoints(loss_sweep, fig2):
     g2_zero = lindblad_stats(fig2, 0.0).g2
-    g2_max = float(np.max(loss_sweep.column("lindblad_g2")))
+    g2_max = max(row["lindblad_g2"] for row in loss_sweep.rows)
     g2_ep = lindblad_stats(fig2, 8.9).g2
     ok = within(g2_zero, 0.23, 0.20) and within(g2_max, 1.42, 0.20) and g2_ep < 0.5
     report(5, "blockade endpoints",

@@ -21,7 +21,6 @@ from kerrdimer.liouvillian import (
     lep_locate,
     steady_state,
     unvec,
-    vec,
 )
 from kerrdimer.model import SystemParams, build_hamiltonian, preset, si_reference_rates
 from kerrdimer.observables import photon_statistics
@@ -40,6 +39,11 @@ def tracked(p, gamma_tip):
     return pg.with_(delta=resolve_delta(pg, "track_upper_branch"))
 
 
+def vec(rho):
+    """Column-stacked rho: rho[r, c] at index c*d + r, as the generators act on it."""
+    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+
+
 def dense(m):
     """A CSR matrix, the library's or scipy's, as a dense array through scipy."""
     return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape).toarray()
@@ -48,7 +52,7 @@ def dense(m):
 def product_read_pair(sop):
     """The coherence pair as the CSR product with a unit matrix reads it,
     with six norms: the oracle of ``coherence_sector_pair``'s direct read."""
-    d = sop.dim
+    d = sop.basis.size
     basis = sop.basis
     i00 = basis.index_of(0, 0)
     k = [i00 * d + basis.index_of(1, 0), i00 * d + basis.index_of(0, 1)]
@@ -128,7 +132,7 @@ def time_evolve(sop, rho0, t_grid, rtol=1e-8, atol=1e-12):
     if rho0.basis != sop.basis:
         raise ValueError("state and generator act on different bases")
 
-    d = sop.dim
+    d = sop.basis.size
     n = d * d
     lmat = sop.data
 
@@ -146,10 +150,11 @@ def time_evolve(sop, rho0, t_grid, rtol=1e-8, atol=1e-12):
     snap_tol = max(1e-8, 100 * rtol)
     out = []
     for k in range(len(t)):
-        z = sol.y[:n, k] + 1j * sol.y[n:, k]
-        rho = DensityMatrix(basis=sop.basis, data=unvec(z, d))
-        out.append(rho.validate(hermiticity_tol=snap_tol, trace_tol=snap_tol,
-                                psd_floor=-snap_tol))
+        rho = unvec(sol.y[:n, k] + 1j * sol.y[n:, k], d)
+        if (np.max(np.abs(rho - rho.conj().T)) > snap_tol or abs(np.trace(rho) - 1.0) > snap_tol
+                or np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -snap_tol):
+            raise ValueError(f"snapshot at t = {t[k]} is not a state within {snap_tol:.1e}")
+        out.append(DensityMatrix(basis=sop.basis, data=rho))
     return out
 
 
@@ -373,6 +378,17 @@ class TestSteadyState:
             with pytest.raises(DegenerateSteadyStateError):
                 steady_state(sop)
 
+    def test_zero_pivot_of_a_stack_of_one_reported(self, capfd):
+        # chi = J = gamma = 0: the top sector's block is exactly zero, so the
+        # LAPACK call of the stack of one fails, and that point's failure is
+        # the one raised, without output
+        p = params(chi=0.0, J=0.0, gamma_1=0.0, gamma_ex=0.0, gamma_2=0.0, delta=0.0)
+        sop = build_liouvillian(p, driven_basis((3, 3)))
+        with pytest.raises(DegenerateSteadyStateError,
+                           match="zero pivot in excitation-difference sector 5"):
+            steady_state(sop)
+        assert capfd.readouterr() == ("", "")
+
     def test_populations_match_analytic(self):
         # weak-drive oracle equivalence at preset strength
         basis = build_basis(per_mode=(5, 5))
@@ -586,7 +602,7 @@ class TestCoherenceBlock:
 
     def test_block_columns_have_no_off_block_entries(self):
         sop = self.undriven(4.0)
-        basis, d = sop.basis, sop.dim
+        basis, d = sop.basis, sop.basis.size
         i00 = basis.index_of(0, 0)
         k = [i00 * d + basis.index_of(1, 0), i00 * d + basis.index_of(0, 1)]
         cols = dense(sop.data)[:, k]
@@ -647,7 +663,7 @@ class TestCoherenceBlock:
         got = coherence_sector_pair(Superoperator(basis=sop.basis, data=as_scipy))
         assert got.eigenvalues.tobytes() == coherence_sector_pair(sop).eigenvalues.tobytes()
         # |2,0><0,0| fed from |0,0><0,0|, which no generator term does
-        basis, d = sop.basis, sop.dim
+        basis, d = sop.basis, sop.basis.size
         row, col = basis.index_of(0, 0) * d + basis.index_of(2, 0), basis.index_of(0, 0) * (d + 1)
         extra = sparse.csr_matrix(([1e-3], ([row], [col])), shape=lmat.shape)
         with pytest.raises(NumericalFailureError, match="not a build_liouvillian generator's"):

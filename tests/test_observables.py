@@ -16,7 +16,6 @@ from kerrdimer.observables import (
     PEAK_SADDLE_RATIO,
     detect_peaks,
     excitation_spectrum,
-    n0_normalization,
     photon_statistics,
     poisson_comparison,
 )
@@ -146,7 +145,8 @@ class TestExcitationSpectrum:
         assert spec.peak_count == 1
         assert spec.peak_deltas[0] == pytest.approx(0.0, abs=0.02)
         peak_value = np.nanmax(spec.s1)
-        expected = (4 * p.omega_drive_amp**2 / p.gamma1_prime**2) / n0_normalization(p)
+        n0 = p.omega_drive_amp**2 / (p.gamma1_prime + p.gamma2_prime) ** 2
+        expected = (4 * p.omega_drive_amp**2 / p.gamma1_prime**2) / n0
         assert peak_value == pytest.approx(expected, rel=1e-3)
 
     def test_split_modes_at_zero_tip_loss(self):
@@ -187,7 +187,7 @@ class TestExcitationSpectrum:
 
 def scalar_s1(p, deltas):
     """S1 point by point through the scalar closed form; NaN where singular."""
-    n0 = n0_normalization(p)
+    n0 = p.omega_drive_amp**2 / (p.gamma1_prime + p.gamma2_prime) ** 2
     out = []
     for d in deltas:
         try:
@@ -275,8 +275,6 @@ class TestAnalyticSpectrumKernel:
         with pytest.raises(ValueError, match=r"^no loss at gamma_tip=0\.0"):
             excitation_spectrum(params(gamma_1=1e-170, gamma_ex=0.0, gamma_2=0.0),
                                 np.linspace(-1, 1, 5))
-        with pytest.raises(ValueError, match=r"^no loss at gamma_tip=0\.0"):
-            n0_normalization(p)
 
     def test_zero_drive_undefined(self):
         with pytest.raises(ValueError, match="undefined"):
