@@ -319,16 +319,22 @@ def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True) ->
     the dense H, and each is summed as -i (H rho - rho H) + gamma_1' D[a_1]
     + gamma_2' D[a_2], left to right, as the sum of the sparse Kronecker
     products gives it; an entry that is zero at these parameters is stored.
+    The LEP search builds the first two terms once (``_liouvillian_in_gamma2``).
     """
     check_size(basis)
+    return _liouvillian_in_gamma2(p, basis, driven)(p.gamma2_prime)
+
+
+def _liouvillian_in_gamma2(p: SystemParams, basis: FockBasis, driven: bool):
+    """``build_liouvillian`` as a function of gamma_2': the sum of its first two
+    terms is built once, and each call adds gamma_2' D[a_2], bit for bit."""
     variant = "rotating_driven" if driven else "isolated"
     gen = _generator(basis, variant)
-    h = build_hamiltonian(p, basis, variant).data
-    h = np.append(h.ravel(), 0.0)
-    lind = (-1j * (h[gen.left] - h[gen.right]) + p.gamma1_prime * gen.diss[0]
-            + p.gamma2_prime * gen.diss[1])
+    h = np.append(build_hamiltonian(p, basis, variant).data.ravel(), 0.0)
+    fixed = -1j * (h[gen.left] - h[gen.right]) + p.gamma1_prime * gen.diss[0]
     n = basis.size ** 2
-    return Superoperator(basis=basis, data=CSRMatrix(lind, gen.indices, gen.indptr, (n, n)))
+    return lambda gamma2_prime: Superoperator(basis=basis, data=CSRMatrix(
+        fixed + gamma2_prime * gen.diss[1], gen.indices, gen.indptr, (n, n)))
 
 
 def _variant_of(basis: FockBasis, mat) -> str:
@@ -813,7 +819,8 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
     over gamma_tip, requires an interior gap minimum, refines it by
     golden-section search to ``LEP_TOL`` gamma_1', and checks the
     coalescence diagnostics (gap below ``LEP_GAP_THRESHOLD`` gamma_1',
-    eigenmatrix overlap above ``LEP_OVERLAP_THRESHOLD``).
+    eigenmatrix overlap above ``LEP_OVERLAP_THRESHOLD``). All of the generator
+    but gamma_2' D[a_2] is built once per search (``_liouvillian_in_gamma2``).
     """
     lo, hi = gamma_tip_range
     if not lo < hi:
@@ -821,13 +828,14 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
     if grid < 3:
         raise ValueError(f"grid must be an integer >= 3 to hold an interior gap "
                          f"minimum, got {grid}")
-    basis = build_basis(per_mode=LEP_CUTOFF)
+    gts = np.linspace(lo, hi, grid)
+    # checked once: SystemParams' error at the first rejected point (or gts[0])
+    p.with_(gamma_tip=float(gts[np.argmin(np.isfinite(gts) & (gts >= 0))]))
+    generator_at = _liouvillian_in_gamma2(p, build_basis(per_mode=LEP_CUTOFF), driven=False)
 
     def pair_at(gt: float) -> LiouvillianSpectrum:
-        sop = build_liouvillian(p.with_(gamma_tip=gt), basis, driven=False)
-        return coherence_sector_pair(sop)
+        return coherence_sector_pair(generator_at(p.gamma_2 + gt))
 
-    gts = np.linspace(lo, hi, grid)
     rows = []
     gaps = np.empty(grid)
     prev = None

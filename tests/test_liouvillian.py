@@ -10,8 +10,14 @@ from kerrdimer.analytic import steady_amplitudes
 from kerrdimer.experiments import resolve_delta
 from kerrdimer.hilbert import build_basis, mode_operator
 from kerrdimer.liouvillian import (
+    LEP_CUTOFF,
+    LEP_GAP_THRESHOLD,
+    LEP_OVERLAP_THRESHOLD,
+    LEP_TOL,
     DegenerateSteadyStateError,
     DensityMatrix,
+    LepNotFoundError,
+    LepResult,
     NumericalFailureError,
     ResourceLimitError,
     Superoperator,
@@ -24,7 +30,8 @@ from kerrdimer.liouvillian import (
 )
 from kerrdimer.model import SystemParams, build_hamiltonian, preset, si_reference_rates
 from kerrdimer.observables import photon_statistics
-from kerrdimer.spectral import hep_location, one_photon_eigensystem_closed
+from kerrdimer.search import golden_section_minimize
+from kerrdimer.spectral import hep_location, match_branches, one_photon_eigensystem_closed
 
 
 def params(**kw):
@@ -322,6 +329,21 @@ class TestUndrivenAssemblyCache:
         rows = np.repeat(np.arange(n), np.diff(gen.indptr))
         assert len(gen.indptr) == n + 1
         assert np.array_equal(rows * n + gen.indices, np.unique(np.concatenate(keys)))
+
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_generator_in_gamma2_is_build_liouvillian(self, driven):
+        # the LEP search builds all but gamma_2' D[a_2] once and adds that
+        # term per evaluation: each generator keeps build_liouvillian's bits
+        rng = np.random.default_rng(11)
+        for basis in (self.BASIS, driven_basis((5, 5))):
+            p = params(omega_c=0.4, gamma_tip=3.0, drive_phase=0.7)
+            at = liouvillian._liouvillian_in_gamma2(p, basis, driven)
+            for gt in [0.0, *rng.uniform(0.0, 12.0, 8), 6.1e5]:
+                want = build_liouvillian(p.with_(gamma_tip=gt), basis, driven=driven).data
+                got = at(p.gamma_2 + gt).data
+                assert got.data.tobytes() == want.data.tobytes(), (basis.size, gt)
+                assert got.indices is want.indices and got.indptr is want.indptr
+                assert got.shape == want.shape
 
     def test_lep_independent_of_earlier_scans(self):
         p = params()
@@ -670,6 +692,69 @@ class TestCoherenceBlock:
             coherence_sector_pair(Superoperator(basis=basis, data=(as_scipy + extra).tocsr()))
 
 
+def rebuilt_lep_locate(p, gamma_tip_range, grid):
+    """``lep_locate`` with the whole generator built anew at every
+    evaluation, from ``p.with_(gamma_tip=gt)``: the oracle of the search
+    that builds all but gamma_2' D[a_2] once."""
+    lo, hi = gamma_tip_range
+    if not lo < hi:
+        raise ValueError("gamma_tip_range must be increasing")
+    if grid < 3:
+        raise ValueError(f"grid must be an integer >= 3 to hold an interior gap "
+                         f"minimum, got {grid}")
+    basis = build_basis(per_mode=LEP_CUTOFF)
+
+    def pair_at(gt):
+        return coherence_sector_pair(build_liouvillian(p.with_(gamma_tip=gt), basis, driven=False))
+
+    gts = np.linspace(lo, hi, grid)
+    rows = []
+    gaps = np.empty(grid)
+    prev = None
+    for i, gt in enumerate(gts):
+        sp = pair_at(float(gt))
+        gaps[i] = sp.gap
+        pair = sp.eigenvalues
+        if prev is not None:
+            pair = pair[match_branches(prev, pair)]
+        prev = pair
+        for tag, lam in zip(("a", "b"), pair):
+            rows.append({
+                "gamma_tip": float(gt), "branch": tag,
+                "re_Lambda": lam.real, "im_Lambda": lam.imag,
+                "gap": sp.gap, "overlap": sp.overlap,
+            })
+    imin = int(np.argmin(gaps))
+    if imin == 0 or imin == grid - 1:
+        raise LepNotFoundError(f"no interior gap minimum in gamma_tip range [{lo}, {hi}]")
+    res = golden_section_minimize(
+        lambda gt: pair_at(gt).gap, float(gts[imin - 1]), float(gts[imin + 1]),
+        tol=LEP_TOL * p.gamma1_prime)
+    best = pair_at(res.x)
+    if best.gap > LEP_GAP_THRESHOLD * p.gamma1_prime or best.overlap < LEP_OVERLAP_THRESHOLD:
+        raise LepNotFoundError(
+            f"gap minimum at gamma_tip = {res.x:.6f} fails the coalescence "
+            f"criteria (gap {best.gap:.3e}, overlap {best.overlap:.6f})"
+        )
+    return LepResult(gamma_tip=res.x, gap=best.gap, overlap=best.overlap, grid_rows=rows)
+
+
+def lep_outcome(locate, p, window, grid):
+    """A search's result as bytes, signed zeros included, with the type of
+    every number; or the class and message of its error."""
+    def cell(value):
+        return type(value), value if isinstance(value, str) else np.float64(value).tobytes()
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # linspace over an infinite window
+            res = locate(p, window, grid)
+    except (ValueError, LepNotFoundError) as exc:
+        return type(exc), str(exc)
+    rows = [sorted((key, *cell(value)) for key, value in row.items()) for row in res.grid_rows]
+    return [cell(res.gamma_tip), cell(res.gap), cell(res.overlap)], rows
+
+
 class TestLepLocate:
     def test_preset_lep_matches_hep(self):
         p = params()
@@ -686,10 +771,84 @@ class TestLepLocate:
             assert abs(res.gamma_tip - hep) / hep < 0.02
 
     def test_not_found_outside_range(self):
-        from kerrdimer.liouvillian import LepNotFoundError
-
         with pytest.raises(LepNotFoundError):
             lep_locate(params(), (0.5, 3.0), grid=41)
+
+    @staticmethod
+    def random_case(rng):
+        p = SystemParams(chi=rng.uniform(0.0, 5.0), J=rng.uniform(0.0, 3.0),
+                         gamma_1=rng.uniform(0.0, 1.0), gamma_ex=rng.uniform(0.05, 1.0),
+                         gamma_2=rng.uniform(0.0, 1.5), gamma_tip=rng.uniform(0.0, 5.0),
+                         omega_drive_amp=rng.uniform(0.0, 0.1),
+                         omega_c=rng.uniform(-2.0, 2.0), delta=rng.uniform(-3.0, 3.0))
+        centre = hep_location(p.J, p.gamma1_prime, p.gamma_2) + rng.uniform(-0.5, 0.5)
+        half = rng.uniform(0.3, 1.5)
+        return p, (max(centre - half, 0.0), centre + half), int(rng.integers(3, 42))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_search_bit_for_bit(self, seed):
+        # every field and the window drawn, found or without an interior
+        # minimum: the bits of a whole generator build per evaluation
+        p, window, grid = self.random_case(np.random.default_rng(seed))
+        assert lep_outcome(lep_locate, p, window, grid) == lep_outcome(
+            rebuilt_lep_locate, p, window, grid)
+
+    def test_edge_cases_bit_for_bit(self):
+        p = params(omega_c=0.3, gamma_tip=2.0)
+        rates = ("chi", "J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip",
+                 "omega_drive_amp", "omega_c", "delta")
+        coalescence = "gap minimum at gamma_tip = "
+        cases = [
+            (p, (7.9, 9.9), 41, None),  # the preset search
+            (p.with_(J=0.0, chi=0.0, omega_c=0.0, gamma_2=0.0), (0.0, 2.0), 41, coalescence),
+            # every rate times 6.1e5, as under --units si
+            (p.with_(**{name: 6.1e5 * getattr(p, name) for name in rates}),
+             (7.9 * 6.1e5, 9.9 * 6.1e5), 41, None),
+            # J = 0 and gamma_2' = gamma_1' at a grid point: the block is a
+            # multiple of the identity there, and the overlap 0
+            (p.with_(J=0.0, gamma_2=0.25), (0.0, 1.5), 3, coalescence),
+            (p.with_(J=0.0, gamma_2=0.25), (0.25, 1.25), 41, coalescence),
+            (p, (0.5, 3.0), 41, "no interior gap minimum in gamma_tip range [0.5, 3.0]"),
+            (p, (-1.0, 3.0), 41, "gamma_tip must be >= 0"),
+            (p, (0.0, np.inf), 41, "gamma_tip must be finite, got nan"),
+            (p, (-np.inf, 3.0), 5, "gamma_tip must be finite, got nan"),
+            (p, (-1e308, 1e308), 5, "gamma_tip must be finite, got nan"),
+            (p, (3.0, 1.0), 41, "gamma_tip_range must be increasing"),
+            (p, (0.0, 3.0), 2, "grid must be an integer >= 3"),
+        ]
+        for *case, expect in cases:
+            got = lep_outcome(lep_locate, *case)
+            assert got == lep_outcome(rebuilt_lep_locate, *case), case
+            if expect is None:
+                assert isinstance(got[0], list), got
+            else:
+                assert got[0] in (ValueError, LepNotFoundError) and got[1].startswith(expect), got
+
+    def test_parameters_and_hamiltonian_once_per_search(self, monkeypatch):
+        calls = {"build_hamiltonian": 0, "with_": 0, "pair": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(liouvillian, "build_hamiltonian",
+                            counted("build_hamiltonian", build_hamiltonian))
+        monkeypatch.setattr(SystemParams, "with_", counted("with_", SystemParams.with_))
+        monkeypatch.setattr(liouvillian, "coherence_sector_pair",
+                            counted("pair", coherence_sector_pair))
+        p = params()
+        lep_locate(p, (7.9, 9.9), grid=5)  # fills the pattern caches
+        counts = []
+        for grid in (5, 41):
+            calls.update(dict.fromkeys(calls, 0))
+            assert lep_locate(p, (7.9, 9.9), grid=grid).gamma_tip == pytest.approx(8.9, abs=1e-3)
+            counts.append(dict(calls))
+        # the evaluations grow with the grid; the parameter copy and H do not
+        assert counts[1]["pair"] > counts[0]["pair"] > 5
+        for name in ("build_hamiltonian", "with_"):
+            assert counts[0][name] == counts[1][name] == 1, counts
 
 
 class TestTruncationCertificate:
