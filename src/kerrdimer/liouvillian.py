@@ -319,22 +319,22 @@ def build_liouvillian(p: SystemParams, basis: FockBasis, driven: bool = True) ->
     the dense H, and each is summed as -i (H rho - rho H) + gamma_1' D[a_1]
     + gamma_2' D[a_2], left to right, as the sum of the sparse Kronecker
     products gives it; an entry that is zero at these parameters is stored.
-    The LEP search builds the first two terms once (``_liouvillian_in_gamma2``).
+    The LEP search shares the first two terms (``_fixed_part``).
     """
     check_size(basis)
-    return _liouvillian_in_gamma2(p, basis, driven)(p.gamma2_prime)
+    gen, fixed = _fixed_part(p, basis, "rotating_driven" if driven else "isolated")
+    n = basis.size ** 2
+    return Superoperator(basis=basis, data=CSRMatrix(
+        fixed + p.gamma2_prime * gen.diss[1], gen.indices, gen.indptr, (n, n)))
 
 
-def _liouvillian_in_gamma2(p: SystemParams, basis: FockBasis, driven: bool):
-    """``build_liouvillian`` as a function of gamma_2': the sum of its first two
-    terms is built once, and each call adds gamma_2' D[a_2], bit for bit."""
-    variant = "rotating_driven" if driven else "isolated"
+def _fixed_part(p: SystemParams, basis: FockBasis, variant: str):
+    """The ``variant`` generator's ``_generator`` on the basis, and the part
+    of its data that gamma_2' leaves alone: -i (H rho - rho H) + gamma_1'
+    D[a_1], the first two terms of ``build_liouvillian``'s sum."""
     gen = _generator(basis, variant)
     h = np.append(build_hamiltonian(p, basis, variant).data.ravel(), 0.0)
-    fixed = -1j * (h[gen.left] - h[gen.right]) + p.gamma1_prime * gen.diss[0]
-    n = basis.size ** 2
-    return lambda gamma2_prime: Superoperator(basis=basis, data=CSRMatrix(
-        fixed + gamma2_prime * gen.diss[1], gen.indices, gen.indptr, (n, n)))
+    return gen, -1j * (h[gen.left] - h[gen.right]) + p.gamma1_prime * gen.diss[0]
 
 
 def _variant_of(basis: FockBasis, mat) -> str:
@@ -760,17 +760,49 @@ def _one_blas_thread():
 
 
 @functools.cache
-def _coherence_plan(basis: FockBasis, variant: str) -> tuple[np.ndarray, np.ndarray]:
+def _coherence_plan(basis: FockBasis, variant: str) -> np.ndarray:
     """Where the columns |1,0><0,0| and |0,1><0,0| of the ``variant``
     generator on the basis hold their entries: the data indices of their
-    2x2 block, row-major, and of their other entries. Cached per basis."""
+    2x2 block, row-major, then those of their other entries. Cached per basis."""
     gen = _generator(basis, variant)
     n = basis.size ** 2
     k = basis.index_of(0, 0) * basis.size + np.array([basis.index_of(1, 0), basis.index_of(0, 1)])
     rows = np.repeat(np.arange(n), np.diff(gen.indptr))
     # the dissipators' number terms store the diagonal, the hopping the rest
     block = np.searchsorted(rows * n + gen.indices, (k[:, None] * n + k).ravel())
-    return block, np.flatnonzero(np.isin(gen.indices, k) & ~np.isin(rows, k))
+    return np.concatenate([block, np.flatnonzero(np.isin(gen.indices, k) & ~np.isin(rows, k))])
+
+
+def _coherence_block(vals: np.ndarray) -> tuple:
+    """The coherence block [[a, b], [c, dd]] from the generator data at
+    ``_coherence_plan``'s indices, and half the distance of its eigenvalues,
+    root = sqrt(((a - dd) / 2)^2 + b c): (a, b, c, dd, root). The 2x2
+    arithmetic stays on numpy scalars: numpy's array arithmetic rounds some
+    blocks apart. Another nonzero entry of the block's columns is a
+    NumericalFailureError."""
+    if vals[4:].any():
+        raise NumericalFailureError("the single-photon coherence block is not invariant "
+                                    "under the generator (is it driven?)")
+    a, b, c, dd = vals[:4]
+    return a, b, c, dd, np.sqrt((0.5 * (a - dd)) ** 2 + b * c)
+
+
+def _block_pair(a, b, c, dd, root) -> LiouvillianSpectrum:
+    """The eigenvalues mean +- root of ``_coherence_block``'s 2x2 block, the
+    gap |2 root| and the overlap of the two unit eigenvectors."""
+    mean = 0.5 * (a + dd)
+    vals = np.array([mean + root, mean - root])
+    vecs = []
+    for i, lam in enumerate(vals):
+        # null vector of [[a - lam, b], [c, dd - lam]], built from
+        # whichever row gives the longer one (the first of equal ones)
+        u, w = np.array([b, lam - a]), np.array([lam - dd, c])
+        nu, nw = np.linalg.norm(u), np.linalg.norm(w)
+        v, nrm = (w, nw) if nw > nu else (u, nu)
+        # a zero null vector: the block is a multiple of the identity
+        vecs.append(np.eye(2, dtype=complex)[i] if nrm == 0.0 else v / nrm)
+    return LiouvillianSpectrum(eigenvalues=vals, gap=float(abs(2 * root)),
+                               overlap=float(abs(np.vdot(*vecs))))
 
 
 def coherence_sector_pair(sop: Superoperator) -> LiouvillianSpectrum:
@@ -781,34 +813,26 @@ def coherence_sector_pair(sop: Superoperator) -> LiouvillianSpectrum:
     2x2 block of L: its eigenvalues are -i times the one-photon eigenvalues
     of the non-Hermitian Hamiltonian, and their coalescence defines the
     tracked LEP. The block's two columns are read from the CSR data of a
-    ``build_liouvillian`` pattern (``_coherence_plan``). The eigenvalues
-    come from the closed 2x2 formula, which stays exact at the EP where a
+    ``build_liouvillian`` pattern (``_coherence_plan``); a nonzero entry
+    outside the block is a NumericalFailureError. The eigenvalues come from
+    the closed 2x2 formula (``_coherence_block``, ``_block_pair``, which
+    ``lep_locate`` evaluates too), which stays exact at the EP where a
     general eigensolver splits the pair by about sqrt(machine eps).
     """
-    block, rest = _coherence_plan(sop.basis, _variant_of(sop.basis, sop.data))
-    data = sop.data.data
-    if data[rest].any():
-        raise NumericalFailureError("the single-photon coherence block is not invariant "
-                                    "under the generator (is it driven?)")
-    a, b, c, dd = data[block]
-    mean = 0.5 * (a + dd)
-    root = np.sqrt((0.5 * (a - dd)) ** 2 + b * c)
-    vals = np.array([mean + root, mean - root])
+    idx = _coherence_plan(sop.basis, _variant_of(sop.basis, sop.data))
+    return _block_pair(*_coherence_block(sop.data.data[idx]))
 
-    def eigvec(i: int) -> np.ndarray:
-        # null vector of [[a - lam, b], [c, dd - lam]], built from
-        # whichever row gives the longer one (the first of equal ones)
-        lam = vals[i]
-        u, w = np.array([b, lam - a]), np.array([lam - dd, c])
-        nu, nw = np.linalg.norm(u), np.linalg.norm(w)
-        v, nrm = (w, nw) if nw > nu else (u, nu)
-        if nrm == 0.0:  # the block is a multiple of the identity
-            return np.eye(2, dtype=complex)[i]
-        return v / nrm
 
-    overlap = abs(np.vdot(eigvec(0), eigvec(1)))
-    return LiouvillianSpectrum(eigenvalues=vals, gap=float(abs(2 * root)),
-                               overlap=float(overlap))
+def _lep_evaluator(p: SystemParams, basis: FockBasis):
+    """The LEP search's evaluation on the undriven generator on ``basis``:
+    a function of gamma_tip that gives ``_coherence_block`` of the generator
+    at ``p.with_(gamma_tip=gamma_tip)``, bit for bit. Only the entries at
+    ``_coherence_plan``'s indices are summed, fixed + (gamma_2 + gamma_tip)
+    D[a_2], from the fixed part (``_fixed_part``) taken once here."""
+    gen, fixed = _fixed_part(p, basis, "isolated")
+    idx = _coherence_plan(basis, "isolated")
+    fixed, diss = fixed[idx], gen.diss[1][idx]
+    return lambda gamma_tip: _coherence_block(fixed + (p.gamma_2 + gamma_tip) * diss)
 
 
 def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
@@ -819,8 +843,14 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
     over gamma_tip, requires an interior gap minimum, refines it by
     golden-section search to ``LEP_TOL`` gamma_1', and checks the
     coalescence diagnostics (gap below ``LEP_GAP_THRESHOLD`` gamma_1',
-    eigenmatrix overlap above ``LEP_OVERLAP_THRESHOLD``). All of the generator
-    but gamma_2' D[a_2] is built once per search (``_liouvillian_in_gamma2``).
+    eigenmatrix overlap above ``LEP_OVERLAP_THRESHOLD``).
+
+    Each evaluation sums only the coherence block (``_lep_evaluator``); the
+    grid and the refined minimum take its pair as ``coherence_sector_pair``
+    does (``_block_pair``), the golden-section steps its gap alone. A
+    gamma_tip that ``SystemParams`` rejects, and a block that overflows the
+    float range at a grid point (its entries are linear in gamma_tip, so
+    largest at the window's ends), are ValueErrors, checked once per search.
     """
     lo, hi = gamma_tip_range
     if not lo < hi:
@@ -831,27 +861,29 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
     gts = np.linspace(lo, hi, grid)
     # checked once: SystemParams' error at the first rejected point (or gts[0])
     p.with_(gamma_tip=float(gts[np.argmin(np.isfinite(gts) & (gts >= 0))]))
-    generator_at = _liouvillian_in_gamma2(p, build_basis(per_mode=LEP_CUTOFF), driven=False)
-
-    def pair_at(gt: float) -> LiouvillianSpectrum:
-        return coherence_sector_pair(generator_at(p.gamma_2 + gt))
+    block_at = _lep_evaluator(p, build_basis(per_mode=LEP_CUTOFF))
 
     rows = []
     gaps = np.empty(grid)
     prev = None
-    for i, gt in enumerate(gts):
-        sp = pair_at(float(gt))
-        gaps[i] = sp.gap
-        pair = sp.eigenvalues
-        if prev is not None:  # nearest-neighbor continuation of branch tags
-            pair = pair[match_branches(prev, pair)]
-        prev = pair
-        for tag, lam in zip(("a", "b"), pair):
-            rows.append({
-                "gamma_tip": float(gt), "branch": tag,
-                "re_Lambda": lam.real, "im_Lambda": lam.imag,
-                "gap": sp.gap, "overlap": sp.overlap,
-            })
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i, gt in enumerate(gts):
+                sp = _block_pair(*block_at(float(gt)))
+                gaps[i] = sp.gap
+                pair = sp.eigenvalues
+                if prev is not None:  # nearest-neighbor continuation of branch tags
+                    pair = pair[match_branches(prev, pair)]
+                prev = pair
+                for tag, lam in zip(("a", "b"), pair):
+                    rows.append({
+                        "gamma_tip": float(gt), "branch": tag,
+                        "re_Lambda": lam.real, "im_Lambda": lam.imag,
+                        "gap": sp.gap, "overlap": sp.overlap,
+                    })
+    except FloatingPointError:
+        raise ValueError(f"the coherence block overflows the float range on the "
+                         f"gamma_tip range [{lo}, {hi}]") from None
 
     imin = int(np.argmin(gaps))
     if imin == 0 or imin == grid - 1:
@@ -859,9 +891,9 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
             f"no interior gap minimum in gamma_tip range [{lo}, {hi}]"
         )
     res = golden_section_minimize(
-        lambda gt: pair_at(gt).gap, float(gts[imin - 1]), float(gts[imin + 1]),
+        lambda gt: float(abs(2 * block_at(gt)[4])), float(gts[imin - 1]), float(gts[imin + 1]),
         tol=LEP_TOL * p.gamma1_prime)
-    best = pair_at(res.x)
+    best = _block_pair(*block_at(res.x))
     if best.gap > LEP_GAP_THRESHOLD * p.gamma1_prime or best.overlap < LEP_OVERLAP_THRESHOLD:
         raise LepNotFoundError(
             f"gap minimum at gamma_tip = {res.x:.6f} fails the coalescence "

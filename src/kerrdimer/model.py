@@ -83,6 +83,19 @@ class SystemParams:
         return replace(self, **changes)
 
 
+def _square(x: float, label: str) -> float:
+    """x**2 on x as a Python float (libm pow, as numpy's scalar ** 2); ValueError
+    with the ``label`` of the input where that overflows (Python raises
+    OverflowError for **, where numpy would warn; an infinite x gives inf)."""
+    try:
+        sq = float(x) ** 2
+    except OverflowError:
+        sq = float("inf")
+    if sq == float("inf"):
+        raise ValueError(f"{label}: its square is beyond the float range")
+    return sq
+
+
 def kerr_coefficient(wavelength: float, chi3_over_eps_r2: float, v_eff: float) -> float:
     """Kerr shift chi = 3*hbar*omega_c^2*(chi3/eps_r^2) / (4*eps0*V_eff), rad/s,
     from the resonance wavelength (m), chi3/eps_r^2 (m^2/V^2) and V_eff (m^3)."""

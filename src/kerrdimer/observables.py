@@ -16,7 +16,7 @@ from .liouvillian import (
     driven_basis,
     solve_points,
 )
-from .model import SystemParams
+from .model import SystemParams, _square
 
 __all__ = [
     "PhotonStatistics",
@@ -117,18 +117,6 @@ def _n0(omega: float, loss: float, gamma_tip: float) -> float:
     if den == 0.0:
         raise ValueError(f"no loss at gamma_tip={gamma_tip!r}: S1 = N1 / n0 is undefined")
     return _square(omega, f"drive amplitude Omega = {omega!r}") / den
-
-
-def _square(x: float, label: str) -> float:
-    """x**2 on a float; ValueError with the ``label`` of the input where that
-    overflows (Python raises OverflowError for **; an infinite x gives inf)."""
-    try:
-        sq = x**2
-    except OverflowError:
-        sq = float("inf")
-    if sq == float("inf"):
-        raise ValueError(f"{label}: its square is beyond the float range")
-    return sq
 
 
 def detect_peaks(y) -> list[int]:

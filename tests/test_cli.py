@@ -546,6 +546,40 @@ class TestExperimentCommands:
                        "float range\n")
         assert not (tmp_path / "out").exists()
 
+    BETA = "loss difference (gamma_2' - gamma_1') / 4"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep-loss", "--backend", "analytic", "--set", "J=1e200"),
+         "coupling J = 1e+200: its square is beyond the float range"),
+        (("sweep-loss", "--backend", "analytic", "--set", "gamma_1=1e200"),
+         f"{BETA} = -2.5e+199 at gamma_1' = 1e+200, gamma_2' = 0.1: its square is beyond "
+         "the float range"),
+        (("sweep-loss", "--backend", "analytic", "--set", "gamma_2=1e200"),
+         f"{BETA} = 2.5e+199 at gamma_1' = 1.0, gamma_2' = 1e+200: its square is beyond "
+         "the float range"),
+        (("critical-points", "--set", "J=1e200"),
+         "coupling J = 1e+200: its square is beyond the float range"),
+        (("eigen", "--set", "J=1e200"),
+         "coupling J = 1e+200: its square is beyond the float range"),
+        (("spectrum", "--set", "J=1e200"),
+         "coupling J = 1e+200: its square is beyond the float range"),
+        (("lep", "--range=0:1e308", "--grid", "5"),
+         "the coherence block overflows the float range on the gamma_tip range [0.0, 1e+308]"),
+        (("lep", "--range=0:1e160", "--grid", "5"),
+         "the coherence block overflows the float range on the gamma_tip range [0.0, 1e+160]"),
+        (("lep", "--range=0:5e154", "--grid", "5"),  # only the eigenvectors' norms overflow
+         "the coherence block overflows the float range on the gamma_tip range [0.0, 5e+154]"),
+    ], ids=["sweep-J", "sweep-gamma_1", "sweep-gamma_2", "critical-points-J", "eigen-J",
+            "spectrum-J", "lep-1e308", "lep-1e160", "lep-5e154"])
+    def test_overflowing_coupling_loss_or_window_is_config_error(self, tmp_path, capsys,
+                                                                 monkeypatch, argv, message):
+        # one line naming the input: no traceback and no numpy warning (each
+        # warning is shown once per process, so the record starts empty)
+        monkeypatch.setattr(warnings, "onceregistry", {})
+        code, _, err = run(capsys, *argv, "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"configuration error: {message}\n"
+
     @pytest.mark.parametrize("command", [("lep",), ("ep-agreement",), ("critical-points",)])
     def test_default_lep_window_without_gamma1_loss_is_config_error(self, tmp_path, capsys,
                                                                     command):
@@ -922,6 +956,31 @@ class TestBenchmarkContract:
             tally = gates.run(spec, codes, capsys.readouterr().out)
             assert tally.attempted > 0, name
             assert tally.failed == 0, (name, tally.failures)
+
+    def test_lep_scan_evaluations(self, tmp_path, monkeypatch):
+        # a seed-0 lep_scan makes 339 evaluations in 5 searches: 125 grid
+        # points (41 for lep, 21 for each of ep-agreement's 4 couplings) and
+        # 5 refined minima take the pair, 209 golden-section steps the gap
+        workloads = self.load("workloads", monkeypatch)
+        spec = workloads.build("lep_scan", 0, str(tmp_path))
+        calls = {"evaluation": 0, "pair": 0, "search": 0, "step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def refine(f, a, b, tol):
+            calls["search"] += 1
+            return golden_section_minimize(counted("step", f), a, b, tol=tol)
+
+        monkeypatch.setattr(liouvillian, "_coherence_block",
+                            counted("evaluation", liouvillian._coherence_block))
+        monkeypatch.setattr(liouvillian, "_block_pair", counted("pair", liouvillian._block_pair))
+        monkeypatch.setattr(liouvillian, "golden_section_minimize", refine)
+        assert [main(argv) for argv in spec["commands"]] == [0, 0]
+        assert calls == {"evaluation": 339, "pair": 130, "search": 5, "step": 209}
 
     def test_workload_commands_parse(self, tmp_path, monkeypatch):
         workloads = self.load("workloads", monkeypatch)

@@ -1,7 +1,9 @@
+import contextlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
@@ -332,18 +334,18 @@ class TestUndrivenAssemblyCache:
 
     @pytest.mark.parametrize("driven", [False, True])
     def test_generator_in_gamma2_is_build_liouvillian(self, driven):
-        # the LEP search builds all but gamma_2' D[a_2] once and adds that
-        # term per evaluation: each generator keeps build_liouvillian's bits
+        # the fixed part taken at one gamma_tip, plus gamma_2' D[a_2], is
+        # build_liouvillian's data at any other, bit for bit
         rng = np.random.default_rng(11)
+        variant = "rotating_driven" if driven else "isolated"
         for basis in (self.BASIS, driven_basis((5, 5))):
             p = params(omega_c=0.4, gamma_tip=3.0, drive_phase=0.7)
-            at = liouvillian._liouvillian_in_gamma2(p, basis, driven)
+            gen, fixed = liouvillian._fixed_part(p, basis, variant)
             for gt in [0.0, *rng.uniform(0.0, 12.0, 8), 6.1e5]:
                 want = build_liouvillian(p.with_(gamma_tip=gt), basis, driven=driven).data
-                got = at(p.gamma_2 + gt).data
-                assert got.data.tobytes() == want.data.tobytes(), (basis.size, gt)
-                assert got.indices is want.indices and got.indptr is want.indptr
-                assert got.shape == want.shape
+                got = fixed + (p.gamma_2 + gt) * gen.diss[1]
+                assert got.tobytes() == want.data.tobytes(), (basis.size, gt)
+                assert gen.indices is want.indices and gen.indptr is want.indptr
 
     def test_lep_independent_of_earlier_scans(self):
         p = params()
@@ -825,7 +827,7 @@ class TestLepLocate:
                 assert got[0] in (ValueError, LepNotFoundError) and got[1].startswith(expect), got
 
     def test_parameters_and_hamiltonian_once_per_search(self, monkeypatch):
-        calls = {"build_hamiltonian": 0, "with_": 0, "pair": 0}
+        calls = {"build_hamiltonian": 0, "with_": 0, "evaluation": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -836,8 +838,8 @@ class TestLepLocate:
         monkeypatch.setattr(liouvillian, "build_hamiltonian",
                             counted("build_hamiltonian", build_hamiltonian))
         monkeypatch.setattr(SystemParams, "with_", counted("with_", SystemParams.with_))
-        monkeypatch.setattr(liouvillian, "coherence_sector_pair",
-                            counted("pair", coherence_sector_pair))
+        monkeypatch.setattr(liouvillian, "_coherence_block",
+                            counted("evaluation", liouvillian._coherence_block))
         p = params()
         lep_locate(p, (7.9, 9.9), grid=5)  # fills the pattern caches
         counts = []
@@ -846,9 +848,46 @@ class TestLepLocate:
             assert lep_locate(p, (7.9, 9.9), grid=grid).gamma_tip == pytest.approx(8.9, abs=1e-3)
             counts.append(dict(calls))
         # the evaluations grow with the grid; the parameter copy and H do not
-        assert counts[1]["pair"] > counts[0]["pair"] > 5
+        assert counts[1]["evaluation"] > counts[0]["evaluation"] > 5
         for name in ("build_hamiltonian", "with_"):
             assert counts[0][name] == counts[1][name] == 1, counts
+
+    @given(chi=st.floats(-5.0, 5.0), J=st.floats(0.5, 4.0), gamma_1=st.floats(0.0, 1.0),
+           gamma_ex=st.floats(0.05, 1.0), gamma_2=st.floats(0.0, 1.5),
+           omega_c=st.floats(-2.0, 2.0), own_tip=st.floats(0.0, 5.0),
+           gamma_tip=st.floats(0.0, 50.0))
+    @settings(deadline=None)
+    def test_evaluator_is_the_pair_of_a_built_generator(self, chi, J, gamma_1, gamma_ex,
+                                                        gamma_2, omega_c, own_tip, gamma_tip):
+        # the search's evaluator, whatever gamma_tip its parameters carry, is
+        # coherence_sector_pair of the whole generator at gamma_tip, bit for
+        # bit; the golden-section objective is that pair's gap
+        p = SystemParams(chi=chi, J=J, gamma_1=gamma_1, gamma_ex=gamma_ex, gamma_2=gamma_2,
+                         gamma_tip=own_tip, omega_drive_amp=0.01, omega_c=omega_c)
+        basis = build_basis(per_mode=LEP_CUTOFF)
+        want = coherence_sector_pair(build_liouvillian(p.with_(gamma_tip=gamma_tip), basis,
+                                                       driven=False))
+        got = liouvillian._block_pair(*liouvillian._lep_evaluator(p, basis)(gamma_tip))
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+        assert (np.array([got.gap, got.overlap]).tobytes()
+                == np.array([want.gap, want.overlap]).tobytes())
+        # the refinement's objective, taken from a search whose grid centre
+        # is the HEP, an interior minimum (J >= 0.5 keeps the HEP above 0)
+        objectives = []
+
+        def capture(f, a, b, tol):
+            objectives.append(f)
+            return golden_section_minimize(f, a, b, tol=tol)
+
+        hep = hep_location(J, p.gamma1_prime, gamma_2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(liouvillian, "golden_section_minimize", capture)
+            with contextlib.suppress(LepNotFoundError):
+                lep_locate(p, (0.5 * hep, 1.5 * hep), grid=5)
+        (gap_at,) = objectives
+        gap = gap_at(gamma_tip)
+        assert type(gap) is float
+        assert np.float64(gap).tobytes() == np.float64(want.gap).tobytes()
 
 
 class TestTruncationCertificate:
