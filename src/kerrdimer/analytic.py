@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .model import SystemParams, _square
+from .model import SystemParams
 
 __all__ = [
     "Intermediates",
@@ -143,7 +143,7 @@ def _intermediates(p: SystemParams, delta, g2p) -> Intermediates:
     d4 = d1 + 2 * p.chi
     d5 = 2 * d3 + d2
     d6 = d1 + 2 * d2
-    J2 = _square(p.J, f"coupling J = {p.J!r}")
+    J2 = float(p.J) ** 2
     eta1 = _cmul(d1, d2) - J2
     xi1 = _cmul(d1, d3) + _cmul(d2, d3) - J2
     eta2 = _cmul(2 * xi1, d2) - 2 * J2 * d3

@@ -229,24 +229,24 @@ def _build_config(args) -> RunConfig:
 def _run_sweep_loss(rc: RunConfig, args) -> int:
     grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid")
 
-    def sweep(run: RunConfig, path, **extra) -> list:
-        table = sweep_loss(run.params, grid, protocol=run.protocol, backends=run.backends,
-                           cutoff=run.cutoff)
-        run.write(path, table.columns, table.rows, experiment="sweep_loss",
-                  gamma_tip_grid=_grid_record(grid), excitation_cap=table.excitation_cap, **extra)
-        return table.failures
+    def sweep(run: RunConfig, **extra) -> tuple:
+        return run, sweep_loss(run.params, grid, protocol=run.protocol,
+                               backends=run.backends, cutoff=run.cutoff), extra
 
-    path = rc.path(rc.preset_cfg["dataset"])
-    failures = sweep(rc, path)
-    written = [str(path)]
-
+    runs = [sweep(rc)]
     if rc.preset_cfg.get("emit_fixed_delta_twin") and rc.protocol == "track_upper_branch":
         # same sweep under a frozen detuning (the tracked value at gamma_tip = 0)
         fixed = ("fixed", loss_point(rc.params, grid[0], rc.protocol).delta)
-        twin_path = companion_path(path, "_fixed_delta.csv")
-        failures += sweep(replace(rc, protocol=fixed), twin_path,
-                          note="fixed-detuning companion sweep")
-        written.append(twin_path)
+        runs.append(sweep(replace(rc, protocol=fixed), note="fixed-detuning companion sweep"))
+
+    # the path makes the directory: only once every sweep has run
+    path = rc.path(rc.preset_cfg["dataset"])
+    written = [str(path), companion_path(path, "_fixed_delta.csv")][:len(runs)]
+    failures = []
+    for (run, table, extra), out in zip(runs, written):
+        run.write(out, table.columns, table.rows, experiment="sweep_loss",
+                  gamma_tip_grid=_grid_record(grid), excitation_cap=table.excitation_cap, **extra)
+        failures += table.failures
 
     for gt, error, message in failures:
         print(f"sweep-loss: lindblad point gamma_tip={gt!r} failed: {error}: {message}",

@@ -162,15 +162,19 @@ def _sweep_columns(backends) -> list[str]:
 def lep_window(p: SystemParams, halfwidth: float) -> tuple[float, float]:
     """LEP search window: the HEP +- ``halfwidth`` gamma_1', clamped at 0.
     LepNotFoundError if no part of it lies above gamma_tip = 0; ValueError
-    if gamma_1' = 0 (and the HEP lies above 0), where the window has no width."""
+    where it has no width: at gamma_1' = 0, or where its ends round to one float."""
     hep = hep_location(p.J, p.gamma1_prime, p.gamma_2)
     half = halfwidth * p.gamma1_prime
     if hep + half <= 0:
         raise LepNotFoundError(f"no physical EP: the HEP lies at gamma_tip = {hep!r}")
+    lo, hi = max(hep - half, 0.0), hep + half
     if p.gamma1_prime == 0.0:
         raise ValueError(f"gamma_1' = 0: the LEP window, the HEP +- {halfwidth!r} gamma_1', "
                          "has no width")
-    return max(hep - half, 0.0), hep + half
+    if not lo < hi:
+        raise ValueError(f"the LEP window, the HEP {hep!r} +- {half!r} ({halfwidth!r} "
+                         "gamma_1'), rounds to one float: it has no width")
+    return lo, hi
 
 
 def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import FockBasis, build_basis, mode_operator
-from .model import SystemParams, build_hamiltonian
+from .model import MAX_MAGNITUDE, SystemParams, build_hamiltonian
 from .search import golden_section_minimize
 from .spectral import match_branches
 
@@ -847,10 +847,9 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
 
     Each evaluation sums only the coherence block (``_lep_evaluator``); the
     grid and the refined minimum take its pair as ``coherence_sector_pair``
-    does (``_block_pair``), the golden-section steps its gap alone. A
-    gamma_tip that ``SystemParams`` rejects, and a block that overflows the
-    float range at a grid point (its entries are linear in gamma_tip, so
-    largest at the window's ends), are ValueErrors, checked once per search.
+    does (``_block_pair``), the golden-section steps its gap alone. A grid
+    point that ``SystemParams`` rejects is its ValueError, checked once per
+    search.
     """
     lo, hi = gamma_tip_range
     if not lo < hi:
@@ -860,30 +859,25 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
                          f"minimum, got {grid}")
     gts = np.linspace(lo, hi, grid)
     # checked once: SystemParams' error at the first rejected point (or gts[0])
-    p.with_(gamma_tip=float(gts[np.argmin(np.isfinite(gts) & (gts >= 0))]))
+    p.with_(gamma_tip=float(gts[np.argmin((gts >= 0) & (gts <= MAX_MAGNITUDE))]))
     block_at = _lep_evaluator(p, build_basis(per_mode=LEP_CUTOFF))
 
     rows = []
     gaps = np.empty(grid)
     prev = None
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for i, gt in enumerate(gts):
-                sp = _block_pair(*block_at(float(gt)))
-                gaps[i] = sp.gap
-                pair = sp.eigenvalues
-                if prev is not None:  # nearest-neighbor continuation of branch tags
-                    pair = pair[match_branches(prev, pair)]
-                prev = pair
-                for tag, lam in zip(("a", "b"), pair):
-                    rows.append({
-                        "gamma_tip": float(gt), "branch": tag,
-                        "re_Lambda": lam.real, "im_Lambda": lam.imag,
-                        "gap": sp.gap, "overlap": sp.overlap,
-                    })
-    except FloatingPointError:
-        raise ValueError(f"the coherence block overflows the float range on the "
-                         f"gamma_tip range [{lo}, {hi}]") from None
+    for i, gt in enumerate(gts):
+        sp = _block_pair(*block_at(float(gt)))
+        gaps[i] = sp.gap
+        pair = sp.eigenvalues
+        if prev is not None:  # nearest-neighbor continuation of branch tags
+            pair = pair[match_branches(prev, pair)]
+        prev = pair
+        for tag, lam in zip(("a", "b"), pair):
+            rows.append({
+                "gamma_tip": float(gt), "branch": tag,
+                "re_Lambda": lam.real, "im_Lambda": lam.imag,
+                "gap": sp.gap, "overlap": sp.overlap,
+            })
 
     imin = int(np.argmin(gaps))
     if imin == 0 or imin == grid - 1:

@@ -43,11 +43,18 @@ EPSILON_0 = 8.8541878188e-12
 _RATE_FIELDS = frozenset(("J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip", "omega_drive_amp"))
 _FLOAT_FIELDS = ("chi", "J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip",
                  "omega_drive_amp", "omega_c", "delta", "drive_phase")
+# the largest magnitude of any of them: the closed form's largest products are
+# of degree 9 in them (eta1 * eta2 * mu in the three-photon amplitudes), so at
+# 1e30 they stay below about 1e280, under the float limit of 1.8e308; the
+# paper's rates are of order gamma_1' (about 1e6 rad/s in SI)
+MAX_MAGNITUDE = 1e30
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """All rates and drive settings of the two-resonator model (rad/s)."""
+    """All rates and drive settings of the two-resonator model (rad/s), the
+    one admissible range of its numbers: each finite and at most
+    ``MAX_MAGNITUDE`` in magnitude, the rates >= 0; a ValueError names the field."""
 
     chi: float
     J: float
@@ -68,6 +75,9 @@ class SystemParams:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value < 0 and name in _RATE_FIELDS:
                 raise ValueError(f"{name} must be >= 0")
+            if abs(value) > MAX_MAGNITUDE:
+                raise ValueError(f"{name} must be at most {MAX_MAGNITUDE:g} in magnitude, "
+                                 f"got {value!r}")
         if self.unit_system not in ("normalized", "si"):
             raise ValueError("unit_system must be 'normalized' or 'si'")
 
@@ -81,19 +91,6 @@ class SystemParams:
 
     def with_(self, **changes) -> "SystemParams":
         return replace(self, **changes)
-
-
-def _square(x: float, label: str) -> float:
-    """x**2 on x as a Python float (libm pow, as numpy's scalar ** 2); ValueError
-    with the ``label`` of the input where that overflows (Python raises
-    OverflowError for **, where numpy would warn; an infinite x gives inf)."""
-    try:
-        sq = float(x) ** 2
-    except OverflowError:
-        sq = float("inf")
-    if sq == float("inf"):
-        raise ValueError(f"{label}: its square is beyond the float range")
-    return sq
 
 
 def kerr_coefficient(wavelength: float, chi3_over_eps_r2: float, v_eff: float) -> float:

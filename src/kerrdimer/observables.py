@@ -16,7 +16,7 @@ from .liouvillian import (
     driven_basis,
     solve_points,
 )
-from .model import SystemParams, _square
+from .model import SystemParams
 
 __all__ = [
     "PhotonStatistics",
@@ -112,11 +112,11 @@ def _n0(omega: float, loss: float, gamma_tip: float) -> float:
     """Spectrum normalization n0 = Omega^2 / loss^2 at ``gamma_tip``, where
     loss = gamma_1' + gamma_2', on floats (libm pow; numpy's array ** 2 is
     x * x). ValueError where loss^2 is 0: no loss, or one so small that its
-    square underflows; and where Omega^2 or loss^2 is beyond the float range."""
-    den = _square(loss, f"loss gamma_1' + gamma_2' = {loss!r} at gamma_tip={gamma_tip!r}")
+    square underflows. Within ``SystemParams``' range neither square overflows."""
+    den = float(loss) ** 2
     if den == 0.0:
         raise ValueError(f"no loss at gamma_tip={gamma_tip!r}: S1 = N1 / n0 is undefined")
-    return _square(omega, f"drive amplitude Omega = {omega!r}") / den
+    return float(omega) ** 2 / den
 
 
 def detect_peaks(y) -> list[int]:
@@ -175,6 +175,9 @@ def _spectra(p: SystemParams, gamma_tips: np.ndarray, deltas: np.ndarray, backen
     one ``solve_points`` pool."""
     if deltas.size == 0:
         raise ValueError("delta grid must be nonempty")
+    # the grids skip SystemParams: checked once, at their largest magnitudes
+    p.with_(gamma_tip=float(gamma_tips[np.argmax(np.abs(gamma_tips))]),
+            delta=float(deltas[np.argmax(np.abs(deltas))]))
     g2p = p.gamma_2 + gamma_tips
     n0 = np.array([_n0(p.omega_drive_amp, loss, gt) for gt, loss
                    in zip(gamma_tips.tolist(), (p.gamma1_prime + g2p).tolist())])

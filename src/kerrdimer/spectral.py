@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import build_basis
-from .model import SystemParams, _square, build_hamiltonian
+from .model import SystemParams, build_hamiltonian
 
 __all__ = [
     "SubspaceEigensystem",
@@ -70,9 +70,7 @@ def one_photon_eigensystem_closed(p: SystemParams) -> SubspaceEigensystem:
     """
     g1p, g2p = p.gamma1_prime, p.gamma2_prime
     Gamma, beta = (g1p + g2p) / 4, (g2p - g1p) / 4
-    s = np.sqrt(complex(_square(p.J, f"coupling J = {p.J!r}") - _square(
-        beta, f"loss difference (gamma_2' - gamma_1') / 4 = {float(beta)!r} at "
-              f"gamma_1' = {float(g1p)!r}, gamma_2' = {float(g2p)!r}")))
+    s = np.sqrt(complex(float(p.J) ** 2 - float(beta) ** 2))
     lam = np.array([p.omega_c - 1j * Gamma + s, p.omega_c - 1j * Gamma - s])
 
     # eigenvectors of [[i*beta, J], [J, -i*beta]] in the ((0,1), (1,0)) state

@@ -30,6 +30,21 @@ VANISHING_N1_SPECTRUM = ("spectrum", "--set", "gamma_1=5e-15", "--set", "gamma_e
                          "--delta-grid=-2:2:401")
 
 
+@pytest.fixture(scope="module")
+def bytecheck():
+    """tools/bytecheck.py as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "bytecheck.py"
+    spec = importlib.util.spec_from_file_location("bytecheck", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def beyond(name, value):
+    """SystemParams' message for a number beyond its MAX_MAGNITUDE."""
+    return f"{name} must be at most 1e+30 in magnitude, got {value}"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -414,6 +429,43 @@ class TestExperimentCommands:
                 assert (tmp_path / "1" / name).read_bytes() == \
                     (tmp_path / "2" / name).read_bytes(), name
 
+    @pytest.mark.skipif(
+        "DYNAMIC_ARCH" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"].get(
+            "openblas configuration", ""),
+        reason="OPENBLAS_CORETYPE selects kernels only in a DYNAMIC_ARCH OpenBLAS")
+    def test_bytes_across_blas_kernels(self, tmp_path, bytecheck):
+        # OPENBLAS_CORETYPE=Prescott runs another CPU's BLAS kernels: the
+        # closed forms and the files around them keep their bytes, the
+        # master-equation and eigensolver numbers hold within 1e-12 relative
+        src = str(Path(kerrdimer.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        tolerant = {"lindblad_*": (1e-12, 1e-14)} | dict.fromkeys(
+            ("re_lambda", "im_lambda", "pop_*", "population"), (1e-12, 1e-14))
+        allow = [("*.csv", column, limit) for column, limit in tolerant.items()]
+        for argv in (("sweep-loss", "--backend", "both", "--cutoff", "3,3",
+                      "--gamma-tip-grid=0:12:5"), ("eigen",)):
+            runs = []
+            for kernel in (None, "Prescott"):
+                env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+                env.update(PYTHONPATH=path, **({"OPENBLAS_CORETYPE": kernel} if kernel else {}))
+                cwd = tmp_path / argv[0] / str(kernel)  # stdout names the relative "out"
+                cwd.mkdir(parents=True)
+                res = subprocess.run([sys.executable, "-m", "kerrdimer.cli", *argv,
+                                      "--output-dir", "out"],
+                                     cwd=cwd, env=env, capture_output=True, timeout=300)
+                assert res.returncode == 0, res.stderr
+                files = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+                runs.append((res.stdout, files))
+            (out_a, files_a), (out_b, files_b) = runs
+            assert out_a == out_b
+            assert sorted(files_a) == sorted(files_b)
+            assert any(name.endswith(".csv") for name in files_a)
+            for name, data in files_a.items():
+                if name.endswith(".csv"):
+                    assert bytecheck.compare_csv(name, data, files_b[name], allow)[0] == []
+                else:
+                    assert data == files_b[name], name
+
     def test_import_loads_no_scipy(self):
         # the library runs on numpy alone; scipy is a test oracle only
         src = str(Path(kerrdimer.__file__).resolve().parents[1])
@@ -527,8 +579,8 @@ class TestExperimentCommands:
                                           "--delta-grid=-1:1:5")])
     @pytest.mark.parametrize("backend", ["analytic", "lindblad"])
     @pytest.mark.parametrize("override, message", [
-        ("omega_drive_amp=1e200", "drive amplitude Omega = 1e+200"),
-        ("gamma_2=1e200", "loss gamma_1' + gamma_2' = 1e+200 at gamma_tip=0.0"),
+        ("omega_drive_amp=1e200", beyond("omega_drive_amp", "1e+200")),
+        ("gamma_2=1e200", beyond("gamma_2", "1e+200")),
     ])
     def test_overflowing_normalization_is_config_error(self, tmp_path, capsys, monkeypatch,
                                                        command, backend, override, message):
@@ -542,33 +594,22 @@ class TestExperimentCommands:
         code, _, err = run(capsys, *command, "--set", override, "--backend", backend,
                            "--output-dir", str(tmp_path / "out"))
         assert code == 2
-        assert err == (f"configuration error: {message}: its square is beyond the "
-                       "float range\n")
+        assert err == f"configuration error: {message}\n"
         assert not (tmp_path / "out").exists()
 
-    BETA = "loss difference (gamma_2' - gamma_1') / 4"
-
     @pytest.mark.parametrize("argv, message", [
-        (("sweep-loss", "--backend", "analytic", "--set", "J=1e200"),
-         "coupling J = 1e+200: its square is beyond the float range"),
+        (("sweep-loss", "--backend", "analytic", "--set", "J=1e200"), beyond("J", "1e+200")),
         (("sweep-loss", "--backend", "analytic", "--set", "gamma_1=1e200"),
-         f"{BETA} = -2.5e+199 at gamma_1' = 1e+200, gamma_2' = 0.1: its square is beyond "
-         "the float range"),
+         beyond("gamma_1", "1e+200")),
         (("sweep-loss", "--backend", "analytic", "--set", "gamma_2=1e200"),
-         f"{BETA} = 2.5e+199 at gamma_1' = 1.0, gamma_2' = 1e+200: its square is beyond "
-         "the float range"),
-        (("critical-points", "--set", "J=1e200"),
-         "coupling J = 1e+200: its square is beyond the float range"),
-        (("eigen", "--set", "J=1e200"),
-         "coupling J = 1e+200: its square is beyond the float range"),
-        (("spectrum", "--set", "J=1e200"),
-         "coupling J = 1e+200: its square is beyond the float range"),
-        (("lep", "--range=0:1e308", "--grid", "5"),
-         "the coherence block overflows the float range on the gamma_tip range [0.0, 1e+308]"),
-        (("lep", "--range=0:1e160", "--grid", "5"),
-         "the coherence block overflows the float range on the gamma_tip range [0.0, 1e+160]"),
-        (("lep", "--range=0:5e154", "--grid", "5"),  # only the eigenvectors' norms overflow
-         "the coherence block overflows the float range on the gamma_tip range [0.0, 5e+154]"),
+         beyond("gamma_2", "1e+200")),
+        (("critical-points", "--set", "J=1e200"), beyond("J", "1e+200")),
+        (("eigen", "--set", "J=1e200"), beyond("J", "1e+200")),
+        (("spectrum", "--set", "J=1e200"), beyond("J", "1e+200")),
+        # the LEP window: the first grid point beyond the bound
+        (("lep", "--range=0:1e308", "--grid", "5"), beyond("gamma_tip", "2.5e+307")),
+        (("lep", "--range=0:1e160", "--grid", "5"), beyond("gamma_tip", "2.5e+159")),
+        (("lep", "--range=0:5e154", "--grid", "5"), beyond("gamma_tip", "1.25e+154")),
     ], ids=["sweep-J", "sweep-gamma_1", "sweep-gamma_2", "critical-points-J", "eigen-J",
             "spectrum-J", "lep-1e308", "lep-1e160", "lep-5e154"])
     def test_overflowing_coupling_loss_or_window_is_config_error(self, tmp_path, capsys,
@@ -579,6 +620,47 @@ class TestExperimentCommands:
         code, _, err = run(capsys, *argv, "--output-dir", str(tmp_path / "out"))
         assert code == 2
         assert err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        # each of these ended in a traceback
+        (("sweep-loss", "--backend", "analytic", "--set", "J=1e120"), beyond("J", "1e+120")),
+        (("critical-points", "--set", "J=1e120"), beyond("J", "1e+120")),
+        (("sweep-loss", "--backend", "lindblad", "--cutoff", "3,3", "--gamma-tip-grid=0:12:3",
+          "--set", "J=1e120"), beyond("J", "1e+120")),
+        (("validate", "--set", "gamma_1=1e100"), beyond("gamma_1", "1e+100")),
+        # each of these wrote NaN or junk cells behind numpy warnings
+        (("sweep-loss", "--backend", "analytic", "--set", "gamma_1=1e120"),
+         beyond("gamma_1", "1e+120")),
+        (("spectrum", "--set", "gamma_1=1e100", "--gamma-tip", "0"), beyond("gamma_1", "1e+100")),
+        (("spectrum", "--delta-grid=-1e200:1e200:5", "--gamma-tip", "0"),
+         beyond("delta", "-1e+200")),
+        (("eigen", "--set", "J=1e120"), beyond("J", "1e+120")),
+        # each of these said "gamma_tip_range must be increasing"
+        (("lep", "--set", "J=1e120"), beyond("J", "1e+120")),
+        (("ep-agreement", "--j-grid", "1e120"), beyond("J", "1e+120")),
+    ], ids=["sweep-J", "critical-points-J", "sweep-lindblad-J", "validate-gamma_1",
+            "sweep-gamma_1", "spectrum-gamma_1", "spectrum-delta", "eigen-J", "lep-J",
+            "ep-agreement-J"])
+    def test_number_beyond_the_range_is_one_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         argv, message):
+        # SystemParams' bound, whether the number comes from --set or a grid
+        monkeypatch.setattr(warnings, "onceregistry", {})
+        code, _, err = run(capsys, *argv, "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"configuration error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [("lep", "--set", "J=1e20"),
+                                      ("ep-agreement", "--j-grid", "1,1e20")],
+                             ids=["lep", "ep-agreement"])
+    def test_lep_window_that_rounds_to_one_float_is_config_error(self, tmp_path, capsys, argv):
+        # HEP +- gamma_1' = 4e20 +- 1 are one float: the window has no width
+        code, _, err = run(capsys, *argv, "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err == ("configuration error: the LEP window, the HEP 4e+20 +- 1.0 "
+                       "(1.0 gamma_1'), rounds to one float: it has no width\n")
+        assert "increasing" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [("lep",), ("ep-agreement",), ("critical-points",)])
     def test_default_lep_window_without_gamma1_loss_is_config_error(self, tmp_path, capsys,
@@ -680,6 +762,15 @@ class TestOutputDirectory:
                          "--output-dir", str(tmp_path / "lepfail" / "out"))
         assert code == 1
         assert not (tmp_path / "lepfail").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep-loss", "--backend", "lindblad", "--cutoff", "2,2"),
+        ("sweep-loss", "--gamma-tip-grid=12:0:5"),
+    ], ids=["cutoff", "descending-grid"])
+    def test_failed_sweep_leaves_no_directory(self, tmp_path, capsys, argv):
+        code, _, err = run(capsys, *argv, "--output-dir", str(tmp_path / "sweep" / "out"))
+        assert code == 2, err
+        assert not (tmp_path / "sweep").exists()
 
     def test_validate_leaves_no_directory(self, tmp_path, capsys):
         code, _, _ = run(capsys, "validate", "--output-dir", str(tmp_path / "vdir"))
@@ -1004,14 +1095,6 @@ class TestBenchmarkContract:
 class TestBytecheck:
     """tools/bytecheck.py: its command list, and how it tells a declared
     difference from any other. The harness itself takes minutes."""
-
-    @pytest.fixture(scope="class")
-    def bytecheck(self):
-        path = Path(__file__).resolve().parents[1] / "tools" / "bytecheck.py"
-        spec = importlib.util.spec_from_file_location("bytecheck", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
     def test_commands_name_every_subcommand(self, bytecheck):
         from kerrdimer.cli import SUBCOMMANDS

@@ -815,6 +815,7 @@ class TestLepLocate:
             (p, (0.0, np.inf), 41, "gamma_tip must be finite, got nan"),
             (p, (-np.inf, 3.0), 5, "gamma_tip must be finite, got nan"),
             (p, (-1e308, 1e308), 5, "gamma_tip must be finite, got nan"),
+            (p, (0.0, 1e308), 5, "gamma_tip must be at most 1e+30 in magnitude, got 2.5e+307"),
             (p, (3.0, 1.0), 41, "gamma_tip_range must be increasing"),
             (p, (0.0, 3.0), 2, "grid must be an integer >= 3"),
         ]

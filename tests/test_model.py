@@ -1,10 +1,16 @@
+import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from kerrdimer import analytic
+from kerrdimer.analytic import SingularParameterError, steady_amplitudes
 from kerrdimer.hilbert import build_basis, mode_operator
+from kerrdimer.liouvillian import LEP_CUTOFF, _lep_evaluator, build_liouvillian
 from kerrdimer.model import (
+    MAX_MAGNITUDE,
     SystemParams,
     build_hamiltonian,
     drive_amplitude,
@@ -13,6 +19,7 @@ from kerrdimer.model import (
     preset_names,
     si_reference_rates,
 )
+from kerrdimer.spectral import _two_photon_closed_roots, one_photon_eigensystem_closed
 
 # CODATA 2018 values, written out so the oracle is independent of the
 # implementation's constant source
@@ -22,6 +29,10 @@ EPS0 = 8.8541878128e-12
 # chi for lambda = 1550 nm, chi^(3)/eps_r^2 = 2e-17 m^2/V^2, V_eff = 100 um^3,
 # evaluated directly from kerr_coefficient with CODATA 2022 constants
 CHI_SI_REFERENCE = 2638495.9760940145  # rad/s
+
+
+NUMBER_FIELDS = [f.name for f in fields(SystemParams) if f.name != "unit_system"]
+RATE_FIELDS = ("J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip", "omega_drive_amp")
 
 
 def params(**kw):
@@ -97,10 +108,52 @@ class TestSystemParams:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             params().with_(**{name: value})
 
+    @pytest.mark.parametrize("name", NUMBER_FIELDS)
+    def test_magnitude_bound(self, name):
+        beyond = float(np.nextafter(MAX_MAGNITUDE, np.inf))
+        signs = (1.0,) if name in RATE_FIELDS else (1.0, -1.0)
+        for sign in signs:
+            assert getattr(params(**{name: sign * MAX_MAGNITUDE}), name) == sign * MAX_MAGNITUDE
+            message = "^" + re.escape(f"{name} must be at most 1e+30 in magnitude, "
+                                      f"got {sign * beyond!r}") + "$"
+            with pytest.raises(ValueError, match=message):
+                params(**{name: sign * beyond})
+            with pytest.raises(ValueError, match=message):
+                params().with_(**{name: sign * beyond})
+
     def test_total_losses(self):
         p = params(gamma_1=0.3, gamma_ex=0.7, gamma_2=0.1, gamma_tip=2.0)
         assert p.gamma1_prime == pytest.approx(1.0)
         assert p.gamma2_prime == pytest.approx(2.1)
+
+
+class TestMagnitudeBound:
+    """At MAX_MAGNITUDE every closed form, the LEP evaluation and the
+    generator stay within the float range."""
+
+    def test_nothing_overflows_at_the_bound(self):
+        # each number alone at +-MAX_MAGNITUDE on the preset, then all together
+        p, _ = preset("paper_fig2")
+        alone = [p.with_(**{name: sign * MAX_MAGNITUDE}) for name in NUMBER_FIELDS
+                 for sign in (1.0, -1.0) if sign > 0 or name not in RATE_FIELDS]
+        together = [p.with_(**{name: (sign if name not in RATE_FIELDS else 1.0) * MAX_MAGNITUDE
+                               for name in NUMBER_FIELDS}) for sign in (1.0, -1.0)]
+        cases = alone + together
+        assert len(cases) == 16
+        basis = build_basis(per_mode=(3, 3))
+        for p in cases:
+            with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+                warnings.simplefilter("ignore", UserWarning)  # the strong drive's warning
+                try:
+                    steady_amplitudes(p)
+                except SingularParameterError:
+                    # a verdict relative to the largest number, not an
+                    # overflow: the amplitudes are still computed
+                    analytic._amplitudes(p, analytic._intermediates(p, p.delta, p.gamma2_prime))
+                one_photon_eigensystem_closed(p)
+                _two_photon_closed_roots(p)
+                _lep_evaluator(p, build_basis(per_mode=LEP_CUTOFF))(MAX_MAGNITUDE)
+                build_liouvillian(p, basis)
 
 
 class TestBuildHamiltonian:
