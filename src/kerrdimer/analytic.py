@@ -38,6 +38,10 @@ AMPLITUDE_STATES = (
 
 WEAK_DRIVE_WARNING_RATIO = 0.1
 UNDEFINED_N1_FLOOR = 1e-30
+# the largest N1 whose cube, the denominator of g3, stays within the float
+# range; beyond it (a drive far past the weak-drive regime) g2 and g3 are
+# undefined, as where N1 vanishes
+N1_CEILING = np.finfo(float).max ** (1 / 3)
 SQRT2, SQRT6 = np.sqrt(2), np.sqrt(6)
 
 
@@ -270,9 +274,10 @@ def analytic_observables(amps: AmplitudeSet) -> AnalyticObservables:
     leading-order 2*P20/P10^2, whose algebra collapses to exactly 1 for a
     linear system. g3 = 6*P30 / N1^3.
 
-    Scalar amplitudes raise ValueError where N1 vanishes. Array amplitudes
-    give array observables; there the caller masks elements with
-    N1 < UNDEFINED_N1_FLOOR, whose correlators are not finite.
+    Scalar amplitudes raise ValueError where N1 vanishes or exceeds
+    ``N1_CEILING``. Array amplitudes give array observables; there the
+    caller masks elements whose N1 is not within [UNDEFINED_N1_FLOOR,
+    N1_CEILING], whose correlators are not finite or not meaningful.
     """
     array = type(amps.c10) is np.ndarray
     with np.errstate(all="ignore") if array else nullcontext():
@@ -284,6 +289,9 @@ def analytic_observables(amps: AmplitudeSet) -> AnalyticObservables:
             p10 = np.where(p10 > 0, p10, np.nan)
         elif n1 < UNDEFINED_N1_FLOOR:
             raise ValueError("N1 vanishes: correlation functions are undefined")
+        elif not n1 <= N1_CEILING:
+            raise ValueError(f"N1 = {n1:.3e} exceeds {N1_CEILING:.3e}: N1^3, the "
+                             "denominator of g3, is beyond the float range")
         elif not p10 > 0:
             p10 = np.nan
         g2 = (2 * P[(2, 0)] + 6 * P[(3, 0)] + 2 * P[(2, 1)]) / _pow(n1, 2)

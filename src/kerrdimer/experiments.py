@@ -20,6 +20,7 @@ import numpy as np
 
 from .analytic import (
     AMPLITUDE_STATES,
+    N1_CEILING,
     UNDEFINED_N1_FLOOR,
     amplitude_arrays,
     analytic_observables,
@@ -250,13 +251,15 @@ def _lindblad_columns(rho) -> dict:
 def _fill_analytic(rows: list[dict], p: SystemParams, gts: np.ndarray) -> None:
     """Analytic columns of every sweep row from one closed-form evaluation.
 
-    A row whose closed form is singular or whose N1 vanishes gets
+    A row whose closed form is singular, or whose N1 vanishes or exceeds
+    ``N1_CEILING`` (where g2 and g3 are undefined, as
+    ``analytic_observables`` raises for a scalar point), gets
     ``analytic_failed = 1`` and blank analytic cells.
     """
     deltas = np.array([row["delta_used"] for row in rows])
     amps, singular = amplitude_arrays(p, deltas, p.gamma_2 + gts)
     obs = analytic_observables(amps)
-    failed = singular | (obs.n1 < UNDEFINED_N1_FLOOR)
+    failed = singular | ~((obs.n1 >= UNDEFINED_N1_FLOOR) & (obs.n1 <= N1_CEILING))
     columns = {"analytic_n1": obs.n1, "analytic_n2": obs.n2, "analytic_g2": obs.g2,
                "analytic_g3": obs.g3, "analytic_g2_approx": obs.g2_approx}
     columns.update({f"analytic_p{m}{n}": pr for (m, n), pr in amps.populations().items()})

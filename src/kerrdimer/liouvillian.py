@@ -202,12 +202,37 @@ class LiouvillianSpectrum:
 
 @dataclass(frozen=True)
 class LepResult:
-    """Located Liouvillian EP with its coalescence diagnostics."""
+    """Located Liouvillian EP with its coalescence diagnostics, and the
+    scan it was found on: each grid point's gamma_tip and coherence block
+    (``_coherence_block``). The scan's rows (``grid_rows``) are computed
+    from those blocks when first read."""
 
     gamma_tip: float
     gap: float
     overlap: float
-    grid_rows: list[dict] = field(hash=False, compare=False)
+    grid_gamma_tips: np.ndarray = field(repr=False, hash=False, compare=False)
+    grid_blocks: list[tuple] = field(repr=False, hash=False, compare=False)
+
+    @functools.cached_property
+    def grid_rows(self) -> list[dict]:
+        """Two rows per grid point, one per branch of the pair (as
+        ``coherence_sector_pair`` computes it), tagged "a" and "b" by
+        nearest-neighbour continuation from the first point."""
+        rows = []
+        prev = None
+        for gt, block in zip(self.grid_gamma_tips, self.grid_blocks):
+            sp = _block_pair(*block)
+            pair = sp.eigenvalues
+            if prev is not None:
+                pair = pair[match_branches(prev, pair)]
+            prev = pair
+            for tag, lam in zip(("a", "b"), pair):
+                rows.append({
+                    "gamma_tip": float(gt), "branch": tag,
+                    "re_Lambda": lam.real, "im_Lambda": lam.imag,
+                    "gap": sp.gap, "overlap": sp.overlap,
+                })
+        return rows
 
 
 def excitation_cap(cutoff: tuple[int, int]) -> int:
@@ -805,6 +830,11 @@ def _block_pair(a, b, c, dd, root) -> LiouvillianSpectrum:
                                overlap=float(abs(np.vdot(*vecs))))
 
 
+def _block_gap(block: tuple) -> float:
+    """The gap |2 root| of a ``_coherence_block``, as ``_block_pair`` gives it."""
+    return float(abs(2 * block[4]))
+
+
 def coherence_sector_pair(sop: Superoperator) -> LiouvillianSpectrum:
     """Eigenvalue pair of the one-excitation x vacuum coherence block.
 
@@ -845,11 +875,13 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
     coalescence diagnostics (gap below ``LEP_GAP_THRESHOLD`` gamma_1',
     eigenmatrix overlap above ``LEP_OVERLAP_THRESHOLD``).
 
-    Each evaluation sums only the coherence block (``_lep_evaluator``); the
-    grid and the refined minimum take its pair as ``coherence_sector_pair``
-    does (``_block_pair``), the golden-section steps its gap alone. A grid
-    point that ``SystemParams`` rejects is its ValueError, checked once per
-    search.
+    Each evaluation sums only the coherence block (``_lep_evaluator``).
+    The grid scan and the golden-section steps take its gap alone, |2 root|
+    as ``_block_pair`` computes it; only the refined minimum takes the whole
+    pair (``_block_pair``). The result keeps the grid's blocks, so the
+    eigenvalues, eigenvectors and overlap of its rows are computed only
+    where ``LepResult.grid_rows`` is read. A grid point that
+    ``SystemParams`` rejects is its ValueError, checked once per search.
     """
     lo, hi = gamma_tip_range
     if not lo < hi:
@@ -861,31 +893,14 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
     # checked once: SystemParams' error at the first rejected point (or gts[0])
     p.with_(gamma_tip=float(gts[np.argmin((gts >= 0) & (gts <= MAX_MAGNITUDE))]))
     block_at = _lep_evaluator(p, build_basis(per_mode=LEP_CUTOFF))
-
-    rows = []
-    gaps = np.empty(grid)
-    prev = None
-    for i, gt in enumerate(gts):
-        sp = _block_pair(*block_at(float(gt)))
-        gaps[i] = sp.gap
-        pair = sp.eigenvalues
-        if prev is not None:  # nearest-neighbor continuation of branch tags
-            pair = pair[match_branches(prev, pair)]
-        prev = pair
-        for tag, lam in zip(("a", "b"), pair):
-            rows.append({
-                "gamma_tip": float(gt), "branch": tag,
-                "re_Lambda": lam.real, "im_Lambda": lam.imag,
-                "gap": sp.gap, "overlap": sp.overlap,
-            })
-
-    imin = int(np.argmin(gaps))
+    blocks = [block_at(float(gt)) for gt in gts]
+    imin = int(np.argmin([_block_gap(block) for block in blocks]))
     if imin == 0 or imin == grid - 1:
         raise LepNotFoundError(
             f"no interior gap minimum in gamma_tip range [{lo}, {hi}]"
         )
     res = golden_section_minimize(
-        lambda gt: float(abs(2 * block_at(gt)[4])), float(gts[imin - 1]), float(gts[imin + 1]),
+        lambda gt: _block_gap(block_at(gt)), float(gts[imin - 1]), float(gts[imin + 1]),
         tol=LEP_TOL * p.gamma1_prime)
     best = _block_pair(*block_at(res.x))
     if best.gap > LEP_GAP_THRESHOLD * p.gamma1_prime or best.overlap < LEP_OVERLAP_THRESHOLD:
@@ -893,4 +908,5 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
             f"gap minimum at gamma_tip = {res.x:.6f} fails the coalescence "
             f"criteria (gap {best.gap:.3e}, overlap {best.overlap:.6f})"
         )
-    return LepResult(gamma_tip=res.x, gap=best.gap, overlap=best.overlap, grid_rows=rows)
+    return LepResult(gamma_tip=res.x, gap=best.gap, overlap=best.overlap,
+                     grid_gamma_tips=gts, grid_blocks=blocks)

@@ -15,6 +15,7 @@ from .analytic import analytic_observables, steady_amplitudes
 from .hilbert import build_basis
 from .liouvillian import (
     DEFAULT_CUTOFF,
+    DensityMatrix,
     build_liouvillian,
     driven_basis,
     excitation_cap,
@@ -96,12 +97,12 @@ def _check_loss_swap(p: SystemParams) -> CheckResult:
                        f"max intermediate mismatch under loss swap: {dev:.3e}", dev)
 
 
-def _check_populations(p: SystemParams) -> CheckResult:
+def _check_populations(p: SystemParams, rho0: DensityMatrix) -> CheckResult:
     basis = driven_basis(DEFAULT_CUTOFF)
     worst = 0.0
     for gt in (0.0, 4.0, 8.9):
         pg = loss_point(p, gt)
-        rho = steady_state(build_liouvillian(pg, basis, driven=True))
+        rho = rho0 if gt == 0.0 else steady_state(build_liouvillian(pg, basis, driven=True))
         num = rho.populations()
         ana = steady_amplitudes(pg).populations()
         for state, pa in ana.items():
@@ -111,13 +112,12 @@ def _check_populations(p: SystemParams) -> CheckResult:
                        f"max relative P_mn deviation: {worst:.3e}", worst)
 
 
-def _check_cutoff(p: SystemParams) -> CheckResult:
+def _check_cutoff(p: SystemParams, rho0: DensityMatrix) -> CheckResult:
     # the basis the datasets use against the capped basis of per-mode 7: it
     # holds every default state plus two more levels per mode and two more
     # shells, and gives the columns of the full per-mode 7 square to 1e-14
-    pg = loss_point(p, 0.0)
-    got, ref = (photon_statistics(steady_state(build_liouvillian(pg, driven_basis(cutoff))))
-                for cutoff in (DEFAULT_CUTOFF, REFERENCE_CUTOFF))
+    rho_ref = steady_state(build_liouvillian(loss_point(p, 0.0), driven_basis(REFERENCE_CUTOFF)))
+    got, ref = photon_statistics(rho0), photon_statistics(rho_ref)
     dev = max(abs(got.n1 - ref.n1) / ref.n1, abs(got.g2 - ref.g2) / ref.g2,
               abs(got.g3 - ref.g3) / ref.g3)
     (c1, c2), (r1, r2) = DEFAULT_CUTOFF, REFERENCE_CUTOFF
@@ -191,13 +191,18 @@ def _check_peak_stability(p: SystemParams) -> CheckResult:
 
 def run_validation(p: SystemParams) -> list[CheckResult]:
     """Run every named cross-check against one parameter set."""
-    return [
+    checks = [
         _check_amplitude_scaling(p),
         _check_g2_approx_limit(p),
         _check_intermediates(p),
         _check_loss_swap(p),
-        _check_populations(p),
-        _check_cutoff(p),
+    ]
+    # the steady state at gamma_tip = 0 on the default cutoff's basis, which
+    # both the population and the cutoff checks read
+    rho0 = steady_state(build_liouvillian(loss_point(p, 0.0), driven_basis(DEFAULT_CUTOFF)))
+    return checks + [
+        _check_populations(p, rho0),
+        _check_cutoff(p, rho0),
         _check_phase_invariance(p),
         _check_g2_diagonal(p),
         _check_s1_drive_invariance(p),

@@ -3,6 +3,7 @@ import pytest
 
 from kerrdimer.analytic import (
     AMPLITUDE_STATES,
+    N1_CEILING,
     SingularParameterError,
     _cmul,
     amplitude_arrays,
@@ -125,6 +126,19 @@ class TestObservables:
     def test_undefined_without_drive(self):
         with pytest.raises(ValueError, match="undefined"):
             analytic_observables(steady_amplitudes(params(omega_drive_amp=0.0)))
+
+    def test_undefined_where_n1_cubes_beyond_the_float_range(self):
+        # Omega = 1e20 gamma_1': N1 about 4e119, its cube beyond the float
+        # range; the array evaluation of the same point lies beyond N1_CEILING
+        p = params(omega_drive_amp=1e20)
+        with pytest.warns(UserWarning, match="perturbative"):
+            amps = steady_amplitudes(p)
+        with pytest.raises(ValueError, match=r"^N1 = 4\.1\d\de\+119 exceeds 5\.644e\+102: "):
+            analytic_observables(amps)
+        with pytest.warns(UserWarning, match="perturbative"):
+            arrays, _ = amplitude_arrays(p, np.array([p.delta]), np.array([p.gamma2_prime]))
+        assert analytic_observables(arrays).n1[0] > N1_CEILING
+        assert np.isfinite(N1_CEILING ** 3)
 
     def test_mean_occupations_positive(self):
         obs = analytic_observables(steady_amplitudes(params()))

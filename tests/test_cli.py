@@ -1,5 +1,6 @@
 import argparse
 import csv
+import fnmatch
 import importlib.util
 import json
 import os
@@ -662,6 +663,32 @@ class TestExperimentCommands:
         assert "increasing" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_drive_beyond_the_ladder_fails_the_analytic_rows(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # at Omega = 1e20 gamma_1' N1 is about 4e119 and its cube, g3's
+        # denominator, leaves the float range: every analytic row fails as
+        # where N1 vanishes, so critical-points has no rows to bracket. Only
+        # the strong-drive warning reaches stderr, no numpy warning
+        monkeypatch.setattr(warnings, "onceregistry", {})
+        strong = "warning: drive exceeds 0.1*gamma_1'; perturbative amplitudes degrade\n"
+        code, _, err = run(capsys, "sweep-loss", "--backend", "analytic", "--set",
+                           "omega_drive_amp=1e20", "--output-dir", str(tmp_path / "sweep"))
+        assert (code, err) == (0, strong)
+        with open(tmp_path / "sweep" / "fig2ab.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert len(rows) == 121
+        for row in rows:
+            assert row["analytic_failed"] == "1"
+            assert {row[c] for c in row if c.startswith("analytic_") and c != "analytic_failed"} \
+                == {""}
+        monkeypatch.setattr(warnings, "onceregistry", {})
+        code, _, err = run(capsys, "critical-points", "--set", "omega_drive_amp=1e20",
+                           "--output-dir", str(tmp_path / "cp"))
+        assert code == 2
+        assert err == strong + ("configuration error: need at least 5 sweep rows with finite "
+                                "N1 and g2\n")
+        assert not (tmp_path / "cp").exists()
+
     @pytest.mark.parametrize("command", [("lep",), ("ep-agreement",), ("critical-points",)])
     def test_default_lep_window_without_gamma1_loss_is_config_error(self, tmp_path, capsys,
                                                                     command):
@@ -1051,7 +1078,8 @@ class TestBenchmarkContract:
     def test_lep_scan_evaluations(self, tmp_path, monkeypatch):
         # a seed-0 lep_scan makes 339 evaluations in 5 searches: 125 grid
         # points (41 for lep, 21 for each of ep-agreement's 4 couplings) and
-        # 5 refined minima take the pair, 209 golden-section steps the gap
+        # 209 golden-section steps take the gap, 5 refined minima the pair;
+        # so do lep.csv's 41 rows, which ep-agreement does not write
         workloads = self.load("workloads", monkeypatch)
         spec = workloads.build("lep_scan", 0, str(tmp_path))
         calls = {"evaluation": 0, "pair": 0, "search": 0, "step": 0}
@@ -1071,7 +1099,7 @@ class TestBenchmarkContract:
         monkeypatch.setattr(liouvillian, "_block_pair", counted("pair", liouvillian._block_pair))
         monkeypatch.setattr(liouvillian, "golden_section_minimize", refine)
         assert [main(argv) for argv in spec["commands"]] == [0, 0]
-        assert calls == {"evaluation": 339, "pair": 130, "search": 5, "step": 209}
+        assert calls == {"evaluation": 339, "pair": 46, "search": 5, "step": 209}
 
     def test_workload_commands_parse(self, tmp_path, monkeypatch):
         workloads = self.load("workloads", monkeypatch)
@@ -1133,6 +1161,66 @@ class TestBytecheck:
                        {"x.provenance.json": json_cutoff}) == (1, 0)
         assert outcome({}, {}, stderr=b"changed") == (1, 0)
         assert outcome({}, {}, streams=True, stderr=b"changed", **{"exit code": 2}) == (0, 2)
+
+    def test_kernel_declarations(self, bytecheck):
+        # the kernel axis's declarations parse and each names some command;
+        # a saved state's numbers move within the bound, keeping its shape
+        ids = [cid for cid, _ in bytecheck.COMMANDS]
+        for glob, spec in bytecheck.KERNEL_DECLARED:
+            bytecheck.parse_allow(spec)
+            assert any(fnmatch.fnmatch(cid, glob) for cid in ids), glob
+        assert set(bytecheck.KERNEL_STDOUT) <= set(ids)
+        allow = [bytecheck.parse_allow(spec) for glob, spec in bytecheck.KERNEL_DECLARED
+                 if fnmatch.fnmatch("distribution", glob)]
+        name = "steady_state_gt_6.0.json"
+
+        def state(data, residual=1e-18, basis=((0, 0), (1, 0))):
+            return json.dumps({"basis": basis, "data": data, "residual": residual}).encode()
+
+        old = state([[[1.0, 0.0], [2e-3, -1e-20]]])
+        within = state([[[1.0, 0.0], [2.000000000001e-3, -1.000000000001e-20]]], 3e-18)
+        beyond = state([[[1.0, 0.0], [2.00000000001e-3, -1e-20]]])
+        reshaped = state([[[1.0, 0.0]], [[2e-3, -1e-20]]])
+        relabeled = state([[[1.0, 0.0], [2e-3, -1e-20]]], basis=((0, 0), (0, 1)))
+        diffs, declared = bytecheck.compare_json(name, old, within, allow)
+        assert diffs == [] and sorted(declared) == ["data", "residual"]
+        assert declared["data"].startswith("within ")
+        for new in (beyond, reshaped, relabeled):
+            assert len(bytecheck.compare_json(name, old, new, allow)[0]) == 1
+
+    def test_stdout_numbers_within_bound(self, bytecheck):
+        # validate's reported deviations move in the rounding noise across
+        # kernels: a number may move by the bound, no other byte
+        old = {"exit code": 0, "stdout": b"dev: 9.195e-16)\nok 10/10\n", "stderr": b"",
+               "files": {}}
+
+        def outcome(stdout, bound=1e-12, **changed):
+            new = {**old, "stdout": stdout, **changed}
+            diffs, declared = bytecheck.compare(old, new, [], stdout_bound=bound)
+            return len(diffs), len(declared)
+
+        assert outcome(b"dev: 1.103e-15)\nok 10/10\n") == (0, 1)
+        assert outcome(b"dev: 1.103e-15)\nok 10/10\n", bound=None) == (1, 0)
+        assert outcome(b"dev: 2.000e-12)\nok 10/10\n") == (1, 0)
+        assert outcome(b"dev: 1.103e-15)\nok  9/10\n") == (1, 0)
+        assert outcome(b"dev: 9.195e-16)\nok 10/10\n", **{"exit code": 1}) == (1, 0)
+
+    def test_kernels_need_a_dynamic_arch_openblas(self, bytecheck, tmp_path, capsys,
+                                                  monkeypatch):
+        # without a DYNAMIC_ARCH OpenBLAS OPENBLAS_CORETYPE selects nothing:
+        # the kernel axis says so, runs no command and exits 0
+        def blas_info(src, kernel=None):
+            return {"name": "mkl", "config": "", "core": None}
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a command was run")
+
+        monkeypatch.setattr(bytecheck, "blas_info", blas_info)
+        monkeypatch.setattr(bytecheck, "run_command", no_run)
+        assert bytecheck.check_kernels(None, ["Haswell"], tmp_path) == 0
+        assert capsys.readouterr().out == (
+            "bytecheck: numpy's BLAS (mkl) is not a DYNAMIC_ARCH OpenBLAS, so "
+            "OPENBLAS_CORETYPE selects no kernel: nothing to compare\n")
 
     def test_declared_floor(self, bytecheck):
         # a population far below the floor moves by 1e-11 relative, 1.5e-31

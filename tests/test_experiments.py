@@ -3,6 +3,7 @@ import csv
 import json
 import multiprocessing
 import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from kerrdimer import experiments, liouvillian, validation
 from kerrdimer.analytic import (
+    N1_CEILING,
     AMPLITUDE_STATES,
     analytic_observables,
     shell_ratio,
@@ -278,6 +280,29 @@ class TestSweepLoss:
         table = sweep_loss(params(omega_drive_amp=0.0), [0.0, 1.0],
                            backends=("analytic",))
         assert [row["analytic_failed"] for row in table.rows] == [1, 1]
+
+    def test_n1_beyond_its_ceiling_fails_row_where_the_scalar_path_raises(self):
+        # far past the weak-drive regime N1 grows as Omega^6 and falls with
+        # gamma_tip: at Omega = 3.5e17 gamma_1' it crosses N1_CEILING, beyond
+        # which N1^3, g3's denominator, overflows. Rows beyond it fail, as the
+        # scalar evaluation raises there, with no numpy warning either way
+        p = params(omega_drive_amp=3.5e17)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "drive exceeds", UserWarning)
+            table = sweep_loss(p, np.linspace(0.0, 12.0, 13), backends=("analytic",))
+            failed = [row["analytic_failed"] for row in table.rows]
+            assert 0 < sum(failed) < len(failed)
+            for row in table.rows:
+                amps = steady_amplitudes(loss_point(p, row["gamma_tip"]))
+                if row["analytic_failed"]:
+                    assert "analytic_g3" not in row
+                    with pytest.raises(ValueError, match=r"N1\^3, the denominator of g3, "
+                                                         r"is beyond the float range"):
+                        analytic_observables(amps)
+                else:
+                    assert row["analytic_n1"] <= N1_CEILING
+                    assert row["analytic_g3"] == analytic_observables(amps).g3 > 0
 
     def test_csv_roundtrip_deterministic(self, loss_sweep, tmp_path):
         # the library table and the CLI's dataset of the same sweep agree
@@ -675,6 +700,27 @@ class TestEpAgreement:
     def test_grid_validation(self, fig2):
         with pytest.raises(ValueError):
             ep_agreement(fig2, np.array([2.0, 1.0]))
+
+    def test_one_pair_per_search(self, fig2, monkeypatch):
+        # ep_agreement and critical_points read only the located gamma_tip:
+        # a search computes the whole pair at its refined minimum alone
+        calls = {"search": 0, "pair": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(experiments, "lep_locate", counted("search", experiments.lep_locate))
+        monkeypatch.setattr(liouvillian, "_block_pair", counted("pair", liouvillian._block_pair))
+        rows = ep_agreement(fig2, np.array([1.0, 1.5, 2.0, 3.0]))
+        assert all(r["found"] for r in rows)
+        assert calls == {"search": 4, "pair": 4}
+        table = sweep_loss(fig2, np.linspace(0.0, 12.0, 25), backends=("analytic",))
+        calls.update(search=0, pair=0)
+        assert critical_points(table, fig2).lep == pytest.approx(8.9, abs=1e-3)
+        assert calls == {"search": 1, "pair": 1}
 
 
 class TestLepWindow:

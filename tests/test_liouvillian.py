@@ -1,5 +1,6 @@
 import contextlib
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from kerrdimer.liouvillian import (
     DegenerateSteadyStateError,
     DensityMatrix,
     LepNotFoundError,
-    LepResult,
     NumericalFailureError,
     ResourceLimitError,
     Superoperator,
@@ -696,8 +696,9 @@ class TestCoherenceBlock:
 
 def rebuilt_lep_locate(p, gamma_tip_range, grid):
     """``lep_locate`` with the whole generator built anew at every
-    evaluation, from ``p.with_(gamma_tip=gt)``: the oracle of the search
-    that builds all but gamma_2' D[a_2] once."""
+    evaluation, from ``p.with_(gamma_tip=gt)``, and each grid point's rows
+    built as it is scanned: the oracle of the search that builds all but
+    gamma_2' D[a_2] once and computes its rows only when they are read."""
     lo, hi = gamma_tip_range
     if not lo < hi:
         raise ValueError("gamma_tip_range must be increasing")
@@ -738,7 +739,7 @@ def rebuilt_lep_locate(p, gamma_tip_range, grid):
             f"gap minimum at gamma_tip = {res.x:.6f} fails the coalescence "
             f"criteria (gap {best.gap:.3e}, overlap {best.overlap:.6f})"
         )
-    return LepResult(gamma_tip=res.x, gap=best.gap, overlap=best.overlap, grid_rows=rows)
+    return SimpleNamespace(gamma_tip=res.x, gap=best.gap, overlap=best.overlap, grid_rows=rows)
 
 
 def lep_outcome(locate, p, window, grid):

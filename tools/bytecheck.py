@@ -1,9 +1,11 @@
-"""Byte-identity check of every CLI output between two commits.
+"""Byte-identity check of every CLI output between two commits, or of one
+revision across BLAS kernels.
 
 Usage, from anywhere inside the repository:
 
     python3 tools/bytecheck.py BASE [HEAD] [--allow GLOB:NAME[=BOUND[,FLOOR]]]...
                                [--allow-streams ID]...
+    python3 tools/bytecheck.py --kernels CORE[,CORE...] [REV]
 
 BASE and HEAD are git revisions; without HEAD the working tree's ``src/`` is
 the second side. Each revision's ``src/`` is exported with ``git archive``
@@ -22,9 +24,23 @@ on both sides, except for the declared differences:
   numbers, or both the same text); a cell passes if one of the
   declarations that match its column admits it;
 - ``--allow 'GLOB:KEY_GLOB'``: in a JSON file whose name matches GLOB, the
-  matching top-level keys may hold any value;
+  matching top-level keys may hold any value; with ``=BOUND[,FLOOR]``,
+  their values must keep their shape and text, and their numbers may
+  differ as a CSV cell's may;
 - ``--allow-streams ID``: the exit code, stdout and stderr of command ID
   may differ (a fixed error message, say); they are printed.
+
+``--kernels`` is the other axis: one revision (REV, or the working tree's
+``src/``), every command run natively and with ``OPENBLAS_CORETYPE`` set
+to each CORE (an OpenBLAS core name such as Haswell or Prescott), at each
+thread count, each kernel's outputs compared with the native ones. What
+may move is what the README declares (``KERNEL_DECLARED``): the numbers of
+the master-equation solves and of the eigensolver within 1e-12 relative
+(cells below 1e-14 within 1e-26), a saved state's residual, and
+``validate``'s reported deviations within 1e-12. It names the core that
+OpenBLAS runs on each side; a CORE that runs the native core is reported
+and skipped. Only a DYNAMIC_ARCH OpenBLAS switches kernels at run time:
+with any other BLAS it says so and exits 0.
 
 It prints one line per command (``same``, ``declared`` with what differed
 within the declarations, or ``DIFFERS`` with the first differences) and
@@ -40,6 +56,7 @@ import fnmatch
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -56,7 +73,8 @@ NO_GAMMA1 = ("--set", "gamma_1=0", "--set", "gamma_ex=0")
 
 # (id, argv): every subcommand, the fig3 twin, SI units, the Lindblad
 # backend of each command that has one, a map of several analytic blocks,
-# and the configuration errors of the S1 normalization and the LEP window
+# the configuration errors of the S1 normalization and the LEP window, and
+# a drive whose N1^3 leaves the float range
 COMMANDS = [
     ("sweep-loss", ("sweep-loss",)),
     ("sweep-loss-fig3", ("sweep-loss", "--preset", "paper_fig3")),
@@ -93,11 +111,46 @@ COMMANDS = [
     ("spectrum-drive-overflow", ("spectrum", "--set", "omega_drive_amp=1e200",
                                  "--gamma-tip", "0")),
     ("spectrum-loss-overflow", ("spectrum", "--gamma-tip", "1e200")),
+    ("sweep-loss-drive-overflow", ("sweep-loss", "--backend", "analytic", "--set",
+                                   "omega_drive_amp=1e20")),
+    ("critical-points-drive-overflow", ("critical-points", "--set", "omega_drive_amp=1e20")),
     ("lep-no-gamma1", ("lep", *NO_GAMMA1)),
     ("ep-agreement-no-gamma1", ("ep-agreement", *NO_GAMMA1)),
     ("critical-points-no-gamma1", ("critical-points", *NO_GAMMA1)),
 ]
 THREADS = ("1", "2")  # OPENBLAS_NUM_THREADS of the runs
+# what may move across BLAS kernels, as the README declares it: (command id
+# glob, --allow declaration); and the commands whose stdout numbers (the
+# deviations validate reports) may move, by at most the bound, absolutely
+KERNEL_BOUND = "=1e-12,1e-14"
+KERNEL_DECLARED = [
+    ("sweep-loss*", "*.csv:lindblad_*" + KERNEL_BOUND),
+    ("*-lindblad", "*.csv:s1" + KERNEL_BOUND),
+    *(("eigen", f"figS*.csv:{column}" + KERNEL_BOUND)
+      for column in ("re_lambda", "im_lambda", "pop_*", "population")),
+    *(("distribution*", f"fig3b.csv:{column}" + KERNEL_BOUND)
+      for column in ("p_m", "poisson_m", "deviation", "ratio")),
+    ("distribution*", "steady_state_*.json:data" + KERNEL_BOUND),
+    ("distribution*", "steady_state_*.json:residual"),
+]
+KERNEL_STDOUT = {"validate": 1e-12}
+# the core OpenBLAS runs, and numpy's BLAS build configuration, as JSON
+BLAS_PROBE = """
+import ctypes, glob, json, os, numpy
+blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+core = None
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")
+for lib in glob.glob(libs):
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                 "openblas_get_corename"):
+        get = getattr(ctypes.CDLL(lib), name, None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            core = get().decode()
+print(json.dumps({"name": blas.get("name"), "config": blas.get("openblas configuration") or "",
+                  "core": core}))
+"""
+NUMBER = re.compile(rb"[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 MAX_SHOWN = 4  # differences shown per command
 TIMEOUT_S = 600
 
@@ -127,12 +180,33 @@ def export_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_command(src: Path, argv, threads: str, cwd: Path) -> dict:
-    """Run one command in the empty directory ``cwd``; what it left there."""
+def _environment(src: Path, threads: str, kernel: str | None) -> dict:
+    """The environment of a run: ``src`` on PYTHONPATH, the BLAS thread
+    count, and OPENBLAS_CORETYPE set to ``kernel``: removed where it is ""
+    (the native kernel), the caller's where it is None."""
     env = {k: v for k, v in os.environ.items() if k != "KERRDIMER_OUTPUT_DIR"}
     env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+    if kernel is not None:
+        env.pop("OPENBLAS_CORETYPE", None)
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
+    return env
+
+
+def blas_info(src: Path, kernel: str = "") -> dict:
+    """numpy's BLAS (``name``, its OpenBLAS build ``config``) and the
+    ``core`` OpenBLAS runs under ``kernel`` (None where it cannot be read)."""
+    res = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=_environment(src, "1", kernel),
+                         check=True, capture_output=True, timeout=TIMEOUT_S)
+    return json.loads(res.stdout)
+
+
+def run_command(src: Path, argv, threads: str, cwd: Path, kernel: str | None = None) -> dict:
+    """Run one command in the empty directory ``cwd``, with OPENBLAS_CORETYPE
+    set to ``kernel`` (as ``_environment``); what it left there."""
     cwd.mkdir(parents=True)
-    res = subprocess.run([sys.executable, "-m", "kerrdimer.cli", *argv], cwd=cwd, env=env,
+    res = subprocess.run([sys.executable, "-m", "kerrdimer.cli", *argv], cwd=cwd,
+                         env=_environment(src, threads, kernel),
                          capture_output=True, timeout=TIMEOUT_S)
     files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*"))
              if p.is_file()}
@@ -182,11 +256,29 @@ def compare_csv(name: str, old: bytes, new: bytes, allow) -> tuple[list, dict]:
     return diffs, declared
 
 
+def _json_rel(a, b, floor: float) -> float | None:
+    """The largest ``_rel`` of the numbers of two JSON values; None where
+    their shapes, keys or texts differ."""
+    if type(a) in (int, float) and type(b) in (int, float):
+        return _rel(a, b, floor)
+    if type(a) is not type(b) or not isinstance(a, (list, dict)):
+        return 0.0 if a == b else None
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return None
+        a, b = [a[k] for k in sorted(a)], [b[k] for k in sorted(b)]
+    if len(a) != len(b):
+        return None
+    rels = [_json_rel(x, y, floor) for x, y in zip(a, b)]
+    return None if None in rels else max(rels, default=0.0)
+
+
 def compare_json(name: str, old: bytes, new: bytes, allow) -> tuple[list, dict]:
     """(differences, declared) of two JSON files: ``declared`` maps each
-    allowed top-level key that differed to its two values."""
-    keys = [glob for files, glob, limit in allow
-            if limit is None and fnmatch.fnmatch(Path(name).name, files)]
+    allowed top-level key that differed to a text: its two values, or the
+    largest relative difference of its numbers."""
+    limits = [(glob, limit) for files, glob, limit in allow
+              if fnmatch.fnmatch(Path(name).name, files)]
     a, b = json.loads(old), json.loads(new)
     if not (isinstance(a, dict) and isinstance(b, dict)):
         return [f"{name}: differs"], {}
@@ -194,12 +286,27 @@ def compare_json(name: str, old: bytes, new: bytes, allow) -> tuple[list, dict]:
     for key in sorted(set(a) | set(b)):
         if a.get(key, KeyError) == b.get(key, KeyError):
             continue
-        if key in a and key in b and any(fnmatch.fnmatch(key, glob) for glob in keys):
-            declared[key] = (a[key], b[key])
+        matching = [limit for glob, limit in limits if fnmatch.fnmatch(key, glob)]
+        rels = [rel for bound, floor in filter(None, matching)
+                if key in a and key in b
+                and (rel := _json_rel(a[key], b[key], floor)) is not None and rel <= bound]
+        if key in a and key in b and None in matching:
+            declared[key] = f"{a[key]!r} -> {b[key]!r}"
+        elif rels:
+            declared[key] = f"within {min(rels):.1e}"
         else:
             diffs.append(f"{name}: {key}: {a.get(key, '(absent)')!r} -> "
                          f"{b.get(key, '(absent)')!r}")
     return diffs, declared
+
+
+def compare_numbers(old: bytes, new: bytes) -> float | None:
+    """The largest absolute difference of the numbers of two texts that
+    agree everywhere else; None where they do not."""
+    if NUMBER.sub(b"#", old) != NUMBER.sub(b"#", new):
+        return None
+    return max((abs(float(x) - float(y)) for x, y in zip(NUMBER.findall(old),
+                                                          NUMBER.findall(new))), default=0.0)
 
 
 def _excerpt(old, new, width: int = 60) -> str:
@@ -215,12 +322,19 @@ def _excerpt(old, new, width: int = 60) -> str:
     return " -> ".join(cut)
 
 
-def compare(old: dict, new: dict, allow, streams: bool = False) -> tuple[list, list]:
+def compare(old: dict, new: dict, allow, streams: bool = False,
+            stdout_bound: float | None = None) -> tuple[list, list]:
     """(differences, declared differences) of two runs of one command;
-    ``streams``: its exit code and streams may differ."""
+    ``streams``: its exit code and streams may differ; ``stdout_bound``: the
+    numbers of its stdout may differ by that much, absolutely."""
     diffs, declared = [], []
     for stream in ("exit code", "stdout", "stderr"):
-        if old[stream] != new[stream]:
+        if old[stream] == new[stream]:
+            continue
+        worst = compare_numbers(old[stream], new[stream]) if stream == "stdout" else None
+        if stdout_bound is not None and worst is not None and worst <= stdout_bound:
+            declared.append(f"stdout numbers within {worst:.1e}")
+        else:
             (declared if streams else diffs).append(
                 f"{stream}: {_excerpt(old[stream], new[stream])}")
     for name in sorted(set(old["files"]) | set(new["files"])):
@@ -238,21 +352,82 @@ def compare(old: dict, new: dict, allow, streams: bool = False) -> tuple[list, l
                                 f"(largest in {worst})")
         elif name.endswith(".json"):
             d, dec = compare_json(name, a, b, allow)
-            declared += [f"{name} {key} {x!r} -> {y!r}" for key, (x, y) in dec.items()]
+            declared += [f"{name} {key} {text}" for key, text in dec.items()]
         else:
             d = [f"{name}: differs"]
         diffs += d
     return diffs, declared
 
 
+def report(cid: str, diffs: list, declared) -> bool:
+    """Print a command's line: DIFFERS, declared or same; whether it differs."""
+    if diffs:
+        shown = "; ".join(diffs[:MAX_SHOWN])
+        more = f" (+{len(diffs) - MAX_SHOWN} more)" if len(diffs) > MAX_SHOWN else ""
+        print(f"DIFFERS  {cid}: {shown}{more}", flush=True)
+    elif declared:
+        print(f"declared {cid}: {'; '.join(sorted(declared))}", flush=True)
+    else:
+        print(f"same     {cid}", flush=True)
+    return bool(diffs)
+
+
+def check_kernels(rev: str | None, kernels: list, tmp: Path) -> int:
+    """The kernel axis: every command of one revision natively and under
+    each OPENBLAS_CORETYPE of ``kernels``, compared under KERNEL_DECLARED."""
+    src = export_src(rev, tmp / "rev") if rev else ROOT / "src"
+    native = blas_info(src)
+    if "DYNAMIC_ARCH" not in native["config"].split():
+        print(f"bytecheck: numpy's BLAS ({native['name']}) is not a DYNAMIC_ARCH OpenBLAS, "
+              "so OPENBLAS_CORETYPE selects no kernel: nothing to compare")
+        return 0
+    cores = {}
+    for kernel in kernels:
+        core = blas_info(src, kernel)["core"]
+        if core is not None and core == native["core"]:
+            print(f"bytecheck: OPENBLAS_CORETYPE={kernel} runs the native core {core}: skipped")
+        else:
+            cores[kernel] = core
+    if not cores:
+        print("bytecheck: no kernel other than the native one to compare")
+        return 0
+    print(f"bytecheck: {rev or 'working tree'}, native core {native['core']} -> "
+          f"{', '.join(f'{k} (core {c})' for k, c in cores.items())}, "
+          f"OPENBLAS_NUM_THREADS={','.join(THREADS)}, declared as in the README", flush=True)
+    failed = 0
+    for cid, cmd in COMMANDS:
+        allow = [parse_allow(spec) for glob, spec in KERNEL_DECLARED
+                 if fnmatch.fnmatch(cid, glob)]
+        diffs, declared = [], set()
+        for t in THREADS:
+            base = run_command(src, cmd, t, tmp / "run" / cid / t / "native", "")
+            for kernel in cores:
+                other = run_command(src, cmd, t, tmp / "run" / cid / t / kernel, kernel)
+                d, dec = compare(base, other, allow, stdout_bound=KERNEL_STDOUT.get(cid))
+                diffs += [f"[{kernel}, {t}] {x}" for x in d]
+                declared.update(f"[{kernel}] {x}" for x in dec)
+        failed += report(cid, diffs, declared)
+    print(f"bytecheck: {len(COMMANDS) - failed}/{len(COMMANDS)} commands same or declared")
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base")
+    parser.add_argument("base", nargs="?")
     parser.add_argument("head", nargs="?")
     parser.add_argument("--allow", action="append", type=parse_allow, default=[],
                         metavar="GLOB:NAME[=BOUND[,FLOOR]]")
     parser.add_argument("--allow-streams", action="append", default=[], metavar="ID")
+    parser.add_argument("--kernels", type=lambda v: [k for k in v.split(",") if k],
+                        metavar="CORE[,CORE...]")
     args = parser.parse_args(argv)
+    if args.kernels is not None:
+        if args.head or args.allow or args.allow_streams:
+            parser.error("--kernels takes one revision and the README's declarations")
+        if not args.kernels:
+            parser.error("--kernels takes at least one OpenBLAS core name")
+    elif args.base is None:
+        parser.error("the base revision is required")
     unknown = sorted(set(args.allow_streams) - {cid for cid, _ in COMMANDS})
     if unknown:
         parser.error(f"unknown command ids {unknown}")
@@ -260,6 +435,8 @@ def main(argv=None) -> int:
     failed = 0
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
         tmp = Path(tmp)
+        if args.kernels is not None:
+            return check_kernels(args.base, args.kernels, tmp)
         old_src = export_src(args.base, tmp / "old")
         new_src = export_src(args.head, tmp / "new") if args.head else ROOT / "src"
         allowed = [f"{f}:{n}" + ("" if lim is None else f"={lim[0]:g}"
@@ -276,15 +453,7 @@ def main(argv=None) -> int:
                 d, dec = compare(old, new, args.allow, cid in args.allow_streams)
                 diffs += [f"[{t}] {x}" for x in d]
                 declared.update(dec)
-            if diffs:
-                failed += 1
-                shown = "; ".join(diffs[:MAX_SHOWN])
-                more = f" (+{len(diffs) - MAX_SHOWN} more)" if len(diffs) > MAX_SHOWN else ""
-                print(f"DIFFERS  {cid}: {shown}{more}", flush=True)
-            elif declared:
-                print(f"declared {cid}: {'; '.join(sorted(declared))}", flush=True)
-            else:
-                print(f"same     {cid}", flush=True)
+            failed += report(cid, diffs, declared)
     print(f"bytecheck: {len(COMMANDS) - failed}/{len(COMMANDS)} commands same or declared")
     return 1 if failed else 0
 
