@@ -251,6 +251,9 @@ def _run_sweep_loss(rc: RunConfig, args) -> int:
     for gt, error, message in failures:
         print(f"sweep-loss: lindblad point gamma_tip={gt!r} failed: {error}: {message}",
               file=sys.stderr)
+    for _, table, _ in runs:
+        if table.analytic_failures:
+            print(f"sweep-loss: {table.analytic_summary()}", file=sys.stderr)
     print(f"sweep-loss: {len(grid)} rows -> {', '.join(written)}")
     return 0
 

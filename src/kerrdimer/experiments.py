@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,9 @@ __all__ = [
 
 BACKENDS = ("analytic", "lindblad")
 REFINE_TOL = 1e-3  # gamma_tip critical points resolved to 1e-3 * gamma_1'
+# why an analytic sweep row fails, in the order they are tested
+ANALYTIC_FAILURE_CAUSES = ("the closed form is singular", "N1 vanishes",
+                           "N1 is beyond N1_CEILING")
 # ep_agreement searches each LEP on LEP_GRID points within LEP_HALFWIDTH
 # gamma_1' of the HEP; the lep command takes the same window on its --grid
 # points (default 41)
@@ -127,7 +131,9 @@ class SweepTable:
     ``excitation_cap`` is the cap that the Lindblad solves certified, or
     the cutoff's (``liouvillian.excitation_cap``) without them. ``failures``
     holds (gamma_tip, exception class, message) for each Lindblad point
-    whose row was blanked; it is not written to the dataset.
+    whose row was blanked, ``analytic_failures`` (gamma_tip, cause) for each
+    row whose analytic cells were (``ANALYTIC_FAILURE_CAUSES``); neither is
+    written to the dataset.
     """
 
     columns: list[str]
@@ -135,6 +141,15 @@ class SweepTable:
     protocol: object
     excitation_cap: int
     failures: list[tuple[float, str, str]] = field(default_factory=list)
+    analytic_failures: list[tuple[float, str]] = field(default_factory=list)
+
+    def analytic_summary(self) -> str:
+        """'k of n analytic rows failed: cause (count), ...', or '' where none did."""
+        if not self.analytic_failures:
+            return ""
+        counts = Counter(cause for _, cause in self.analytic_failures)
+        causes = ", ".join(f"{cause} ({count})" for cause, count in counts.items())
+        return f"{len(self.analytic_failures)} of {len(self.rows)} analytic rows failed: {causes}"
 
 
 @dataclass(frozen=True)
@@ -184,13 +199,12 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
 
     The detuning is resolved per point by the protocol. Lindblad points are
     solved on ``liouvillian.driven_basis(cutoff)`` by
-    ``liouvillian.solve_points`` (see there for the ``__main__`` guard it
-    needs), at the excitation cap it certifies, starting from the cap that
-    the closed-form shell ratio predicts (``liouvillian.start_cap``); a
-    point it reports as failed blanks its row and is listed in
-    ``failures``. A basis that lacks one of the reported populations
-    (``AMPLITUDE_STATES``) or is over the size cap fails the whole sweep
-    before any point is solved.
+    ``liouvillian.solve_points``, at the excitation cap it certifies,
+    starting from the cap that the closed-form shell ratio predicts
+    (``liouvillian.start_cap``); a point it reports as failed blanks its
+    row and is listed in ``failures``. A basis that lacks one of the
+    reported populations (``AMPLITUDE_STATES``) or is over the size cap
+    fails the whole sweep before any point is solved.
     """
     gts = np.asarray(gamma_tip_grid, dtype=float)
     if gts.size == 0:
@@ -230,10 +244,10 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
             if failure:
                 failures.append((row["gamma_tip"], *failure))
         cap = solved.cap
-    if "analytic" in backends:
-        _fill_analytic(rows, p, gts)
-    return SweepTable(columns=_sweep_columns(backends), rows=rows,
-                      protocol=protocol, failures=failures, excitation_cap=cap)
+    analytic_failures = _fill_analytic(rows, p, gts) if "analytic" in backends else []
+    return SweepTable(columns=_sweep_columns(backends), rows=rows, protocol=protocol,
+                      excitation_cap=cap, failures=failures,
+                      analytic_failures=analytic_failures)
 
 
 def _lindblad_columns(rho) -> dict:
@@ -248,18 +262,22 @@ def _lindblad_columns(rho) -> dict:
     return columns
 
 
-def _fill_analytic(rows: list[dict], p: SystemParams, gts: np.ndarray) -> None:
-    """Analytic columns of every sweep row from one closed-form evaluation.
+def _fill_analytic(rows: list[dict], p: SystemParams, gts: np.ndarray) -> list:
+    """Analytic columns of every sweep row from one closed-form evaluation;
+    returns (gamma_tip, cause) of each failed row.
 
     A row whose closed form is singular, or whose N1 vanishes or exceeds
     ``N1_CEILING`` (where g2 and g3 are undefined, as
     ``analytic_observables`` raises for a scalar point), gets
-    ``analytic_failed = 1`` and blank analytic cells.
+    ``analytic_failed = 1`` and blank analytic cells; its cause is the
+    first of ``ANALYTIC_FAILURE_CAUSES`` that holds.
     """
     deltas = np.array([row["delta_used"] for row in rows])
     amps, singular = amplitude_arrays(p, deltas, p.gamma_2 + gts)
     obs = analytic_observables(amps)
-    failed = singular | ~((obs.n1 >= UNDEFINED_N1_FLOOR) & (obs.n1 <= N1_CEILING))
+    causes = np.select([singular, obs.n1 < UNDEFINED_N1_FLOOR, ~(obs.n1 <= N1_CEILING)],
+                       ANALYTIC_FAILURE_CAUSES, "")
+    failed = causes != ""
     columns = {"analytic_n1": obs.n1, "analytic_n2": obs.n2, "analytic_g2": obs.g2,
                "analytic_g3": obs.g3, "analytic_g2_approx": obs.g2_approx}
     columns.update({f"analytic_p{m}{n}": pr for (m, n), pr in amps.populations().items()})
@@ -268,6 +286,7 @@ def _fill_analytic(rows: list[dict], p: SystemParams, gts: np.ndarray) -> None:
         if not failed[i]:
             row.update({k: v[i] for k, v in columns.items()})
         row["analytic_failed"] = int(failed[i])
+    return [(row["gamma_tip"], str(cause)) for row, cause in zip(rows, causes) if cause]
 
 
 def critical_points(table: SweepTable, p: SystemParams) -> CriticalPoints:
@@ -287,7 +306,9 @@ def critical_points(table: SweepTable, p: SystemParams) -> CriticalPoints:
     finite = np.isfinite(n1) & np.isfinite(g2)
     gts, n1, g2 = gts[finite], n1[finite], g2[finite]
     if len(gts) < 5:
-        raise ValueError("need at least 5 sweep rows with finite N1 and g2")
+        failed = table.analytic_summary() if backend == "analytic" else ""
+        raise ValueError("need at least 5 sweep rows with finite N1 and g2"
+                         + (f"; {failed}" if failed else ""))
 
     obs = lambda gt: analytic_observables(steady_amplitudes(loss_point(p, gt, table.protocol)))
     tol = REFINE_TOL * p.gamma1_prime
@@ -337,8 +358,7 @@ def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
 
     ``cutoff`` is the per-mode Fock cutoff of the 'lindblad' backend, which
     solves every cell on ``liouvillian.driven_basis(cutoff)`` through
-    ``liouvillian.solve_points`` (see there for the ``__main__`` guard it
-    needs).
+    ``liouvillian.solve_points``.
     """
     gts = np.asarray(gamma_tip_grid, dtype=float)
     deltas = np.asarray(delta_grid, dtype=float)

@@ -6,12 +6,10 @@ so rho[r, c] lives at vec index c*d + r.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -82,8 +80,6 @@ MIN_CAP = 4
 # 5.9-6.1 ms on the 30-state ceiling (1.4 MB) alone against 6.4-7.3 in triples
 CHUNK_POINTS = 16
 STACK_BYTES = 1 << 21
-# pinned to 1 while solve_points' workers start
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ResourceLimitError(RuntimeError):
@@ -666,22 +662,23 @@ def solve_points(points, basis: FockBasis, reduce=None,
 
     A degenerate or invalid state (``DegenerateSteadyStateError`` or
     ``ValueError``, from the solve or from ``reduce``) gives ``(None,
-    (class name, message))``; any other exception propagates. The points
-    are solved in spawned workers (one per CPU this process may run on, or
-    per CPU where the platform cannot tell; at most one per point) whose
-    BLAS is pinned to one thread. Each worker task is a chunk of at most
+    (class name, message))``; any other exception propagates, also from a
+    worker, with its type and message, and a worker that dies raises a
+    RuntimeError naming its exit status. The points are solved in worker
+    processes (``workers.WorkerPool``: one per CPU this process may run on,
+    or per CPU where the platform cannot tell; at most one per point) whose
+    BLAS reads one thread. Each worker task is a chunk of at most
     ``CHUNK_POINTS`` consecutive points, fewer where that gives every
     worker a chunk, solved per cap as stacks (``_solve_chunk``); a point's
     result is that of its stack of one, so the results depend neither on
-    the worker count nor on the chunks, nor, for a BLAS that reads the
-    pinned variables, on the caller's thread count. ``reduce`` must be
-    picklable, and a script that calls this needs an ``if __name__ ==
-    "__main__":`` guard.
+    the worker count nor on the chunks, nor, for a BLAS that reads
+    ``workers.BLAS_THREAD_VARS``, on the caller's thread count. ``reduce``
+    must pickle by reference to a module the workers can import from the
+    caller's ``sys.path`` (not ``__main__``).
     """
     check_size(basis)
-    # imported here: only master-equation commands start a pool
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    # imported here: only master-equation commands start workers
+    from .workers import WorkerPool
 
     ceiling = max(m + n for m, n in basis.states)
     if start_cap is None or reduce is None:
@@ -695,11 +692,10 @@ def solve_points(points, basis: FockBasis, reduce=None,
     count = workers * -(-len(points) // (workers * CHUNK_POINTS))
     bounds = [len(points) * i // count for i in range(count + 1)]
     chunks = [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with _one_blas_thread(), ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+    with WorkerPool(workers) as pool:
         while True:
-            solved = [item for chunk in pool.map(_solve_chunk, chunks, repeat(basis),
-                                                  repeat(None if cap == ceiling else cap),
-                                                  repeat(reduce))
+            solved = [item for chunk in pool.map(chunks, basis, None if cap == ceiling else cap,
+                                                  reduce)
                       for item in chunk]
             if cap == ceiling or all(err <= TRUNCATION_TOL for _, err in solved):
                 return SolvedPoints([result for result, _ in solved], cap)
@@ -766,22 +762,6 @@ def _relative_step(old: np.ndarray, new: np.ndarray) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(new == old, 0.0, np.abs(new - old) / np.abs(new))
     return float(np.max(rel, initial=0.0))
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Pin the BLAS thread variables to 1 in ``os.environ`` for the block;
-    on exit each gets its previous value back, or is removed if it was unset."""
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 @functools.cache

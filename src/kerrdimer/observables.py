@@ -151,8 +151,8 @@ def excitation_spectrum(p: SystemParams, delta_grid, backend: str = "analytic",
     points and points where N1 vanishes are NaN);
     'lindblad' solves the master-equation steady state per point on
     ``liouvillian.driven_basis(cutoff)`` through
-    ``liouvillian.solve_points`` (see there for the ``__main__`` guard it
-    needs) and raises DegenerateSteadyStateError if any point fails.
+    ``liouvillian.solve_points`` and raises DegenerateSteadyStateError if
+    any point fails.
     """
     return _spectra(p, np.array([p.gamma_tip], dtype=float),
                     np.asarray(delta_grid, dtype=float), backend, cutoff)[1][0]

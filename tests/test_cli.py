@@ -500,7 +500,7 @@ class TestExperimentCommands:
 
     def test_runs_where_scipy_cannot_be_imported(self, tmp_path):
         # a package named scipy that raises on import, ahead of the real one
-        # on PYTHONPATH, which the spawned sweep workers inherit
+        # on PYTHONPATH, whose sys.path the sweep workers receive
         shim = tmp_path / "shim" / "scipy"
         shim.mkdir(parents=True)
         (shim / "__init__.py").write_text('raise ImportError("scipy is not installed")\n')
@@ -667,13 +667,15 @@ class TestExperimentCommands:
                                                              monkeypatch):
         # at Omega = 1e20 gamma_1' N1 is about 4e119 and its cube, g3's
         # denominator, leaves the float range: every analytic row fails as
-        # where N1 vanishes, so critical-points has no rows to bracket. Only
-        # the strong-drive warning reaches stderr, no numpy warning
+        # where N1 vanishes, so critical-points has no rows to bracket. Both
+        # commands say how many rows failed and why; beyond that only the
+        # strong-drive warning reaches stderr, no numpy warning
         monkeypatch.setattr(warnings, "onceregistry", {})
         strong = "warning: drive exceeds 0.1*gamma_1'; perturbative amplitudes degrade\n"
         code, _, err = run(capsys, "sweep-loss", "--backend", "analytic", "--set",
                            "omega_drive_amp=1e20", "--output-dir", str(tmp_path / "sweep"))
-        assert (code, err) == (0, strong)
+        failed = "121 of 121 analytic rows failed: N1 is beyond N1_CEILING (121)"
+        assert (code, err) == (0, f"{strong}sweep-loss: {failed}\n")
         with open(tmp_path / "sweep" / "fig2ab.csv", newline="") as fh:
             rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
         assert len(rows) == 121
@@ -686,7 +688,7 @@ class TestExperimentCommands:
                            "--output-dir", str(tmp_path / "cp"))
         assert code == 2
         assert err == strong + ("configuration error: need at least 5 sweep rows with finite "
-                                "N1 and g2\n")
+                                f"N1 and g2; {failed}\n")
         assert not (tmp_path / "cp").exists()
 
     @pytest.mark.parametrize("command", [("lep",), ("ep-agreement",), ("critical-points",)])

@@ -1,16 +1,19 @@
-import concurrent.futures
 import csv
 import json
-import multiprocessing
 import os
+import subprocess
+import sys
+import time
+import types
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kerrdimer import experiments, liouvillian, validation
+from kerrdimer import experiments, liouvillian, validation, workers
 from kerrdimer.analytic import (
     N1_CEILING,
     AMPLITUDE_STATES,
@@ -49,18 +52,32 @@ def params(**kw):
 
 @dataclass(frozen=True)
 class FaultyInWorker(SystemParams):
-    """Parameters whose generator cannot be built in a spawned worker."""
+    """Parameters whose generator cannot be built outside the process that
+    made them, as in a solve_points worker."""
+
+    caller_pid: int = field(default_factory=os.getpid)
 
     @property
     def gamma2_prime(self) -> float:
-        if multiprocessing.parent_process() is not None:
+        if os.getpid() != self.caller_pid:
             raise LookupError("no generator in a worker")
         return self.gamma_2 + self.gamma_tip
 
 
 def blas_environment(rho):
     """A solve_points reduction: the BLAS thread variables its worker sees."""
-    return {name: os.environ.get(name) for name in liouvillian.BLAS_THREAD_VARS}
+    return {name: os.environ.get(name) for name in workers.BLAS_THREAD_VARS}
+
+
+def exit_three(rho):
+    """A solve_points reduction that ends its worker with exit status 3."""
+    os._exit(3)
+
+
+def child_pids() -> set:
+    """The live and unreaped children of this process (Linux; empty elsewhere)."""
+    return {pid for path in Path("/proc/self/task").glob("*/children")
+            for pid in path.read_text().split()}
 
 
 # cells as datasets hold them, with the edge cases of their text forms
@@ -160,7 +177,7 @@ class TestSweepLoss:
     def test_only_numerical_failures_blank_a_row(self, monkeypatch):
         # a degenerate or invalid steady state is a failed point that
         # carries its reason; any other RuntimeError is a fault and must
-        # propagate. A monkeypatch does not reach the spawned workers, so
+        # propagate. A monkeypatch does not reach the worker processes, so
         # this drives the chunk function they run, with the sweep's
         # reduction of a state to its row.
         pg = params(gamma_tip=4.0)
@@ -188,10 +205,36 @@ class TestSweepLoss:
 
     def test_worker_exception_propagates(self):
         p = FaultyInWorker(**vars(params()))
+        assert p.with_(gamma_tip=1.0).gamma2_prime == 1.1  # in the caller's process
         with pytest.raises(LookupError, match="no generator in a worker"):
             sweep_loss(p, [0.0, 4.0], backends=("lindblad",), cutoff=(3, 3))
         with pytest.raises(LookupError, match="no generator in a worker"):
             excitation_spectrum(p, [0.0, 1.0], backend="lindblad", cutoff=(3, 3))
+        assert not child_pids()
+
+    def test_dead_worker_names_its_exit_status(self):
+        # a worker that dies, here in its reduction, fails the call at once,
+        # and every worker is reaped, killed first if still alive
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"a solve_points worker \(pid \d+\) "
+                                               r"exited with status 3$"):
+            liouvillian.solve_points([params(gamma_tip=gt) for gt in range(40)],
+                                     build_basis(per_mode=(3, 3)), exit_three)
+        assert time.monotonic() - start < 30
+        assert not child_pids()
+
+    def test_unguarded_script(self, tmp_path):
+        # a script without an `if __name__ == "__main__":` guard may sweep:
+        # the workers never import the caller's __main__. Neither
+        # multiprocessing nor concurrent.futures is imported, and no child
+        # process outlives a sweep or a worker's failure
+        src = str(Path(liouvillian.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = Path(__file__).with_name("unguarded_sweep.py")
+        res = subprocess.run([sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=path),
+                             cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == "unguarded sweep: 2 rows solved\n"
 
     def test_degenerate_point_is_listed(self):
         # no loss anywhere at gamma_tip = 0: the null space is not unique
@@ -205,7 +248,7 @@ class TestSweepLoss:
 
     def test_singular_point_is_listed_without_output(self, capfd):
         # the drive commutator alone: the top sector's block is exactly zero.
-        # capfd reads file descriptor 2, which the spawned workers share
+        # capfd reads file descriptor 2, which the workers share
         p = params(chi=0.0, J=0.0, gamma_1=0.0, gamma_ex=0.0, gamma_2=0.0, delta=0.0)
         solved = liouvillian.solve_points([p, p.with_(gamma_tip=1.0)],
                                           liouvillian.driven_basis((3, 3)))
@@ -223,15 +266,17 @@ class TestSweepLoss:
         sweep_loss(params(), [0.0, 4.0], backends=("analytic",), cutoff=cutoff)
 
     def test_rows_independent_of_worker_count(self, monkeypatch):
-        # the worker count is one per CPU the parent may run on
+        # the worker count is one per CPU the parent may run on; five
+        # workers on fewer cores may answer their uneven chunks (1 or 2 points)
+        # out of order, and the rows still come back in input order
         grid = np.linspace(0.0, 12.0, 7)
         tables = []
-        for cpus in ({0}, {0, 1}):
+        for cpus in ({0}, {0, 1}, set(range(5))):
             monkeypatch.setattr(liouvillian.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             tables.append(sweep_loss(params(), grid, cutoff=(3, 3)))
-        one, two = tables
-        assert one.rows == two.rows
-        assert one == two
+        one, two, five = tables
+        assert one.rows == two.rows == five.rows
+        assert one == two == five
 
     def test_platform_without_cpu_affinity(self, monkeypatch):
         # os.sched_getaffinity is Linux-only; elsewhere the CPU count decides
@@ -241,22 +286,19 @@ class TestSweepLoss:
         assert [failure for _, failure in results] == [None, None]
         assert all(abs(rho.data.trace() - 1.0) < 1e-12 for rho, _ in results)
 
-    def test_environment_restored_after_sweep(self, monkeypatch):
+    def test_environment_untouched_by_sweep(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.setenv("MKL_NUM_THREADS", "")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        before = dict(os.environ)
-        with liouvillian._one_blas_thread():
-            assert all(os.environ[name] == "1" for name in liouvillian.BLAS_THREAD_VARS)
-        assert dict(os.environ) == before
-        # the workers start pinned, and the caller's values come back after
+        # a read-only os.environ during the calls: any write raises
         basis = build_basis(per_mode=(3, 3))
-        assert liouvillian.solve_points([params()], basis, blas_environment).results == [
-            (dict.fromkeys(liouvillian.BLAS_THREAD_VARS, "1"), None)]
-        assert dict(os.environ) == before
-        sweep_loss(params(), [0.0, 4.0], backends=("lindblad",), cutoff=(3, 3))
-        assert dict(os.environ) == before
-        assert "OMP_NUM_THREADS" not in os.environ
+        with monkeypatch.context() as calls:
+            calls.setattr(os, "environ", types.MappingProxyType(dict(os.environ)))
+            # the workers read one BLAS thread from their own environment
+            solved = liouvillian.solve_points([params()], basis, blas_environment)
+            table = sweep_loss(params(), [0.0, 4.0], backends=("lindblad",), cutoff=(3, 3))
+        assert solved.results == [(dict.fromkeys(workers.BLAS_THREAD_VARS, "1"), None)]
+        assert [row["lindblad_failed"] for row in table.rows] == [0, 0]
 
     def test_analytic_columns_match_scalar_path(self):
         # eta1 = D1*D2 - J^2 vanishes at gamma_tip = 0: delta = J, nearly lossless modes
@@ -265,6 +307,9 @@ class TestSweepLoss:
             table = sweep_loss(p, [0.0, 1.0, 4.0], protocol=("fixed", 1.0),
                                backends=("analytic",))
         assert [row["analytic_failed"] for row in table.rows] == [1, 0, 0]
+        assert table.analytic_failures == [(0.0, "the closed form is singular")]
+        assert table.analytic_summary() == ("1 of 3 analytic rows failed: the closed form is "
+                                            "singular (1)")
         assert "analytic_n1" not in table.rows[0]
         for row in table.rows[1:]:
             with pytest.warns(UserWarning, match="perturbative"):
@@ -280,6 +325,9 @@ class TestSweepLoss:
         table = sweep_loss(params(omega_drive_amp=0.0), [0.0, 1.0],
                            backends=("analytic",))
         assert [row["analytic_failed"] for row in table.rows] == [1, 1]
+        assert table.analytic_failures == [(0.0, "N1 vanishes"), (1.0, "N1 vanishes")]
+        assert table.analytic_summary() == "2 of 2 analytic rows failed: N1 vanishes (2)"
+        assert sweep_loss(params(), [0.0, 1.0], backends=("analytic",)).analytic_summary() == ""
 
     def test_n1_beyond_its_ceiling_fails_row_where_the_scalar_path_raises(self):
         # far past the weak-drive regime N1 grows as Omega^6 and falls with
@@ -293,6 +341,8 @@ class TestSweepLoss:
             table = sweep_loss(p, np.linspace(0.0, 12.0, 13), backends=("analytic",))
             failed = [row["analytic_failed"] for row in table.rows]
             assert 0 < sum(failed) < len(failed)
+            assert table.analytic_failures == [(row["gamma_tip"], "N1 is beyond N1_CEILING")
+                                               for row in table.rows if row["analytic_failed"]]
             for row in table.rows:
                 amps = steady_amplitudes(loss_point(p, row["gamma_tip"]))
                 if row["analytic_failed"]:
@@ -418,20 +468,21 @@ class TestCertifiedCap:
         # closed-form shells 1 to 3 understate the higher ones, so the
         # predicted cap misses the certificate and the run goes up a shell:
         # at Omega = 0.05 to a cap below the ceiling, at the SI drive to it
-        pools = []
+        starts = []
 
-        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        class CountedPopen(subprocess.Popen):
             def __init__(self, *args, **kwargs):
-                pools.append(args)
+                starts.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(subprocess, "Popen", CountedPopen)
+        monkeypatch.setattr(liouvillian.os, "sched_getaffinity", lambda pid: {0, 1})
         p = fig2.with_(omega_drive_amp=drive) if drive == 0.05 else at_drive(fig2, drive)
         gts = self.GRID[::3]
         ratio = shell_ratio(p, np.full(gts.shape, -13.0), p.gamma_2 + gts)
         assert liouvillian.start_cap(ratio, 7) == start
         table = sweep_loss(p, gts, protocol=("fixed", -13.0), backends=("lindblad",))
-        assert (table.excitation_cap, len(pools)) == (cap, 1)
+        assert (table.excitation_cap, len(starts)) == (cap, 2)  # one start of each worker
         # p03 is about 1e-24 here, where solves on two bases differ by about
         # 1e-35 absolute (1e-11 relative) at any cap: the rounding floor
         self.assert_ceiling_columns(p, table.rows, population_floor=1e-14)
@@ -529,11 +580,11 @@ class TestStackedChunks:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, chunks, *args):
+            def map(self, chunks, *args):
                 tasks.extend(len(chunk) for chunk in chunks)
                 return [[(None, None)] * len(chunk) for chunk in chunks]
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(workers, "WorkerPool", NoPool)
         monkeypatch.setattr(liouvillian.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         liouvillian.solve_points([params()] * count, liouvillian.driven_basis((3, 3)))
         assert tasks == sizes
