@@ -38,7 +38,7 @@ from .liouvillian import (
     start_cap,
 )
 from .model import SystemParams
-from .observables import _spectra, photon_statistics
+from .observables import _lindblad_columns, _spectra
 from .search import bisect_root, golden_section_minimize
 from .spectral import hep_location, one_photon_eigensystem_closed
 
@@ -248,18 +248,6 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
     return SweepTable(columns=_sweep_columns(backends), rows=rows, protocol=protocol,
                       excitation_cap=cap, failures=failures,
                       analytic_failures=analytic_failures)
-
-
-def _lindblad_columns(rho) -> dict:
-    """Lindblad columns of one sweep row from its steady state; a state
-    outside its basis (in a certificate's solve below shell 3) holds none."""
-    stats = photon_statistics(rho)
-    columns = {"lindblad_n1": stats.n1, "lindblad_n2": stats.n2,
-               "lindblad_g2": stats.g2, "lindblad_g3": stats.g3}
-    columns.update({f"lindblad_p{m}{n}": stats.p_mn.get((m, n), 0.0)
-                    for m, n in AMPLITUDE_STATES})
-    columns["lindblad_failed"] = 0
-    return columns
 
 
 def _fill_analytic(rows: list[dict], p: SystemParams, gts: np.ndarray) -> list:

@@ -666,15 +666,15 @@ def solve_points(points, basis: FockBasis, reduce=None,
     worker, with its type and message, and a worker that dies raises a
     RuntimeError naming its exit status. The points are solved in worker
     processes (``workers.WorkerPool``: one per CPU this process may run on,
-    or per CPU where the platform cannot tell; at most one per point) whose
-    BLAS reads one thread. Each worker task is a chunk of at most
-    ``CHUNK_POINTS`` consecutive points, fewer where that gives every
-    worker a chunk, solved per cap as stacks (``_solve_chunk``); a point's
-    result is that of its stack of one, so the results depend neither on
-    the worker count nor on the chunks, nor, for a BLAS that reads
-    ``workers.BLAS_THREAD_VARS``, on the caller's thread count. ``reduce``
-    must pickle by reference to a module the workers can import from the
-    caller's ``sys.path`` (not ``__main__``).
+    or per CPU where the platform cannot tell; at most one per point, so
+    none for no points) whose BLAS reads one thread. Each worker task is a
+    chunk of at most ``CHUNK_POINTS`` consecutive points, fewer where that
+    gives every worker a chunk, solved per cap as stacks (``_solve_chunk``);
+    a point's result is that of its stack of one, so the results depend
+    neither on the worker count nor on the chunks, nor, for a BLAS that
+    reads ``workers.BLAS_THREAD_VARS``, on the caller's thread count.
+    ``reduce`` must pickle by reference to a module the workers can import
+    from the caller's ``sys.path`` (not ``__main__``).
     """
     check_size(basis)
     # imported here: only master-equation commands start workers
@@ -685,6 +685,8 @@ def solve_points(points, basis: FockBasis, reduce=None,
         cap = ceiling
     else:
         cap = min(max(start_cap, MIN_CAP), ceiling)
+    if not points:
+        return SolvedPoints([], cap)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(cpus, len(points))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, fields, replace
-from importlib import resources
 
 import numpy as np
 
@@ -162,6 +161,8 @@ def _static_terms(basis: FockBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def preset(name: str) -> tuple[SystemParams, dict]:
     """Load one of the shipped presets (``paper_fig1``/``paper_fig2``/``paper_fig3``)."""
+    from importlib import resources  # here: the sweep workers load no preset
+
     try:
         text = resources.files("kerrdimer").joinpath(f"presets/{name}.json").read_text()
     except FileNotFoundError:
@@ -172,6 +173,8 @@ def preset(name: str) -> tuple[SystemParams, dict]:
 
 
 def preset_names() -> list[str]:
+    from importlib import resources
+
     root = resources.files("kerrdimer").joinpath("presets")
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 

@@ -7,7 +7,12 @@ from math import factorial
 
 import numpy as np
 
-from .analytic import UNDEFINED_N1_FLOOR, amplitude_arrays, analytic_observables
+from .analytic import (
+    AMPLITUDE_STATES,
+    UNDEFINED_N1_FLOOR,
+    amplitude_arrays,
+    analytic_observables,
+)
 from .hilbert import mode1_moment, mode_operator
 from .liouvillian import (
     DEFAULT_CUTOFF,
@@ -214,3 +219,17 @@ def _spectra(p: SystemParams, gamma_tips: np.ndarray, deltas: np.ndarray, backen
 def _mode1_occupation(rho: DensityMatrix) -> float:
     """N1 = <a1' a1> of a steady state: the Lindblad spectrum's reduction."""
     return rho.expectation(mode_operator(rho.basis, 1, "number").data).real
+
+
+def _lindblad_columns(rho: DensityMatrix) -> dict:
+    """Lindblad columns of one sweep row from its steady state; a state
+    outside its basis (in a certificate's solve below shell 3) holds none.
+    ``experiments.sweep_loss``' reduction, kept here so that its workers
+    need not import ``experiments``."""
+    stats = photon_statistics(rho)
+    columns = {"lindblad_n1": stats.n1, "lindblad_n2": stats.n2,
+               "lindblad_g2": stats.g2, "lindblad_g3": stats.g3}
+    columns.update({f"lindblad_p{m}{n}": stats.p_mn.get((m, n), 0.0)
+                    for m, n in AMPLITUDE_STATES})
+    columns["lindblad_failed"] = 0
+    return columns

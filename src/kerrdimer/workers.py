@@ -2,7 +2,9 @@
 
 A worker is a plain interpreter on two pipes: no ``multiprocessing``, so
 no resource tracker, and no import of the caller's ``__main__``, so no
-entry-point guard in the caller. Imported only where a call starts workers.
+entry-point guard in the caller. It runs without ``site`` and imports
+numpy and the solver alone: only ``WorkerPool``, in the caller, imports
+``subprocess`` and ``selectors``. Imported only where a call starts workers.
 """
 
 from __future__ import annotations
@@ -10,8 +12,6 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
-import selectors
-import subprocess
 import sys
 
 from .liouvillian import _solve_chunk
@@ -49,16 +49,20 @@ def _read_frame(stream) -> bytes:
 class WorkerPool:
     """``count`` worker processes, started at once.
 
-    Each is ``sys.executable`` with this interpreter's flags, this process's
-    environment with ``BLAS_THREAD_VARS`` at 1, and ``sys.path`` in its
-    first frame. It answers each frame of ``_solve_chunk``'s arguments on
-    its stdin with one frame on its stdout (``serve``). Leaving the
+    Each is ``sys.executable`` with this interpreter's flags and ``-S``, this
+    process's environment with ``BLAS_THREAD_VARS`` at 1, and ``sys.path``
+    in its first frame: without ``site``, that is its whole path. It
+    answers each frame of ``_solve_chunk``'s arguments on its stdin with
+    one frame on its stdout (``serve``). Leaving the
     ``with`` block closes both pipes of every worker and reaps it, killing
     it first where the block raised.
     """
 
     def __init__(self, count: int):
-        argv = [sys.executable, *subprocess._args_from_interpreter_flags(), "-c", _WORKER_MAIN]
+        import subprocess
+
+        argv = [sys.executable, *subprocess._args_from_interpreter_flags(), "-S", "-c",
+                _WORKER_MAIN]
         env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
         self.procs = []
         try:
@@ -89,6 +93,8 @@ class WorkerPool:
     def map(self, chunks, *args) -> list:
         """``_solve_chunk(chunk, *args)`` of each chunk, in input order; a
         worker takes the next chunk when it has answered its last."""
+        import selectors
+
         results = [None] * len(chunks)
         tasks = iter(enumerate(chunks))
         running = {}  # worker -> index of the chunk it solves
