@@ -60,24 +60,22 @@ LEP_CUTOFF = (2, 2)
 LEP_GAP_THRESHOLD = 1e-3
 LEP_OVERLAP_THRESHOLD = 0.99
 LEP_TOL = 1e-9  # golden-section tolerance on gamma_tip, in units of gamma_1'
-# bound on a point's estimated truncation error (_truncation_error) at a
-# certified excitation cap: a tenth of north-star aim 2's 1e-12 relative to
-# the ceiling, because the estimate is an extrapolation. Over 2300 random
-# 9-point runs (cutoffs (5, 5) and (7, 7)) it let no run through whose error
-# lay above 1e-12 and above the ceiling's own rounding noise; at 2e-13 one
-# (1.7e-12), at 1e-12 eleven. A run starts at MIN_CAP at the lowest: shell 3
-# holds the reported p03 .. p30 and g3, and the solve one cap lower must
-# hold it too
+# bound on a point's truncation estimate (_extension_error) at a certified
+# excitation cap: a tenth of north-star aim 2's 1e-12 relative to the
+# ceiling. Over 3450 random 9-point runs (cutoffs (5, 5) and (7, 7), a third
+# at a two- or three-photon resonance) it let no run through whose error lay
+# above 1e-12 and the ceiling's own rounding noise, nor at 5e-13; at 1e-12
+# one (1.0002e-12). A run starts at MIN_CAP at the lowest, a shell above
+# shell 3, which holds the reported p03 .. p30 and g3
 TRUNCATION_TOL = 1e-13
 MIN_CAP = 4
-# solve_points' worker tasks: chunks of at most CHUNK_POINTS points, each
-# solved per cap as stacks of points whose _SectorLU block buffers take at
-# most STACK_BYTES together (at least one point). Stacking saves the
-# per-call overhead of small bases, and costs cache misses on large ones:
-# on a 2-core Xeon (2 MiB L2 a core) at one BLAS thread a fig2 point took
-# 0.23-0.25 ms at cap 2 in stacks of 16 against 0.53-0.56 alone, 1.84-2.10
-# ms at cap 5 in stacks of 4 (1.9 MB) against 1.93-2.23 in stacks of 8, and
-# 5.9-6.1 ms on the 30-state ceiling (1.4 MB) alone against 6.4-7.3 in triples
+# solve_points' worker tasks: chunks of at most CHUNK_POINTS points, solved
+# as stacks whose _SectorLU block buffers take at most STACK_BYTES (at least
+# one point): stacking saves the per-call overhead of small bases and costs
+# cache misses on large ones. On a 2-core Xeon (2 MiB L2 a core) at one BLAS
+# thread a fig2 point took 1.47 ms at cap 5 with its truncation estimate in
+# stacks of 4 (1.9 MB) against 1.63 in stacks of 8, and 5.9-6.1 ms on the
+# 30-state ceiling (1.4 MB) alone against 6.4-7.3 in triples
 CHUNK_POINTS = 16
 STACK_BYTES = 1 << 21
 
@@ -379,7 +377,7 @@ def steady_state(sop: Superoperator) -> DensityMatrix:
     return rho
 
 
-def _steady_states(basis: FockBasis, mats: list) -> list:
+def _steady_states(basis: FockBasis, mats: list, border=None):
     """The trace-normalized null vector of each generator of a stack on
     ``basis``: CSR matrices (``CSRMatrix`` or alike) on the pattern of the
     first, a ``build_liouvillian`` pattern (``_variant_of``).
@@ -398,6 +396,10 @@ def _steady_states(basis: FockBasis, mats: list) -> list:
     ``ValueError`` its checks raised. A sector's LAPACK call that fails for
     any member fails the stack's, which is then solved point by point, so
     that each point keeps its own failure.
+
+    ``border`` maps the unrefined states (P, n) to more right-hand sides,
+    the refinement solve's second column; then the items come with their
+    Hermitian solutions, None where the stack was solved point by point.
     """
     plan = _solver_plan(basis, _variant_of(basis, mats[0]))
     r1, r2 = plan.r1, plan.r2
@@ -414,14 +416,17 @@ def _steady_states(basis: FockBasis, mats: list) -> list:
         # residual is Hermitian up to rounding, and solve takes its Hermitian part.
         res = -lz[:, :, 0]
         res[:, r1] = 1.0 - tz[:, 0]
-        v1 = z[:, :, 0] + lu.solve(0.5 * (res + res.take(plan.tau, axis=1).conj()))
+        res = 0.5 * (res + res.take(plan.tau, axis=1).conj())
+        if border is not None:
+            res = np.stack([res, border(z[:, :, 0])], axis=2)
+        sol = lu.solve(res).reshape(len(mats), -1, 2 if border is not None else 1)
     except DegenerateSteadyStateError as exc:
-        if len(mats) == 1:
-            return [exc]
-        return [_steady_states(basis, [lmat])[0] for lmat in mats]
+        states = [exc] if len(mats) == 1 else [_steady_states(basis, [lmat])[0] for lmat in mats]
+        return states if border is None else (states, None)
     # exactly Hermitian: solve leaves sector 0 as its LU gives it, since
     # symmetrized there the two null vectors of a degenerate lossless point
     # came out alike and the guard below missed it
+    v1 = z[:, :, 0] + sol[:, :, 0]
     v1 = 0.5 * (v1 + v1.take(plan.tau, axis=1).conj())
 
     states = []
@@ -452,7 +457,10 @@ def _steady_states(basis: FockBasis, mats: list) -> list:
             states.append(rho.validate())
         except (DegenerateSteadyStateError, ValueError) as exc:
             states.append(exc)
-    return states
+    if border is None:
+        return states
+    dx = sol[:, :, 1]
+    return states, 0.5 * (dx + dx.take(plan.tau, axis=1).conj())
 
 
 class _Plan(NamedTuple):
@@ -460,8 +468,8 @@ class _Plan(NamedTuple):
     rows, the excitation-difference sectors of the vec index, and where the
     pattern's entries go in the blocks of M1."""
 
-    r1: int  # the rows of L that the two bordered systems replace by the
-    r2: int  # trace row: the diagonal entries of |0,0> and of another state
+    r1: int  # the rows of L that the two bordered systems replace by the trace
+    r2: int  # row: the diagonal entries of |0,0> and of another state; -1: none
     diag: np.ndarray  # vec indices of the diagonal
     pos: np.ndarray  # position of each vec index in its sector; -k takes its transpose's in k
     tau: np.ndarray  # vec index of the transpose, c*d + r -> r*d + c
@@ -485,19 +493,26 @@ def _solver_plan(basis: FockBasis, variant: str) -> _Plan:
     d = basis.size
     i00 = basis.index_of(0, 0)
     alt = d - 1 if i00 != d - 1 else 0
-    r1 = i00 * (d + 1)
     total = np.array([m + n for m, n in basis.states])
-    k = (total[None, :] - total[:, None]).ravel()
-    tau = np.arange(d * d).reshape(d, d).T.ravel()
-    members = [np.flatnonzero(k == j) for j in range(total.max() - total.min() + 1)]
-    pos = np.empty(d * d, dtype=np.intp)
+    return _sector_plan(indices, indptr, (total[None, :] - total[:, None]).ravel(),
+                        np.arange(d * d).reshape(d, d).T.ravel(),
+                        i00 * (d + 1), alt * (d + 1), np.arange(d) * (d + 1))
+
+
+def _sector_plan(indices: np.ndarray, indptr: np.ndarray, k: np.ndarray, tau: np.ndarray,
+                 r1: int = -1, r2: int = -1, diag: np.ndarray = np.arange(0)) -> _Plan:
+    """The ``_Plan`` of a CSR pattern whose unknowns lie in sectors ``k``
+    and transpose by ``tau``; r1 = -1 leaves it unbordered."""
+    n = len(k)
+    members = [np.flatnonzero(k == j) for j in range(k.max() + 1)]
+    pos = np.empty(n, dtype=np.intp)
     for j, idx in enumerate(members):
         pos[idx] = np.arange(len(idx))
         if j:
             pos[tau[idx]] = pos[idx]
     mirror = pos[tau[members[0]]]
 
-    rows = np.repeat(np.arange(d * d), np.diff(indptr))
+    rows = np.repeat(np.arange(n), np.diff(indptr))
     kr, kc = k[rows], k[indices]
     if np.any(np.abs(kr - kc) > 1):
         raise NumericalFailureError(
@@ -532,7 +547,7 @@ def _solver_plan(basis: FockBasis, variant: str) -> _Plan:
         cols[pr[sel], rank] = pc[sel]
         up_src.append(src)
         up_cols.append(cols)
-    return _Plan(r1, alt * (d + 1), np.arange(d) * (d + 1), pos, tau, members, mirror,
+    return _Plan(r1, r2, diag, pos, tau, members, mirror,
                  (mirror[:, None] * len(mirror) + mirror).ravel(),
                  np.concatenate(members + [tau[idx] for idx in members[1:]]),
                  shapes, start, dest, entry[dense], up_src, up_cols)
@@ -542,7 +557,7 @@ class _SectorLU:
     """Block elimination of the bordered generators M1 (row r1 replaced by
     the trace row) of a stack over the excitation-difference sectors: the
     rows of ``data`` hold their entries on the pattern of ``plan``
-    (``_solver_plan``).
+    (``_solver_plan``); on an unbordered plan, of the matrices, with no ``z``.
 
     Every term of the generator but the drive conserves photon number, so
     sector k of the vec index couples only to k and k +- 1; a pattern that
@@ -562,6 +577,8 @@ class _SectorLU:
     stack. ``solve`` takes right-hand sides (P, n) or (P, n, m) whose
     columns are Hermitian as d x d matrices; its solutions, like ``z``, hold
     the conjugate transpose of sector k in sector -k, and sector 0 as solved.
+    Its products go column by column (BLAS gemv and gemm round apart), so at
+    one BLAS thread a column's solution does not depend on the others.
     """
 
     def __init__(self, plan: _Plan, data: np.ndarray):
@@ -572,7 +589,8 @@ class _SectorLU:
         buf[:, plan.dest] = data.take(plan.src, axis=1)
         blocks = [buf[:, lo:hi].reshape(stack, *shape) for lo, hi, shape in
                   zip(plan.start, plan.start[1:], plan.shapes)]
-        blocks[0][:, plan.pos[plan.r1], plan.pos[plan.diag]] = 1.0  # the trace row
+        if plan.r1 >= 0:
+            blocks[0][:, plan.pos[plan.r1], plan.pos[plan.diag]] = 1.0  # the trace row
         vals = np.append(data, np.zeros((stack, 1)), axis=1)
         self.up = [(vals.take(src, axis=1), cols)  # M1[j, j + 1]
                    for src, cols in zip(plan.up_src, plan.up_cols)]
@@ -585,6 +603,8 @@ class _SectorLU:
                 corr += np.conjugate(corr.reshape(stack, -1).take(plan.mirror_flat, axis=1)
                                      .reshape(corr.shape))
             blocks[j - 1] -= corr
+        if plan.r1 < 0:
+            return
         # e_r1 and e_r2 lie in sector 0, so every t_j of their solution is 0
         rhs = np.zeros((stack, len(plan.members[0]), 2), dtype=complex)
         rhs[:, plan.pos[[plan.r1, plan.r2]], [0, 1]] = 1.0
@@ -612,11 +632,14 @@ class _SectorLU:
             out += term
         return out
 
-    def _back_substitute(self, x0: np.ndarray, t: list) -> np.ndarray:
+    def _back_substitute(self, x0: np.ndarray, t: list, by_column: bool = False) -> np.ndarray:
         """x from its sector-0 part x0 and t_j = S_j^-1 y_j for j >= 1."""
         parts = [x0]
         for j in range(1, len(t)):
-            parts.append(t[j] - self.w[j] @ parts[-1])
+            prod = (np.concatenate([self.w[j] @ parts[-1][..., i:i + 1]
+                                    for i in range(x0.shape[2])], axis=2)
+                    if by_column else self.w[j] @ parts[-1])
+            parts.append(t[j] - prod)
         x = np.empty((len(x0), len(self.plan.pos), x0.shape[2]), dtype=complex)
         x[:, self.plan.order] = np.concatenate(
             parts + [np.conjugate(xk) for xk in parts[1:]], axis=1)
@@ -634,7 +657,7 @@ class _SectorLU:
             if j == 1:
                 g += g.take(plan.mirror, axis=1).conj()
             y[j - 1] -= g
-        return self._back_substitute(self._solve(0, y[0]), t).reshape(b.shape)
+        return self._back_substitute(self._solve(0, y[0]), t, True).reshape(b.shape)
 
 
 class SolvedPoints(NamedTuple):
@@ -653,12 +676,11 @@ def solve_points(points, basis: FockBasis, reduce=None,
 
     Without ``start_cap`` or ``reduce``, the cap is the largest m + n of
     ``basis``, the ceiling. With both, the points are solved at ``start_cap``
-    (at least ``MIN_CAP``, at most the ceiling), and each point also at the
-    three caps below it, for a truncation certificate (``_truncation_error``).
-    If a point's estimate is over ``TRUNCATION_TOL``, or one of its solves
-    failed, every point is solved one shell up, in the same pool, until all
-    pass; at the ceiling no certificate is taken. ``reduce``'s result must
-    then be a number or a dict of numbers.
+    (at least ``MIN_CAP``, at most the ceiling) with a truncation estimate
+    one shell above it (``_extension_error``). If a point's estimate is over
+    ``TRUNCATION_TOL``, or its solve failed, every point is solved one shell
+    up, in the same pool, until all pass; at the ceiling no estimate is
+    taken. ``reduce``'s result must then be a number or a dict of numbers.
 
     A degenerate or invalid state (``DegenerateSteadyStateError`` or
     ``ValueError``, from the solve or from ``reduce``) gives ``(None,
@@ -706,64 +728,115 @@ def solve_points(points, basis: FockBasis, reduce=None,
 
 def _solve_chunk(points, basis: FockBasis, cap: int | None, reduce) -> list:
     """``(result, estimate)`` per point of a chunk: its ``solve_points``
-    result on ``basis`` up to m + n <= ``cap``, and its ``_truncation_error``
-    from the solves at the three caps below; with ``cap`` None, on all of
-    ``basis``, and the estimate None. A result is ``(reduce(rho), None)``,
-    or ``(None, (class name, message))`` for a ``DegenerateSteadyStateError``
-    or ``ValueError`` of the solve or of ``reduce``. Each cap's points are
-    solved in stacks whose block buffers (``_SectorLU``) take at most
-    ``STACK_BYTES``, and at least one point. The generators of a stack are
-    built outside any ``try``: a fault there propagates."""
-    bases = [basis] if cap is None else [
-        FockBasis(tuple(s for s in basis.states if sum(s) <= c)) for c in range(cap - 3, cap + 1)]
+    result on ``basis`` up to m + n <= ``cap``, and its ``_extension_error``;
+    with ``cap`` None, on all of ``basis``, and the estimate None. A result
+    is ``(reduce(rho), None)``, or ``(None, (class name, message))`` for a
+    ``DegenerateSteadyStateError`` or ``ValueError`` of the solve or of
+    ``reduce``. Each point is factored once, in stacks whose block buffers
+    (``_SectorLU``) take at most ``STACK_BYTES``, and at least one point.
+    The generators are built outside any ``try``: a fault there propagates."""
+    sub = basis if cap is None else FockBasis(tuple(s for s in basis.states if sum(s) <= cap))
+    step = max(1, STACK_BYTES // (16 * _solver_plan(sub, "rotating_driven").start[-1]))
     solved = []
-    for sub in bases:
-        step = max(1, STACK_BYTES // (16 * _solver_plan(sub, "rotating_driven").start[-1]))
-        results = []
-        for lo in range(0, len(points), step):
-            mats = [build_liouvillian(p, sub).data for p in points[lo:lo + step]]
-            for state in _steady_states(sub, mats):
-                try:
-                    if isinstance(state, Exception):
-                        raise state
-                    results.append((state if reduce is None else reduce(state), None))
-                except (DegenerateSteadyStateError, ValueError) as exc:
-                    results.append((None, (type(exc).__name__, str(exc))))
-        solved.append(results)
-    return [(results[-1], None if cap is None else _truncation_error(*results))
-            for results in zip(*solved)]
+    for lo in range(0, len(points), step):
+        mats = [build_liouvillian(p, sub).data for p in points[lo:lo + step]]
+        states, extended = ((_steady_states(sub, mats), [None] * len(mats)) if cap is None else
+                            _extended_states(sub, cap, basis, points[lo:lo + step], mats))
+        for state, corrected in zip(states, extended):
+            result = _reduced(state, reduce)
+            solved.append((result, None if cap is None
+                           else _extension_error(result, _reduced(corrected, reduce))))
+    return solved
 
 
-def _truncation_error(*results) -> float:
-    """Estimated truncation error of a point's result at cap c, from its
-    ``solve_points`` results at caps c - 3 .. c: step(c) * max(step(c) /
-    step(c - 1), step(c - 1) / step(c - 2)), where step(c) is the largest
-    relative change of the reduced numbers from cap c - 1 to c. Where the
-    error falls geometrically from shell to shell, step(c) is about the
-    error at c - 1 and a ratio of steps the factor from one shell to the
-    next; the larger of the last two covers a factor that changes from shell
-    to shell. It is an extrapolation, not a bound (see ``TRUNCATION_TOL``).
-    Infinite where a solve failed, a step is not finite, or a step before
-    the last is zero; a zero step(c) is a zero error."""
-    if any(failure for _, failure in results):
+def _reduced(state, reduce) -> tuple:
+    """A state's result as ``_solve_chunk`` gives it; None stays None."""
+    try:
+        if isinstance(state, Exception):
+            raise state
+        return (state if reduce is None or state is None else reduce(state), None)
+    except (DegenerateSteadyStateError, ValueError) as exc:
+        return (None, (type(exc).__name__, str(exc)))
+
+
+@functools.cache
+def _extension(basis: FockBasis, cap: int) -> tuple:
+    """The states of ``basis`` up to m + n <= cap + 1; the vec indices of the
+    old pairs of states, both at most at cap, then of the new ones, with one
+    in shell cap + 1; the generator's blocks C (new rows, old columns), D and
+    B, each as (data indices, columns, row pointers); D's unbordered
+    ``_Plan``; the diagonal's places among the new pairs. Cached."""
+    ext = FockBasis(tuple(s for s in basis.states if sum(s) <= cap + 1))
+    d = ext.size
+    total = np.array([m + n for m, n in ext.states])
+    is_new = np.maximum(total[None, :], total[:, None]).ravel() > cap
+    # each pair's position among the old or the new ones; the cap-c basis is
+    # a prefix of ext (states ascend in m + n), so the old ones are its vec
+    old, new = (np.where(mask, np.cumsum(mask) - 1, -1) for mask in (~is_new, is_new))
+    gen = _generator(ext, "rotating_driven")
+    rows = np.repeat(np.arange(d * d), np.diff(gen.indptr))
+
+    def block(rmap, cmap):
+        src = np.flatnonzero((rmap[rows] >= 0) & (cmap[gen.indices] >= 0))
+        return src, cmap[gen.indices[src]], np.searchsorted(rmap[rows[src]],
+                                                            np.arange(rmap.max() + 2))
+
+    dblock = block(new, new)
+    plan = _sector_plan(*dblock[1:], (total[None, :] - total[:, None]).ravel()[is_new],
+                        new[np.arange(d * d).reshape(d, d).T.ravel()][is_new])
+    return (ext, np.concatenate([np.flatnonzero(~is_new), np.flatnonzero(is_new)]),
+            block(new, old), dblock, block(old, new), plan, new[np.arange(d) * (d + 1)][total > cap])
+
+
+def _extended_states(sub: FockBasis, cap: int, basis: FockBasis, points, mats: list) -> tuple:
+    """``_steady_states`` of a stack on ``sub``, the states of ``basis`` up to
+    m + n <= cap, and each state corrected onto cap + 1 (``_extension``),
+    unvalidated, or None where the stack's solve or D failed.
+
+    The cap-c generator A is the block of the cap-(c + 1) generator on the
+    old pairs, so the residual of the cap-c state x, embedded with zeros, is
+    C x. One correction step gives y = -D^-1 C x (D, drive included, is
+    eliminated over its own sectors) and dx from the bordered cap-c system,
+    A dx = -B y with trace(dx) = -trace(y), as the second column of the
+    refinement solve (``border``), from the unrefined x."""
+    ext, order, c, d, b, plan, diag = _extension(basis, cap)
+    gens = [build_liouvillian(p, ext).data.data for p in points]
+    r1 = _solver_plan(sub, "rotating_driven").r1
+    shape = (len(d[2]) - 1, sub.size ** 2)
+    ys = []
+
+    def border(x):
+        cx = np.stack([CSRMatrix(g[c[0]], *c[1:], shape) @ xp for g, xp in zip(gens, x)])
+        y = -_SectorLU(plan, np.stack([g[d[0]] for g in gens])).solve(cx)
+        ys.append(y)
+        rhs = -np.stack([CSRMatrix(g[b[0]], *b[1:], shape[::-1]) @ yp for g, yp in zip(gens, y)])
+        rhs[:, r1] = -y[:, diag].sum(axis=1)
+        return rhs
+
+    states, dx = _steady_states(sub, mats, border)
+    extended = [None] * len(states)
+    for i, state in enumerate(states):
+        if dx is not None and not isinstance(state, Exception):
+            v = np.empty(ext.size ** 2, dtype=complex)
+            v[order] = np.concatenate([state.data.reshape(-1, order="F") + dx[i], ys[0][i]])
+            extended[i] = DensityMatrix(basis=ext, data=unvec(v, ext.size))
+    return states, extended
+
+
+def _extension_error(result: tuple, corrected: tuple) -> float:
+    """A point's truncation estimate at cap c from its reduced result there
+    and at its state corrected onto cap c + 1 (``_extended_states``): max
+    |new - old| / |new| over the numbers, 0 where one is unchanged, the step
+    a cap-(c + 1) solve would take, to first order. Infinite where either
+    failed or is None, or a number is not finite."""
+    if result[1] or corrected[1] or corrected[0] is None:
         return float("inf")
-    xs = [np.array(list(r.values()) if isinstance(r, dict) else [r], dtype=float)
-          for r, _ in results]
-    older, prev, step = (_relative_step(a, b) for a, b in zip(xs, xs[1:]))
-    if not np.isfinite([older, prev, step]).all():
-        return float("inf")
-    if step == 0.0:
-        return 0.0
-    if prev == 0.0 or older == 0.0:
-        return float("inf")
-    return step * max(step / prev, prev / older)
-
-
-def _relative_step(old: np.ndarray, new: np.ndarray) -> float:
-    """max |new - old| / |new| over the elements; an unchanged element is 0."""
+    old, new = (np.array(list(r.values()) if isinstance(r, dict) else [r], dtype=float)
+                for r in (result[0], corrected[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(new == old, 0.0, np.abs(new - old) / np.abs(new))
-    return float(np.max(rel, initial=0.0))
+    err = float(np.max(rel, initial=0.0))
+    return err if np.isfinite(err) else float("inf")
 
 
 @functools.cache

@@ -222,8 +222,8 @@ def _mode1_occupation(rho: DensityMatrix) -> float:
 
 
 def _lindblad_columns(rho: DensityMatrix) -> dict:
-    """Lindblad columns of one sweep row from its steady state; a state
-    outside its basis (in a certificate's solve below shell 3) holds none.
+    """Lindblad columns of one sweep row from its steady state; a reported
+    population outside its basis is 0.
     ``experiments.sweep_loss``' reduction, kept here so that its workers
     need not import ``experiments``."""
     stats = photon_statistics(rho)

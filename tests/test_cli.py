@@ -839,6 +839,32 @@ class TestSiUnits:
         # grid specs are multiples of gamma_1' in any unit system
         assert side["gamma_tip_grid"]["stop"] == pytest.approx(12 * g1p, rel=1e-12)
 
+    @pytest.mark.parametrize("p_in, cap", [("4e-15", 7), ("4e-17", 5)])
+    def test_lindblad_sweep_matches_its_normalized_twin(self, tmp_path, capsys, p_in, cap):
+        # the same sweep with chi, Omega, J and the gammas divided by gamma_1'
+        # (--set): the same certified cap, the Lindblad columns within 1e-12
+        # relative, and the rate columns once divided by gamma_1'. At the
+        # paper's drive the run needs the ceiling; 10 times weaker, cap 5
+        si = (*self.SI[:-1], p_in)
+        grid = ("--backend", "lindblad", "--gamma-tip-grid", "0:12:7")
+        assert run(capsys, "sweep-loss", *si, *grid, "--output-dir", str(tmp_path / "si"))[0] == 0
+        side = json.loads((tmp_path / "si" / "fig2ab.provenance.json").read_text())
+        g1p = side["params"]["gamma_1"] + side["params"]["gamma_ex"]
+        scaled = [f"{k}={side['params'][k] / g1p!r}"
+                  for k in ("chi", "omega_drive_amp", "J", "gamma_1", "gamma_ex", "gamma_2")]
+        assert run(capsys, "sweep-loss", *grid, *(a for kv in scaled for a in ("--set", kv)),
+                   "--output-dir", str(tmp_path / "norm"))[0] == 0
+        twin = json.loads((tmp_path / "norm" / "fig2ab.provenance.json").read_text())
+        assert side["excitation_cap"] == twin["excitation_cap"] == cap
+        tables = []
+        for name in ("si", "norm"):
+            with open(tmp_path / name / "fig2ab.csv", newline="") as fh:
+                tables.append(list(csv.DictReader(fh)))
+        for row, ref in zip(*tables):
+            for name, value in ref.items():
+                got = float(row[name]) / (1.0 if name.startswith("lindblad_") else g1p)
+                assert got == pytest.approx(float(value), rel=1e-12, abs=1e-300), name
+
     def test_si_requires_all_inputs(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep-loss", "--units", "si",
                            "--wavelength", "1.55e-6", "--output-dir", str(tmp_path))

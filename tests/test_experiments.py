@@ -35,9 +35,9 @@ from kerrdimer.experiments import (
     sweep_loss,
     write_csv,
 )
-from kerrdimer.hilbert import build_basis
+from kerrdimer.hilbert import FockBasis, build_basis
 from kerrdimer.liouvillian import DegenerateSteadyStateError, LepNotFoundError
-from kerrdimer.model import SystemParams, preset, si_reference_rates
+from kerrdimer.model import SystemParams, build_hamiltonian, preset, si_reference_rates
 from kerrdimer.observables import excitation_spectrum
 from kerrdimer.search import MAX_ITER, bisect_root, golden_section_minimize
 from kerrdimer.spectral import hep_location
@@ -411,6 +411,23 @@ class TestExcitationCap:
                                  self.RTOL, self.POPULATION_FLOOR, gt)
 
 
+def scan_error(got, ref, floor=1e-14):
+    """The largest relative deviation of ``got``'s Lindblad columns from
+    ``ref``'s; populations and the moments g2 N1^2 and g3 N1^3 below
+    ``floor`` are compared absolutely."""
+    error = 0.0
+    for name, value in ref.items():
+        new, scale = got[name], abs(value)
+        if name in ("lindblad_g2", "lindblad_g3"):
+            power = 2 if name == "lindblad_g2" else 3
+            new, value = new * got["lindblad_n1"] ** power, value * ref["lindblad_n1"] ** power
+            scale = max(abs(value), floor)
+        elif name.startswith("lindblad_p"):
+            scale = max(scale, floor)
+        error = max(error, abs(new - value) / scale if scale else (np.inf if new != value else 0.0))
+    return error
+
+
 class TestCertifiedCap:
     """A sweep's Lindblad solves run at the excitation cap they certify, and
     give every lindblad_* column within 1e-12 relative of the ceiling, the
@@ -461,13 +478,15 @@ class TestCertifiedCap:
             assert len(rows) == 13
             self.assert_ceiling_columns(preset(name)[0].with_(omega_drive_amp=omega), rows)
 
-    @pytest.mark.parametrize("drive, start, cap", [(0.05, 5, 6), ("si", 6, 7)])
+    @pytest.mark.parametrize("drive, start, cap", [(0.05, 5, 6), ("si", 6, 6)])
     def test_missed_certificate_escalates_in_one_pool(self, fig2, monkeypatch, drive, start,
                                                       cap):
         # far below the one-photon branches (delta = -13, about -6 chi) the
-        # closed-form shells 1 to 3 understate the higher ones, so the
-        # predicted cap misses the certificate and the run goes up a shell:
-        # at Omega = 0.05 to a cap below the ceiling, at the SI drive to it
+        # closed-form shells 1 to 3 understate the higher ones, so at Omega =
+        # 0.05 the predicted cap misses the certificate and the run goes up a
+        # shell, below the ceiling. At the SI drive the predicted cap holds:
+        # its steps to the ceiling, up to 2.6e-12 on p03 ~ 2e-18, are the
+        # solves' rounding, which the certificate does not count
         starts = []
 
         class CountedPopen(subprocess.Popen):
@@ -486,6 +505,69 @@ class TestCertifiedCap:
         # p03 is about 1e-24 here, where solves on two bases differ by about
         # 1e-35 absolute (1e-11 relative) at any cap: the rounding floor
         self.assert_ceiling_columns(p, table.rows, population_floor=1e-14)
+
+    def test_near_resonance(self, tmp_path, capsys):
+        # Omega = 0.24 at a fixed Delta = -4.7, near a multi-photon resonance,
+        # where the shell ratio rises above the cap: every certified column
+        # within 1e-12 of the ceiling
+        assert main(["sweep-loss", "--backend", "lindblad", "--set", "omega_drive_amp=0.24",
+                     "--protocol", "fixed:-4.7", "--gamma-tip-grid", "0:12:13",
+                     "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        (sidecar,) = tmp_path.glob("*.provenance.json")
+        assert json.loads(sidecar.read_text())["excitation_cap"] == 7
+        with open(str(sidecar).replace(".provenance.json", ".csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        self.assert_ceiling_columns(preset("paper_fig2")[0].with_(omega_drive_amp=0.24), rows)
+
+    @settings(max_examples=20, deadline=None)
+    @given(chi=st.floats(0.2, 10.0), J=st.floats(0.3, 4.0), gamma_2=st.floats(0.01, 1.0),
+           log_omega=st.floats(np.log(0.003), np.log(0.3)), photons=st.sampled_from([2, 3]),
+           branch=st.integers(0, 3), offset=st.floats(-0.3, 0.3))
+    def test_random_scan_across_resonances(self, chi, J, gamma_2, log_omega, photons, branch,
+                                           offset):
+        # the certificate's escalation from MIN_CAP, in process, at a drawn
+        # Delta within 0.3 gamma_1' of an N-photon resonance of the undriven
+        # rotating-frame Hamiltonian: no certified point beyond 1e-12 of the
+        # ceiling and beyond ten times the ceiling's own distance to the full
+        # per-mode square, its rounding noise. Populations and the moments
+        # g2 N1^2, g3 N1^3 below 1e-14 are compared absolutely.
+        p = preset("paper_fig2")[0].with_(chi=chi, J=J, gamma_2=gamma_2,
+                                          omega_drive_amp=float(np.exp(log_omega)))
+        basis = liouvillian.driven_basis(liouvillian.DEFAULT_CUTOFF)
+        h = build_hamiltonian(p.with_(omega_drive_amp=0.0, delta=0.0), basis,
+                              "rotating_driven").data
+        shell = [i for i, s in enumerate(basis.states) if sum(s) == photons]
+        levels = np.linalg.eigvalsh(h[np.ix_(shell, shell)])
+        delta = -levels[branch % len(levels)] / photons + offset * p.gamma1_prime
+        points = [p.with_(gamma_tip=gt, delta=delta) for gt in (0.0, 6.0, 12.0)]
+        ceiling, square = (liouvillian._solve_chunk(points, b, None, experiments._lindblad_columns)
+                           for b in (basis, build_basis(per_mode=liouvillian.DEFAULT_CUTOFF)))
+        cap = liouvillian.MIN_CAP
+        while cap < max(map(sum, basis.states)):
+            solved = liouvillian._solve_chunk(points, basis, cap, experiments._lindblad_columns)
+            if all(err <= liouvillian.TRUNCATION_TOL for _, err in solved):
+                break
+            cap += 1
+        else:
+            return  # the ceiling itself
+        for ((got, _), _), ((ref, _), _), ((full, _), _) in zip(solved, ceiling, square):
+            error, noise = scan_error(got, ref), scan_error(ref, full)
+            assert error <= 1e-12 or error <= 10 * noise, (cap, error, noise)
+
+    def test_certified_results_are_the_plain_solves(self, fig2):
+        # the certificate's correction rides on the refinement solve as a
+        # second column, and leaves the result's bits alone: the columns at
+        # the certified cap are those of a plain solve on that cap's basis,
+        # both run in the workers, at one BLAS thread
+        points = [loss_point(fig2, gt) for gt in self.GRID]
+        basis = liouvillian.driven_basis(liouvillian.DEFAULT_CUTOFF)
+        certified = liouvillian.solve_points(points, basis, experiments._lindblad_columns, 5)
+        plain = liouvillian.solve_points(
+            points, FockBasis(tuple(s for s in basis.states if sum(s) <= 5)),
+            experiments._lindblad_columns)
+        assert certified.cap == plain.cap == 5
+        assert certified.results == plain.results
 
     def test_without_reduction_the_ceiling(self, fig2):
         # distribution keeps whole states: their top shells are P_m rows
@@ -510,7 +592,7 @@ class TestStackedChunks:
 
     def test_certified_columns_and_estimates(self, fig2):
         # the preset's fig2 points at their certified cap 5: the columns at
-        # cap 5 and the estimate from the solves at caps 2 .. 5
+        # cap 5 and the estimate one shell above
         points = [loss_point(fig2, gt) for gt in np.linspace(0.0, 12.0, 16)]
         basis = liouvillian.driven_basis(liouvillian.DEFAULT_CUTOFF)
         stacked = liouvillian._solve_chunk(points, basis, 5, experiments._lindblad_columns)

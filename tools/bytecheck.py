@@ -72,7 +72,8 @@ LOSSLESS = ("--set", "gamma_1=0", "--set", "gamma_ex=0", "--set", "gamma_2=0")
 NO_GAMMA1 = ("--set", "gamma_1=0", "--set", "gamma_ex=0")
 
 # (id, argv): every subcommand, the fig3 twin, SI units, the Lindblad
-# backend of each command that has one, a map of several analytic blocks,
+# backend of each command that has one, a sweep near a multi-photon
+# resonance, a map of several analytic blocks,
 # the configuration errors of the S1 normalization and the LEP window, and
 # a drive whose N1^3 leaves the float range
 COMMANDS = [
@@ -84,6 +85,9 @@ COMMANDS = [
     ("sweep-loss-escalates", ("sweep-loss", "--backend", "lindblad", "--set",
                               "omega_drive_amp=0.05", "--protocol", "fixed:-13",
                               "--gamma-tip-grid=0:12:5")),
+    ("sweep-loss-resonant", ("sweep-loss", "--backend", "lindblad", "--set",
+                             "omega_drive_amp=0.24", "--protocol", "fixed:-4.7",
+                             "--gamma-tip-grid=0:12:13")),
     ("critical-points", ("critical-points",)),
     ("critical-points-lindblad", ("critical-points", "--backend", "lindblad",
                                   "--gamma-tip-grid=0:12:25")),
