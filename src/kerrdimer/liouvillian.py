@@ -69,15 +69,19 @@ LEP_TOL = 1e-9  # golden-section tolerance on gamma_tip, in units of gamma_1'
 # shell 3, which holds the reported p03 .. p30 and g3
 TRUNCATION_TOL = 1e-13
 MIN_CAP = 4
-# solve_points' worker tasks: chunks of at most CHUNK_POINTS points, solved
-# as stacks whose _SectorLU block buffers take at most STACK_BYTES (at least
-# one point): stacking saves the per-call overhead of small bases and costs
-# cache misses on large ones. On a 2-core Xeon (2 MiB L2 a core) at one BLAS
-# thread a fig2 point took 1.47 ms at cap 5 with its truncation estimate in
-# stacks of 4 (1.9 MB) against 1.63 in stacks of 8, and 5.9-6.1 ms on the
-# 30-state ceiling (1.4 MB) alone against 6.4-7.3 in triples
-CHUNK_POINTS = 16
-STACK_BYTES = 1 << 21
+# solve_points' worker tasks: chunks of at most CHUNK_POINTS points, each
+# solved as near-equal stacks whose _SectorLU block buffers take at most
+# STACK_BYTES (at least one point): a stack pays numpy's per-call work once,
+# and small chunks leave the last worker less time idle. On a 2-core Xeon
+# (2 MiB L2 a core) perfbench's fig2 sweep (121 points at cap 5) read, in
+# ms, at chunks of at most 8, 10, 12 and 16 points: 218, 218, 225, 226 at
+# 2 MiB; 211, 210, 219, 210 at 4; 210, 210, 207, 220 at 8; 211, 209, 205,
+# 218 at 16, which stacks fig2's chunks as 8 does (224 at 16 points and
+# 2 MiB in full stacks and a remainder). At one BLAS thread a point took
+# 1.52 ms at cap 5 in stacks of 8 MiB against 1.75 at 2 MiB, 2.65 against
+# 2.68 at cap 6, and 3.24 against 3.49 on the 30-state ceiling
+CHUNK_POINTS = 12
+STACK_BYTES = 1 << 23
 
 
 class ResourceLimitError(RuntimeError):
@@ -689,12 +693,13 @@ def solve_points(points, basis: FockBasis, reduce=None,
     RuntimeError naming its exit status. The points are solved in worker
     processes (``workers.WorkerPool``: one per CPU this process may run on,
     or per CPU where the platform cannot tell; at most one per point, so
-    none for no points) whose BLAS reads one thread. Each worker task is a
-    chunk of at most ``CHUNK_POINTS`` consecutive points, fewer where that
-    gives every worker a chunk, solved per cap as stacks (``_solve_chunk``);
-    a point's result is that of its stack of one, so the results depend
-    neither on the worker count nor on the chunks, nor, for a BLAS that
-    reads ``workers.BLAS_THREAD_VARS``, on the caller's thread count.
+    none for no points) whose BLAS reads one thread. The worker tasks are
+    near-equal chunks of consecutive points, as few as hold at most
+    ``CHUNK_POINTS`` each in a multiple of the worker count, each solved per
+    cap as near-equal stacks (``_solve_chunk``); a point's result is that of
+    its stack of one, so the results depend neither on the worker count nor
+    on the chunks, nor, for a BLAS that reads ``workers.BLAS_THREAD_VARS``,
+    on the caller's thread count.
     ``reduce`` must pickle by reference to a module the workers can import
     from the caller's ``sys.path`` (not ``__main__``).
     """
@@ -713,9 +718,7 @@ def solve_points(points, basis: FockBasis, reduce=None,
             else os.cpu_count() or 1)
     workers = min(cpus, len(points))
     # a multiple of the worker count, of near-equal chunks
-    count = workers * -(-len(points) // (workers * CHUNK_POINTS))
-    bounds = [len(points) * i // count for i in range(count + 1)]
-    chunks = [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    chunks = _split(points, workers * -(-len(points) // (workers * CHUNK_POINTS)))
     with WorkerPool(workers) as pool:
         while True:
             solved = [item for chunk in pool.map(chunks, basis, None if cap == ceiling else cap,
@@ -732,21 +735,28 @@ def _solve_chunk(points, basis: FockBasis, cap: int | None, reduce) -> list:
     with ``cap`` None, on all of ``basis``, and the estimate None. A result
     is ``(reduce(rho), None)``, or ``(None, (class name, message))`` for a
     ``DegenerateSteadyStateError`` or ``ValueError`` of the solve or of
-    ``reduce``. Each point is factored once, in stacks whose block buffers
-    (``_SectorLU``) take at most ``STACK_BYTES``, and at least one point.
-    The generators are built outside any ``try``: a fault there propagates."""
+    ``reduce``. Each point is factored once, in as few near-equal stacks as
+    keep their block buffers (``_SectorLU``) within ``STACK_BYTES``, or of
+    one point where a point alone takes more. The generators are built
+    outside any ``try``: a fault there propagates."""
     sub = basis if cap is None else FockBasis(tuple(s for s in basis.states if sum(s) <= cap))
     step = max(1, STACK_BYTES // (16 * _solver_plan(sub, "rotating_driven").start[-1]))
     solved = []
-    for lo in range(0, len(points), step):
-        mats = [build_liouvillian(p, sub).data for p in points[lo:lo + step]]
+    for stack in _split(points, -(-len(points) // step)):
+        mats = [build_liouvillian(p, sub).data for p in stack]
         states, extended = ((_steady_states(sub, mats), [None] * len(mats)) if cap is None else
-                            _extended_states(sub, cap, basis, points[lo:lo + step], mats))
+                            _extended_states(sub, cap, basis, stack, mats))
         for state, corrected in zip(states, extended):
             result = _reduced(state, reduce)
             solved.append((result, None if cap is None
                            else _extension_error(result, _reduced(corrected, reduce))))
     return solved
+
+
+def _split(points, count: int) -> list:
+    """``points`` as ``count`` runs of consecutive points, near-equal in length."""
+    bounds = [len(points) * i // count for i in range(count + 1)]
+    return [points[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _reduced(state, reduce) -> tuple:

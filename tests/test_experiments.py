@@ -506,19 +506,23 @@ class TestCertifiedCap:
         # 1e-35 absolute (1e-11 relative) at any cap: the rounding floor
         self.assert_ceiling_columns(p, table.rows, population_floor=1e-14)
 
-    def test_near_resonance(self, tmp_path, capsys):
-        # Omega = 0.24 at a fixed Delta = -4.7, near a multi-photon resonance,
-        # where the shell ratio rises above the cap: every certified column
-        # within 1e-12 of the ceiling
-        assert main(["sweep-loss", "--backend", "lindblad", "--set", "omega_drive_amp=0.24",
-                     "--protocol", "fixed:-4.7", "--gamma-tip-grid", "0:12:13",
+    def test_near_resonance(self, fig2, tmp_path, capsys):
+        # Omega = 0.01 at a fixed Delta = -0.43, on the three-photon resonance
+        # at -0.4335 gamma_1', where the shells above 3 outgrow the closed
+        # form's: it predicts cap 5, and the certificate takes the run to cap
+        # 6, below the ceiling, with every column within 1e-12 of the ceiling
+        p = fig2.with_(omega_drive_amp=0.01)
+        assert main(["sweep-loss", "--backend", "lindblad", "--set", "omega_drive_amp=0.01",
+                     "--protocol", "fixed:-0.43", "--gamma-tip-grid", "0:12:13",
                      "--output-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         (sidecar,) = tmp_path.glob("*.provenance.json")
-        assert json.loads(sidecar.read_text())["excitation_cap"] == 7
+        cap = json.loads(sidecar.read_text())["excitation_cap"]
+        ratio = shell_ratio(p, np.full(self.GRID.shape, -0.43), p.gamma_2 + self.GRID)
+        assert liouvillian.start_cap(ratio, 7) < cap == 6
         with open(str(sidecar).replace(".provenance.json", ".csv"), newline="") as fh:
             rows = list(csv.DictReader(fh))
-        self.assert_ceiling_columns(preset("paper_fig2")[0].with_(omega_drive_amp=0.24), rows)
+        self.assert_ceiling_columns(p, rows)
 
     @settings(max_examples=20, deadline=None)
     @given(chi=st.floats(0.2, 10.0), J=st.floats(0.3, 4.0), gamma_2=st.floats(0.01, 1.0),
@@ -628,6 +632,31 @@ class TestStackedChunks:
             assert np.array_equal(rho.data, one.data)
             assert rho.residual == one.residual
 
+    def test_near_equal_stacks_at_the_production_size(self, fig2, monkeypatch):
+        # at the production STACK_BYTES a chunk on the 30-state ceiling takes
+        # several stacks of near-equal size (not full stacks and a remainder),
+        # with the results of single points
+        monkeypatch.undo()
+        points = [loss_point(fig2, gt)
+                  for gt in np.linspace(0.0, 12.0, liouvillian.CHUNK_POINTS - 1)]
+        basis = liouvillian.driven_basis(liouvillian.DEFAULT_CUTOFF)
+        stacks = []
+        steady_states = liouvillian._steady_states
+
+        def recorded(basis, mats, border=None):
+            stacks.append(len(mats))
+            return steady_states(basis, mats, border)
+
+        monkeypatch.setattr(liouvillian, "_steady_states", recorded)
+        stacked = liouvillian._solve_chunk(points, basis, None, None)
+        assert len(stacks) >= 2 and max(stacks) - min(stacks) <= 1
+        assert sum(stacks) == len(points)
+        for ((rho, failure), _), ((one, _), _) in zip(
+                stacked, self.singly(points, basis, None, None)):
+            assert failure is None
+            assert np.array_equal(rho.data, one.data)
+            assert rho.residual == one.residual
+
     def test_singular_point_among_good_ones(self, capfd):
         # chi = J = gamma = 0: the top sector's block is exactly zero, which
         # fails the stack's LAPACK call; the chunk is solved again point by
@@ -645,7 +674,7 @@ class TestStackedChunks:
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("count, cpus, sizes", [
-        (121, 2, [15] * 7 + [16]), (7, 2, [3, 4]), (2, 2, [1, 1]), (3, 1, [3]), (40, 1, [13, 13, 14]),
+        (121, 2, [10] * 11 + [11]), (7, 2, [3, 4]), (2, 2, [1, 1]), (3, 1, [3]), (40, 1, [10] * 4),
     ])
     def test_chunk_sizes(self, monkeypatch, count, cpus, sizes):
         # at most CHUNK_POINTS, near-equal, and as many chunks as a multiple

@@ -73,7 +73,8 @@ NO_GAMMA1 = ("--set", "gamma_1=0", "--set", "gamma_ex=0")
 
 # (id, argv): every subcommand, the fig3 twin, SI units, the Lindblad
 # backend of each command that has one, a sweep near a multi-photon
-# resonance, a map of several analytic blocks,
+# resonance whose certificate escalates, a map of several analytic blocks,
+# a Lindblad map whose chunks take several stacks at the default cutoff,
 # the configuration errors of the S1 normalization and the LEP window, and
 # a drive whose N1^3 leaves the float range
 COMMANDS = [
@@ -86,7 +87,7 @@ COMMANDS = [
                               "omega_drive_amp=0.05", "--protocol", "fixed:-13",
                               "--gamma-tip-grid=0:12:5")),
     ("sweep-loss-resonant", ("sweep-loss", "--backend", "lindblad", "--set",
-                             "omega_drive_amp=0.24", "--protocol", "fixed:-4.7",
+                             "omega_drive_amp=0.01", "--protocol", "fixed:-0.43",
                              "--gamma-tip-grid=0:12:13")),
     ("critical-points", ("critical-points",)),
     ("critical-points-lindblad", ("critical-points", "--backend", "lindblad",
@@ -101,6 +102,8 @@ COMMANDS = [
                              "--delta-grid=-4:4:501")),
     ("spectrum-map-lindblad", ("spectrum-map", "--backend", "lindblad", "--cutoff", "3,3",
                                "--gamma-tip-grid=0:12:3", "--delta-grid=-4:4:11")),
+    ("spectrum-map-lindblad-ceiling", ("spectrum-map", "--backend", "lindblad",
+                                       "--gamma-tip-grid=0:12:5", "--delta-grid=-4:4:5")),
     ("eigen", ("eigen",)),
     ("lep", ("lep",)),
     ("ep-agreement", ("ep-agreement",)),
