@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .model import SystemParams
+from .model import AMPLITUDE_STATES, UNDEFINED_N1_FLOOR, SystemParams
 
 __all__ = [
     "Intermediates",
@@ -30,14 +30,7 @@ __all__ = [
     "shell_ratio",
 ]
 
-# canonical state order: ascending N = m + n, then ascending m
-AMPLITUDE_STATES = (
-    (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
-    (0, 3), (1, 2), (2, 1), (3, 0),
-)
-
 WEAK_DRIVE_WARNING_RATIO = 0.1
-UNDEFINED_N1_FLOOR = 1e-30
 # the largest N1 whose cube, the denominator of g3, stays within the float
 # range; beyond it (a drive far past the weak-drive regime) g2 and g3 are
 # undefined, as where N1 vanishes

@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import (
-    AMPLITUDE_STATES,
     N1_CEILING,
-    UNDEFINED_N1_FLOOR,
     amplitude_arrays,
     analytic_observables,
     shell_ratio,
@@ -37,7 +35,7 @@ from .liouvillian import (
     solve_points,
     start_cap,
 )
-from .model import SystemParams
+from .model import AMPLITUDE_STATES, UNDEFINED_N1_FLOOR, SystemParams
 from .observables import _lindblad_columns, _spectra
 from .search import bisect_root, golden_section_minimize
 from .spectral import hep_location, one_photon_eigensystem_closed

@@ -16,8 +16,6 @@ import numpy as np
 
 from .hilbert import FockBasis, build_basis, mode_operator
 from .model import MAX_MAGNITUDE, SystemParams, build_hamiltonian
-from .search import golden_section_minimize
-from .spectral import match_branches
 
 __all__ = [
     "CSRMatrix",
@@ -61,12 +59,15 @@ LEP_GAP_THRESHOLD = 1e-3
 LEP_OVERLAP_THRESHOLD = 0.99
 LEP_TOL = 1e-9  # golden-section tolerance on gamma_tip, in units of gamma_1'
 # bound on a point's truncation estimate (_extension_error) at a certified
-# excitation cap: a tenth of north-star aim 2's 1e-12 relative to the
-# ceiling. Over 3450 random 9-point runs (cutoffs (5, 5) and (7, 7), a third
-# at a two- or three-photon resonance) it let no run through whose error lay
-# above 1e-12 and the ceiling's own rounding noise, nor at 5e-13; at 1e-12
-# one (1.0002e-12). A run starts at MIN_CAP at the lowest, a shell above
-# shell 3, which holds the reported p03 .. p30 and g3
+# excitation cap c, whose state is solved at c - 1 and corrected onto c: a
+# tenth of north-star aim 2's 1e-12 relative to the ceiling. Over 3450 random
+# 9-point runs (cutoffs (5, 5) and (7, 7), a third at a two- or three-photon
+# resonance) it let through one run whose error lay above 1e-12 and the
+# ceiling's own rounding noise, at thresholds from 2e-14 to 5e-13: 1.4e-11
+# on p30 ~ 1.2e-14 at (7, 7), where an extended-precision ceiling shows every
+# double solve 4e-12 to 2e-11 off, the ceiling too. A run starts at MIN_CAP
+# at the lowest, a shell above shell 3, which holds the reported p03 .. p30
+# and g3; its points are then solved up to shell 3
 TRUNCATION_TOL = 1e-13
 MIN_CAP = 4
 # solve_points' worker tasks: chunks of at most CHUNK_POINTS points, each
@@ -77,9 +78,10 @@ MIN_CAP = 4
 # ms, at chunks of at most 8, 10, 12 and 16 points: 218, 218, 225, 226 at
 # 2 MiB; 211, 210, 219, 210 at 4; 210, 210, 207, 220 at 8; 211, 209, 205,
 # 218 at 16, which stacks fig2's chunks as 8 does (224 at 16 points and
-# 2 MiB in full stacks and a remainder). At one BLAS thread a point took
-# 1.52 ms at cap 5 in stacks of 8 MiB against 1.75 at 2 MiB, 2.65 against
-# 2.68 at cap 6, and 3.24 against 3.49 on the 30-state ceiling
+# 2 MiB in full stacks and a remainder), then solved at cap 5. At one BLAS
+# thread a point solved at its cap took 1.52 ms at cap 5 in stacks of 8 MiB
+# against 1.75 at 2 MiB, 2.65 against 2.68 at cap 6, and 3.24 against 3.49
+# on the 30-state ceiling
 CHUNK_POINTS = 12
 STACK_BYTES = 1 << 23
 
@@ -151,9 +153,11 @@ class DensityMatrix:
     residual: float = 0.0
 
     def validate(self) -> "DensityMatrix":
-        """Raise ValueError beyond 1e-10 from Hermitian or from unit trace,
-        or with an eigenvalue below -1e-8."""
+        """Raise ValueError with an entry that is not finite, beyond 1e-10
+        from Hermitian or from unit trace, or with an eigenvalue below -1e-8."""
         rho = self.data
+        if not np.all(np.isfinite(rho)):
+            raise ValueError("not finite")
         herm = np.max(np.abs(rho - rho.conj().T))
         if herm > 1e-10:
             raise ValueError(f"not Hermitian: max |rho - rho^+| = {herm:.3e}")
@@ -216,6 +220,8 @@ class LepResult:
         """Two rows per grid point, one per branch of the pair (as
         ``coherence_sector_pair`` computes it), tagged "a" and "b" by
         nearest-neighbour continuation from the first point."""
+        from .spectral import match_branches  # here: the sweep workers load no spectral
+
         rows = []
         prev = None
         for gt, block in zip(self.grid_gamma_tips, self.grid_blocks):
@@ -426,7 +432,7 @@ def _steady_states(basis: FockBasis, mats: list, border=None):
         sol = lu.solve(res).reshape(len(mats), -1, 2 if border is not None else 1)
     except DegenerateSteadyStateError as exc:
         states = [exc] if len(mats) == 1 else [_steady_states(basis, [lmat])[0] for lmat in mats]
-        return states if border is None else (states, None)
+        return states if border is None else (states, None, None)
     # exactly Hermitian: solve leaves sector 0 as its LU gives it, since
     # symmetrized there the two null vectors of a degenerate lossless point
     # came out alike and the guard below missed it
@@ -464,7 +470,7 @@ def _steady_states(basis: FockBasis, mats: list, border=None):
     if border is None:
         return states
     dx = sol[:, :, 1]
-    return states, 0.5 * (dx + dx.take(plan.tau, axis=1).conj())
+    return states, 0.5 * (dx + dx.take(plan.tau, axis=1).conj()), lu
 
 
 class _Plan(NamedTuple):
@@ -679,12 +685,15 @@ def solve_points(points, basis: FockBasis, reduce=None,
     None keeps rho).
 
     Without ``start_cap`` or ``reduce``, the cap is the largest m + n of
-    ``basis``, the ceiling. With both, the points are solved at ``start_cap``
-    (at least ``MIN_CAP``, at most the ceiling) with a truncation estimate
-    one shell above it (``_extension_error``). If a point's estimate is over
-    ``TRUNCATION_TOL``, or its solve failed, every point is solved one shell
-    up, in the same pool, until all pass; at the ceiling no estimate is
-    taken. ``reduce``'s result must then be a number or a dict of numbers.
+    ``basis``, the ceiling. With both, the cap starts at ``start_cap`` (at
+    least ``MIN_CAP``, at most the ceiling). Below the ceiling each point is
+    solved one shell lower and its state corrected onto the cap, and that
+    state is reported and certified by a truncation estimate one shell
+    above the cap (``_extended_states``, ``_extension_error``). If a point's
+    estimate is over ``TRUNCATION_TOL``, or its solve or correction failed,
+    every point is solved one shell up, in the same pool, until all pass; a
+    cap at the ceiling is solved there, with no estimate. ``reduce``'s
+    result must then be a number or a dict of numbers.
 
     A degenerate or invalid state (``DegenerateSteadyStateError`` or
     ``ValueError``, from the solve or from ``reduce``) gives ``(None,
@@ -732,24 +741,28 @@ def solve_points(points, basis: FockBasis, reduce=None,
 def _solve_chunk(points, basis: FockBasis, cap: int | None, reduce) -> list:
     """``(result, estimate)`` per point of a chunk: its ``solve_points``
     result on ``basis`` up to m + n <= ``cap``, and its ``_extension_error``;
-    with ``cap`` None, on all of ``basis``, and the estimate None. A result
-    is ``(reduce(rho), None)``, or ``(None, (class name, message))`` for a
-    ``DegenerateSteadyStateError`` or ``ValueError`` of the solve or of
-    ``reduce``. Each point is factored once, in as few near-equal stacks as
-    keep their block buffers (``_SectorLU``) within ``STACK_BYTES``, or of
-    one point where a point alone takes more. The generators are built
-    outside any ``try``: a fault there propagates."""
-    sub = basis if cap is None else FockBasis(tuple(s for s in basis.states if sum(s) <= cap))
-    step = max(1, STACK_BYTES // (16 * _solver_plan(sub, "rotating_driven").start[-1]))
+    with ``cap`` None, on all of ``basis``, and the estimate None. Below the
+    ceiling a point is solved one shell lower, up to m + n <= cap - 1, and
+    its result is that of the state ``_extended_states`` corrects onto
+    ``cap``. A result is ``(reduce(rho), None)``, or ``(None, (class name,
+    message))`` for a ``DegenerateSteadyStateError`` or ``ValueError`` of the
+    solve, of the correction or of ``reduce``. Each point is factored once,
+    in as few near-equal stacks as keep their block buffers (``_SectorLU``)
+    within ``STACK_BYTES``, or of one point where a point alone takes more.
+    The generators are built outside any ``try``: a fault there propagates."""
+    sub = basis if cap is None else FockBasis(tuple(s for s in basis.states if sum(s) < cap))
+    plans = [_solver_plan(sub, "rotating_driven"), *([] if cap is None else
+                                                     _extension(basis, cap - 1)[5])]
+    step = max(1, STACK_BYTES // (16 * max(plan.start[-1] for plan in plans)))
     solved = []
     for stack in _split(points, -(-len(points) // step)):
         mats = [build_liouvillian(p, sub).data for p in stack]
-        states, extended = ((_steady_states(sub, mats), [None] * len(mats)) if cap is None else
-                            _extended_states(sub, cap, basis, stack, mats))
-        for state, corrected in zip(states, extended):
+        if cap is None:
+            solved += [(_reduced(state, reduce), None) for state in _steady_states(sub, mats)]
+            continue
+        for state, check in zip(*_extended_states(sub, basis, stack, mats)):
             result = _reduced(state, reduce)
-            solved.append((result, None if cap is None
-                           else _extension_error(result, _reduced(corrected, reduce))))
+            solved.append((result, _extension_error(result, _reduced(check, reduce))))
     return solved
 
 
@@ -770,79 +783,126 @@ def _reduced(state, reduce) -> tuple:
 
 
 @functools.cache
-def _extension(basis: FockBasis, cap: int) -> tuple:
-    """The states of ``basis`` up to m + n <= cap + 1; the vec indices of the
-    old pairs of states, both at most at cap, then of the new ones, with one
-    in shell cap + 1; the generator's blocks C (new rows, old columns), D and
-    B, each as (data indices, columns, row pointers); D's unbordered
-    ``_Plan``; the diagonal's places among the new pairs. Cached."""
-    ext = FockBasis(tuple(s for s in basis.states if sum(s) <= cap + 1))
+def _extension(basis: FockBasis, low: int) -> tuple:
+    """The bases of ``basis``' states up to m + n <= low + 1 and low + 2;
+    the pairs of states of the second by level, the larger m + n of the two
+    less ``low``, clipped to 0 .. 2: the vec indices of levels 0, 1 and 2,
+    and of 0 and 1 on the first basis; the generator's blocks between
+    levels, each as (data indices, columns, row pointers); the unbordered
+    ``_Plan``s of the blocks (1, 1) and (2, 2); the diagonal's places in
+    levels 1 and 2. A level couples only to itself and its neighbours. Cached."""
+    ext = FockBasis(tuple(s for s in basis.states if sum(s) <= low + 2))
     d = ext.size
     total = np.array([m + n for m, n in ext.states])
-    is_new = np.maximum(total[None, :], total[:, None]).ravel() > cap
-    # each pair's position among the old or the new ones; the cap-c basis is
-    # a prefix of ext (states ascend in m + n), so the old ones are its vec
-    old, new = (np.where(mask, np.cumsum(mask) - 1, -1) for mask in (~is_new, is_new))
+    level = np.clip(np.maximum(total[None, :], total[:, None]).ravel() - low, 0, 2)
+    # each pair's position within its level; the basis up to low is a prefix
+    # of ext (states ascend in m + n), so level 0 is its vec
+    pos = [np.where(level == lv, np.cumsum(level == lv) - 1, -1) for lv in range(3)]
     gen = _generator(ext, "rotating_driven")
     rows = np.repeat(np.arange(d * d), np.diff(gen.indptr))
+    blocks = {}
+    for r, c in ((1, 0), (1, 1), (0, 1), (2, 1), (2, 2), (1, 2)):
+        src = np.flatnonzero((pos[r][rows] >= 0) & (pos[c][gen.indices] >= 0))
+        blocks[r, c] = (src, pos[c][gen.indices[src]],
+                        np.searchsorted(pos[r][rows[src]], np.arange(pos[r].max() + 2)))
+    k = (total[None, :] - total[:, None]).ravel()
+    tau = np.arange(d * d).reshape(d, d).T.ravel()
+    plans = [_sector_plan(*blocks[lv, lv][1:], k[level == lv], pos[lv][tau][level == lv])
+             for lv in (1, 2)]
+    order = [np.flatnonzero(level == lv) for lv in range(3)]
+    d1 = int(np.sum(total <= low + 1))
+    low_order = np.concatenate(order[:2])
+    return (FockBasis(ext.states[:d1]), ext, np.concatenate(order),
+            low_order // d * d1 + low_order % d, blocks, plans,
+            [pos[lv][np.arange(d) * (d + 1)][total == low + lv] for lv in (1, 2)])
 
-    def block(rmap, cmap):
-        src = np.flatnonzero((rmap[rows] >= 0) & (cmap[gen.indices] >= 0))
-        return src, cmap[gen.indices[src]], np.searchsorted(rmap[rows[src]],
-                                                            np.arange(rmap.max() + 2))
 
-    dblock = block(new, new)
-    plan = _sector_plan(*dblock[1:], (total[None, :] - total[:, None]).ravel()[is_new],
-                        new[np.arange(d * d).reshape(d, d).T.ravel()][is_new])
-    return (ext, np.concatenate([np.flatnonzero(~is_new), np.flatnonzero(is_new)]),
-            block(new, old), dblock, block(old, new), plan, new[np.arange(d) * (d + 1)][total > cap])
+def _extended_states(sub: FockBasis, basis: FockBasis, points, mats: list) -> tuple:
+    """The steady states of a stack on ``sub``, the states of ``basis`` up to
+    m + n <= c - 1, corrected onto cap c (validated; each the exception of
+    its solve or validation, all a ``DegenerateSteadyStateError`` where the
+    stack's solve or D failed), and their checks on cap c + 1 (unvalidated,
+    None where the state or the check failed).
 
-
-def _extended_states(sub: FockBasis, cap: int, basis: FockBasis, points, mats: list) -> tuple:
-    """``_steady_states`` of a stack on ``sub``, the states of ``basis`` up to
-    m + n <= cap, and each state corrected onto cap + 1 (``_extension``),
-    unvalidated, or None where the stack's solve or D failed.
-
-    The cap-c generator A is the block of the cap-(c + 1) generator on the
-    old pairs, so the residual of the cap-c state x, embedded with zeros, is
-    C x. One correction step gives y = -D^-1 C x (D, drive included, is
-    eliminated over its own sectors) and dx from the bordered cap-c system,
-    A dx = -B y with trace(dx) = -trace(y), as the second column of the
-    refinement solve (``border``), from the unrefined x."""
-    ext, order, c, d, b, plan, diag = _extension(basis, cap)
+    The generator up to c + 1 holds those up to c and c - 1 as principal
+    blocks; (i, j) is its block of ``_extension``'s levels i (rows) and j.
+    With A the cap-(c - 1) generator, C = (1, 0), D = (1, 1), B = (0, 1):
+    the state x, padded with zeros, leaves C x on level 1. The correction is
+    y = -D^-1 C x (D keeps the drive) and dx from the bordered A dx = -B y,
+    trace(dx) = -trace(y), the refinement solve's second column (``border``)
+    from the unrefined x. (x + dx, y) leaves C dx on level 1 and (2, 1) y on
+    level 2, which the check sweeps down with G = (2, 2) and the same D and
+    A: e2 = -G^-1 (2, 1) y, e1 = -D^-1 (C dx + (1, 2) e2), and A e0 = -B e1
+    with trace(e0) = -trace(e1) - trace(e2); it is (x + dx + e0, y + e1, e2)."""
+    low = max(m + n for m, n in sub.states)
+    ext1, ext, order, order1, blocks, plans, diags = _extension(basis, low)
     gens = [build_liouvillian(p, ext).data.data for p in points]
     r1 = _solver_plan(sub, "rotating_driven").r1
-    shape = (len(d[2]) - 1, sub.size ** 2)
-    ys = []
+    lus, ys = [], []
+
+    def product(r, c, x):
+        src, cols, indptr = blocks[r, c]
+        shape = (len(indptr) - 1, x.shape[1])
+        return np.stack([CSRMatrix(g[src], cols, indptr, shape) @ xp for g, xp in zip(gens, x)])
+
+    def eliminate(lv):
+        return _SectorLU(plans[lv - 1], np.stack([g[blocks[lv, lv][0]] for g in gens]))
+
+    def embed(on, at, parts):
+        v = np.empty(on.size ** 2, dtype=complex)
+        v[at] = np.concatenate(parts)
+        return unvec(v, on.size)
 
     def border(x):
-        cx = np.stack([CSRMatrix(g[c[0]], *c[1:], shape) @ xp for g, xp in zip(gens, x)])
-        y = -_SectorLU(plan, np.stack([g[d[0]] for g in gens])).solve(cx)
+        lus.append(eliminate(1))
+        y = -lus[0].solve(product(1, 0, x))
         ys.append(y)
-        rhs = -np.stack([CSRMatrix(g[b[0]], *b[1:], shape[::-1]) @ yp for g, yp in zip(gens, y)])
-        rhs[:, r1] = -y[:, diag].sum(axis=1)
+        rhs = -product(0, 1, y)
+        rhs[:, r1] = -y[:, diags[0]].sum(axis=1)
         return rhs
 
-    states, dx = _steady_states(sub, mats, border)
-    extended = [None] * len(states)
+    states, dx, lu = _steady_states(sub, mats, border)
+    if dx is None:
+        failed = DegenerateSteadyStateError(f"no correction onto excitation cap {low + 1}: "
+                                            "the stack's solve or its block D is singular")
+        return [s if isinstance(s, Exception) else failed for s in states], [None] * len(states)
+    y = ys[0]
+    cdx = product(1, 0, dx)
+    try:
+        e2 = -eliminate(2).solve(product(2, 1, y))
+        e1 = -lus[0].solve(cdx + product(1, 2, e2))
+        rhs = -product(0, 1, e1)
+        rhs[:, r1] = -(e1[:, diags[0]].sum(axis=1) + e2[:, diags[1]].sum(axis=1))
+        e0 = lu.solve(rhs)
+    except DegenerateSteadyStateError:
+        e0 = None
+    corrected, checks = [], []
     for i, state in enumerate(states):
-        if dx is not None and not isinstance(state, Exception):
-            v = np.empty(ext.size ** 2, dtype=complex)
-            v[order] = np.concatenate([state.data.reshape(-1, order="F") + dx[i], ys[0][i]])
-            extended[i] = DensityMatrix(basis=ext, data=unvec(v, ext.size))
-    return states, extended
+        check = None
+        if not isinstance(state, Exception):
+            x = state.data.reshape(-1, order="F") + dx[i]
+            rho = embed(ext1, order1, [x, y[i]])
+            try:
+                state = DensityMatrix(basis=ext1, data=0.5 * (rho + rho.conj().T),
+                                      residual=float(np.max(np.abs(cdx[i])))).validate()
+                if e0 is not None:
+                    check = DensityMatrix(ext, embed(ext, order, [x + e0[i], y[i] + e1[i], e2[i]]))
+            except ValueError as exc:
+                state = exc
+        corrected.append(state)
+        checks.append(check)
+    return corrected, checks
 
 
-def _extension_error(result: tuple, corrected: tuple) -> float:
+def _extension_error(result: tuple, check: tuple) -> float:
     """A point's truncation estimate at cap c from its reduced result there
-    and at its state corrected onto cap c + 1 (``_extended_states``): max
-    |new - old| / |new| over the numbers, 0 where one is unchanged, the step
-    a cap-(c + 1) solve would take, to first order. Infinite where either
-    failed or is None, or a number is not finite."""
-    if result[1] or corrected[1] or corrected[0] is None:
+    and at its check onto cap c + 1 (``_extended_states``): max |new - old|
+    / |new| over the numbers, 0 where one is unchanged. Infinite where
+    either failed or is None, or a number is not finite."""
+    if result[1] or check[1] or check[0] is None:
         return float("inf")
     old, new = (np.array(list(r.values()) if isinstance(r, dict) else [r], dtype=float)
-                for r in (result[0], corrected[0]))
+                for r in (result[0], check[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(new == old, 0.0, np.abs(new - old) / np.abs(new))
     err = float(np.max(rel, initial=0.0))
@@ -948,6 +1008,8 @@ def lep_locate(p: SystemParams, gamma_tip_range: tuple[float, float],
     where ``LepResult.grid_rows`` is read. A grid point that
     ``SystemParams`` rejects is its ValueError, checked once per search.
     """
+    from .search import golden_section_minimize  # here: the sweep workers load no search
+
     lo, hi = gamma_tip_range
     if not lo < hi:
         raise ValueError("gamma_tip_range must be increasing")

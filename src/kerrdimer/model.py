@@ -47,6 +47,14 @@ _FLOAT_FIELDS = ("chi", "J", "gamma_1", "gamma_ex", "gamma_2", "gamma_tip",
 # 1e30 they stay below about 1e280, under the float limit of 1.8e308; the
 # paper's rates are of order gamma_1' (about 1e6 rad/s in SI)
 MAX_MAGNITUDE = 1e30
+# the states of the closed-form amplitudes (analytic) and of the populations
+# a sweep reports, in canonical order: ascending N = m + n, then ascending m
+AMPLITUDE_STATES = (
+    (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0),
+    (0, 3), (1, 2), (2, 1), (3, 0),
+)
+# N1 below which g2 and g3 are undefined, in the closed form and on a steady state
+UNDEFINED_N1_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,6 @@ from math import factorial
 
 import numpy as np
 
-from .analytic import (
-    AMPLITUDE_STATES,
-    UNDEFINED_N1_FLOOR,
-    amplitude_arrays,
-    analytic_observables,
-)
 from .hilbert import mode1_moment, mode_operator
 from .liouvillian import (
     DEFAULT_CUTOFF,
@@ -21,7 +15,7 @@ from .liouvillian import (
     driven_basis,
     solve_points,
 )
-from .model import SystemParams
+from .model import AMPLITUDE_STATES, UNDEFINED_N1_FLOOR, SystemParams
 
 __all__ = [
     "PhotonStatistics",
@@ -190,6 +184,9 @@ def _spectra(p: SystemParams, gamma_tips: np.ndarray, deltas: np.ndarray, backen
         raise ValueError("no drive: S1 = N1 / n0 is undefined")
     s1 = np.full((gamma_tips.size, deltas.size), np.nan)
     if backend == "analytic":
+        # here: the sweep workers, which import this module, load no analytic
+        from .analytic import amplitude_arrays, analytic_observables
+
         step = max(1, ANALYTIC_BLOCK_CELLS // deltas.size)
         for lo in range(0, gamma_tips.size, step):
             g = g2p[lo:lo + step]

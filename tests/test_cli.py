@@ -17,7 +17,7 @@ import pytest
 import kerrdimer
 from kerrdimer.cli import _build_config, _build_parser, main
 from kerrdimer.experiments import spectrum_map
-from kerrdimer import liouvillian
+from kerrdimer import liouvillian, search
 from kerrdimer.model import preset, preset_names
 from kerrdimer.observables import excitation_spectrum
 from kerrdimer.search import MAX_ITER, golden_section_minimize
@@ -919,7 +919,7 @@ class TestSiUnits:
             iterations.append(res.iterations)
             return res
 
-        monkeypatch.setattr(liouvillian, "golden_section_minimize", counted)
+        monkeypatch.setattr(search, "golden_section_minimize", counted)
         for name, units in (("si", self.SI), ("normalized", ())):
             code, out, _ = run(capsys, "lep", *units, "--output-dir", str(tmp_path / name))
             assert code == 0, out
@@ -1125,7 +1125,7 @@ class TestBenchmarkContract:
         monkeypatch.setattr(liouvillian, "_coherence_block",
                             counted("evaluation", liouvillian._coherence_block))
         monkeypatch.setattr(liouvillian, "_block_pair", counted("pair", liouvillian._block_pair))
-        monkeypatch.setattr(liouvillian, "golden_section_minimize", refine)
+        monkeypatch.setattr(search, "golden_section_minimize", refine)
         assert [main(argv) for argv in spec["commands"]] == [0, 0]
         assert calls == {"evaluation": 339, "pair": 46, "search": 5, "step": 209}
 

@@ -478,15 +478,16 @@ class TestCertifiedCap:
             assert len(rows) == 13
             self.assert_ceiling_columns(preset(name)[0].with_(omega_drive_amp=omega), rows)
 
-    @pytest.mark.parametrize("drive, start, cap", [(0.05, 5, 6), ("si", 6, 6)])
+    @pytest.mark.parametrize("drive, start, cap", [(0.05, 5, 6), ("si", 6, 7)])
     def test_missed_certificate_escalates_in_one_pool(self, fig2, monkeypatch, drive, start,
                                                       cap):
         # far below the one-photon branches (delta = -13, about -6 chi) the
         # closed-form shells 1 to 3 understate the higher ones, so at Omega =
         # 0.05 the predicted cap misses the certificate and the run goes up a
-        # shell, below the ceiling. At the SI drive the predicted cap holds:
-        # its steps to the ceiling, up to 2.6e-12 on p03 ~ 2e-18, are the
-        # solves' rounding, which the certificate does not count
+        # shell, below the ceiling. At the SI drive the predicted cap 6 is
+        # solved at 5 and corrected, which leaves p03 ~ 2e-18 a remainder of
+        # 2e-11 relative (5e-29 absolute, the solves' own rounding there);
+        # the certificate counts it, and the run goes to the ceiling
         starts = []
 
         class CountedPopen(subprocess.Popen):
@@ -559,19 +560,22 @@ class TestCertifiedCap:
             error, noise = scan_error(got, ref), scan_error(ref, full)
             assert error <= 1e-12 or error <= 10 * noise, (cap, error, noise)
 
-    def test_certified_results_are_the_plain_solves(self, fig2):
-        # the certificate's correction rides on the refinement solve as a
-        # second column, and leaves the result's bits alone: the columns at
-        # the certified cap are those of a plain solve on that cap's basis,
-        # both run in the workers, at one BLAS thread
+    def test_certified_results_are_the_corrected_states(self, fig2):
+        # below the ceiling a point is solved one shell lower and reported
+        # as its state corrected onto the certified cap: the columns at cap 5
+        # are those of _solve_chunk's corrected cap-4 states, both run in the
+        # workers at one BLAS thread, and not those of a plain cap-5 solve
         points = [loss_point(fig2, gt) for gt in self.GRID]
         basis = liouvillian.driven_basis(liouvillian.DEFAULT_CUTOFF)
         certified = liouvillian.solve_points(points, basis, experiments._lindblad_columns, 5)
+        with workers.WorkerPool(1) as pool:
+            (chunk,) = pool.map([points], basis, 5, experiments._lindblad_columns)
         plain = liouvillian.solve_points(
             points, FockBasis(tuple(s for s in basis.states if sum(s) <= 5)),
             experiments._lindblad_columns)
         assert certified.cap == plain.cap == 5
-        assert certified.results == plain.results
+        assert certified.results == [result for result, _ in chunk]
+        assert certified.results != plain.results
 
     def test_without_reduction_the_ceiling(self, fig2):
         # distribution keeps whole states: their top shells are P_m rows

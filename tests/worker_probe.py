@@ -8,6 +8,7 @@ import sys
 
 # modules that only the caller, or only the CLI, needs
 NOT_IN_WORKER = ("kerrdimer.experiments", "kerrdimer.cli", "kerrdimer.validation",
+                 "kerrdimer.analytic", "kerrdimer.spectral", "kerrdimer.search",
                  "subprocess", "selectors", "importlib.resources", "multiprocessing")
 
 

@@ -89,6 +89,8 @@ COMMANDS = [
     ("sweep-loss-resonant", ("sweep-loss", "--backend", "lindblad", "--set",
                              "omega_drive_amp=0.01", "--protocol", "fixed:-0.43",
                              "--gamma-tip-grid=0:12:13")),
+    ("sweep-loss-weak", ("sweep-loss", "--backend", "lindblad", "--set",
+                         "omega_drive_amp=0.0003", "--gamma-tip-grid=0:12:13")),
     ("critical-points", ("critical-points",)),
     ("critical-points-lindblad", ("critical-points", "--backend", "lindblad",
                                   "--gamma-tip-grid=0:12:25")),
