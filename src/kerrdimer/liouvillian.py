@@ -485,7 +485,6 @@ class _Plan(NamedTuple):
     tau: np.ndarray  # vec index of the transpose, c*d + r -> r*d + c
     members: list  # vec indices of sector k = N(r) - N(c) = 0 .. K, ascending
     mirror: np.ndarray  # sector-0 position of each sector-0 transpose
-    mirror_flat: np.ndarray  # flat index of the transposes' pairs in a sector-0 block
     order: np.ndarray  # vec indices of sectors 0, 1 .. K, then of -1 .. -K
     shapes: list  # of the diagonal blocks M1[j, j], then of M1[j, j - 1]
     start: np.ndarray  # offset of each of those blocks in one buffer
@@ -558,7 +557,6 @@ def _sector_plan(indices: np.ndarray, indptr: np.ndarray, k: np.ndarray, tau: np
         up_src.append(src)
         up_cols.append(cols)
     return _Plan(r1, r2, diag, pos, tau, members, mirror,
-                 (mirror[:, None] * len(mirror) + mirror).ravel(),
                  np.concatenate(members + [tau[idx] for idx in members[1:]]),
                  shapes, start, dest, entry[dense], up_src, up_cols)
 
@@ -610,8 +608,7 @@ class _SectorLU:
             w = self.w[j] = self._solve(j, blocks[kmax + j])
             corr = self._couple(j - 1, w)
             if j == 1:
-                corr += np.conjugate(corr.reshape(stack, -1).take(plan.mirror_flat, axis=1)
-                                     .reshape(corr.shape))
+                corr += np.conjugate(corr[:, plan.mirror][:, :, plan.mirror])
             blocks[j - 1] -= corr
         if plan.r1 < 0:
             return

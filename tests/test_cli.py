@@ -534,7 +534,8 @@ class TestExperimentCommands:
                                "--cutoff", "3,3", "--output-dir", str(tmp_path))
         assert code == 0
         assert "warning" not in err
-        assert err.count("DegenerateSteadyStateError") == 3
+        lines = err.splitlines()  # each point, solved again alone, keeps its own failure
+        assert len(lines) == 3 and all("failed: DegenerateSteadyStateError" in l for l in lines)
 
     def test_lep_not_found_is_numerical_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "lep", "--range", "0.5:3.0", "--grid", "9",
@@ -639,9 +640,10 @@ class TestExperimentCommands:
         # each of these said "gamma_tip_range must be increasing"
         (("lep", "--set", "J=1e120"), beyond("J", "1e+120")),
         (("ep-agreement", "--j-grid", "1e120"), beyond("J", "1e+120")),
+        (("lep", "--range=-1:3"), "gamma_tip must be >= 0"),  # a window below zero loss
     ], ids=["sweep-J", "critical-points-J", "sweep-lindblad-J", "validate-gamma_1",
             "sweep-gamma_1", "spectrum-gamma_1", "spectrum-delta", "eigen-J", "lep-J",
-            "ep-agreement-J"])
+            "ep-agreement-J", "lep-negative-window"])
     def test_number_beyond_the_range_is_one_config_error(self, tmp_path, capsys, monkeypatch,
                                                          argv, message):
         # SystemParams' bound, whether the number comes from --set or a grid
@@ -821,9 +823,30 @@ class TestValidate:
         assert deviation < 2.0
 
 
+def sqrt_rounding(J, beta):
+    """The rounding that cancellation leaves in sqrt(J^2 - beta^2): the
+    difference holds dx = 8 eps (J^2 + beta^2), so the root dx over its
+    size, and sqrt(dx) at the EP."""
+    dx = 8 * np.finfo(float).eps * (J * J + beta * beta)
+    return dx / max(np.sqrt(abs(J * J - beta * beta)), np.sqrt(dx))
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
 class TestSiUnits:
     SI = ("--units", "si", "--wavelength", "1.55e-6", "--q-intrinsic", "2e9",
           "--chi3", "2e-17", "--v-eff", "1e-16", "--p-in", "4e-15")
+
+    @staticmethod
+    def normalized(params):
+        """The --set options of the normalized twin of SI ``params``: chi,
+        Omega, J and the gammas divided by gamma_1'."""
+        g1p = params["gamma_1"] + params["gamma_ex"]
+        return [arg for k in ("chi", "omega_drive_amp", "J", "gamma_1", "gamma_ex", "gamma_2")
+                for arg in ("--set", f"{k}={params[k] / g1p!r}")]
 
     def test_si_sweep_scales_rates(self, tmp_path, capsys):
         code, _, _ = run(capsys, "sweep-loss", *self.SI,
@@ -850,9 +873,7 @@ class TestSiUnits:
         assert run(capsys, "sweep-loss", *si, *grid, "--output-dir", str(tmp_path / "si"))[0] == 0
         side = json.loads((tmp_path / "si" / "fig2ab.provenance.json").read_text())
         g1p = side["params"]["gamma_1"] + side["params"]["gamma_ex"]
-        scaled = [f"{k}={side['params'][k] / g1p!r}"
-                  for k in ("chi", "omega_drive_amp", "J", "gamma_1", "gamma_ex", "gamma_2")]
-        assert run(capsys, "sweep-loss", *grid, *(a for kv in scaled for a in ("--set", kv)),
+        assert run(capsys, "sweep-loss", *grid, *self.normalized(side["params"]),
                    "--output-dir", str(tmp_path / "norm"))[0] == 0
         twin = json.loads((tmp_path / "norm" / "fig2ab.provenance.json").read_text())
         assert side["excitation_cap"] == twin["excitation_cap"] == cap
@@ -864,6 +885,58 @@ class TestSiUnits:
             for name, value in ref.items():
                 got = float(row[name]) / (1.0 if name.startswith("lindblad_") else g1p)
                 assert got == pytest.approx(float(value), rel=1e-12, abs=1e-300), name
+
+    TWINS = {"spectrum": ("spectrum", "--gamma-tip", "0", "--gamma-tip", "8.9"),
+             "spectrum-map": ("spectrum-map", "--gamma-tip-grid=0:12:13", "--delta-grid=-4:4:101"),
+             "eigen": ("eigen",), "lep": ("lep",), "ep-agreement": ("ep-agreement",)}
+    RATES = {"gamma_tip", "delta", "peak_delta_1", "peak_delta_2", "J", "hep", "lep",
+             "omega_plus", "omega_minus", "re_lambda", "im_lambda", "re_Lambda", "im_Lambda", "gap"}
+    # the one-photon branches, whose rounding near the EP is sqrt(J^2 - beta^2)'s
+    BRANCH = {"omega_plus", "omega_minus", "re_lambda", "im_lambda", "re_Lambda", "im_Lambda",
+              "gap", "pop_01", "pop_10", "population", "overlap"}
+    TEXT = {"branch", "m", "n", "n_excitation", "is_peak", "n_peaks", "found"}
+
+    def assert_twin_cell(self, name, got, ref, g1p, row):
+        """An SI dataset's cell against its normalized twin's, both as
+        written; ``row`` holds the twin's parameters and row."""
+        if name in self.TEXT or "" in (got, ref):
+            assert got == ref, name
+            return
+        got, ref = float(got) / (g1p if name in self.RATES else 1.0), float(ref)
+        bound = 1e-12 * abs(ref)
+        if name == "lep":  # searched to LEP_TOL gamma_1'
+            bound = liouvillian.LEP_TOL
+        elif name == "rel_discrepancy":  # |hep - lep| / hep
+            bound = liouvillian.LEP_TOL / float(row["hep"])
+        elif name in self.BRANCH:
+            J, gt = float(row["J"]), float(row["gamma_tip"])
+            beta = (row["gamma_2"] + gt - row["gamma_1"] - row["gamma_ex"]) / 4
+            bound += sqrt_rounding(J, beta) / (1.0 if name in self.RATES else J)
+        assert abs(got - ref) <= bound, (name, got, ref)
+
+    @pytest.mark.parametrize("case", list(TWINS))
+    def test_dataset_matches_its_normalized_twin(self, tmp_path, capsys, case):
+        argv = self.TWINS[case]
+        assert run(capsys, *argv, *self.SI, "--output-dir", str(tmp_path / "si"))[0] == 0
+        sidecar = next((tmp_path / "si").glob("*.provenance.json")).name
+        side = json.loads((tmp_path / "si" / sidecar).read_text())
+        g1p = side["params"]["gamma_1"] + side["params"]["gamma_ex"]
+        assert run(capsys, *argv, *self.normalized(side["params"]),
+                   "--output-dir", str(tmp_path / "norm"))[0] == 0
+        twin = json.loads((tmp_path / "norm" / sidecar).read_text())
+        names = sorted(p.name for p in (tmp_path / "si").glob("*.csv"))
+        assert names == sorted(p.name for p in (tmp_path / "norm").glob("*.csv"))
+        for name in names:
+            tables = read_rows(tmp_path / "si" / name), read_rows(tmp_path / "norm" / name)
+            assert len(tables[0]) == len(tables[1]) > 0
+            for got, ref in zip(*tables):
+                assert got.keys() == ref.keys()
+                for col in ref:
+                    self.assert_twin_cell(col, got[col], ref[col], g1p, {**twin["params"], **ref})
+        if case == "lep":  # the searched LEP, and its gap and overlap
+            for key in ("lep", "gap", "overlap"):
+                self.assert_twin_cell(key, side[key], twin[key], g1p,
+                                      {**twin["params"], "gamma_tip": twin["lep"]})
 
     def test_si_requires_all_inputs(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep-loss", "--units", "si",

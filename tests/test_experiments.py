@@ -2,7 +2,6 @@ import csv
 import json
 import os
 import subprocess
-import sys
 import time
 import types
 import warnings
@@ -222,19 +221,6 @@ class TestSweepLoss:
                                      build_basis(per_mode=(3, 3)), exit_three)
         assert time.monotonic() - start < 30
         assert not child_pids()
-
-    def test_unguarded_script(self, tmp_path):
-        # a script without an `if __name__ == "__main__":` guard may sweep:
-        # the workers never import the caller's __main__. Neither
-        # multiprocessing nor concurrent.futures is imported, and no child
-        # process outlives a sweep or a worker's failure
-        src = str(Path(liouvillian.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        script = Path(__file__).with_name("unguarded_sweep.py")
-        res = subprocess.run([sys.executable, str(script)], env=dict(os.environ, PYTHONPATH=path),
-                             cwd=tmp_path, capture_output=True, text=True, timeout=300)
-        assert (res.returncode, res.stderr) == (0, "")
-        assert res.stdout == "unguarded sweep: 2 rows solved\n"
 
     def test_degenerate_point_is_listed(self):
         # no loss anywhere at gamma_tip = 0: the null space is not unique
@@ -479,8 +465,8 @@ class TestCertifiedCap:
             self.assert_ceiling_columns(preset(name)[0].with_(omega_drive_amp=omega), rows)
 
     @pytest.mark.parametrize("drive, start, cap", [(0.05, 5, 6), ("si", 6, 7)])
-    def test_missed_certificate_escalates_in_one_pool(self, fig2, monkeypatch, drive, start,
-                                                      cap):
+    def test_missed_certificate_escalates_in_one_pool(self, fig2, tmp_path, monkeypatch, drive,
+                                                      start, cap):
         # far below the one-photon branches (delta = -13, about -6 chi) the
         # closed-form shells 1 to 3 understate the higher ones, so at Omega =
         # 0.05 the predicted cap misses the certificate and the run goes up a
@@ -501,11 +487,15 @@ class TestCertifiedCap:
         gts = self.GRID[::3]
         ratio = shell_ratio(p, np.full(gts.shape, -13.0), p.gamma_2 + gts)
         assert liouvillian.start_cap(ratio, 7) == start
-        table = sweep_loss(p, gts, protocol=("fixed", -13.0), backends=("lindblad",))
-        assert (table.excitation_cap, len(starts)) == (cap, 2)  # one start of each worker
+        assert main(["sweep-loss", "--backend", "lindblad", "--protocol", "fixed:-13",
+                     "--set", f"omega_drive_amp={p.omega_drive_amp!r}",
+                     "--gamma-tip-grid=0:12:5", "--output-dir", str(tmp_path)]) == 0
+        side = json.loads((tmp_path / "fig2ab.provenance.json").read_text())
+        assert (side["excitation_cap"], len(starts)) == (cap, 2)  # one start of each worker
+        rows = list(csv.DictReader((tmp_path / "fig2ab.csv").read_text().splitlines()))
         # p03 is about 1e-24 here, where solves on two bases differ by about
         # 1e-35 absolute (1e-11 relative) at any cap: the rounding floor
-        self.assert_ceiling_columns(p, table.rows, population_floor=1e-14)
+        self.assert_ceiling_columns(p, rows, population_floor=1e-14)
 
     def test_near_resonance(self, fig2, tmp_path, capsys):
         # Omega = 0.01 at a fixed Delta = -0.43, on the three-photon resonance

@@ -20,3 +20,8 @@ def worker_report(rho, reduce=None) -> dict:
         reduce(rho)
     return {"no_site": sys.flags.no_site,
             "loaded": [name for name in NOT_IN_WORKER if name in sys.modules]}
+
+
+def worker_origin(rho) -> tuple:
+    """This worker's ``sys.path``, and the file it imported the solver from."""
+    return sys.path, sys.modules["kerrdimer.liouvillian"].__file__
