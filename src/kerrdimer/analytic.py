@@ -26,6 +26,7 @@ __all__ = [
     "SingularParameterError",
     "steady_amplitudes",
     "amplitude_arrays",
+    "n1_arrays",
     "analytic_observables",
     "shell_ratio",
 ]
@@ -133,6 +134,19 @@ def _pow(x, k):
     return np.float_power(x, k) if type(x) is np.ndarray else x**k
 
 
+def _mode1_sum(populations: dict):
+    """N1 = sum of m * P_mn over the populations with m >= 1, in the order of
+    ``populations`` (``AMPLITUDE_STATES``').
+
+    Left to right, as the sum over all ten populations, whose m = 0 terms
+    are 0 * P = +0.0 and leave a sum of non-negative numbers unchanged: the
+    bits are the same wherever the m = 0 populations are finite. Where one
+    of them is not (inf or NaN), the ten-term sum is NaN and N1 here is the
+    sum of its own terms: finite where they are.
+    """
+    return sum(m * pr for (m, _), pr in populations.items() if m)
+
+
 def _intermediates(p: SystemParams, delta, g2p) -> Intermediates:
     d1 = delta - 0.5j * p.gamma1_prime
     d2 = delta - 0.5j * g2p
@@ -162,40 +176,51 @@ def _singular_factors(p: SystemParams, t: Intermediates, delta, g2p):
                                        ("mu", t.mu, 4))]
 
 
-def _amplitudes(p: SystemParams, t: Intermediates) -> AmplitudeSet:
+def _shared_terms(p: SystemParams, t: Intermediates) -> tuple:
+    """The drive powers Omega e^(i phase), its square and cube, and the
+    products d2^2, eta1 eta2, eta1 eta2 mu, 3 eta1 eta2 mu and w3, which the
+    m >= 1 amplitudes share with c01, c02 and c03."""
     # Each product is taken in the left-to-right order of the written
     # formula; with _cmul, _abs and _pow, array elements then round exactly
     # as scalar evaluation does.
     om = p.omega_drive_amp * np.exp(1j * p.drive_phase)
-    om2, om3 = om**2, om**3
+    d2sq = _cmul(t.d2, t.d2)
+    e12 = _cmul(t.eta1, t.eta2)
+    e12mu = _cmul(e12, t.mu)
+    e12mu3 = _cmul(_cmul(3 * t.eta1, t.eta2), t.mu)
+    w3 = _cmul(t.xi2, t.d2 + t.d3) - _cmul(2 * d2sq, t.d1 + t.d2)
+    return om, om**2, om**3, d2sq, e12, e12mu, e12mu3, w3
+
+
+def _mode1_amplitudes(p: SystemParams, t: Intermediates, shared: tuple) -> dict:
+    """C_mn of the states with m >= 1, keyed (m, n) in ``AMPLITUDE_STATES`` order."""
+    om, om2, om3, d2sq, e12, e12mu, e12mu3, w3 = shared
     J = p.J
     d1, d2, d3, d4, d5, d6 = t.d1, t.d2, t.d3, t.d4, t.d5, t.d6
-    eta1, eta2, eta3, mu, xi2 = t.eta1, t.eta2, t.eta3, t.mu, t.xi2
-    d2sq = _cmul(d2, d2)
-    e12 = _cmul(eta1, eta2)
-    e12mu = _cmul(e12, mu)
-    e12mu3 = _cmul(_cmul(3 * eta1, eta2), mu)
-
-    c01 = J * om / eta1
+    eta1, eta3 = t.eta1, t.eta3
     c10 = _cmul(-om, d2) / eta1
-    c02 = _cmul(SQRT2 * om2 * J**2, d3 + d2) / e12
-    c20 = _cmul(_cmul(SQRT2 * om2, d2sq), d1 + d2) / e12
     c11 = _cmul(_cmul(-2 * om2, d2) * J, d3 + d2) / e12
-
-    w3 = _cmul(xi2, d2 + d3) - _cmul(2 * d2sq, d1 + d2)
-    c03 = _cmul(-SQRT6 * J**3 * om3, w3) / e12mu3
+    c20 = _cmul(_cmul(SQRT2 * om2, d2sq), d1 + d2) / e12
     c12 = _cmul(_cmul(SQRT2 * J**2 * om3, d2), w3) / e12mu
-    v3 = (_cmul(_cmul(d2sq, 4 * J**2 * d2 + _cmul(d5, eta3)), d1 + d2)
-          - _cmul(_cmul(2 * J**2 * d2sq, d6), d2 + d3))
-    c30 = _cmul(SQRT6 * om3, v3) / e12mu3
     u3 = (_cmul(_cmul(d2sq, eta3), d1 + d2)
           - _cmul(_cmul(_cmul(2 * d2sq, d4), d6), d2 + d3))
     c21 = _cmul(-SQRT2 * J * om3, u3) / e12mu
+    v3 = (_cmul(_cmul(d2sq, 4 * J**2 * d2 + _cmul(d5, eta3)), d1 + d2)
+          - _cmul(_cmul(2 * J**2 * d2sq, d6), d2 + d3))
+    c30 = _cmul(SQRT6 * om3, v3) / e12mu3
+    return {(1, 0): c10, (1, 1): c11, (2, 0): c20, (1, 2): c12, (2, 1): c21, (3, 0): c30}
 
-    return AmplitudeSet(
-        c00=1.0 + 0.0j, c01=c01, c10=c10, c02=c02, c11=c11, c20=c20,
-        c03=c03, c12=c12, c21=c21, c30=c30, intermediates=t,
-    )
+
+def _amplitudes(p: SystemParams, t: Intermediates) -> AmplitudeSet:
+    shared = _shared_terms(p, t)
+    om, om2, om3, _, e12, _, e12mu3, w3 = shared
+    J = p.J
+    c01 = J * om / t.eta1
+    c02 = _cmul(SQRT2 * om2 * J**2, t.d3 + t.d2) / e12
+    c03 = _cmul(-SQRT6 * J**3 * om3, w3) / e12mu3
+    mode1 = {f"c{m}{n}": c for (m, n), c in _mode1_amplitudes(p, t, shared).items()}
+    return AmplitudeSet(c00=1.0 + 0.0j, c01=c01, c02=c02, c03=c03, **mode1,
+                        intermediates=t)
 
 
 def _warn_strong_drive(p: SystemParams) -> None:
@@ -221,6 +246,17 @@ def steady_amplitudes(p: SystemParams) -> AmplitudeSet:
     return _amplitudes(p, t)
 
 
+def _array_intermediates(p: SystemParams, delta, gamma2_prime) -> tuple[Intermediates, np.ndarray]:
+    """Intermediates over arrays of delta and gamma_2', and the singular mask."""
+    delta = np.asarray(delta, dtype=float)
+    g2p = np.asarray(gamma2_prime, dtype=float)
+    t = _intermediates(p, delta, g2p)
+    singular = np.zeros(np.broadcast(delta, g2p).shape, dtype=bool)
+    for _, _, mask in _singular_factors(p, t, delta, g2p):
+        singular |= mask
+    return t, singular
+
+
 def amplitude_arrays(p: SystemParams, delta, gamma2_prime) -> tuple[AmplitudeSet, np.ndarray]:
     """The closed form of ``steady_amplitudes`` over arrays of delta and gamma_2'.
 
@@ -232,14 +268,21 @@ def amplitude_arrays(p: SystemParams, delta, gamma2_prime) -> tuple[AmplitudeSet
     as ``steady_amplitudes`` does when the drive is strong.
     """
     _warn_strong_drive(p)
-    delta = np.asarray(delta, dtype=float)
-    g2p = np.asarray(gamma2_prime, dtype=float)
-    t = _intermediates(p, delta, g2p)
-    singular = np.zeros(np.broadcast(delta, g2p).shape, dtype=bool)
-    for _, _, mask in _singular_factors(p, t, delta, g2p):
-        singular |= mask
+    t, singular = _array_intermediates(p, delta, gamma2_prime)
     with np.errstate(all="ignore"):
         return _amplitudes(p, t), singular
+
+
+def n1_arrays(p: SystemParams, delta, gamma2_prime) -> tuple[np.ndarray, np.ndarray]:
+    """N1 of ``analytic_observables(amplitude_arrays(...)[0])`` and the same
+    singular mask, from the six m >= 1 amplitudes alone (see ``_mode1_sum``
+    for where the m = 0 populations are not finite). Warns as
+    ``amplitude_arrays`` does."""
+    _warn_strong_drive(p)
+    t, singular = _array_intermediates(p, delta, gamma2_prime)
+    with np.errstate(all="ignore"):
+        amps = _mode1_amplitudes(p, t, _shared_terms(p, t))
+        return _mode1_sum({state: _pow(_abs(c), 2) for state, c in amps.items()}), singular
 
 
 def shell_ratio(p: SystemParams, delta, gamma2_prime) -> float:
@@ -275,7 +318,7 @@ def analytic_observables(amps: AmplitudeSet) -> AnalyticObservables:
     array = type(amps.c10) is np.ndarray
     with np.errstate(all="ignore") if array else nullcontext():
         P = amps.populations()
-        n1 = sum(m * pr for (m, n), pr in P.items())
+        n1 = _mode1_sum(P)
         n2 = sum(n * pr for (m, n), pr in P.items())
         p10 = P[(1, 0)]
         if array:

@@ -473,8 +473,9 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = _common_parser()
+def _build_parser(commands=SUBCOMMANDS) -> argparse.ArgumentParser:
+    """The parser of every subcommand's name and help line, with the
+    options of the subcommands in ``commands`` only."""
     parser = argparse.ArgumentParser(
         prog="kerrdimer",
         description="Loss sweeps, spectra and exceptional points of a driven "
@@ -483,14 +484,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, _, help_, options) in SUBCOMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=help_)
+        if name not in commands:
+            sub.add_parser(name, help=help_)
+            continue
+        sp = sub.add_parser(name, parents=[_common_parser()], help=help_)
         for flag, kwargs in options.items():
             sp.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level options take no value, so the first word that is not an
+    # option names the subcommand; the others' options are never parsed
+    parser = _build_parser([next((a for a in argv if not a.startswith("-")), None)])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

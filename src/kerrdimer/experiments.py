@@ -38,7 +38,7 @@ from .liouvillian import (
 from .model import AMPLITUDE_STATES, UNDEFINED_N1_FLOOR, SystemParams
 from .observables import _lindblad_columns, _spectra
 from .search import bisect_root, golden_section_minimize
-from .spectral import hep_location, one_photon_eigensystem_closed
+from .spectral import hep_location, one_photon_roots
 
 __all__ = [
     "SweepTable",
@@ -109,7 +109,7 @@ def resolve_delta(p: SystemParams, protocol) -> float:
     ``("fixed", value)`` protocol returns the value unchanged.
     """
     if protocol == "track_upper_branch":
-        lam_plus = one_photon_eigensystem_closed(p).eigenvalues[0]
+        lam_plus = one_photon_roots(p)[0][0]
         return float(p.omega_c - lam_plus.real)
     if isinstance(protocol, (tuple, list)) and len(protocol) == 2 and protocol[0] == "fixed":
         return float(protocol[1])
@@ -216,14 +216,14 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
     points = [loss_point(p, gt, protocol) for gt in gts]
     rows = []
     for gt, pg in zip(gts, points):
-        eig = one_photon_eigensystem_closed(pg)
+        lam = one_photon_roots(pg)[0]
         rows.append({
             "gamma_tip": float(gt),
             "delta_used": pg.delta,
-            "omega_plus": float(eig.omega[0]),
-            "omega_minus": float(eig.omega[1]),
-            "kappa_plus": float(eig.kappa[0]),
-            "kappa_minus": float(eig.kappa[1]),
+            "omega_plus": float(lam[0].real),
+            "omega_minus": float(lam[1].real),
+            "kappa_plus": float(-2.0 * lam[0].imag),
+            "kappa_minus": float(-2.0 * lam[1].imag),
         })
     failures = []
     cap = excitation_cap(cutoff)
@@ -354,14 +354,14 @@ def spectrum_map(p: SystemParams, gamma_tip_grid, delta_grid,
     s1, specs = _spectra(p, gts, deltas, backend, cutoff)
     peak_rows = []
     for gt, spec in zip(gts, specs):
-        eig = one_photon_eigensystem_closed(p.with_(gamma_tip=float(gt)))
+        lam = one_photon_roots(p.with_(gamma_tip=float(gt)))[0]
         peak_rows.append({
             "gamma_tip": float(gt),
             "n_peaks": spec.peak_count,
             "peak_delta_1": spec.peak_deltas[0] if spec.peak_count > 0 else None,
             "peak_delta_2": spec.peak_deltas[1] if spec.peak_count > 1 else None,
-            "omega_plus": float(eig.omega[0]),
-            "omega_minus": float(eig.omega[1]),
+            "omega_plus": float(lam[0].real),
+            "omega_minus": float(lam[1].real),
         })
     return SpectrumMap(gamma_tip=gts, delta=deltas, s1=s1, peak_rows=peak_rows,
                        peak_indices=[s.peak_indices for s in specs])
@@ -456,7 +456,7 @@ def _item_lines(columns, item: dict, previous: dict) -> str:
             texts.append(previous[c][1])
         else:
             texts.append([_cell_text(v)] * n)
-    return "".join([line + "\n" for line in map(",".join, zip(*texts, strict=True))])
+    return "\n".join(map(",".join, zip(*texts, strict=True))) + "\n" if n else ""
 
 
 def _array_texts(values: np.ndarray) -> list[str]:

@@ -158,10 +158,13 @@ def excitation_spectrum(p: SystemParams, delta_grid, backend: str = "analytic",
 
 
 # Cells per analytic block of whole gamma_tip rows. On the preset map (121 x
-# 501, perfbench fig2c_map) blocks of 2048 cells (4 rows) took peak_rss_mb
-# from 31.86 MiB (one row a call) to 32.10 MiB (+0.7 %), and blocks of 4096
-# to 33.7 MiB (+6 %), over that metric's 5 % bound.
-ANALYTIC_BLOCK_CELLS = 2048
+# 501, perfbench fig2c_map; 2-core Xeon VM, numpy 2.4.6), the peak RSS of a
+# whole map command and the median time of its _spectra call, by block size:
+#   cells              1024   2048   4096   8192   16384   the whole map
+#   peak RSS (MiB)     32.4   32.4   32.4   34.1   37.5    55.6
+#   _spectra (ms)      53.3   40.7   35.4   31.8
+# 8192 cells would be +5.2 % in peak_rss_mb, over that metric's 5 % bound.
+ANALYTIC_BLOCK_CELLS = 4096
 
 
 def _spectra(p: SystemParams, gamma_tips: np.ndarray, deltas: np.ndarray, backend: str,
@@ -170,7 +173,7 @@ def _spectra(p: SystemParams, gamma_tips: np.ndarray, deltas: np.ndarray, backen
     per row, and each row's ``excitation_spectrum`` result (its s1 a view of
     that row). The analytic backend evaluates blocks of whole rows of at most
     ``ANALYTIC_BLOCK_CELLS`` cells (at least one row) in one
-    ``amplitude_arrays`` call each. The Lindblad backend solves every cell in
+    ``analytic.n1_arrays`` call each. The Lindblad backend solves every cell in
     one ``solve_points`` pool."""
     if deltas.size == 0:
         raise ValueError("delta grid must be nonempty")
@@ -185,20 +188,19 @@ def _spectra(p: SystemParams, gamma_tips: np.ndarray, deltas: np.ndarray, backen
     s1 = np.full((gamma_tips.size, deltas.size), np.nan)
     if backend == "analytic":
         # here: the sweep workers, which import this module, load no analytic
-        from .analytic import amplitude_arrays, analytic_observables
+        from .analytic import n1_arrays
 
         step = max(1, ANALYTIC_BLOCK_CELLS // deltas.size)
         for lo in range(0, gamma_tips.size, step):
             g = g2p[lo:lo + step]
-            amps, singular = amplitude_arrays(p, deltas[None, :], g[:, None])
-            n1 = analytic_observables(amps).n1
+            n1, singular = n1_arrays(p, deltas[None, :], g[:, None])
             np.divide(n1, n0[lo:lo + g.size, None], out=s1[lo:lo + g.size],
                       where=~singular & (n1 >= UNDEFINED_N1_FLOOR))
     elif backend == "lindblad":
         cells = [p.with_(gamma_tip=gt, delta=d)
                  for gt in gamma_tips.tolist() for d in deltas.tolist()]
-        # at the ceiling: N1 alone does not converge geometrically shell by
-        # shell, so the truncation certificate would not hold for it
+        # at the ceiling: solve_points escalates every point when one misses
+        # its estimate, so a map with any resonant cell would reach it anyway
         solved = solve_points(cells, driven_basis(cutoff), _mode1_occupation).results
         for pc, (_, failure) in zip(cells, solved):
             if failure:

@@ -18,6 +18,7 @@ from .model import SystemParams, build_hamiltonian
 
 __all__ = [
     "SubspaceEigensystem",
+    "one_photon_roots",
     "one_photon_eigensystem_closed",
     "subspace_eigensystem_numeric",
     "hep_location",
@@ -61,17 +62,27 @@ def _n_block_states(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((m, n - m) for m in range(n + 1))
 
 
-def one_photon_eigensystem_closed(p: SystemParams) -> SubspaceEigensystem:
-    """Closed-form eigenpairs of the one-photon block.
+def one_photon_roots(p: SystemParams) -> tuple[np.ndarray, complex, float]:
+    """Closed-form eigenvalues of the one-photon block, without eigenvectors.
 
-    lambda_1(+/-) = -i*Gamma + omega_c +/- sqrt(J^2 - beta^2), with the
-    pair flagged degenerate when the discriminant root falls below the
-    declared EP neighborhood.
+    Returns (lambda_1(+/-), s, beta): lambda_1(+/-) = -i*Gamma + omega_c +/- s,
+    with s = sqrt(J^2 - beta^2), Gamma = (gamma_1' + gamma_2') / 4 and
+    beta = (gamma_2' - gamma_1') / 4.
     """
     g1p, g2p = p.gamma1_prime, p.gamma2_prime
     Gamma, beta = (g1p + g2p) / 4, (g2p - g1p) / 4
     s = np.sqrt(complex(float(p.J) ** 2 - float(beta) ** 2))
-    lam = np.array([p.omega_c - 1j * Gamma + s, p.omega_c - 1j * Gamma - s])
+    return np.array([p.omega_c - 1j * Gamma + s, p.omega_c - 1j * Gamma - s]), s, beta
+
+
+def one_photon_eigensystem_closed(p: SystemParams) -> SubspaceEigensystem:
+    """Closed-form eigenpairs of the one-photon block.
+
+    The eigenvalues of ``one_photon_roots``, with the pair flagged
+    degenerate when the discriminant root falls below the declared EP
+    neighborhood.
+    """
+    lam, s, beta = one_photon_roots(p)
 
     # eigenvectors of [[i*beta, J], [J, -i*beta]] in the ((0,1), (1,0)) state
     # order; two algebraically equivalent forms, keep the better-conditioned

@@ -8,6 +8,7 @@ from kerrdimer.analytic import (
     _cmul,
     amplitude_arrays,
     analytic_observables,
+    n1_arrays,
     steady_amplitudes,
 )
 from kerrdimer.model import SystemParams
@@ -182,3 +183,41 @@ class TestArrayKernel:
             ref_obs = analytic_observables(ref)
             for field in ("n1", "n2", "g2", "g2_approx", "g3"):
                 assert same_bits(getattr(obs, field)[i], getattr(ref_obs, field))
+
+    @pytest.mark.filterwarnings("ignore:drive exceeds")
+    @pytest.mark.parametrize("case", ["drawn", "nearly-lossless", "lossless"])
+    def test_n1_from_mode1_amplitudes_matches_the_ten_term_sum(self, case):
+        # N1 from the six m >= 1 amplitudes against the sum of m * P_mn over
+        # all ten populations, on arrays and on scalars, wherever the m = 0
+        # populations are finite; that is every cell that is not singular
+        def ten_term_n1(pops):
+            return sum(m * pr for (m, n), pr in pops.items())
+
+        rng = np.random.default_rng(36)
+        if case == "drawn":
+            sets = [params(chi=rng.choice([-1, 1]) * 10 ** rng.uniform(-3, 2),
+                           J=10 ** rng.uniform(-3, 1), gamma_1=10 ** rng.uniform(-4, 1),
+                           gamma_ex=10 ** rng.uniform(-4, 1), gamma_2=10 ** rng.uniform(-4, 1),
+                           omega_drive_amp=10 ** rng.uniform(-6, 1),
+                           drive_phase=rng.uniform(0, 2 * np.pi)) for _ in range(40)]
+            deltas, gts = np.linspace(-6, 6, 41), np.array([0.0, 0.7, 5.3, 12.0])
+        else:
+            # eta1 = D1 D2 - J^2 vanishes at delta = 1: to rounding, or exactly
+            loss = 5e-15 if case == "nearly-lossless" else 0.0
+            sets = [params(gamma_1=loss, gamma_ex=loss, gamma_2=2 * loss, J=1.0, chi=1.0)]
+            deltas, gts = np.linspace(0.5, 1.5, 101), np.array([0.0, 2 * loss])
+        for p in sets:
+            n1, singular = n1_arrays(p, deltas[None, :], p.gamma_2 + gts[:, None])
+            amps, same_mask = amplitude_arrays(p, deltas[None, :], p.gamma_2 + gts[:, None])
+            pops = amps.populations()
+            assert same_bits(singular, same_mask)
+            with np.errstate(all="ignore"):
+                ten = ten_term_n1(pops)
+            finite = np.all([np.isfinite(pops[(0, n)]) for n in (1, 2, 3)], axis=0)
+            assert finite[~singular].all()
+            assert same_bits(n1[finite], ten[finite])
+            for i, j in zip(*np.nonzero(~singular)):
+                pc = p.with_(delta=float(deltas[j]), gamma_tip=float(gts[i]))
+                assert same_bits(n1[i, j], ten_term_n1(steady_amplitudes(pc).populations()))
+            if case != "drawn":
+                assert singular[:, 50].all() and not np.delete(singular, 50, axis=1).any()

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import kerrdimer
-from kerrdimer.cli import _build_config, _build_parser, main
+from kerrdimer.cli import SUBCOMMANDS, _build_config, _build_parser, main
 from kerrdimer.experiments import spectrum_map
-from kerrdimer import liouvillian, search
+from kerrdimer import experiments, liouvillian, search
 from kerrdimer.model import preset, preset_names
 from kerrdimer.observables import excitation_spectrum
 from kerrdimer.search import MAX_ITER, golden_section_minimize
@@ -244,6 +244,18 @@ class TestDispatch:
         assert "--backend analytic" in err and "--backend lindblad" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["--version"], ["bogus"], ["-4", "lep"], ["--", "lep", "--help"],
+        *([name, "--help"] for name in SUBCOMMANDS),
+        *([name, "--bogus"] for name in SUBCOMMANDS)])
+    def test_parser_prints_what_the_full_parser_prints(self, capsys, argv):
+        # main builds the options of the invoked subcommand only
+        code = main(argv)
+        printed = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert (code, printed) == (exc.value.code or 0, capsys.readouterr())
+
     def test_backend_default_per_subcommand(self):
         parser = _build_parser()
         assert _build_config(parser.parse_args(["sweep-loss"])).backends == \
@@ -301,7 +313,7 @@ class TestExperimentCommands:
 
     def test_multi_block_map_bytes_match_the_per_row_spectra(self, tmp_path, capsys,
                                                              reference_write_csv):
-        # 13 rows of 501 cells span four analytic blocks, the last one partial;
+        # 13 rows of 501 cells span two analytic blocks, the last one partial;
         # the written map must equal the cells of 13 single-row spectra
         argv = ["spectrum-map", "--gamma-tip-grid", "0:12:13", "--delta-grid=-4:4:501",
                 "--output-dir", str(tmp_path)]
@@ -888,9 +900,11 @@ class TestSiUnits:
 
     TWINS = {"spectrum": ("spectrum", "--gamma-tip", "0", "--gamma-tip", "8.9"),
              "spectrum-map": ("spectrum-map", "--gamma-tip-grid=0:12:13", "--delta-grid=-4:4:101"),
-             "eigen": ("eigen",), "lep": ("lep",), "ep-agreement": ("ep-agreement",)}
+             "eigen": ("eigen",), "lep": ("lep",), "ep-agreement": ("ep-agreement",),
+             "critical-points": ("critical-points",), "distribution": ("distribution",)}
     RATES = {"gamma_tip", "delta", "peak_delta_1", "peak_delta_2", "J", "hep", "lep",
-             "omega_plus", "omega_minus", "re_lambda", "im_lambda", "re_Lambda", "im_Lambda", "gap"}
+             "omega_plus", "omega_minus", "re_lambda", "im_lambda", "re_Lambda", "im_Lambda", "gap",
+             "cp_c", "cp_q_down", "cp_q_up", "ep"}
     # the one-photon branches, whose rounding near the EP is sqrt(J^2 - beta^2)'s
     BRANCH = {"omega_plus", "omega_minus", "re_lambda", "im_lambda", "re_Lambda", "im_Lambda",
               "gap", "pop_01", "pop_10", "population", "overlap"}
@@ -899,13 +913,15 @@ class TestSiUnits:
     def assert_twin_cell(self, name, got, ref, g1p, row):
         """An SI dataset's cell against its normalized twin's, both as
         written; ``row`` holds the twin's parameters and row."""
-        if name in self.TEXT or "" in (got, ref):
+        if name in self.TEXT or "" in (got, ref) or None in (got, ref):
             assert got == ref, name
             return
         got, ref = float(got) / (g1p if name in self.RATES else 1.0), float(ref)
         bound = 1e-12 * abs(ref)
         if name == "lep":  # searched to LEP_TOL gamma_1'
             bound = liouvillian.LEP_TOL
+        elif name.startswith("cp_"):  # searched to REFINE_TOL gamma_1'
+            bound = experiments.REFINE_TOL
         elif name == "rel_discrepancy":  # |hep - lep| / hep
             bound = liouvillian.LEP_TOL / float(row["hep"])
         elif name in self.BRANCH:
@@ -918,7 +934,8 @@ class TestSiUnits:
     def test_dataset_matches_its_normalized_twin(self, tmp_path, capsys, case):
         argv = self.TWINS[case]
         assert run(capsys, *argv, *self.SI, "--output-dir", str(tmp_path / "si"))[0] == 0
-        sidecar = next((tmp_path / "si").glob("*.provenance.json")).name
+        # a provenance sidecar, or critical-points' one file
+        sidecar = next((tmp_path / "si").glob("*.json")).name
         side = json.loads((tmp_path / "si" / sidecar).read_text())
         g1p = side["params"]["gamma_1"] + side["params"]["gamma_ex"]
         assert run(capsys, *argv, *self.normalized(side["params"]),
@@ -937,6 +954,10 @@ class TestSiUnits:
             for key in ("lep", "gap", "overlap"):
                 self.assert_twin_cell(key, side[key], twin[key], g1p,
                                       {**twin["params"], "gamma_tip": twin["lep"]})
+        if case == "critical-points":
+            assert None not in twin["critical_points"].values()
+            for key, ref in twin["critical_points"].items():
+                self.assert_twin_cell(key, side["critical_points"][key], ref, g1p, twin["params"])
 
     def test_si_requires_all_inputs(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep-loss", "--units", "si",

@@ -71,7 +71,8 @@ SI = ("--units", "si", "--wavelength", "1.55e-6", "--q-intrinsic", "2e9", "--chi
 LOSSLESS = ("--set", "gamma_1=0", "--set", "gamma_ex=0", "--set", "gamma_2=0")
 NO_GAMMA1 = ("--set", "gamma_1=0", "--set", "gamma_ex=0")
 
-# (id, argv): every subcommand, the fig3 twin, SI units, the Lindblad
+# (id, argv): every subcommand, the fig3 twin, SI units (a sweep, a cut and
+# a map of several analytic blocks), the Lindblad
 # backend of each command that has one, a sweep near a multi-photon
 # resonance whose certificate escalates, a map of several analytic blocks,
 # a Lindblad map whose chunks take several stacks at the default cutoff,
@@ -102,6 +103,8 @@ COMMANDS = [
     ("spectrum-map", ("spectrum-map",)),
     ("spectrum-map-blocks", ("spectrum-map", "--gamma-tip-grid=0:12:13",
                              "--delta-grid=-4:4:501")),
+    ("spectrum-map-si", ("spectrum-map", *SI, "--gamma-tip-grid=0:12:13",
+                         "--delta-grid=-4:4:501")),
     ("spectrum-map-lindblad", ("spectrum-map", "--backend", "lindblad", "--cutoff", "3,3",
                                "--gamma-tip-grid=0:12:3", "--delta-grid=-4:4:11")),
     ("spectrum-map-lindblad-ceiling", ("spectrum-map", "--backend", "lindblad",
