@@ -354,8 +354,13 @@ def _run_lep(rc: RunConfig, args) -> int:
              res.grid_rows, experiment="lep",
              gamma_tip_grid={"start": lo, "stop": hi, "num": args.grid},
              lep=res.gamma_tip, gap=res.gap, overlap=res.overlap)
-    print(f"lep: gamma_tip={res.gamma_tip:.6f} gap={res.gap:.3e} "
-          f"overlap={res.overlap:.6f} -> {path}")
+    # at the EP, J^2 - beta^2 cancels down to its rounding, 8 eps (J^2 + beta^2):
+    # a gap below the root of that is rounding. The sidecar keeps the number
+    beta = (rc.params.gamma_2 + res.gamma_tip - rc.params.gamma1_prime) / 4
+    floor = np.sqrt(8 * np.finfo(float).eps * (rc.params.J ** 2 + beta ** 2))
+    gap = (f"gap<{floor:.3e} (the rounding floor)" if res.gap < floor
+           else f"gap={res.gap:.3e}")
+    print(f"lep: gamma_tip={res.gamma_tip:.6f} {gap} overlap={res.overlap:.6f} -> {path}")
     return 0
 
 

@@ -42,7 +42,8 @@ __all__ = [
 
 # bases stay at most 64 states, so superoperators at most 4096 x 4096 (the
 # full per-mode (7, 7) square, a test oracle only), where steady_state takes
-# about 110 ms at one BLAS thread; README lists its cost on the other bases
+# about 53 ms and 21 MiB at one BLAS thread on a 2-core Xeon VM; README
+# lists its cost on the other bases
 MAX_HILBERT_DIM = 64
 # per-mode Fock cutoffs of the driven master-equation solves. Their basis
 # also caps m + n at max(c1, c2) + 2 (driven_basis), the ceiling: 30 of the
@@ -71,8 +72,8 @@ LEP_TOL = 1e-9  # golden-section tolerance on gamma_tip, in units of gamma_1'
 TRUNCATION_TOL = 1e-13
 MIN_CAP = 4
 # solve_points' worker tasks: chunks of at most CHUNK_POINTS points, each
-# solved as near-equal stacks whose _SectorLU block buffers take at most
-# STACK_BYTES (at least one point): a stack pays numpy's per-call work once,
+# solved as near-equal stacks whose kept _SectorLU blocks (S_j and w_j) take
+# at most STACK_BYTES (at least one point): a stack pays numpy's per-call work once,
 # and small chunks leave the last worker less time idle. On a 2-core Xeon
 # (2 MiB L2 a core) perfbench's fig2 sweep (121 points at cap 5) read, in
 # ms, at chunks of at most 8, 10, 12 and 16 points: 218, 218, 225, 226 at
@@ -476,7 +477,9 @@ def _steady_states(basis: FockBasis, mats: list, border=None):
 class _Plan(NamedTuple):
     """The steady-state solver's plan of one generator pattern: its bordered
     rows, the excitation-difference sectors of the vec index, and where the
-    pattern's entries go in the blocks of M1."""
+    pattern's entries go in the blocks of M1: the diagonal blocks M1[j, j]
+    side by side in one buffer, each coupling M1[j, j - 1] in a dense block
+    of its own, and M1[j, j + 1] sparse, row by row."""
 
     r1: int  # the rows of L that the two bordered systems replace by the trace
     r2: int  # row: the diagonal entries of |0,0> and of another state; -1: none
@@ -486,10 +489,11 @@ class _Plan(NamedTuple):
     members: list  # vec indices of sector k = N(r) - N(c) = 0 .. K, ascending
     mirror: np.ndarray  # sector-0 position of each sector-0 transpose
     order: np.ndarray  # vec indices of sectors 0, 1 .. K, then of -1 .. -K
-    shapes: list  # of the diagonal blocks M1[j, j], then of M1[j, j - 1]
-    start: np.ndarray  # offset of each of those blocks in one buffer
-    dest: np.ndarray  # buffer offset of each entry that lands in a dense block
+    shapes: list  # of the diagonal blocks M1[j, j], then of M1[j, j - 1] (and of w_j)
+    start: np.ndarray  # offset of each diagonal block in the buffer
+    dest: np.ndarray  # buffer offset of each entry that lands in a diagonal block
     src: np.ndarray  # its index in the generator's data
+    low: list  # M1[j, j - 1] for j = 1 .. K: (offset in its block, index into data) per entry
     up_src: list  # M1[j, j + 1] row by row: indices into data, nnz if none
     up_cols: list  # and their columns in sector j + 1
 
@@ -532,19 +536,20 @@ def _sector_plan(indices: np.ndarray, indptr: np.ndarray, k: np.ndarray, tau: np
     kr, kc = kr[entry], kc[entry]
     pr, pc = pos[rows[entry]], pos[indices[entry]]
 
-    # dense and row-major, side by side in one buffer: the diagonal blocks
-    # M1[j, j] for j = 0 .. K, then the couplings M1[j, j - 1] for
-    # j = 1 .. K; the couplings M1[j, j + 1] stay sparse
+    # dense and row-major: the diagonal blocks M1[j, j] for j = 0 .. K side
+    # by side in one buffer, and each coupling M1[j, j - 1] for j = 1 .. K
+    # on its own; the couplings M1[j, j + 1] stay sparse
     sizes = [len(idx) for idx in members]
     kmax = len(sizes) - 1
     shapes = [(s, s) for s in sizes] + list(zip(sizes[1:], sizes[:-1]))
-    start = np.cumsum([0] + [r * c for r, c in shapes])
-    dense = kr >= kc
-    slot = np.where(kr == kc, kr, kmax + kr)[dense]
-    dest = start[slot] + pr[dense] * np.take(sizes, kc[dense]) + pc[dense]
+    start = np.cumsum([0] + [s * s for s in sizes])
+    within = kr == kc
+    dest = start[kr[within]] + pr[within] * np.take(sizes, kc[within]) + pc[within]
 
-    up_src, up_cols = [], []
+    low, up_src, up_cols = [], [], []
     for j in range(kmax):
+        sel = np.flatnonzero((kr == j + 1) & (kc == j))
+        low.append((pr[sel] * sizes[j] + pc[sel], entry[sel]))
         sel = np.flatnonzero((kr == j) & (kc == j + 1))
         sel = sel[np.argsort(pr[sel], kind="stable")]
         count = np.bincount(pr[sel], minlength=sizes[j])
@@ -558,7 +563,7 @@ def _sector_plan(indices: np.ndarray, indptr: np.ndarray, k: np.ndarray, tau: np
         up_cols.append(cols)
     return _Plan(r1, r2, diag, pos, tau, members, mirror,
                  np.concatenate(members + [tau[idx] for idx in members[1:]]),
-                 shapes, start, dest, entry[dense], up_src, up_cols)
+                 shapes, start, dest, entry[within], low, up_src, up_cols)
 
 
 class _SectorLU:
@@ -578,15 +583,20 @@ class _SectorLU:
     solve that factors it anew: the elimination gives it every right-hand
     side known then, the coupling M1[j, j - 1] and, in sector 0, the unit
     columns e_r1 and e_r2, whose solution is ``z``. ``solve`` factors the
-    kept S_j once more. Every block carries the stack as its leading axis,
-    so each sector's solve and product is one call for the whole stack,
-    which LAPACK and BLAS run member by member as for a stack of one. A
-    zero pivot in any member is a ``DegenerateSteadyStateError`` for the
-    stack. ``solve`` takes right-hand sides (P, n) or (P, n, m) whose
-    columns are Hermitian as d x d matrices; its solutions, like ``z``, hold
-    the conjugate transpose of sector k in sector -k, and sector 0 as solved.
-    Its products go column by column (BLAS gemv and gemm round apart), so at
-    one BLAS thread a column's solution does not depend on the others.
+    kept S_j once more. What is kept is what ``solve`` reads: the S_j,
+    updated in place in one buffer that held the diagonal blocks M1[j, j];
+    the w_j = S_j^-1 M1[j, j - 1]; and M1[j, j + 1], sparse. Each coupling
+    M1[j, j - 1] is gathered from ``data`` into a dense block of its own
+    just before its solve (``_lower``), and dropped after it. Every block
+    carries the stack as its leading axis, so each sector's solve and
+    product is one call for the whole stack, which LAPACK and BLAS run
+    member by member as for a stack of one. A zero pivot in any member is
+    a ``DegenerateSteadyStateError`` for the stack. ``solve`` takes
+    right-hand sides (P, n) or (P, n, m) whose columns are Hermitian as
+    d x d matrices; its solutions, like ``z``, hold the conjugate transpose
+    of sector k in sector -k, and sector 0 as solved. Its products go
+    column by column (BLAS gemv and gemm round apart), so at one BLAS
+    thread a column's solution does not depend on the others.
     """
 
     def __init__(self, plan: _Plan, data: np.ndarray):
@@ -595,27 +605,40 @@ class _SectorLU:
         stack = len(data)
         buf = np.zeros((stack, plan.start[-1]), dtype=complex)
         buf[:, plan.dest] = data.take(plan.src, axis=1)
-        blocks = [buf[:, lo:hi].reshape(stack, *shape) for lo, hi, shape in
+        # the Schur complements S_j, from the diagonal blocks
+        self.s = [buf[:, lo:hi].reshape(stack, *shape) for lo, hi, shape in
                   zip(plan.start, plan.start[1:], plan.shapes)]
         if plan.r1 >= 0:
-            blocks[0][:, plan.pos[plan.r1], plan.pos[plan.diag]] = 1.0  # the trace row
+            self.s[0][:, plan.pos[plan.r1], plan.pos[plan.diag]] = 1.0  # the trace row
         vals = np.append(data, np.zeros((stack, 1)), axis=1)
         self.up = [(vals.take(src, axis=1), cols)  # M1[j, j + 1]
                    for src, cols in zip(plan.up_src, plan.up_cols)]
-        self.s = blocks[:kmax + 1]  # the Schur complements S_j
+        # every temporary is dropped once read, before the next, larger
+        # sector's is formed: the peak holds the kept blocks and one update
+        del vals
         self.w = [None] * (kmax + 1)  # S_j^-1 M1[j, j - 1]
         for j in range(kmax, 0, -1):
-            w = self.w[j] = self._solve(j, blocks[kmax + j])
+            w = self.w[j] = self._solve(j, self._lower(j, data))
             corr = self._couple(j - 1, w)
             if j == 1:
-                corr += np.conjugate(corr[:, plan.mirror][:, :, plan.mirror])
-            blocks[j - 1] -= corr
+                mirrored = corr[:, plan.mirror[:, None], plan.mirror[None, :]]
+                corr += np.conjugate(mirrored, out=mirrored)
+                del mirrored
+            self.s[j - 1] -= corr
+            del corr
         if plan.r1 < 0:
             return
         # e_r1 and e_r2 lie in sector 0, so every t_j of their solution is 0
         rhs = np.zeros((stack, len(plan.members[0]), 2), dtype=complex)
         rhs[:, plan.pos[[plan.r1, plan.r2]], [0, 1]] = 1.0
         self.z = self._back_substitute(self._solve(0, rhs), [0] * (kmax + 1))
+
+    def _lower(self, j: int, data: np.ndarray) -> np.ndarray:
+        """The coupling M1[j, j - 1] of the stack's ``data``, dense."""
+        dest, src = self.plan.low[j - 1]
+        block = np.zeros((len(data), *self.plan.shapes[len(self.s) - 1 + j]), dtype=complex)
+        block.reshape(len(data), -1)[:, dest] = data.take(src, axis=1)
+        return block
 
     def _solve(self, j: int, b: np.ndarray) -> np.ndarray:
         try:
@@ -744,13 +767,15 @@ def _solve_chunk(points, basis: FockBasis, cap: int | None, reduce) -> list:
     ``cap``. A result is ``(reduce(rho), None)``, or ``(None, (class name,
     message))`` for a ``DegenerateSteadyStateError`` or ``ValueError`` of the
     solve, of the correction or of ``reduce``. Each point is factored once,
-    in as few near-equal stacks as keep their block buffers (``_SectorLU``)
-    within ``STACK_BYTES``, or of one point where a point alone takes more.
+    in as few near-equal stacks as keep the blocks their eliminations keep
+    (``_SectorLU``: S_j and w_j) within ``STACK_BYTES``, or of one point
+    where a point alone takes more.
     The generators are built outside any ``try``: a fault there propagates."""
     sub = basis if cap is None else FockBasis(tuple(s for s in basis.states if sum(s) < cap))
     plans = [_solver_plan(sub, "rotating_driven"), *([] if cap is None else
                                                      _extension(basis, cap - 1)[5])]
-    step = max(1, STACK_BYTES // (16 * max(plan.start[-1] for plan in plans)))
+    step = max(1, STACK_BYTES // (16 * max(sum(r * c for r, c in plan.shapes)
+                                           for plan in plans)))
     solved = []
     for stack in _split(points, -(-len(points) // step)):
         mats = [build_liouvillian(p, sub).data for p in stack]

@@ -404,6 +404,9 @@ class TestExperimentCommands:
         side = json.loads((tmp_path / "lep.provenance.json").read_text())
         assert side["gamma_tip_grid"]["start"] == 0.0
         assert side["gamma_tip_grid"]["stop"] == pytest.approx(1.09, rel=1e-12)
+        # at J = 0.01 the gap (1.1e-6) lies above its rounding floor (6e-10)
+        assert side["gap"] >= lep_gap_floor(side)
+        assert f" gap={side['gap']:.3e} " in out
 
     # command line and the files it writes (glob patterns), per case
     BLAS_CASES = {
@@ -835,12 +838,24 @@ class TestValidate:
         assert deviation < 2.0
 
 
+def difference_rounding(J, beta):
+    """The rounding that cancellation leaves in J^2 - beta^2: dx = 8 eps (J^2 + beta^2)."""
+    return 8 * np.finfo(float).eps * (J * J + beta * beta)
+
+
 def sqrt_rounding(J, beta):
     """The rounding that cancellation leaves in sqrt(J^2 - beta^2): the
-    difference holds dx = 8 eps (J^2 + beta^2), so the root dx over its
+    difference holds dx (``difference_rounding``), so the root dx over its
     size, and sqrt(dx) at the EP."""
-    dx = 8 * np.finfo(float).eps * (J * J + beta * beta)
+    dx = difference_rounding(J, beta)
     return dx / max(np.sqrt(abs(J * J - beta * beta)), np.sqrt(dx))
+
+
+def lep_gap_floor(side):
+    """The rounding floor sqrt(dx) of the gap at the LEP of a ``lep`` sidecar."""
+    p = side["params"]
+    beta = (p["gamma_2"] + side["lep"] - p["gamma_1"] - p["gamma_ex"]) / 4
+    return np.sqrt(difference_rounding(p["J"], beta))
 
 
 def read_rows(path):
@@ -958,6 +973,22 @@ class TestSiUnits:
             assert None not in twin["critical_points"].values()
             for key, ref in twin["critical_points"].items():
                 self.assert_twin_cell(key, side["critical_points"][key], ref, g1p, twin["params"])
+
+    @pytest.mark.parametrize("units", ["normalized", "si"])
+    def test_lep_gap_below_its_rounding_floor(self, tmp_path, capsys, units):
+        # at the preset's EP the gap is rounding (8.4e-8 gamma_1' normalized,
+        # 8.9e-8 in SI), below the floor of 1.2e-7 gamma_1': stdout gives the
+        # floor in the run's units, and the sidecar keeps the gap
+        code, out, _ = run(capsys, "lep", *(self.SI if units == "si" else ()),
+                           "--output-dir", str(tmp_path))
+        assert code == 0
+        side = json.loads((tmp_path / "lep.provenance.json").read_text())
+        g1p = side["params"]["gamma_1"] + side["params"]["gamma_ex"]
+        floor = lep_gap_floor(side)
+        assert floor / g1p == pytest.approx(1.19e-7, rel=1e-2)
+        assert isinstance(side["gap"], float) and 0.0 < side["gap"] < floor
+        assert f" gap<{floor:.3e} (the rounding floor) " in out
+        assert " gap=" not in out
 
     def test_si_requires_all_inputs(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep-loss", "--units", "si",

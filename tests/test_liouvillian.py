@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -552,6 +553,26 @@ class TestSteadyState:
         b = rng.normal(size=(2, basis.size ** 2, 2)) + 1j * rng.normal(size=(2, basis.size ** 2, 2))
         b = b + b.take(plan.tau, axis=1).conj()
         assert np.array_equal(lu.solve(b)[..., 0], lu.solve(b[..., 0]))
+
+    @pytest.mark.parametrize("cutoff, bound_mib", [((7, 7), 12.0), ((5, 5), 2.5)],
+                             ids=["reference-7", "ceiling-5"])
+    def test_working_set(self, cutoff, bound_mib):
+        # the elimination keeps its S_j and w_j blocks (7.8 MiB on validate's
+        # 2401-unknown reference, 1.4 MiB on the 900-unknown ceiling) and
+        # gathers each coupling M1[j, j - 1] only for its solve: a warm solve
+        # peaked at 10.8 and 2.2 MiB of traced allocations, and at 15.8 and
+        # 3.1 MiB while the couplings stayed in the block buffer
+        sop = build_liouvillian(tracked(params(), 4.0), driven_basis(cutoff))
+        steady_state(sop)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            steady_state(sop)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20
 
     def test_drive_phase_invariance(self):
         basis = build_basis(per_mode=(4, 4))

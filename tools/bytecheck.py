@@ -76,8 +76,9 @@ NO_GAMMA1 = ("--set", "gamma_1=0", "--set", "gamma_ex=0")
 # backend of each command that has one, a sweep near a multi-photon
 # resonance whose certificate escalates, a map of several analytic blocks,
 # a Lindblad map whose chunks take several stacks at the default cutoff,
-# the configuration errors of the S1 normalization and the LEP window, and
-# a drive whose N1^3 leaves the float range
+# the configuration errors of the S1 normalization and the LEP window,
+# a drive whose N1^3 leaves the float range, and the 49-state ceiling of
+# cutoff (7, 7) solved in the sweep workers, one point a stack
 COMMANDS = [
     ("sweep-loss", ("sweep-loss",)),
     ("sweep-loss-fig3", ("sweep-loss", "--preset", "paper_fig3")),
@@ -114,6 +115,7 @@ COMMANDS = [
     ("ep-agreement", ("ep-agreement",)),
     ("distribution", ("distribution", "--save-states")),
     ("distribution-fig3", ("distribution", "--preset", "paper_fig3")),
+    ("distribution-c7", ("distribution", "--cutoff", "7,7", "--save-states")),
     ("validate", ("validate",)),
     ("spectrum-lossless", ("spectrum", *LOSSLESS, "--gamma-tip", "0")),
     ("spectrum-map-lossless", ("spectrum-map", *LOSSLESS, "--gamma-tip-grid=0:1:3",
