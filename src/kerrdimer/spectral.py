@@ -47,16 +47,6 @@ class SubspaceEigensystem:
     basis_states: tuple[tuple[int, int], ...]
     degenerate: bool = False
 
-    @property
-    def omega(self) -> np.ndarray:
-        """Eigenfrequencies (real parts)."""
-        return self.eigenvalues.real
-
-    @property
-    def kappa(self) -> np.ndarray:
-        """Linewidths (-2 x imaginary parts)."""
-        return -2.0 * self.eigenvalues.imag
-
 
 def _n_block_states(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((m, n - m) for m in range(n + 1))

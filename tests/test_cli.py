@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -31,10 +32,15 @@ VANISHING_N1_SPECTRUM = ("spectrum", "--set", "gamma_1=5e-15", "--set", "gamma_e
                          "--delta-grid=-2:2:401")
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# the kerrdimer under test, which every subprocess imports first
+SRC = Path(kerrdimer.__file__).resolve().parents[1]
+
+
 @pytest.fixture(scope="module")
 def bytecheck():
-    """tools/bytecheck.py as a module."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "bytecheck.py"
+    """tools/bytecheck.py as a module; every subprocess here runs in its environment."""
+    path = ROOT / "tools" / "bytecheck.py"
     spec = importlib.util.spec_from_file_location("bytecheck", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -426,80 +432,49 @@ class TestExperimentCommands:
     }
 
     @pytest.mark.parametrize("case", list(BLAS_CASES))
-    def test_independent_of_blas_threads(self, tmp_path, case):
+    def test_independent_of_blas_threads(self, tmp_path, case, bytecheck):
         # master-equation points are solved in one-BLAS-thread workers, so
-        # the caller's thread count cannot reach the written files
+        # the caller's thread count reaches no stream and no written file
         argv, patterns = self.BLAS_CASES[case]
-        src = str(Path(kerrdimer.__file__).resolve().parents[1])
-        for threads in ("1", "2"):
-            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-            subprocess.run([sys.executable, "-m", "kerrdimer.cli", *argv,
-                            "--output-dir", str(tmp_path / threads)],
-                           env=env, check=True, capture_output=True, timeout=300)
+        one, two = (bytecheck.run_command(SRC, argv, t, tmp_path / t) for t in bytecheck.THREADS)
+        assert bytecheck.compare(one, two, []) == ([], [])
         for pattern in patterns:
-            names = sorted(p.name for p in (tmp_path / "1").glob(pattern))
-            assert names, pattern
-            assert names == sorted(p.name for p in (tmp_path / "2").glob(pattern))
-            for name in names:
-                assert (tmp_path / "1" / name).read_bytes() == \
-                    (tmp_path / "2" / name).read_bytes(), name
+            assert fnmatch.filter(one["files"], f"datasets/{pattern}"), pattern
 
-    @pytest.mark.skipif(
-        "DYNAMIC_ARCH" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"].get(
-            "openblas configuration", ""),
-        reason="OPENBLAS_CORETYPE selects kernels only in a DYNAMIC_ARCH OpenBLAS")
     def test_bytes_across_blas_kernels(self, tmp_path, bytecheck):
-        # OPENBLAS_CORETYPE=Prescott runs another CPU's BLAS kernels: the
-        # closed forms and the files around them keep their bytes, the
-        # master-equation and eigensolver numbers hold within 1e-12 relative
-        src = str(Path(kerrdimer.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        tolerant = {"lindblad_*": (1e-12, 1e-14)} | dict.fromkeys(
-            ("re_lambda", "im_lambda", "pop_*", "population"), (1e-12, 1e-14))
-        allow = [("*.csv", column, limit) for column, limit in tolerant.items()]
-        for argv in (("sweep-loss", "--backend", "both", "--cutoff", "3,3",
-                      "--gamma-tip-grid=0:12:5"), ("eigen",)):
-            runs = []
-            for kernel in (None, "Prescott"):
-                env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-                env.update(PYTHONPATH=path, **({"OPENBLAS_CORETYPE": kernel} if kernel else {}))
-                cwd = tmp_path / argv[0] / str(kernel)  # stdout names the relative "out"
-                cwd.mkdir(parents=True)
-                res = subprocess.run([sys.executable, "-m", "kerrdimer.cli", *argv,
-                                      "--output-dir", "out"],
-                                     cwd=cwd, env=env, capture_output=True, timeout=300)
-                assert res.returncode == 0, res.stderr
-                files = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
-                runs.append((res.stdout, files))
-            (out_a, files_a), (out_b, files_b) = runs
-            assert out_a == out_b
-            assert sorted(files_a) == sorted(files_b)
-            assert any(name.endswith(".csv") for name in files_a)
-            for name, data in files_a.items():
-                if name.endswith(".csv"):
-                    assert bytecheck.compare_csv(name, data, files_b[name], allow)[0] == []
-                else:
-                    assert data == files_b[name], name
+        # OPENBLAS_CORETYPE=Prescott runs another CPU's BLAS kernels: only
+        # what bytecheck's KERNEL_DECLARED declares may move. The native and
+        # the Prescott side of each step run at once, which pays for the
+        # two BLAS probes
+        with ThreadPoolExecutor(2) as pool:
+            native, prescott = pool.map(lambda k: bytecheck.blas_info(SRC, k), ("", "Prescott"))
+            if "DYNAMIC_ARCH" not in native["config"].split():
+                pytest.skip(f"numpy's BLAS ({native['name']}) is not a DYNAMIC_ARCH OpenBLAS")
+            if prescott["core"] is not None and prescott["core"] == native["core"]:
+                pytest.skip(f"OPENBLAS_CORETYPE=Prescott runs the native core {native['core']}")
+            for cid, argv in (("sweep-loss-both", ("sweep-loss", "--backend", "both", "--cutoff",
+                                                   "3,3", "--gamma-tip-grid=0:12:5")),
+                              ("eigen", ("eigen",))):
+                base, other = pool.map(lambda k: bytecheck.run_command(
+                    SRC, argv, None, tmp_path / f"{cid}-{k}", k), ("", "Prescott"))
+                assert base["exit code"] == 0 and base["files"], base["stderr"]
+                diffs, _ = bytecheck.compare(base, other, bytecheck.kernel_allow(cid),
+                                             stdout_bound=bytecheck.KERNEL_STDOUT.get(cid))
+                assert diffs == [], cid
 
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy(self, bytecheck):
         # the library runs on numpy alone; scipy is a test oracle only
-        src = str(Path(kerrdimer.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = ("import json, sys, kerrdimer.cli; print(json.dumps(sorted(m for m in "
                  "sys.modules if m.split('.')[0] in ('scipy', 'kerrdimer'))))")
-        res = subprocess.run([sys.executable, "-c", probe],
-                             env=dict(os.environ, PYTHONPATH=path),
+        res = subprocess.run([sys.executable, "-c", probe], env=bytecheck.environment(SRC, None),
                              check=True, capture_output=True, text=True, timeout=300)
         loaded = set(json.loads(res.stdout))
         assert "kerrdimer.liouvillian" in loaded
         assert not {m for m in loaded if m.split(".")[0] == "scipy"}
 
-    def test_lep_and_a_generator_build_load_no_numpy_ma(self, tmp_path):
+    def test_lep_and_a_generator_build_load_no_numpy_ma(self, tmp_path, bytecheck):
         # np.unique imports numpy.ma (about 10 ms a process); neither the
         # LEP search nor a generator pattern built afterwards may need it
-        src = str(Path(kerrdimer.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         probe = ("import sys\n"
                  "from kerrdimer import cli, liouvillian\n"
                  "from kerrdimer.hilbert import build_basis\n"
@@ -508,20 +483,19 @@ class TestExperimentCommands:
                  "p, _ = preset('paper_fig2')\n"
                  "liouvillian.build_liouvillian(p, build_basis(per_mode=(3, 2)))\n"
                  "print('numpy.ma' in sys.modules)\n")
-        res = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+        res = subprocess.run([sys.executable, "-c", probe], env=bytecheck.environment(SRC, None),
                              check=True, capture_output=True, text=True, timeout=300)
         assert res.stdout.splitlines()[-1] == "False"
         assert (tmp_path / "lep.csv").exists()
 
-    def test_runs_where_scipy_cannot_be_imported(self, tmp_path):
-        # a package named scipy that raises on import, ahead of the real one
-        # on PYTHONPATH, whose sys.path the sweep workers receive
+    def test_runs_where_scipy_cannot_be_imported(self, tmp_path, bytecheck):
+        # a package named scipy that raises on import, first on PYTHONPATH,
+        # whose sys.path the sweep workers receive
         shim = tmp_path / "shim" / "scipy"
         shim.mkdir(parents=True)
         (shim / "__init__.py").write_text('raise ImportError("scipy is not installed")\n')
-        src = str(Path(kerrdimer.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [str(shim.parent), src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
+        env = bytecheck.environment(SRC, None)
+        env["PYTHONPATH"] = os.pathsep.join([str(shim.parent), env["PYTHONPATH"]])
         blocked = subprocess.run([sys.executable, "-c", "import scipy"], env=env,
                                  capture_output=True, text=True, timeout=300)
         assert blocked.returncode != 0 and "scipy is not installed" in blocked.stderr
@@ -755,20 +729,16 @@ class TestExperimentCommands:
     @pytest.mark.parametrize("argv, code", [
         (("lep",), 1), (("ep-agreement", "--j-grid", "0.01,2"), 0), (("critical-points",), 0)],
         ids=["lep", "ep-agreement", "critical-points"])
-    def test_unreachable_ep_leaves_stderr_clean(self, tmp_path, argv, code):
+    def test_unreachable_ep_leaves_stderr_clean(self, tmp_path, argv, code, bytecheck):
         # each command reports the missing EP itself; no Python warning,
-        # with its source path, reaches stderr
-        src = str(Path(kerrdimer.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        res = subprocess.run([sys.executable, "-m", "kerrdimer.cli", *argv,
-                              *self.UNREACHABLE_EP, "--output-dir", str(tmp_path)],
-                             env=dict(os.environ, PYTHONPATH=path),
-                             capture_output=True, text=True, timeout=300)
-        assert res.returncode == code, res.stderr
-        lines = res.stderr.splitlines()
+        # with its source path (``<src>`` in run_command's streams), reaches stderr
+        res = bytecheck.run_command(SRC, (*argv, *self.UNREACHABLE_EP), None, tmp_path / "run")
+        stderr = res["stderr"].decode()
+        assert res["exit code"] == code, stderr
+        lines = stderr.splitlines()
         assert len(lines) == code, lines  # lep's one "numerical failure:" line
         assert all(line.startswith("numerical failure: no physical EP") for line in lines)
-        assert "UserWarning" not in res.stderr and src not in res.stderr
+        assert "UserWarning" not in stderr and "<src>" not in stderr
 
     def test_ep_agreement(self, tmp_path, capsys):
         code, out, _ = run(capsys, "ep-agreement", "--j-grid", "1.0,2.0",
@@ -1007,19 +977,14 @@ class TestSiUnits:
             parser.parse_args(["sweep-loss", flag, "si" if flag == "--units" else "1"])
 
     @pytest.mark.parametrize("units", ["si", "normalized"])
-    def test_strong_drive_warns_in_one_line(self, tmp_path, units):
+    def test_strong_drive_warns_in_one_line(self, tmp_path, units, bytecheck):
         # the paper's SI drive is 0.113 gamma_1': one warning line, without
         # a source path, however often the library warns
-        src = str(Path(kerrdimer.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         argv = self.SI if units == "si" else ()
-        res = subprocess.run([sys.executable, "-m", "kerrdimer.cli", "critical-points",
-                              *argv, "--output-dir", str(tmp_path)],
-                             env=dict(os.environ, PYTHONPATH=path),
-                             capture_output=True, text=True, timeout=300)
-        assert res.returncode == 0, res.stderr
-        assert res.stderr == ("warning: drive exceeds 0.1*gamma_1'; perturbative "
-                              "amplitudes degrade\n" if units == "si" else "")
+        res = bytecheck.run_command(SRC, ("critical-points", *argv), None, tmp_path / "run")
+        assert res["exit code"] == 0, res["stderr"]
+        assert res["stderr"] == (b"warning: drive exceeds 0.1*gamma_1'; perturbative "
+                                 b"amplitudes degrade\n" if units == "si" else b"")
 
     def test_default_lep_window_is_in_gamma1_prime(self, tmp_path, capsys):
         code, out, _ = run(capsys, "lep", *self.SI, "--output-dir", str(tmp_path))
@@ -1210,7 +1175,7 @@ class TestBenchmarkContract:
     def load(name, monkeypatch):
         """perfbench/<name>.py, read-only, registered under its bare name for
         the test's duration (gates.py imports workloads that way)."""
-        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        path = ROOT / "perfbench" / f"{name}.py"
         spec = importlib.util.spec_from_file_location(name, path)
         module = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, name, module)
@@ -1317,14 +1282,18 @@ class TestBytecheck:
 
     def test_kernel_declarations(self, bytecheck):
         # the kernel axis's declarations parse and each names some command;
-        # a saved state's numbers move within the bound, keeping its shape
+        # every command on the Lindblad backend, whose numbers come from
+        # master-equation solves, is declared; a saved state's numbers move
+        # within the bound, keeping its shape
         ids = [cid for cid, _ in bytecheck.COMMANDS]
         for glob, spec in bytecheck.KERNEL_DECLARED:
             bytecheck.parse_allow(spec)
             assert any(fnmatch.fnmatch(cid, glob) for cid in ids), glob
         assert set(bytecheck.KERNEL_STDOUT) <= set(ids)
-        allow = [bytecheck.parse_allow(spec) for glob, spec in bytecheck.KERNEL_DECLARED
-                 if fnmatch.fnmatch("distribution", glob)]
+        lindblad = [cid for cid, argv in bytecheck.COMMANDS
+                    if ("--backend", "lindblad") in zip(argv, argv[1:])]
+        assert [cid for cid in lindblad if not bytecheck.kernel_allow(cid)] == []
+        allow = bytecheck.kernel_allow("distribution")
         name = "steady_state_gt_6.0.json"
 
         def state(data, residual=1e-18, basis=((0, 0), (1, 0))):

@@ -61,7 +61,7 @@ class TestOnePhotonClosed:
         p = params(omega_c=0.7)
         eig = one_photon_eigensystem_closed(p)
         s = np.sqrt(4 - 0.225**2)
-        assert sorted(eig.omega) == pytest.approx([0.7 - s, 0.7 + s], rel=1e-12)
+        assert sorted(eig.eigenvalues.real) == pytest.approx([0.7 - s, 0.7 + s], rel=1e-12)
 
     def test_ep_degeneracy_flag(self):
         p = params(gamma_tip=8.9)  # beta = J exactly
@@ -219,12 +219,14 @@ class TestSubspaceNumeric:
                 assert np.all(eig.eigenvalues.imag <= 1e-12)
 
     def test_branch_structure_swaps_across_ep(self):
-        below = one_photon_eigensystem_closed(params(gamma_tip=4.0))
-        assert abs(below.omega[0] - below.omega[1]) > 1e-3
-        assert below.kappa[0] == pytest.approx(below.kappa[1], abs=1e-12)
-        above = one_photon_eigensystem_closed(params(gamma_tip=11.0))
-        assert above.omega[0] == pytest.approx(above.omega[1], abs=1e-12)
-        assert abs(above.kappa[0] - above.kappa[1]) > 1e-3
+        # below the EP the branches split in frequency and share a linewidth
+        # (-2 Im lambda); above it, the reverse
+        below = one_photon_eigensystem_closed(params(gamma_tip=4.0)).eigenvalues
+        assert abs(below.real[0] - below.real[1]) > 1e-3
+        assert -2 * below.imag[0] == pytest.approx(-2 * below.imag[1], abs=1e-12)
+        above = one_photon_eigensystem_closed(params(gamma_tip=11.0)).eigenvalues
+        assert above.real[0] == pytest.approx(above.real[1], abs=1e-12)
+        assert abs(-2 * above.imag[0] + 2 * above.imag[1]) > 1e-3
 
 
 class TestLocalization:

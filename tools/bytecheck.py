@@ -12,8 +12,8 @@ the second side. Each revision's ``src/`` is exported with ``git archive``
 into a temporary directory, so nothing is checked out in the repository and
 nothing is left behind. Every command of ``COMMANDS`` runs on both sides, in
 a fresh empty directory per side, command and thread count, as
-``python -m kerrdimer.cli`` with that side's ``src/`` on ``PYTHONPATH`` and
-``OPENBLAS_NUM_THREADS`` set to 1 and to 2. Every file the command
+``python -m kerrdimer.cli`` with that side's ``src/`` first on ``PYTHONPATH``
+and ``OPENBLAS_NUM_THREADS`` set to 1 and to 2. Every file the command
 writes, its stdout, its stderr and its exit code must then be the same bytes
 on both sides, except for the declared differences:
 
@@ -45,7 +45,9 @@ with any other BLAS it says so and exits 0.
 It prints one line per command (``same``, ``declared`` with what differed
 within the declarations, or ``DIFFERS`` with the first differences) and
 exits 0 when every command is same or declared, 1 otherwise. A run takes a
-few minutes.
+few minutes. The tier-1 tests start their CLI subprocesses through
+``run_command`` and ``environment``, and judge their sample of the two axes
+with ``compare`` under the same declarations.
 """
 
 from __future__ import annotations
@@ -133,13 +135,14 @@ COMMANDS = [
     ("critical-points-no-gamma1", ("critical-points", *NO_GAMMA1)),
 ]
 THREADS = ("1", "2")  # OPENBLAS_NUM_THREADS of the runs
-# what may move across BLAS kernels, as the README declares it: (command id
-# glob, --allow declaration); and the commands whose stdout numbers (the
-# deviations validate reports) may move, by at most the bound, absolutely
+# what may move across BLAS kernels, as the README declares it (tier-1's
+# kernel test reads it too): (command id glob, --allow declaration); and the
+# commands whose stdout numbers (the deviations validate reports) may move,
+# by at most the bound, absolutely
 KERNEL_BOUND = "=1e-12,1e-14"
 KERNEL_DECLARED = [
     ("sweep-loss*", "*.csv:lindblad_*" + KERNEL_BOUND),
-    ("*-lindblad", "*.csv:s1" + KERNEL_BOUND),
+    ("*-lindblad*", "*.csv:s1" + KERNEL_BOUND),
     *(("eigen", f"figS*.csv:{column}" + KERNEL_BOUND)
       for column in ("re_lambda", "im_lambda", "pop_*", "population")),
     *(("distribution*", f"fig3b.csv:{column}" + KERNEL_BOUND)
@@ -194,12 +197,17 @@ def export_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def _environment(src: Path, threads: str, kernel: str | None) -> dict:
-    """The environment of a run: ``src`` on PYTHONPATH, the BLAS thread
-    count, and OPENBLAS_CORETYPE set to ``kernel``: removed where it is ""
-    (the native kernel), the caller's where it is None."""
+def environment(src: Path, threads: str | None, kernel: str | None = None) -> dict:
+    """The environment of a run of ``src``'s kerrdimer: the caller's, with
+    ``src`` first on PYTHONPATH (the caller's entries after it) and without
+    KERRDIMER_OUTPUT_DIR, so a command writes to its default ``datasets/``.
+    OPENBLAS_NUM_THREADS is set to ``threads``, and OPENBLAS_CORETYPE to
+    ``kernel``: removed where it is "" (the native kernel). Where either is
+    None, the caller's value stays."""
     env = {k: v for k, v in os.environ.items() if k != "KERRDIMER_OUTPUT_DIR"}
-    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
     if kernel is not None:
         env.pop("OPENBLAS_CORETYPE", None)
     if kernel:
@@ -207,20 +215,26 @@ def _environment(src: Path, threads: str, kernel: str | None) -> dict:
     return env
 
 
+def kernel_allow(cid: str) -> list:
+    """The declarations of ``KERNEL_DECLARED`` that govern command ``cid``, parsed."""
+    return [parse_allow(spec) for glob, spec in KERNEL_DECLARED if fnmatch.fnmatch(cid, glob)]
+
+
 def blas_info(src: Path, kernel: str = "") -> dict:
     """numpy's BLAS (``name``, its OpenBLAS build ``config``) and the
     ``core`` OpenBLAS runs under ``kernel`` (None where it cannot be read)."""
-    res = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=_environment(src, "1", kernel),
+    res = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=environment(src, "1", kernel),
                          check=True, capture_output=True, timeout=TIMEOUT_S)
     return json.loads(res.stdout)
 
 
-def run_command(src: Path, argv, threads: str, cwd: Path, kernel: str | None = None) -> dict:
-    """Run one command in the empty directory ``cwd``, with OPENBLAS_CORETYPE
-    set to ``kernel`` (as ``_environment``); what it left there."""
+def run_command(src: Path, argv, threads: str | None, cwd: Path,
+                kernel: str | None = None) -> dict:
+    """Run one command in the empty directory ``cwd``, in the ``environment``
+    of ``src``, ``threads`` and ``kernel``; what it left there."""
     cwd.mkdir(parents=True)
     res = subprocess.run([sys.executable, "-m", "kerrdimer.cli", *argv], cwd=cwd,
-                         env=_environment(src, threads, kernel),
+                         env=environment(src, threads, kernel),
                          capture_output=True, timeout=TIMEOUT_S)
     files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*"))
              if p.is_file()}
@@ -410,8 +424,7 @@ def check_kernels(rev: str | None, kernels: list, tmp: Path) -> int:
           f"OPENBLAS_NUM_THREADS={','.join(THREADS)}, declared as in the README", flush=True)
     failed = 0
     for cid, cmd in COMMANDS:
-        allow = [parse_allow(spec) for glob, spec in KERNEL_DECLARED
-                 if fnmatch.fnmatch(cid, glob)]
+        allow = kernel_allow(cid)
         diffs, declared = [], set()
         for t in THREADS:
             base = run_command(src, cmd, t, tmp / "run" / cid / t / "native", "")
