@@ -35,7 +35,6 @@ from .liouvillian import (
     DegenerateSteadyStateError,
     LepNotFoundError,
     NumericalFailureError,
-    ResourceLimitError,
     driven_basis,
     excitation_cap,
     lep_locate,
@@ -52,7 +51,7 @@ NUMERICAL_ERROR = 1
 _CONFIG_ERRORS = (KeyError, ValueError, TypeError, FileNotFoundError)
 # checked before _CONFIG_ERRORS: SingularParameterError and LinAlgError are ValueErrors
 _NUMERICAL_ERRORS = (NumericalFailureError, DegenerateSteadyStateError, LepNotFoundError,
-                     ResourceLimitError, SingularParameterError, np.linalg.LinAlgError)
+                     SingularParameterError, np.linalg.LinAlgError)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -380,8 +379,9 @@ def _run_ep_agreement(rc: RunConfig, args) -> int:
 def _run_distribution(rc: RunConfig, args) -> int:
     points = [g * rc.rate_scale for g in
               (args.gamma_tip or rc.preset_cfg.get("distribution_points", [6.0, 8.9]))]
+    basis = driven_basis(rc.cutoff)  # an oversized cutoff fails before any point
     states = solve_points([loss_point(rc.params, gt, rc.protocol) for gt in points],
-                          driven_basis(rc.cutoff)).results
+                          basis).results
     rows = []
     for gt, (rho, failure) in zip(points, states):
         if failure:
@@ -449,38 +449,48 @@ SUBCOMMANDS = {
 }
 
 
-def _common_parser() -> argparse.ArgumentParser:
+def _add_common_options(parser: argparse.ArgumentParser) -> None:
     """Options shared by every subcommand."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--preset", default="paper_fig2",
+    parser.add_argument("--preset", default="paper_fig2",
                         help="shipped preset name (default: paper_fig2)")
-    common.add_argument("--set", action="append", metavar="KEY=VALUE",
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="parameter override, applied after preset load")
-    common.add_argument("--units", choices=("normalized", "si"), default="normalized")
-    common.add_argument("--wavelength", type=float, help="SI mode: wavelength in m")
-    common.add_argument("--q-intrinsic", dest="q_intrinsic", type=float,
+    parser.add_argument("--units", choices=("normalized", "si"), default="normalized")
+    parser.add_argument("--wavelength", type=float, help="SI mode: wavelength in m")
+    parser.add_argument("--q-intrinsic", dest="q_intrinsic", type=float,
                         help="SI mode: intrinsic quality factor")
-    common.add_argument("--chi3", type=float,
+    parser.add_argument("--chi3", type=float,
                         help="SI mode: chi^(3)/eps_r^2 in m^2/V^2")
-    common.add_argument("--v-eff", dest="v_eff", type=float,
+    parser.add_argument("--v-eff", dest="v_eff", type=float,
                         help="SI mode: mode volume in m^3")
-    common.add_argument("--p-in", dest="p_in", type=float,
+    parser.add_argument("--p-in", dest="p_in", type=float,
                         help="SI mode: drive power in W")
-    common.add_argument("--output-dir", default=None,
+    parser.add_argument("--output-dir", default=None,
                         help="dataset directory (env KERRDIMER_OUTPUT_DIR, "
                              "default ./datasets)")
-    common.add_argument("--output", default=None, help="dataset filename override")
-    common.add_argument("--backend", choices=("both", "analytic", "lindblad"))
-    common.add_argument("--cutoff", default=",".join(map(str, DEFAULT_CUTOFF)),
+    parser.add_argument("--output", default=None, help="dataset filename override")
+    parser.add_argument("--backend", choices=("both", "analytic", "lindblad"))
+    parser.add_argument("--cutoff", default=",".join(map(str, DEFAULT_CUTOFF)),
                         help="per-mode Fock cutoffs n1,n2 for master-equation solves")
-    common.add_argument("--protocol", default=None,
+    parser.add_argument("--protocol", default=None,
                         help="detuning protocol: 'track' or 'fixed:VALUE'")
-    return common
 
 
-def _build_parser(commands=SUBCOMMANDS) -> argparse.ArgumentParser:
-    """The parser of every subcommand's name and help line, with the
-    options of the subcommands in ``commands`` only."""
+def _subcommand_parser(name: str, sub=None) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser: the common options, then its own. Added
+    to the subparsers action ``sub``, or on its own, with the prog that the
+    full parser gives it."""
+    _, _, help_, options = SUBCOMMANDS[name]
+    parser = (argparse.ArgumentParser(prog=f"kerrdimer {name}") if sub is None
+              else sub.add_parser(name, help=help_))
+    _add_common_options(parser)
+    for flag, kwargs in options.items():
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top-level options and every subcommand."""
     parser = argparse.ArgumentParser(
         prog="kerrdimer",
         description="Loss sweeps, spectra and exceptional points of a driven "
@@ -488,23 +498,33 @@ def _build_parser(commands=SUBCOMMANDS) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_, options) in SUBCOMMANDS.items():
-        if name not in commands:
-            sub.add_parser(name, help=help_)
-            continue
-        sp = sub.add_parser(name, parents=[_common_parser()], help=help_)
-        for flag, kwargs in options.items():
-            sp.add_argument(flag, **kwargs)
+    for name in SUBCOMMANDS:
+        _subcommand_parser(name, sub)
     return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """``argv`` parsed, with what the full parser prints and the code it
+    exits with. ``NAME ...`` is parsed by NAME's parser alone, where the
+    full parser builds one for every subcommand. The full parser answers
+    where its top level would: a first word that names no subcommand, an
+    argument that NAME's parser does not know ("unrecognized arguments"),
+    and one starting with "--=", which the top level can reject as
+    ambiguous between --help and --version."""
+    name, rest = (argv[0], argv[1:]) if argv else (None, [])
+    if name in SUBCOMMANDS and not any(a.startswith("--=") for a in rest):
+        args, unknown = _subcommand_parser(name).parse_known_args(rest)
+        if not unknown:
+            args.command = name
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level options take no value, so the first word that is not an
-    # option names the subcommand; the others' options are never parsed
-    parser = _build_parser([next((a for a in argv if not a.startswith("-")), None)])
+    # parsers are built here, per call, not at import: their cost is the call's
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
 

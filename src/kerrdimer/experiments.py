@@ -202,7 +202,7 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
     (``liouvillian.start_cap``); a point it reports as failed blanks its
     row and is listed in ``failures``. A basis that lacks one of the
     reported populations (``AMPLITUDE_STATES``) or is over the size cap
-    fails the whole sweep before any point is solved.
+    fails the whole sweep before any point is built.
     """
     gts = np.asarray(gamma_tip_grid, dtype=float)
     if gts.size == 0:
@@ -212,6 +212,14 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
     for bk in backends:
         if bk not in BACKENDS:
             raise ValueError(f"unknown backend {bk!r}")
+    if "lindblad" in backends:
+        basis = driven_basis(cutoff)
+        missing = [state for state in AMPLITUDE_STATES if state not in basis]
+        if missing:
+            raise ValueError(
+                f"a Lindblad sweep needs a cutoff of at least "
+                f"{max(map(max, AMPLITUDE_STATES))} per mode: cutoff {tuple(cutoff)} "
+                f"lacks the reported populations {missing}")
 
     points = [loss_point(p, gt, protocol) for gt in gts]
     rows = []
@@ -228,13 +236,6 @@ def sweep_loss(p: SystemParams, gamma_tip_grid, protocol="track_upper_branch",
     failures = []
     cap = excitation_cap(cutoff)
     if "lindblad" in backends:
-        basis = driven_basis(cutoff)
-        missing = [state for state in AMPLITUDE_STATES if state not in basis]
-        if missing:
-            raise ValueError(
-                f"a Lindblad sweep needs a cutoff of at least "
-                f"{max(map(max, AMPLITUDE_STATES))} per mode: cutoff {tuple(cutoff)} "
-                f"lacks the reported populations {missing}")
         ratio = shell_ratio(p, np.array([pg.delta for pg in points]), p.gamma_2 + gts)
         solved = solve_points(points, basis, _lindblad_columns, start_cap(ratio, cap))
         for row, (columns, failure) in zip(rows, solved.results):

@@ -248,8 +248,16 @@ def excitation_cap(cutoff: tuple[int, int]) -> int:
 
 def driven_basis(cutoff: tuple[int, int]) -> FockBasis:
     """Basis of the driven master-equation solves at per-mode ``cutoff``: the
-    states with m <= c1, n <= c2 and m + n <= ``excitation_cap(cutoff)``."""
-    return build_basis(per_mode=cutoff, total=excitation_cap(cutoff))
+    states with m <= c1, n <= c2 and m + n <= ``excitation_cap(cutoff)``.
+    A cutoff whose basis is over MAX_HILBERT_DIM is a ValueError."""
+    # the basis holds (m, 0) and (0, n) for every m <= c1 and n <= c2: a
+    # cutoff summing to the cap or more is over it without enumerating
+    if sum(cutoff) < MAX_HILBERT_DIM:
+        basis = build_basis(per_mode=cutoff, total=excitation_cap(cutoff))
+        if basis.size <= MAX_HILBERT_DIM:
+            return basis
+    raise ValueError(f"cutoff {tuple(cutoff)} gives a driven basis of more than "
+                     f"{MAX_HILBERT_DIM} states, the superoperator cap")
 
 
 def start_cap(shell_ratio: float, ceiling: int) -> int:

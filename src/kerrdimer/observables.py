@@ -197,11 +197,12 @@ def _spectra(p: SystemParams, gamma_tips: np.ndarray, deltas: np.ndarray, backen
             np.divide(n1, n0[lo:lo + g.size, None], out=s1[lo:lo + g.size],
                       where=~singular & (n1 >= UNDEFINED_N1_FLOOR))
     elif backend == "lindblad":
+        basis = driven_basis(cutoff)  # an oversized cutoff fails before any cell
         cells = [p.with_(gamma_tip=gt, delta=d)
                  for gt in gamma_tips.tolist() for d in deltas.tolist()]
         # at the ceiling: solve_points escalates every point when one misses
         # its estimate, so a map with any resonant cell would reach it anyway
-        solved = solve_points(cells, driven_basis(cutoff), _mode1_occupation).results
+        solved = solve_points(cells, basis, _mode1_occupation).results
         for pc, (_, failure) in zip(cells, solved):
             if failure:
                 raise DegenerateSteadyStateError(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import kerrdimer
-from kerrdimer.cli import SUBCOMMANDS, _build_config, _build_parser, main
+from kerrdimer.cli import SUBCOMMANDS, _build_config, _build_parser, _parse_args, main
 from kerrdimer.experiments import spectrum_map
 from kerrdimer import experiments, liouvillian, search
 from kerrdimer.model import preset, preset_names
@@ -143,6 +143,25 @@ class TestDispatch:
             assert "cutoff of at least 3 per mode" in err
             assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, code", [
+        (("sweep-loss", "--backend", "lindblad"), 2),
+        (("critical-points", "--backend", "lindblad"), 2),
+        (("spectrum", "--backend", "lindblad", "--gamma-tip", "0"), 2),
+        (("spectrum-map", "--backend", "lindblad"), 2),
+        (("distribution",), 2),
+        (("sweep-loss", "--backend", "analytic", "--gamma-tip-grid", "0:12:5"), 0),
+        (("spectrum", "--gamma-tip", "0", "--delta-grid=-1:1:3"), 0)])
+    def test_cutoff_over_the_cap_config_error(self, tmp_path, capsys, argv, code):
+        # (9, 9)'s driven basis has 72 states, over MAX_HILBERT_DIM: an error
+        # before any point is built where the command solves on it, else unused
+        out = tmp_path / "out"
+        got, _, err = run(capsys, *argv, "--cutoff", "9,9", "--output-dir", str(out))
+        assert got == code, err
+        if code:
+            assert err == ("configuration error: cutoff (9, 9) gives a driven basis of "
+                           "more than 64 states, the superoperator cap\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("backend", ["analytic", "lindblad", "both"])
     @pytest.mark.parametrize("cutoff", ["5", "5,5,5", "a,5", "5,", "-1,5", "2.5,3", ""])
     def test_malformed_cutoff_config_error(self, tmp_path, capsys, backend, cutoff):
@@ -252,15 +271,38 @@ class TestDispatch:
 
     @pytest.mark.parametrize("argv", [
         [], ["--help"], ["--version"], ["bogus"], ["-4", "lep"], ["--", "lep", "--help"],
-        *([name, "--help"] for name in SUBCOMMANDS),
-        *([name, "--bogus"] for name in SUBCOMMANDS)])
+        *([name, option] for name in SUBCOMMANDS
+          for option in ("--help", "-h", "--version", "--bogus")),
+        *([name, "--", "x"] for name in SUBCOMMANDS),
+        ["lep", "--grid", "x"], ["spectrum", "--gamma-tip", "x"],
+        ["distribution", "--gamma-tip", "x"], ["lep", "--gr", "5"], ["lep", "--grid"],
+        ["ep-agreement", "--j-grid"], ["lep", "--=x"], ["lep", "--", "--=x"]])
     def test_parser_prints_what_the_full_parser_prints(self, capsys, argv):
-        # main builds the options of the invoked subcommand only
-        code = main(argv)
-        printed = capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            _build_parser().parse_args(argv)
-        assert (code, printed) == (exc.value.code or 0, capsys.readouterr())
+        # main parses a named subcommand with its parser alone
+        def outcome(parse):
+            try:
+                result = parse(argv)
+            except SystemExit as exc:
+                result = exc.code or 0
+            return result, capsys.readouterr()
+
+        full = outcome(lambda v: _build_parser().parse_args(v))
+        assert outcome(_parse_args) == full
+        if not isinstance(full[0], argparse.Namespace):
+            # where the full parser exits, main returns its code, printing the same
+            assert outcome(main) == full
+
+    @pytest.mark.parametrize("argv", [
+        *([name, "--help"] for name in SUBCOMMANDS),
+        ["spectrum", "--gamma-tip", "0", "--delta-grid=-1:1:3"]])
+    def test_a_named_subcommand_builds_one_parser(self, tmp_path, capsys, monkeypatch, argv):
+        # its own, not a tree of one for every subcommand
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda parser, *a, **kw: built.append(init(parser, *a, **kw)))
+        assert run(capsys, *argv, "--output-dir", str(tmp_path))[0] == 0
+        assert len(built) == 1
 
     def test_backend_default_per_subcommand(self):
         parser = _build_parser()
@@ -1247,10 +1289,15 @@ class TestBytecheck:
 
         ids = [cid for cid, _ in bytecheck.COMMANDS]
         assert len(ids) == len(set(ids))
-        assert set(SUBCOMMANDS) <= {argv[0] for _, argv in bytecheck.COMMANDS}
+        assert set(SUBCOMMANDS) <= {argv[0] for _, argv in bytecheck.COMMANDS if argv}
+        # every command parses, except the parser's own paths, which exit
         parser = _build_parser()
-        for _, argv in bytecheck.COMMANDS:
-            parser.parse_args(list(argv))
+        for cid, argv in bytecheck.COMMANDS:
+            if (cid, argv) in bytecheck.PARSER_COMMANDS:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(list(argv))
+            else:
+                parser.parse_args(list(argv))
 
     def test_declared_differences(self, bytecheck):
         allow = [bytecheck.parse_allow("*.csv:lindblad_*=1e-12"),

@@ -214,6 +214,18 @@ class TestBuildLiouvillian:
         with pytest.raises(ResourceLimitError):
             build_liouvillian(params(), build_basis(per_mode=(8, 8)))
 
+    def test_cutoff_over_the_cap(self, monkeypatch):
+        # a cutoff whose driven basis is over the cap is the caller's error;
+        # one too large to enumerate fails without enumerating
+        assert driven_basis((8, 8)).size == 60
+        message = "more than 64 states, the superoperator cap"
+        with pytest.raises(ValueError, match=message):
+            driven_basis((9, 9))
+        monkeypatch.setattr(liouvillian, "build_basis", None)
+        for cutoff in ((64, 0), (10 ** 12, 10 ** 12)):
+            with pytest.raises(ValueError, match=message):
+                driven_basis(cutoff)
+
     def test_product_takes_the_data_first(self):
         # numpy's complex multiply rounds a * b and b * a differently, and
         # `*` swaps the operands of a temporary of 256 KiB or more (here

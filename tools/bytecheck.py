@@ -73,14 +73,27 @@ SI = ("--units", "si", "--wavelength", "1.55e-6", "--q-intrinsic", "2e9", "--chi
 LOSSLESS = ("--set", "gamma_1=0", "--set", "gamma_ex=0", "--set", "gamma_2=0")
 NO_GAMMA1 = ("--set", "gamma_1=0", "--set", "gamma_ex=0")
 
+# the CLI's own text: usage, help, the version and parser errors, each
+# with its exit code
+PARSER_COMMANDS = [
+    ("help", ("--help",)),
+    ("no-arguments", ()),
+    ("version", ("--version",)),
+    ("unknown-command", ("bogus",)),
+    ("lep-help", ("lep", "--help")),
+    ("lep-unknown-option", ("lep", "--bogus")),
+    ("lep-bad-grid", ("lep", "--grid", "x")),
+    ("ep-agreement-missing-value", ("ep-agreement", "--j-grid")),
+]
 # (id, argv): every subcommand, the fig3 twin, SI units (a sweep, a cut and
 # a map of several analytic blocks), the Lindblad
 # backend of each command that has one, a sweep near a multi-photon
 # resonance whose certificate escalates, a map of several analytic blocks,
 # a Lindblad map whose chunks take several stacks at the default cutoff,
 # the configuration errors of the S1 normalization and the LEP window,
-# a drive whose N1^3 leaves the float range, and the 49-state ceiling of
-# cutoff (7, 7) solved in the sweep workers, one point a stack
+# a drive whose N1^3 leaves the float range, the 49-state ceiling of
+# cutoff (7, 7) solved in the sweep workers, one point a stack, a cutoff
+# whose basis is over the cap, and the CLI's own text (PARSER_COMMANDS)
 COMMANDS = [
     ("sweep-loss", ("sweep-loss",)),
     ("sweep-loss-fig3", ("sweep-loss", "--preset", "paper_fig3")),
@@ -133,6 +146,8 @@ COMMANDS = [
     ("lep-no-gamma1", ("lep", *NO_GAMMA1)),
     ("ep-agreement-no-gamma1", ("ep-agreement", *NO_GAMMA1)),
     ("critical-points-no-gamma1", ("critical-points", *NO_GAMMA1)),
+    ("sweep-loss-cutoff-over-cap", ("sweep-loss", "--backend", "lindblad", "--cutoff", "9,9")),
+    *PARSER_COMMANDS,
 ]
 THREADS = ("1", "2")  # OPENBLAS_NUM_THREADS of the runs
 # what may move across BLAS kernels, as the README declares it (tier-1's
