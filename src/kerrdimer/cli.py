@@ -159,10 +159,12 @@ class RunConfig:
 def _parse_overrides(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"override must be KEY=VALUE, got {pair!r}")
         key, _, value = pair.partition("=")
-        out[key.strip()] = float(value)
+        try:
+            out[key.strip()] = float(value)
+        except ValueError:
+            raise ValueError(f"override must be KEY=VALUE with a number VALUE, "
+                             f"got {pair!r}") from None
     return out
 
 
@@ -476,21 +478,19 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
                         help="detuning protocol: 'track' or 'fixed:VALUE'")
 
 
-def _subcommand_parser(name: str, sub=None) -> argparse.ArgumentParser:
-    """Subcommand ``name``'s parser: the common options, then its own. Added
-    to the subparsers action ``sub``, or on its own, with the prog that the
-    full parser gives it."""
-    _, _, help_, options = SUBCOMMANDS[name]
-    parser = (argparse.ArgumentParser(prog=f"kerrdimer {name}") if sub is None
-              else sub.add_parser(name, help=help_))
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser, prog ``kerrdimer NAME``: the common
+    options, then its own; ``command`` is ``name``."""
+    parser = argparse.ArgumentParser(prog=f"kerrdimer {name}")
+    parser.set_defaults(command=name)
     _add_common_options(parser)
-    for flag, kwargs in options.items():
+    for flag, kwargs in SUBCOMMANDS[name][3].items():
         parser.add_argument(flag, **kwargs)
     return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The full parser: the top-level options and every subcommand."""
+    """The top-level parser: its options and each subcommand's name and help."""
     parser = argparse.ArgumentParser(
         prog="kerrdimer",
         description="Loss sweeps, spectra and exceptional points of a driven "
@@ -498,25 +498,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
-        _subcommand_parser(name, sub)
+    for name, (_, _, help_, _) in SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_)
     return parser
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
-    """``argv`` parsed, with what the full parser prints and the code it
-    exits with. ``NAME ...`` is parsed by NAME's parser alone, where the
-    full parser builds one for every subcommand. The full parser answers
-    where its top level would: a first word that names no subcommand, an
-    argument that NAME's parser does not know ("unrecognized arguments"),
-    and one starting with "--=", which the top level can reject as
-    ambiguous between --help and --version."""
-    name, rest = (argv[0], argv[1:]) if argv else (None, [])
-    if name in SUBCOMMANDS and not any(a.startswith("--=") for a in rest):
-        args, unknown = _subcommand_parser(name).parse_known_args(rest)
-        if not unknown:
-            args.command = name
-            return args
+    """``argv`` parsed: ``NAME ...`` by NAME's parser alone, its errors
+    included; any other argv by the top-level parser, which exits."""
+    if argv and argv[0] in SUBCOMMANDS:
+        return _subcommand_parser(argv[0]).parse_args(argv[1:])
     return _build_parser().parse_args(argv)
 
 

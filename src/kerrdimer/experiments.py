@@ -86,11 +86,12 @@ def parse_protocol(spec: str):
     provenance tag ``fixed(V)``: ``"track_upper_branch"`` or ``("fixed", V)``."""
     if spec in ("track", "track_upper_branch"):
         return "track_upper_branch"
-    if spec.startswith("fixed:"):
-        return ("fixed", float(spec[6:]))
-    if spec.startswith("fixed(") and spec.endswith(")"):
-        return ("fixed", float(spec[6:-1]))
-    raise ValueError(f"protocol must be 'track' or 'fixed:VALUE', got {spec!r}")
+    value = (spec[6:] if spec.startswith("fixed:")
+             else spec[6:-1] if spec.startswith("fixed(") and spec.endswith(")") else "")
+    try:
+        return ("fixed", float(value))
+    except ValueError:
+        raise ValueError(f"protocol must be 'track' or 'fixed:VALUE', got {spec!r}") from None
 
 
 def protocol_tag(protocol) -> str:

@@ -23,7 +23,6 @@ __all__ = [
     "DensityMatrix",
     "LiouvillianSpectrum",
     "LepResult",
-    "ResourceLimitError",
     "DegenerateSteadyStateError",
     "NumericalFailureError",
     "LepNotFoundError",
@@ -85,10 +84,6 @@ MIN_CAP = 4
 # on the 30-state ceiling
 CHUNK_POINTS = 12
 STACK_BYTES = 1 << 23
-
-
-class ResourceLimitError(RuntimeError):
-    pass
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -277,9 +272,9 @@ def start_cap(shell_ratio: float, ceiling: int) -> int:
 
 
 def check_size(basis: FockBasis) -> None:
-    """Raise ResourceLimitError when the basis is over the superoperator cap."""
+    """Raise ValueError when the basis is over the superoperator cap."""
     if basis.size > MAX_HILBERT_DIM:
-        raise ResourceLimitError(
+        raise ValueError(
             f"basis size {basis.size} exceeds the superoperator cap {MAX_HILBERT_DIM}"
         )
 

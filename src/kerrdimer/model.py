@@ -198,8 +198,16 @@ def si_reference_rates(
 
     gamma_1 = omega_c / Q is the intrinsic loss, gamma_ex = gamma_1
     (critical coupling), so gamma_1' = 2*omega_c/Q. Returns the rates in
-    rad/s together with their values in units of gamma_1'.
+    rad/s together with their values in units of gamma_1'. Each input must
+    be finite; wavelength, q_intrinsic and v_eff > 0, the others >= 0.
     """
+    for name, value in (("wavelength", wavelength), ("q_intrinsic", q_intrinsic),
+                        ("v_eff", v_eff)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    for name, value in (("chi3_over_eps_r2", chi3_over_eps_r2), ("p_in", p_in)):
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     omega_c = 2 * np.pi * SPEED_OF_LIGHT / wavelength
     gamma_1 = omega_c / q_intrinsic
     gamma_ex = gamma_1

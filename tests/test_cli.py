@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import kerrdimer
-from kerrdimer.cli import SUBCOMMANDS, _build_config, _build_parser, _parse_args, main
+from kerrdimer.cli import (SUBCOMMANDS, _build_config, _build_parser, _parse_args,
+                           _subcommand_parser, main)
 from kerrdimer.experiments import spectrum_map
 from kerrdimer import experiments, liouvillian, search
 from kerrdimer.model import preset, preset_names
@@ -106,6 +107,21 @@ class TestDispatch:
                              "--output-dir", str(tmp_path / "out"))
         assert code == 2
         assert err == f"configuration error: {name} must be finite, got {value}\n"
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--set", "chi=abc", "override must be KEY=VALUE with a number VALUE, got 'chi=abc'"),
+        ("--set", "chi", "override must be KEY=VALUE with a number VALUE, got 'chi'"),
+        ("--protocol", "fixed:abc",
+         "protocol must be 'track' or 'fixed:VALUE', got 'fixed:abc'"),
+        ("--protocol", "fixed:", "protocol must be 'track' or 'fixed:VALUE', got 'fixed:'")])
+    def test_non_number_value_names_its_form(self, tmp_path, capsys, option, value, message):
+        code, out, err = run(capsys, "sweep-loss", "--backend", "analytic",
+                             "--gamma-tip-grid", "0:12:5", option, value,
+                             "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"configuration error: {message}\n"
         assert out == ""
         assert not (tmp_path / "out").exists()
 
@@ -277,38 +293,44 @@ class TestDispatch:
         ["lep", "--grid", "x"], ["spectrum", "--gamma-tip", "x"],
         ["distribution", "--gamma-tip", "x"], ["lep", "--gr", "5"], ["lep", "--grid"],
         ["ep-agreement", "--j-grid"], ["lep", "--=x"], ["lep", "--", "--=x"]])
-    def test_parser_prints_what_the_full_parser_prints(self, capsys, argv):
-        # main parses a named subcommand with its parser alone
-        def outcome(parse):
+    def test_main_prints_what_the_parser_prints(self, capsys, argv):
+        # a named call is answered by NAME's parser, its errors included;
+        # any other argv by the top-level parser
+        def outcome(parse, argv):
             try:
                 result = parse(argv)
             except SystemExit as exc:
                 result = exc.code or 0
             return result, capsys.readouterr()
 
-        full = outcome(lambda v: _build_parser().parse_args(v))
-        assert outcome(_parse_args) == full
-        if not isinstance(full[0], argparse.Namespace):
-            # where the full parser exits, main returns its code, printing the same
-            assert outcome(main) == full
+        named = bool(argv) and argv[0] in SUBCOMMANDS
+        expected = (outcome(_subcommand_parser(argv[0]).parse_args, argv[1:]) if named
+                    else outcome(_build_parser().parse_args, argv))
+        if isinstance(expected[0], argparse.Namespace):
+            assert outcome(_parse_args, argv) == expected
+            return
+        # where the parser exits, main returns its code, printing the same
+        assert outcome(main, argv) == expected
+        if named and expected[0] == 2:
+            assert f"kerrdimer {argv[0]}: error: " in expected[1].err
 
-    @pytest.mark.parametrize("argv", [
-        *([name, "--help"] for name in SUBCOMMANDS),
-        ["spectrum", "--gamma-tip", "0", "--delta-grid=-1:1:3"]])
-    def test_a_named_subcommand_builds_one_parser(self, tmp_path, capsys, monkeypatch, argv):
-        # its own, not a tree of one for every subcommand
+    @pytest.mark.parametrize("argv, code", [
+        *(([name, "--help"], 0) for name in SUBCOMMANDS),
+        (["spectrum", "--gamma-tip", "0", "--delta-grid=-1:1:3"], 0),
+        *((["lep", *bad], 2) for bad in (["--bogus"], ["--version"], ["--", "x"], ["--=x"]))])
+    def test_a_named_subcommand_builds_one_parser(self, tmp_path, capsys, monkeypatch,
+                                                  argv, code):
+        # its own, not a tree of one for every subcommand, even to reject an argument
         built = []
         init = argparse.ArgumentParser.__init__
         monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                             lambda parser, *a, **kw: built.append(init(parser, *a, **kw)))
-        assert run(capsys, *argv, "--output-dir", str(tmp_path))[0] == 0
+        assert run(capsys, argv[0], "--output-dir", str(tmp_path), *argv[1:])[0] == code
         assert len(built) == 1
 
     def test_backend_default_per_subcommand(self):
-        parser = _build_parser()
-        assert _build_config(parser.parse_args(["sweep-loss"])).backends == \
-            ("analytic", "lindblad")
-        assert _build_config(parser.parse_args(["spectrum-map"])).backends == ("analytic",)
+        assert _build_config(_parse_args(["sweep-loss"])).backends == ("analytic", "lindblad")
+        assert _build_config(_parse_args(["spectrum-map"])).backends == ("analytic",)
 
     @pytest.mark.parametrize("name", preset_names())
     def test_every_preset_defines_the_run_defaults(self, name):
@@ -350,7 +372,7 @@ class TestExperimentCommands:
         argv = ["spectrum-map", "--gamma-tip-grid", "0:12:3", "--delta-grid=-4:4:41",
                 "--output-dir", str(tmp_path)]
         assert run(capsys, *argv)[0] == 0
-        rc = _build_config(_build_parser().parse_args(argv))
+        rc = _build_config(_parse_args(argv))
         smap = spectrum_map(rc.params, np.linspace(0.0, 12.0, 3), np.linspace(-4.0, 4.0, 41))
         cells = [{"gamma_tip": gt, "delta": d, "s1": s1}
                  for gt, s1_row in zip(smap.gamma_tip.tolist(), smap.s1.tolist())
@@ -366,7 +388,7 @@ class TestExperimentCommands:
         argv = ["spectrum-map", "--gamma-tip-grid", "0:12:13", "--delta-grid=-4:4:501",
                 "--output-dir", str(tmp_path)]
         assert run(capsys, *argv)[0] == 0
-        rc = _build_config(_build_parser().parse_args(argv))
+        rc = _build_config(_parse_args(argv))
         deltas = np.linspace(-4.0, 4.0, 501)
         cells = [{"gamma_tip": gt, "delta": d, "s1": s1}
                  for gt in np.linspace(0.0, 12.0, 13).tolist()
@@ -381,7 +403,7 @@ class TestExperimentCommands:
                                                                 reference_write_csv):
         argv = [*VANISHING_N1_SPECTRUM, "--output-dir", str(tmp_path)]
         assert run(capsys, *argv)[0] == 0
-        rc = _build_config(_build_parser().parse_args(argv))
+        rc = _build_config(_parse_args(argv))
         smap = spectrum_map(rc.params, [0.0], np.linspace(-2.0, 2.0, 401))
         peaks = smap.peak_indices[0]
         cells = [{"gamma_tip": 0.0, "delta": d, "s1": s1, "is_peak": int(j in peaks)}
@@ -1002,6 +1024,28 @@ class TestSiUnits:
         assert f" gap<{floor:.3e} (the rounding floor) " in out
         assert " gap=" not in out
 
+    @pytest.mark.parametrize("flag, value, name, bound", [
+        ("--q-intrinsic", "0", "q_intrinsic", "> 0"),
+        ("--q-intrinsic", "inf", "q_intrinsic", "> 0"),
+        ("--q-intrinsic", "-1", "q_intrinsic", "> 0"),
+        ("--q-intrinsic", "nan", "q_intrinsic", "> 0"),
+        ("--wavelength", "0", "wavelength", "> 0"),
+        ("--wavelength", "inf", "wavelength", "> 0"),
+        ("--v-eff", "inf", "v_eff", "> 0"),
+        ("--v-eff", "0", "v_eff", "> 0"),
+        ("--chi3", "-1", "chi3_over_eps_r2", ">= 0"),
+        ("--p-in", "nan", "p_in", ">= 0")])
+    def test_bad_si_input_config_error(self, tmp_path, capsys, flag, value, name, bound):
+        # each input is checked before any rate is derived from it
+        argv = list(self.SI)
+        argv[argv.index(flag) + 1] = value
+        code, out, err = run(capsys, "lep", *argv, "--output-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err == (f"configuration error: {name} must be finite and {bound}, "
+                       f"got {float(value)!r}\n")
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_si_requires_all_inputs(self, tmp_path, capsys):
         code, _, err = run(capsys, "sweep-loss", "--units", "si",
                            "--wavelength", "1.55e-6", "--output-dir", str(tmp_path))
@@ -1014,9 +1058,8 @@ class TestSiUnits:
         flags = re.findall(r"--[a-z0-9][a-z0-9-]*", err)
         assert flags == ["--units", "--wavelength", "--q-intrinsic", "--chi3", "--v-eff",
                          "--p-in"]
-        parser = _build_parser()
         for flag in flags:
-            parser.parse_args(["sweep-loss", flag, "si" if flag == "--units" else "1"])
+            _parse_args(["sweep-loss", flag, "si" if flag == "--units" else "1"])
 
     @pytest.mark.parametrize("units", ["si", "normalized"])
     def test_strong_drive_warns_in_one_line(self, tmp_path, units, bytecheck):
@@ -1263,7 +1306,6 @@ class TestBenchmarkContract:
 
     def test_workload_commands_parse(self, tmp_path, monkeypatch):
         workloads = self.load("workloads", monkeypatch)
-        parser = _build_parser()
         checked = 0
         for name in workloads.NAMES:
             for seed in (0, 1):
@@ -1271,7 +1313,7 @@ class TestBenchmarkContract:
                     spec = workloads.build(name, seed, str(tmp_path), smoke)
                     for argv in spec["commands"]:
                         try:
-                            args = parser.parse_args(argv)
+                            args = _parse_args(argv)
                         except SystemExit as exc:
                             pytest.fail(f"{name} seed {seed} smoke {smoke}: {argv} "
                                         f"exits with {exc.code}")
@@ -1291,13 +1333,12 @@ class TestBytecheck:
         assert len(ids) == len(set(ids))
         assert set(SUBCOMMANDS) <= {argv[0] for _, argv in bytecheck.COMMANDS if argv}
         # every command parses, except the parser's own paths, which exit
-        parser = _build_parser()
         for cid, argv in bytecheck.COMMANDS:
             if (cid, argv) in bytecheck.PARSER_COMMANDS:
                 with pytest.raises(SystemExit):
-                    parser.parse_args(list(argv))
+                    _parse_args(list(argv))
             else:
-                parser.parse_args(list(argv))
+                _parse_args(list(argv))
 
     def test_declared_differences(self, bytecheck):
         allow = [bytecheck.parse_allow("*.csv:lindblad_*=1e-12"),

@@ -82,6 +82,9 @@ PARSER_COMMANDS = [
     ("unknown-command", ("bogus",)),
     ("lep-help", ("lep", "--help")),
     ("lep-unknown-option", ("lep", "--bogus")),
+    ("lep-version", ("lep", "--version")),
+    ("lep-after-dashes", ("lep", "--", "x")),
+    ("lep-ambiguous", ("lep", "--=x")),
     ("lep-bad-grid", ("lep", "--grid", "x")),
     ("ep-agreement-missing-value", ("ep-agreement", "--j-grid")),
 ]
