@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -47,6 +48,9 @@ from .validation import run_validation
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 1
+# the most points of a grid, of lep's --grid scan and of a spectrum map's cells:
+# the shipped presets' largest run, the 121 x 501 map, holds 60621
+MAX_GRID_POINTS = 100_000
 
 _CONFIG_ERRORS = (KeyError, ValueError, TypeError, FileNotFoundError)
 # checked before _CONFIG_ERRORS: SingularParameterError and LinAlgError are ValueErrors
@@ -54,7 +58,7 @@ _NUMERICAL_ERRORS = (NumericalFailureError, DegenerateSteadyStateError, LepNotFo
                      SingularParameterError, np.linalg.LinAlgError)
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> tuple[float, float, int]:
     try:
         start, stop, num = spec.split(":")
         ends, num = [float(start), float(stop)], int(num)
@@ -63,7 +67,13 @@ def _parse_grid(spec: str) -> np.ndarray:
     if num < 1 or not np.isfinite(ends).all():
         raise ValueError(f"grid must be start:stop:num with finite start and stop "
                          f"and num >= 1, got {spec!r}")
-    return np.linspace(*ends, num)
+    return ends[0], ends[1], num
+
+
+def _check_points(options: str, num: int) -> None:
+    """Over MAX_GRID_POINTS points is a ValueError that names ``options``."""
+    if num > MAX_GRID_POINTS:
+        raise ValueError(f"{options} must hold at most {MAX_GRID_POINTS} points, got {num}")
 
 
 def _parse_values(spec: str) -> np.ndarray:
@@ -122,16 +132,17 @@ class RunConfig:
     overrides: dict = field(default_factory=dict)
     rate_scale: float = 1.0
 
-    def grid(self, spec: str | None, key: str, fallback: str | None = None,
-             parse=_parse_grid) -> np.ndarray:
-        """Grid from the option ``spec``, else the preset's ``key`` block
-        (start/stop/num), else ``fallback`` if one is given; in the active units."""
-        if spec is None and (fallback is None or key in self.preset_cfg):
-            block = self.preset_cfg[key]
-            grid = np.linspace(block["start"], block["stop"], block["num"])
-        else:
-            grid = parse(fallback if spec is None else spec)
-        return grid * self.rate_scale
+    def grids(self, *options: tuple[str | None, str]) -> list[np.ndarray]:
+        """One grid per (``spec``, ``key``): the START:STOP:NUM option ``spec``,
+        else the preset's ``key`` block (start/stop/num); in the active units.
+        Their points together (a map's cells) are at most MAX_GRID_POINTS,
+        checked before any grid is made."""
+        specs = [_parse_grid(spec) if spec is not None else
+                 tuple(self.preset_cfg[key][end] for end in ("start", "stop", "num"))
+                 for spec, key in options]
+        _check_points(" x ".join("--" + key.replace("_", "-") for _, key in options),
+                      math.prod(num for _, _, num in specs))
+        return [np.linspace(*spec) * self.rate_scale for spec in specs]
 
     def path(self, default: str) -> Path:
         """Dataset path: ``--output`` if given, else ``default``, in the output
@@ -228,7 +239,7 @@ def _build_config(args) -> RunConfig:
 # experiment runners
 
 def _run_sweep_loss(rc: RunConfig, args) -> int:
-    grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid")
+    [grid] = rc.grids((args.gamma_tip_grid, "gamma_tip_grid"))
 
     def sweep(run: RunConfig, **extra) -> tuple:
         return run, sweep_loss(run.params, grid, protocol=run.protocol,
@@ -260,7 +271,7 @@ def _run_sweep_loss(rc: RunConfig, args) -> int:
 
 
 def _run_critical_points(rc: RunConfig, args) -> int:
-    grid = rc.grid(args.gamma_tip_grid, "gamma_tip_grid")
+    [grid] = rc.grids((args.gamma_tip_grid, "gamma_tip_grid"))
     table = sweep_loss(rc.params, grid, protocol=rc.protocol, backends=rc.backends,
                        cutoff=rc.cutoff)
     cps = critical_points(table, rc.params)
@@ -280,7 +291,7 @@ def _run_critical_points(rc: RunConfig, args) -> int:
 
 
 def _run_spectrum(rc: RunConfig, args) -> int:
-    deltas = rc.grid(args.delta_grid, "delta_grid")
+    [deltas] = rc.grids((args.delta_grid, "delta_grid"))
     gamma_tips = [g * rc.rate_scale for g in (args.gamma_tip or [0.0])]
     backend = rc.backends[0]
     smap = spectrum_map(rc.params, gamma_tips, deltas, backend=backend, cutoff=rc.cutoff)
@@ -298,8 +309,8 @@ def _run_spectrum(rc: RunConfig, args) -> int:
 
 
 def _run_spectrum_map(rc: RunConfig, args) -> int:
-    gts = rc.grid(args.gamma_tip_grid, "gamma_tip_grid")
-    deltas = rc.grid(args.delta_grid, "delta_grid")
+    gts, deltas = rc.grids((args.gamma_tip_grid, "gamma_tip_grid"),
+                           (args.delta_grid, "delta_grid"))
     smap = spectrum_map(rc.params, gts, deltas, backend=rc.backends[0], cutoff=rc.cutoff)
     path = rc.path("fig2c_map.csv")
     rows = ({"gamma_tip": gt, "delta": smap.delta, "s1": s1_row}
@@ -316,7 +327,7 @@ def _run_spectrum_map(rc: RunConfig, args) -> int:
 
 
 def _run_eigen(rc: RunConfig, args) -> int:
-    gts = rc.grid(args.gamma_tip_grid, "gamma_tip_grid")
+    [gts] = rc.grids((args.gamma_tip_grid, "gamma_tip_grid"))
     rows = branch_sweep(rc.params, gts)
     path = rc.path("figS3.csv")
     rc.write(path, ["gamma_tip", "branch", "re_lambda", "im_lambda", "pop_01", "pop_10"],
@@ -345,6 +356,7 @@ def _run_eigen(rc: RunConfig, args) -> int:
 
 
 def _run_lep(rc: RunConfig, args) -> int:
+    _check_points("--grid", args.grid)
     if args.range is not None:
         lo, hi = (x * rc.rate_scale for x in _parse_range(args.range))
     else:
@@ -366,7 +378,11 @@ def _run_lep(rc: RunConfig, args) -> int:
 
 
 def _run_ep_agreement(rc: RunConfig, args) -> int:
-    js = rc.grid(args.j_grid, "j_grid", "1.0,1.5,2.0,3.0", parse=_parse_values)
+    if args.j_grid is None and "j_grid" in rc.preset_cfg:
+        [js] = rc.grids((None, "j_grid"))
+    else:
+        js = _parse_values("1.0,1.5,2.0,3.0" if args.j_grid is None else args.j_grid)
+        js *= rc.rate_scale
     rows = ep_agreement(rc.params, js)
     path = rc.path("fig1b_ep.csv")
     rc.write(path, ["J", "hep", "lep", "rel_discrepancy", "found"], rows,

@@ -178,15 +178,10 @@ class DensityMatrix:
         })
 
     def mode1_marginal(self) -> np.ndarray:
-        """P_m: probability of m photons in mode 1, any occupation of mode 2."""
-        n_max = max(m for m, _ in self.basis.states)
-        p = np.zeros(n_max + 1)
-        for i, (m, _) in enumerate(self.basis.states):
-            p[m] += self.data[i, i].real
-        return p
-
-    def expectation(self, op: np.ndarray) -> complex:
-        return complex(np.trace(op @ self.data))
+        """P_m: probability of m photons in mode 1, any occupation of mode 2;
+        the populations summed per m in basis order."""
+        return np.bincount([m for m, _ in self.basis.states],
+                           weights=np.diagonal(self.data).real)
 
 
 @dataclass

@@ -72,18 +72,19 @@ class SpectrumResult:
 
 
 def photon_statistics(rho: DensityMatrix) -> PhotonStatistics:
-    """Moments via operator expectation values on the truncated basis.
-
-    g2 = <a1'^2 a1^2> / N1^2 and g3 = <a1'^3 a1^3> / N1^3; raises when N1
-    is too small for the correlators to be defined.
+    """Moments read from the state's populations on the truncated basis: each
+    moment's operator is diagonal in the Fock basis, so its mean is the
+    populations weighted by that diagonal, summed as complex numbers in
+    np.trace's order (bit for bit np.trace(op @ rho).real). g2 = <a1'^2 a1^2>
+    / N1^2 and g3 = <a1'^3 a1^3> / N1^3; raises when N1 is too small for the
+    correlators to be defined.
     """
-    basis = rho.basis
-    n1 = rho.expectation(mode_operator(basis, 1, "number").data).real
-    n2 = rho.expectation(mode_operator(basis, 2, "number").data).real
+    basis, pops = rho.basis, np.diagonal(rho.data)
+    n1, n2, m2, m3 = (float((np.diagonal(op.data) * pops).sum().real) for op in (
+        mode_operator(basis, 1, "number"), mode_operator(basis, 2, "number"),
+        mode1_moment(basis, 2), mode1_moment(basis, 3)))
     if n1 < UNDEFINED_N1_FLOOR:
         raise ValueError("N1 vanishes: correlation functions are undefined")
-    m2 = rho.expectation(mode1_moment(basis, 2).data).real
-    m3 = rho.expectation(mode1_moment(basis, 3).data).real
     return PhotonStatistics(
         n1=n1, n2=n2, g2=m2 / n1**2, g3=m3 / n1**3,
         p_mn=rho.populations(), p_m=rho.mode1_marginal(),
@@ -218,7 +219,8 @@ def _spectra(p: SystemParams, gamma_tips: np.ndarray, deltas: np.ndarray, backen
 
 def _mode1_occupation(rho: DensityMatrix) -> float:
     """N1 = <a1' a1> of a steady state: the Lindblad spectrum's reduction."""
-    return rho.expectation(mode_operator(rho.basis, 1, "number").data).real
+    number = np.diagonal(mode_operator(rho.basis, 1, "number").data)
+    return float((number * np.diagonal(rho.data)).sum().real)  # as photon_statistics' N1
 
 
 def _lindblad_columns(rho: DensityMatrix) -> dict:

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import kerrdimer
-from kerrdimer.cli import (SUBCOMMANDS, _build_config, _build_parser, _parse_args,
-                           _subcommand_parser, main)
+from kerrdimer.cli import (MAX_GRID_POINTS, SUBCOMMANDS, _build_config, _build_parser,
+                           _parse_args, _subcommand_parser, main)
 from kerrdimer.experiments import spectrum_map
 from kerrdimer import experiments, liouvillian, search
 from kerrdimer.model import preset, preset_names
@@ -178,6 +178,35 @@ class TestDispatch:
                            "more than 64 states, the superoperator cap\n")
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv, options, points", [
+        (("lep", f"--grid={MAX_GRID_POINTS + 1}"), "--grid", MAX_GRID_POINTS + 1),
+        *(((command, f"--gamma-tip-grid=0:12:{MAX_GRID_POINTS + 1}"), "--gamma-tip-grid",
+           MAX_GRID_POINTS + 1) for command in ("sweep-loss", "critical-points", "eigen")),
+        (("spectrum", f"--delta-grid=-4:4:{MAX_GRID_POINTS + 1}"), "--delta-grid",
+         MAX_GRID_POINTS + 1),
+        # maps over the cap in cells, each grid under it: the preset's 121 rows
+        # of 827 cells, and 2 rows of 50001
+        (("spectrum-map", "--delta-grid=-4:4:827"), "--gamma-tip-grid x --delta-grid",
+         121 * 827),
+        (("spectrum-map", "--gamma-tip-grid=0:12:2",
+          f"--delta-grid=-4:4:{MAX_GRID_POINTS // 2 + 1}"), "--gamma-tip-grid x --delta-grid",
+         MAX_GRID_POINTS + 2)])
+    def test_grid_over_the_cap_config_error(self, tmp_path, capsys, monkeypatch, argv,
+                                            options, points):
+        # rejected before any grid is made: making one over the cap fails the test
+        linspace = np.linspace
+
+        def capped(start, stop, num=50, **kwargs):
+            assert num <= MAX_GRID_POINTS, f"a grid of {num} points was made"
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", capped)
+        out = tmp_path / "out"
+        got = run(capsys, *argv, "--output-dir", str(out))
+        assert got == (2, "", f"configuration error: {options} must hold at most "
+                              f"{MAX_GRID_POINTS} points, got {points}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("backend", ["analytic", "lindblad", "both"])
     @pytest.mark.parametrize("cutoff", ["5", "5,5,5", "a,5", "5,", "-1,5", "2.5,3", ""])
     def test_malformed_cutoff_config_error(self, tmp_path, capsys, backend, cutoff):
@@ -337,6 +366,8 @@ class TestDispatch:
         # the runners take these from the preset, with no fallback of their own
         _, cfg = preset(name)
         assert {"gamma_tip_grid", "delta_grid", "protocol", "dataset"} <= set(cfg)
+        # and its map, the largest grid run, is within the cap
+        assert cfg["gamma_tip_grid"]["num"] * cfg["delta_grid"]["num"] <= MAX_GRID_POINTS
 
 
 class TestExperimentCommands:

@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from kerrdimer.analytic import SingularParameterError, analytic_observables, steady_amplitudes
 from kerrdimer.experiments import spectrum_map
-from kerrdimer.hilbert import build_basis
-from kerrdimer.liouvillian import DensityMatrix, build_liouvillian, steady_state
+from kerrdimer import liouvillian
+from kerrdimer.hilbert import build_basis, mode1_moment, mode_operator
+from kerrdimer.liouvillian import DensityMatrix, build_liouvillian, driven_basis, steady_state
 from kerrdimer.model import SystemParams, preset
 from kerrdimer.observables import (
     ANALYTIC_BLOCK_CELLS,
     PEAK_MIN_SEPARATION,
     PEAK_SADDLE_RATIO,
+    _mode1_occupation,
     detect_peaks,
     excitation_spectrum,
     photon_statistics,
@@ -84,6 +86,59 @@ class TestPhotonStatistics:
         n1 = sum(m * pr for (m, n), pr in stats.p_mn.items())
         m2 = sum(m * (m - 1) * pr for (m, n), pr in stats.p_mn.items())
         assert stats.g2 == pytest.approx(m2 / n1**2, rel=1e-10)
+
+
+def reference_mean(op, rho):
+    """<op> as the trace of the operator product: the population reads' oracle."""
+    return complex(np.trace(op.data @ rho.data)).real
+
+
+def reference_marginal(rho):
+    """P_m summed state by state in basis order: ``mode1_marginal``'s oracle."""
+    p = np.zeros(max(m for m, _ in rho.basis.states) + 1)
+    for i, (m, _) in enumerate(rho.basis.states):
+        p[m] += rho.data[i, i].real
+    return p
+
+
+def assert_reads_match_products(rho):
+    """Every reduction of ``rho`` against its oracle, bit for bit; its N1."""
+    basis = rho.basis
+    n1 = reference_mean(mode_operator(basis, 1, "number"), rho)
+    m2, m3 = (reference_mean(mode1_moment(basis, k), rho) for k in (2, 3))
+    stats = photon_statistics(rho)
+    assert (stats.n1, stats.n2, stats.g2, stats.g3) == (
+        n1, reference_mean(mode_operator(basis, 2, "number"), rho), m2 / n1**2, m3 / n1**3)
+    assert _mode1_occupation(rho) == n1
+    assert rho.mode1_marginal().tobytes() == reference_marginal(rho).tobytes()
+    assert stats.p_m.tobytes() == reference_marginal(rho).tobytes()
+    return n1
+
+
+class TestPopulationReads:
+    """The reductions read a state's populations; on solved states they give
+    the operator products' numbers bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(omega=st.floats(0.001, 0.1), delta=st.floats(-6.0, 6.0),
+           gamma_tip=st.floats(0.0, 12.0), chi=st.floats(-5.0, 5.0),
+           solve=st.sampled_from(["cap-5", "ceiling", "cutoff-7"]))
+    def test_reads_match_operator_products(self, omega, delta, gamma_tip, chi, solve):
+        # a state certified at cap 5 (reported on 21 states, checked on 26),
+        # the 30-state ceiling of the default cutoff, and the 49-state ceiling
+        # of cutoff (7, 7), each as the sweep workers reduce it
+        p = params(omega_drive_amp=omega, delta=delta, gamma_tip=gamma_tip, chi=chi)
+        basis = driven_basis((7, 7) if solve == "cutoff-7" else (5, 5))
+        seen = []
+
+        def reduce(rho):
+            seen.append(rho.basis.size)
+            return assert_reads_match_products(rho)
+
+        [(_, failure)] = [result for result, _ in liouvillian._solve_chunk(
+            [p], basis, 5 if solve == "cap-5" else None, reduce)]
+        assert failure is None
+        assert seen == ([21, 26] if solve == "cap-5" else [basis.size])
 
 
 class TestPoissonComparison:

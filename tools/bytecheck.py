@@ -96,7 +96,8 @@ PARSER_COMMANDS = [
 # the configuration errors of the S1 normalization and the LEP window,
 # a drive whose N1^3 leaves the float range, the 49-state ceiling of
 # cutoff (7, 7) solved in the sweep workers, one point a stack, a cutoff
-# whose basis is over the cap, and the CLI's own text (PARSER_COMMANDS)
+# whose basis is over the cap, grids over the grid cap (sizes no machine can
+# allocate), and the CLI's own text (PARSER_COMMANDS)
 COMMANDS = [
     ("sweep-loss", ("sweep-loss",)),
     ("sweep-loss-fig3", ("sweep-loss", "--preset", "paper_fig3")),
@@ -150,6 +151,9 @@ COMMANDS = [
     ("ep-agreement-no-gamma1", ("ep-agreement", *NO_GAMMA1)),
     ("critical-points-no-gamma1", ("critical-points", *NO_GAMMA1)),
     ("sweep-loss-cutoff-over-cap", ("sweep-loss", "--backend", "lindblad", "--cutoff", "9,9")),
+    ("lep-grid-over-cap", ("lep", "--grid", "1000000000000000")),
+    ("sweep-loss-grid-over-cap", ("sweep-loss", "--gamma-tip-grid=0:12:1000000000000000")),
+    ("spectrum-map-over-cap", ("spectrum-map", "--delta-grid=-4:4:1000000000000000")),
     *PARSER_COMMANDS,
 ]
 THREADS = ("1", "2")  # OPENBLAS_NUM_THREADS of the runs
